@@ -11,26 +11,19 @@
 //! collection is bit-identical to the exact engine — the property the
 //! equivalence tests pin.
 //!
-//! Two tiers:
+//! The tier is [`BinarySketch`] / [`BqPrescreen`]: per-dimension
+//! multi-plane quantile thresholds ([`BinaryQuantizer`]) pack each vector
+//! into a few `u64` words; a query is answered by a linear Hamming scan
+//! over all codes (runtime-dispatched popcount kernel) keeping the
+//! `budget` closest ids. Durable: the sidecar (`sketch.mqbq`) persists
+//! next to a partition's page files and is checksum-verified on load.
 //!
-//! * [`BinarySketch`] / [`BqPrescreen`] — per-dimension multi-plane
-//!   quantile thresholds ([`BinaryQuantizer`]) pack each vector into a few
-//!   `u64` words; a query is answered by a linear Hamming scan over all
-//!   codes (runtime-dispatched popcount kernel) keeping the `budget`
-//!   closest ids. Durable: the sidecar (`sketch.mqbq`) persists next to a
-//!   partition's page files and is checksum-verified on load.
-//! * [`Hnsw`] / [`HnswPrescreen`] — a deterministic in-memory navigable
-//!   small-world graph; better recall at tiny budgets, rebuilt on open.
-//!
-//! [`ApproxTier`] carries the CLI/wire syntax (`bq:<budget>`,
-//! `hnsw:<ef>`).
+//! [`ApproxTier`] carries the CLI/wire syntax (`bq:<budget>`).
 
-pub mod hnsw;
 pub mod quantizer;
 pub mod sketch;
 pub mod tier;
 
-pub use hnsw::{Hnsw, HnswConfig, HnswPrescreen};
 pub use quantizer::BinaryQuantizer;
 pub use sketch::{BinarySketch, BqPrescreen};
 pub use tier::ApproxTier;

@@ -1,4 +1,4 @@
-//! The exactness boundary of the real vector tiers, quantified over the
+//! The exactness boundary of the real vector tier, quantified over the
 //! engine configuration matrix.
 //!
 //! `mq_core::prescreen` promises: a [`BqPrescreen`] whose budget covers
@@ -10,7 +10,7 @@
 //! inside the exact engine: the approximation is entirely in candidate
 //! *selection*, never in evaluation.
 
-use mq_approx::{BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen};
+use mq_approx::{BinarySketch, BqPrescreen};
 use mq_core::{AvoidanceStats, LeaderPolicy, QueryEngine, QueryType};
 use mq_datagen::embeddings;
 use mq_index::LinearScan;
@@ -87,27 +87,6 @@ fn full_budget_bq_is_bit_identical_across_the_matrix() {
                 assert_eq!(eav, tav, "{tag}: bq budget=N avoidance counters diverged");
                 assert_eq!(eio, tio, "{tag}: bq budget=N I/O counters diverged");
             }
-        }
-    }
-}
-
-#[test]
-fn full_ef_hnsw_returns_exact_answers_across_the_matrix() {
-    // HNSW with ef = N visits the whole (connected) graph, so answers
-    // must match the exact engine; its beam *order* may admit candidates
-    // differently than a full scan, so only the answers — not the I/O
-    // schedule — are pinned here.
-    let db = database(7);
-    let graph = Arc::new(Hnsw::build(&db, HnswConfig::default()));
-    let prescreen = HnswPrescreen::new(graph, N);
-    for &threads in &[1usize, 4] {
-        for &leader in &[LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-            let (ea, _, _) = run(&db, None, threads, 0, leader);
-            let (ta, _, _) = run(&db, Some(&prescreen), threads, 0, leader);
-            assert_eq!(
-                ea, ta,
-                "threads {threads}, {leader:?}: hnsw ef=N answers diverged"
-            );
         }
     }
 }

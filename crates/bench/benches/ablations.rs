@@ -9,7 +9,7 @@
 //!   the parallel engine (the §7 future-work knob).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mq_core::{QueryEngine, QueryType};
+use mq_core::{EngineOptions, QueryEngine, QueryType};
 use mq_datagen::image_histograms_config;
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{Euclidean, Vector};
@@ -86,6 +86,7 @@ fn bench_declustering(c: &mut Criterion) {
             strategy,
             Euclidean,
             0.1,
+            EngineOptions::default(),
             |ds: &Dataset<Vector>| {
                 let db = PagedDatabase::pack(ds, Default::default());
                 let scan = LinearScan::new(db.page_count());
@@ -95,45 +96,8 @@ fn bench_declustering(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{strategy:?}")),
             &strategy,
-            |b, _| b.iter(|| black_box(cluster.multiple_query(&queries, true))),
+            |b, _| b.iter(|| black_box(cluster.multiple_query(&queries))),
         );
-    }
-    group.finish();
-}
-
-fn bench_buffer_policy(c: &mut Criterion) {
-    // LRU (the paper's choice) vs. CLOCK vs. FIFO on a dependent workload.
-    use mq_storage::{BufferPolicy, ClockBuffer, FifoBuffer, LruBuffer};
-    let mut group = c.benchmark_group("ablation-buffer-policy");
-    group.sample_size(10);
-    let ds = clustered(3_000);
-    let queries: Vec<(Vector, QueryType)> = (0..64)
-        .map(|i| {
-            (
-                ds.object(mq_metric::ObjectId((i * 13) % 200)).clone(),
-                QueryType::knn(20),
-            )
-        })
-        .collect();
-    let make_policy = |name: &str, cap: usize| -> Box<dyn BufferPolicy> {
-        match name {
-            "lru" => Box::new(LruBuffer::new(cap)),
-            "clock" => Box::new(ClockBuffer::new(cap)),
-            _ => Box::new(FifoBuffer::new(cap)),
-        }
-    };
-    for name in ["lru", "clock", "fifo"] {
-        let (tree, db) = XTree::bulk_load(&ds, XTreeConfig::default());
-        let cap = (db.page_count() / 10).max(1);
-        let disk = SimulatedDisk::with_policy(db, make_policy(name, cap));
-        let engine = QueryEngine::new(&disk, &tree, Euclidean);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for (q, t) in &queries {
-                    black_box(engine.similarity_query(q, t));
-                }
-            })
-        });
     }
     group.finish();
 }
@@ -185,7 +149,6 @@ fn bench_pivot_cap(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_buffer_fraction,
-    bench_buffer_policy,
     bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,
     bench_declustering,

@@ -4,9 +4,8 @@
 //! (`mq_datagen::embeddings_config`), m = 32 held-out queries answered as
 //! **one** multiple-query batch over a linear scan — the end-to-end path
 //! `mq serve`/`mq batch --approx` exercise. The exact batch is the
-//! baseline; each curve point attaches one prescreen (binary-quantized
-//! Hamming budget, or an HNSW beam) in front of the *same* engine and
-//! measures:
+//! baseline; each curve point attaches one prescreen (a binary-quantized
+//! Hamming budget) in front of the *same* engine and measures:
 //!
 //! * **recall@10** — fraction of the exact k-NN ids the lossy run kept
 //!   (reported distances are exact either way; only candidate selection
@@ -15,7 +14,7 @@
 //!   repo's standard cost model (`CostModel::paper_1999`: modeled seek +
 //!   transfer I/O plus per-distance CPU), with the prescreen's own
 //!   measured wall time *added* to the approx side so the tier pays for
-//!   its Hamming scan / graph walk;
+//!   its Hamming scan;
 //! * **wall_speedup** — the same ratio in raw wall-clock on this host,
 //!   alongside for honesty (on tiny smoke runs it is mostly timer noise).
 //!
@@ -33,7 +32,7 @@
 //! on a 1-core host, where comparative timing proves nothing; `MQ_BENCH_N`
 //! overrides the object count, `MQ_SEED` the seed.
 
-use mq_approx::{BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen, DEFAULT_PLANES};
+use mq_approx::{BinarySketch, BqPrescreen, DEFAULT_PLANES};
 use mq_bench::setup::{env_u64, env_usize};
 use mq_core::{Answer, CandidatePrescreen, CostModel, QueryEngine, QueryType, StatsProbe};
 use mq_datagen::embeddings_config;
@@ -214,13 +213,7 @@ fn main() {
     let build_start = Instant::now();
     let sketch = Arc::new(BinarySketch::build(disk.database(), planes));
     let sketch_build_secs = build_start.elapsed().as_secs_f64();
-    let build_start = Instant::now();
-    let graph = Arc::new(Hnsw::build(disk.database(), HnswConfig::default()));
-    let hnsw_build_secs = build_start.elapsed().as_secs_f64();
-    println!(
-        "  tier build: sketch {sketch_build_secs:.3} s ({planes} planes), \
-         hnsw {hnsw_build_secs:.3} s"
-    );
+    println!("  tier build: sketch {sketch_build_secs:.3} s ({planes} planes)");
 
     let exact = measure(
         "exact".into(),
@@ -261,7 +254,6 @@ fn main() {
         .into_iter()
         .filter(|&b| b >= K)
         .collect();
-    let efs: &[usize] = &[32, 64, 128, 256];
 
     let mut bq_rows = Vec::new();
     for &budget in &budgets {
@@ -289,32 +281,6 @@ fn main() {
         bq_rows.push(row);
     }
 
-    let mut hnsw_rows = Vec::new();
-    for &ef in efs {
-        let prescreen = HnswPrescreen::new(Arc::clone(&graph), ef);
-        let mut row = measure(
-            format!("hnsw:{ef}"),
-            &disk,
-            &index,
-            &metric,
-            Some(&prescreen),
-            &queries,
-            reps,
-            &model,
-        );
-        row.recall = recall_at_k(&exact.answers, &row.answers);
-        println!(
-            "  hnsw:{ef:<4}: recall@{K} {:.3}, speedup {:.2}x (wall {:.2}x), \
-             {} dists, {} page reads",
-            row.recall,
-            exact.modeled_secs / row.modeled_secs,
-            exact.wall_secs / row.wall_secs,
-            row.dist_calcs,
-            row.logical_reads
-        );
-        hnsw_rows.push(row);
-    }
-
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"ann_recall_vs_speedup\",\n");
     json.push_str(&format!(
@@ -327,8 +293,7 @@ fn main() {
         simd_level.name(),
     ));
     json.push_str(&format!(
-        "  \"tier_build_secs\": {{ \"sketch\": {sketch_build_secs:.6}, \
-         \"hnsw\": {hnsw_build_secs:.6} }},\n"
+        "  \"tier_build_secs\": {{ \"sketch\": {sketch_build_secs:.6} }},\n"
     ));
     json.push_str(&format!(
         "  \"exact\": {{ \"modeled_secs\": {:.6}, \"wall_secs\": {:.6}, \
@@ -339,11 +304,6 @@ fn main() {
     for (i, r) in bq_rows.iter().enumerate() {
         json.push_str(&json_row(r, &exact));
         json.push_str(if i + 1 < bq_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n    \"hnsw\": [\n");
-    for (i, r) in hnsw_rows.iter().enumerate() {
-        json.push_str(&json_row(r, &exact));
-        json.push_str(if i + 1 < hnsw_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("    ]\n  }\n}\n");
     std::fs::write("BENCH_ann.json", &json).expect("write BENCH_ann.json");

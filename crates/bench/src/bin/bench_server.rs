@@ -19,7 +19,7 @@
 //!
 //! A third run drives the **overload** path: a ramp plan steps the
 //! offered rate past a deliberately small admission bound (`--max-queue`
-//! territory) on the event-loop frontend, asserting that saturation
+//! territory), asserting that saturation
 //! produces typed `Overloaded` rejections — never transport errors — and
 //! that the latency of *admitted* requests stays bounded while the queue
 //! sheds load.
@@ -43,7 +43,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, RunReport, WorkloadSpec};
 use mq_obs::Recorder;
-use mq_server::{QueryServer, ServerConfig, SingleEngineBackend};
+use mq_server::{ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -123,13 +123,13 @@ fn main() {
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::PAPER);
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
     let recorder = Recorder::enabled();
     let config = ServerConfig::default()
         .with_max_batch(8)
         .with_max_wait(Duration::from_millis(2));
+    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
     let server =
-        QueryServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
+        FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");
     let addr = server.local_addr().to_string();
 
@@ -173,9 +173,9 @@ fn main() {
         "server did not drain after both runs"
     );
 
-    // Overload run: a fresh event-loop frontend with a small per-
-    // collection queue bound, rammed past capacity by a step-rate ramp
-    // with more concurrent connections than queue slots. Saturation must
+    // Overload run: a fresh server with a small per-collection queue
+    // bound, rammed past capacity by a step-rate ramp with more
+    // concurrent connections than queue slots. Saturation must
     // surface as typed Overloaded rejections (shed at admission, before
     // any distance work), while the requests that *were* admitted keep a
     // bounded p99.
@@ -188,13 +188,17 @@ fn main() {
         .collect();
     let overload_db = PagedDatabase::pack(&Dataset::new(overload_objects), PageLayout::PAPER);
     let overload_scan = LinearScan::new(overload_db.page_count());
-    let overload_backend =
-        SingleEngineBackend::new(overload_db, Box::new(overload_scan), 0.0, true);
     let overload_recorder = Recorder::enabled();
     let overload_config = ServerConfig::default()
         .with_max_batch(8)
         .with_max_wait(Duration::from_millis(2))
         .with_max_queue(overload_queue);
+    let overload_backend = SingleEngineBackend::new(
+        overload_db,
+        Box::new(overload_scan),
+        0.0,
+        overload_config.engine,
+    );
     let overload_server = FrontServer::bind_with_recorder(
         "127.0.0.1:0",
         Box::new(overload_backend),

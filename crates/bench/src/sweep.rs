@@ -227,9 +227,10 @@ pub fn parallel_sweep(env: &BenchEnv, ss: &[usize]) -> Vec<ParallelPoint> {
                     Declustering::RoundRobin,
                     mq_metric::Euclidean,
                     0.10,
+                    mq_core::EngineOptions::default(),
                     index_builder(rig.method),
                 );
-                let (_, stats) = cluster.multiple_query(&block, true);
+                let (_, stats) = cluster.multiple_query(&block);
                 let max_server_seconds = stats.max_modeled_seconds(|st| model.total_seconds(st));
                 out.push(ParallelPoint {
                     db: db.name,

@@ -2,8 +2,11 @@
 
 use std::collections::HashMap;
 
-/// Parsed command line: a subcommand, positional arguments, and
-/// `--key value` options.
+/// Options that take no value: present means on.
+const SWITCHES: [&str; 3] = ["no-avoidance", "checkpoint", "stats"];
+
+/// Parsed command line: a subcommand, positional arguments, `--key value`
+/// options and valueless switches.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
@@ -32,9 +35,14 @@ impl Args {
         let mut it = argv.into_iter().peekable();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ArgError(format!("missing value for --{key}")))?;
+                let value = if SWITCHES.contains(&key) {
+                    // `--stats true` was the documented spelling while every
+                    // option demanded a value; it keeps working.
+                    it.next_if(|next| next == "true").unwrap_or_default()
+                } else {
+                    it.next()
+                        .ok_or_else(|| ArgError(format!("missing value for --{key}")))?
+                };
                 if out.options.insert(key.to_string(), value).is_some() {
                     return Err(ArgError(format!("--{key} given twice")));
                 }
@@ -45,6 +53,25 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Fails if an option was given that the command does not read (the
+    /// global `--simd` aside): a misspelt or retired option must stop the
+    /// run, not silently fall back to a default.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        let unknown = self
+            .options
+            .keys()
+            .filter(|key| *key != "simd" && !known.contains(&key.as_str()))
+            .min();
+        match unknown {
+            None => Ok(()),
+            Some(key) => Err(ArgError(format!(
+                "unknown option --{key} for 'mq {}' (it reads: --{})",
+                self.command,
+                known.join(" --")
+            ))),
+        }
     }
 
     /// A required string option.
@@ -103,6 +130,45 @@ mod tests {
     #[test]
     fn missing_value_rejected() {
         assert!(parse(&["generate", "--n"]).is_err());
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        // Last argument: nothing to swallow, nothing missing.
+        let a = parse(&["batch", "db.mqdb", "--knn", "3", "--no-avoidance"]).unwrap();
+        assert!(a.has("no-avoidance"));
+        // In the middle: the next option survives.
+        let a = parse(&[
+            "query",
+            "db",
+            "--object",
+            "1",
+            "--no-avoidance",
+            "--knn",
+            "3",
+        ])
+        .unwrap();
+        assert!(a.has("no-avoidance"));
+        assert_eq!(a.required("knn").unwrap(), "3");
+        assert_eq!(a.positional, vec!["db"]);
+        // The older `--stats true` spelling is one switch, not a positional.
+        let a = parse(&["client", "--stats", "true", "--addr", "x:1"]).unwrap();
+        assert!(a.has("stats"));
+        assert!(a.positional.is_empty());
+        assert_eq!(a.required("addr").unwrap(), "x:1");
+        let a = parse(&["insert", "dir", "--checkpoint"]).unwrap();
+        assert!(a.has("checkpoint"));
+    }
+
+    #[test]
+    fn unknown_option_rejected_by_name() {
+        let a = parse(&["query", "db", "--indx", "scan", "--knn", "3"]).unwrap();
+        let err = a.reject_unknown(&["knn", "index"]).unwrap_err();
+        assert!(err.0.contains("unknown option --indx"), "{err}");
+        assert!(err.0.contains("mq query"), "{err}");
+        // Known options and the global --simd pass.
+        let a = parse(&["query", "db", "--index", "scan", "--simd", "off"]).unwrap();
+        assert!(a.reject_unknown(&["knn", "index"]).is_ok());
     }
 
     #[test]

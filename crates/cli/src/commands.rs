@@ -1,10 +1,8 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
-use mq_approx::{
-    ApproxTier, BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen, DEFAULT_PLANES,
-};
-use mq_core::{CandidatePrescreen, CostModel, QueryEngine, QueryType, StatsProbe};
+use mq_approx::ApproxTier;
+use mq_core::{CostModel, EngineOptions, QueryEngine, QueryType, StatsProbe};
 use mq_datagen::{
     classification_query_ids, embeddings, image_histograms, tycho_like, uniform_vectors,
 };
@@ -17,6 +15,7 @@ use std::sync::Arc;
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 pub fn generate(args: &Args) -> CmdResult {
+    args.reject_unknown(&["kind", "n", "seed", "out"])?;
     let kind = args.string_or("kind", "tycho");
     let n: usize = args.parse_or("n", 10_000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
@@ -47,6 +46,7 @@ fn load(args: &Args) -> Result<PagedDatabase<Vector>, Box<dyn std::error::Error>
 }
 
 pub fn info(args: &Args) -> CmdResult {
+    args.reject_unknown(&[])?;
     let db = load(args)?;
     let dim = db.object(ObjectId(0)).dim();
     println!("objects     : {}", db.object_count());
@@ -115,9 +115,9 @@ fn resolve_index_for_metric(
     Ok(which)
 }
 
-/// Parses `--approx bq:<budget>|hnsw:<ef>` (absent → exact engine). The
-/// candidate tiers rank by Euclidean proximity, so any other metric is
-/// refused up front rather than silently mis-screened.
+/// Parses `--approx bq:<budget>` (absent → exact engine). The candidate
+/// tier ranks by Euclidean proximity, so any other metric is refused up
+/// front rather than silently mis-screened.
 fn parse_approx(
     args: &Args,
     metric: VectorMetric,
@@ -136,23 +136,32 @@ fn parse_approx(
     Ok(Some(tier))
 }
 
-/// Builds the in-memory prescreen for one tier over `db`'s id space (the
-/// serve path additionally persists binary sketches next to file stores;
-/// the offline commands rebuild per run).
-fn build_prescreen(
-    tier: ApproxTier,
-    db: &PagedDatabase<Vector>,
-) -> Box<dyn CandidatePrescreen<Vector>> {
-    match tier {
-        ApproxTier::Bq { budget } => Box::new(BqPrescreen::new(
-            Arc::new(BinarySketch::build(db, DEFAULT_PLANES)),
-            budget,
-        )),
-        ApproxTier::Hnsw { ef } => Box::new(HnswPrescreen::new(
-            Arc::new(Hnsw::build(db, HnswConfig::default())),
-            ef,
-        )),
-    }
+/// The one place the CLI turns engine flags into [`EngineOptions`]
+/// (`mq serve`), starting from the server's defaults.
+fn parse_engine_options(args: &Args) -> Result<EngineOptions, Box<dyn std::error::Error>> {
+    let defaults = mq_server::ServerConfig::default().engine;
+    let leader = match args.string_or("leader", "fifo").as_str() {
+        "fifo" => mq_core::LeaderPolicy::Fifo,
+        "nearest" => mq_core::LeaderPolicy::NearestChain,
+        other => {
+            return Err(format!("unknown --leader '{other}' (expected fifo or nearest)").into())
+        }
+    };
+    Ok(EngineOptions {
+        avoidance: avoidance(args),
+        threads: args.parse_or("threads", defaults.threads)?,
+        prefetch_depth: args.parse_or("prefetch-depth", defaults.prefetch_depth)?,
+        leader,
+        fault_policy: mq_core::FaultPolicy::new(
+            args.parse_or("retry-budget", defaults.fault_policy.retry_budget)?,
+        ),
+        ..defaults
+    })
+}
+
+/// §5.2 avoidance is on unless `--no-avoidance` is given.
+fn avoidance(args: &Args) -> bool {
+    !args.has("no-avoidance")
 }
 
 /// An access method plus the database laid out for it.
@@ -199,6 +208,7 @@ fn build_index(
 }
 
 pub fn query(args: &Args) -> CmdResult {
+    args.reject_unknown(&["object", "knn", "range", "index", "metric", "approx"])?;
     let stored = load(args)?;
     let qtype = parse_qtype(args)?;
     let object_id: u32 = args.parse_or("object", 0)?;
@@ -238,7 +248,7 @@ pub fn query(args: &Args) -> CmdResult {
         (answers, stats)
     } else {
         let (index, db) = build_index(&stored, &which)?;
-        let prescreen = tier.map(|t| build_prescreen(t, &db));
+        let prescreen = tier.map(|t| t.prescreen(&db, None));
         let disk = SimulatedDisk::new(db, 0.10);
         let mut engine = QueryEngine::new(&disk, &*index, metric.clone());
         if let Some(p) = &prescreen {
@@ -284,6 +294,17 @@ pub fn query(args: &Args) -> CmdResult {
 }
 
 pub fn batch(args: &Args) -> CmdResult {
+    args.reject_unknown(&[
+        "queries",
+        "m",
+        "knn",
+        "range",
+        "index",
+        "metric",
+        "seed",
+        "no-avoidance",
+        "approx",
+    ])?;
     let stored = load(args)?;
     let qtype = parse_qtype(args)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
@@ -292,10 +313,10 @@ pub fn batch(args: &Args) -> CmdResult {
     let metric_choice = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric_choice, "scan")?;
     let tier = parse_approx(args, metric_choice)?;
-    let avoidance = !args.has("no-avoidance");
+    let avoidance = avoidance(args);
 
     let (index, db) = build_index(&stored, &which)?;
-    let prescreen = tier.map(|t| build_prescreen(t, &db));
+    let prescreen = tier.map(|t| t.prescreen(&db, None));
     let dim = db.object(ObjectId(0)).dim();
     let model = CostModel::paper_1999(dim);
     let disk = SimulatedDisk::new(db, 0.10);
@@ -417,64 +438,33 @@ fn parse_quota(args: &Args) -> Result<Option<mq_server::QuotaConfig>, Box<dyn st
     Ok(Some(mq_server::QuotaConfig { rate, burst }))
 }
 
-/// The two interchangeable TCP frontends `mq serve` can run: the
-/// thread-per-connection accept loop and the single-threaded
-/// readiness-polled event loop. Both serve the same dispatcher contract
-/// and answer bit-identically.
-enum Frontend {
-    Threads(mq_server::QueryServer),
-    Event(mq_front::FrontServer),
-}
-
-impl Frontend {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Frontend::Threads(s) => s.local_addr(),
-            Frontend::Event(s) => s.local_addr(),
-        }
-    }
-    fn metrics(&self) -> mq_server::ServiceMetrics {
-        match self {
-            Frontend::Threads(s) => s.metrics(),
-            Frontend::Event(s) => s.metrics(),
-        }
-    }
-    fn registry(&self) -> &Arc<mq_server::CollectionRegistry> {
-        match self {
-            Frontend::Threads(s) => s.registry(),
-            Frontend::Event(s) => s.registry(),
-        }
-    }
-    fn in_flight(&self) -> u64 {
-        match self {
-            Frontend::Threads(s) => s.in_flight(),
-            Frontend::Event(s) => s.in_flight(),
-        }
-    }
-    /// Stops accepting new connections; existing ones keep being served.
-    fn begin_drain(&mut self) {
-        match self {
-            // The accept thread owns the only blocking accept() call;
-            // shutdown flips its flag and joins it, leaving handler
-            // threads to finish their in-flight requests.
-            Frontend::Threads(s) => s.shutdown(),
-            Frontend::Event(s) => s.begin_drain(),
-        }
-    }
-    fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self {
-            Frontend::Threads(s) => s.drain(timeout),
-            Frontend::Event(s) => s.drain(timeout),
-        }
-    }
-}
-
 pub fn serve(args: &Args) -> CmdResult {
+    use mq_front::FrontServer;
     use mq_obs::{Recorder, Registry};
     use mq_server::{
-        build_backend_with_recorder, ExecutionMode, FileIndex, QueryServer, ServerConfig,
-        StoreChoice,
+        build_backend_with_recorder, ExecutionMode, FileIndex, ServerConfig, StoreChoice,
     };
+    args.reject_unknown(&[
+        "addr",
+        "index",
+        "metric",
+        "store",
+        "max-batch",
+        "max-wait-ms",
+        "cluster",
+        "threads",
+        "prefetch-depth",
+        "leader",
+        "workers",
+        "retry-budget",
+        "no-avoidance",
+        "approx",
+        "timeout-ms",
+        "max-queue",
+        "quota",
+        "drain-timeout-s",
+        "log-interval-s",
+    ])?;
     let stored = load(args)?;
     let addr = args.string_or("addr", "127.0.0.1:7878");
     let metric = parse_metric(args)?;
@@ -483,24 +473,9 @@ pub fn serve(args: &Args) -> CmdResult {
     let max_batch: usize = args.parse_or("max-batch", 16)?;
     let max_wait_ms: u64 = args.parse_or("max-wait-ms", 20)?;
     let servers: usize = args.parse_or("cluster", 0)?;
-    let threads: usize = args.parse_or("threads", 1)?;
-    let prefetch_depth: usize = args.parse_or("prefetch-depth", 0)?;
-    let leader_name = args.string_or("leader", "fifo");
-    let leader = match leader_name.as_str() {
-        "fifo" => mq_core::LeaderPolicy::Fifo,
-        "nearest" => mq_core::LeaderPolicy::NearestChain,
-        other => {
-            return Err(format!("unknown --leader '{other}' (expected fifo or nearest)").into())
-        }
-    };
     let workers: usize = args.parse_or("workers", 1)?;
-    let retry_budget: u32 = args.parse_or("retry-budget", 2)?;
-    // 0 = no timeout: a stalled client blocks its handler thread forever.
+    // 0 = no timeout: idle connections stay open indefinitely.
     let timeout_ms: u64 = args.parse_or("timeout-ms", 0)?;
-    let frontend = args.string_or("frontend", "threads");
-    if frontend != "threads" && frontend != "event" {
-        return Err(format!("unknown --frontend '{frontend}' (expected threads or event)").into());
-    }
     // 0 = unbounded queue (no depth-based admission control).
     let max_queue: usize = args.parse_or("max-queue", 0)?;
     let quota = parse_quota(args)?;
@@ -509,12 +484,8 @@ pub fn serve(args: &Args) -> CmdResult {
     let mut config = ServerConfig::default()
         .with_max_batch(max_batch)
         .with_max_wait(std::time::Duration::from_millis(max_wait_ms))
-        .with_avoidance(!args.has("no-avoidance"))
-        .with_threads(threads)
-        .with_prefetch_depth(prefetch_depth)
-        .with_leader(leader)
+        .with_engine(parse_engine_options(args)?)
         .with_workers(workers)
-        .with_retry_budget(retry_budget)
         .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))
         .with_store(store.clone())
         .with_metric(metric)
@@ -564,22 +535,9 @@ pub fn serve(args: &Args) -> CmdResult {
     // any point takes the graceful-drain path below.
     mq_front::signals::install();
 
-    let mut server = match frontend.as_str() {
-        "event" => Frontend::Event(mq_front::FrontServer::bind_with_recorder(
-            addr.as_str(),
-            backend,
-            &config,
-            &recorder,
-        )?),
-        _ => Frontend::Threads(QueryServer::bind_with_recorder(
-            addr.as_str(),
-            backend,
-            &config,
-            &recorder,
-        )?),
-    };
+    let server = FrontServer::bind_with_recorder(addr.as_str(), backend, &config, &recorder)?;
     println!(
-        "mq-server listening on {} ({} objects via {which}, {frontend} frontend)",
+        "mq-server listening on {} ({} objects via {which}, event frontend)",
         server.local_addr(),
         stored.object_count(),
     );
@@ -664,6 +622,7 @@ pub fn serve(args: &Args) -> CmdResult {
 
 pub fn stats(args: &Args) -> CmdResult {
     use mq_server::{RetryConfig, RetryingClient};
+    args.reject_unknown(&["addr", "retries", "connect-timeout-ms", "timeout-ms"])?;
     let addr = args
         .positional
         .first()
@@ -735,6 +694,7 @@ fn parse_vector(raw: &str) -> Result<Vector, Box<dyn std::error::Error>> {
 
 pub fn insert(args: &Args) -> CmdResult {
     use mq_store::FilePageStore;
+    args.reject_unknown(&["store", "vector", "checkpoint"])?;
     let dir = store_dir(args)?;
     reject_partition_member(&dir)?;
     let object = parse_vector(args.required("vector")?)?;
@@ -761,6 +721,7 @@ pub fn insert(args: &Args) -> CmdResult {
 
 pub fn delete(args: &Args) -> CmdResult {
     use mq_store::FilePageStore;
+    args.reject_unknown(&["store", "object", "checkpoint"])?;
     let dir = store_dir(args)?;
     reject_partition_member(&dir)?;
     let id: u32 = args.required("object")?.parse().map_err(|_| {
@@ -789,6 +750,18 @@ pub fn delete(args: &Args) -> CmdResult {
 
 pub fn client(args: &Args) -> CmdResult {
     use mq_server::{RetryConfig, RetryingClient};
+    args.reject_unknown(&[
+        "addr",
+        "retries",
+        "connect-timeout-ms",
+        "timeout-ms",
+        "collection",
+        "tenant",
+        "stats",
+        "vector",
+        "knn",
+        "range",
+    ])?;
     let addr = args.string_or("addr", "127.0.0.1:7878");
     let retries: u32 = args.parse_or("retries", 3)?;
     let connect_timeout_ms: u64 = args.parse_or("connect-timeout-ms", 2000)?;
@@ -851,6 +824,16 @@ pub fn client(args: &Args) -> CmdResult {
 /// collections over the wire.
 pub fn collection(args: &Args) -> CmdResult {
     use mq_server::{RetryConfig, RetryingClient};
+    args.reject_unknown(&[
+        "addr",
+        "retries",
+        "connect-timeout-ms",
+        "timeout-ms",
+        "name",
+        "dim",
+        "metric",
+        "source",
+    ])?;
     let action = args
         .positional
         .first()
@@ -908,6 +891,7 @@ pub fn collection(args: &Args) -> CmdResult {
 }
 
 pub fn dbscan(args: &Args) -> CmdResult {
+    args.reject_unknown(&["eps", "min-pts", "batch"])?;
     let stored = load(args)?;
     let eps: f64 = args.parse_or("eps", 0.1)?;
     let min_pts: usize = args.parse_or("min-pts", 5)?;
@@ -972,6 +956,25 @@ pub fn dbscan(args: &Args) -> CmdResult {
 /// running server and print the client-side latency report.
 pub fn loadgen(args: &Args) -> CmdResult {
     use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
+    args.reject_unknown(&[
+        "mode",
+        "ramp",
+        "rate",
+        "sessions",
+        "think-ms",
+        "requests",
+        "seed",
+        "knn",
+        "range",
+        "skew",
+        "pool",
+        "queries-from",
+        "dim",
+        "connections",
+        "collection",
+        "tenant",
+        "out",
+    ])?;
 
     let addr = args
         .positional

@@ -30,17 +30,17 @@ USAGE:
   mq query <FILE> --object <ID> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree|vafile]
                 [--metric euclidean|manhattan|cosine|dot]
-                [--approx bq:<BUDGET>|hnsw:<EF>]
+                [--approx bq:<BUDGET>]
       Run one similarity query and print answers plus cost counters.
       Non-Euclidean metrics require --index scan (tree and VA-file page
       bounds are Euclidean geometry). --approx prescreens candidates
       with a lossy tier (binary-quantized Hamming scan keeping BUDGET
-      ids, or an HNSW beam of width EF) and re-ranks them exactly —
-      recall may drop, reported distances never lie.
+      ids) and re-ranks them exactly — recall may drop, reported
+      distances never lie.
 
   mq batch <FILE> --queries <N> --m <M> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree|vafile] [--metric ...] [--seed <S>]
-                [--no-avoidance] [--approx bq:<BUDGET>|hnsw:<EF>]
+                [--no-avoidance] [--approx bq:<BUDGET>]
       Run N random queries in blocks of M and compare against singles.
       With --approx the blocks run through the approximate candidate
       tier (the singles baseline stays exact).
@@ -52,10 +52,10 @@ USAGE:
                 [--metric euclidean|manhattan|cosine|dot]
                 [--store sim|file:<DIR>] [--max-batch <M>] [--max-wait-ms <MS>]
                 [--cluster <S>] [--threads <T>] [--prefetch-depth <D>]
-                [--leader fifo|nearest] [--workers <W>] [--no-avoidance]
-                [--approx bq:<BUDGET>|hnsw:<EF>]
-                [--frontend threads|event] [--max-queue <N>]
-                [--quota <RATE:BURST>] [--drain-timeout-s <S>]
+                [--leader fifo|nearest] [--workers <W>] [--retry-budget <R>]
+                [--no-avoidance] [--approx bq:<BUDGET>] [--timeout-ms <MS>]
+                [--max-queue <N>] [--quota <RATE:BURST>]
+                [--drain-timeout-s <S>] [--log-interval-s <S>]
       Serve the database over TCP, batching concurrent client queries
       into multiple similarity queries (one engine, or a shared-nothing
       cluster of S servers with --cluster). --store file:<DIR> serves
@@ -75,13 +75,12 @@ USAGE:
       would repack and are refused). --approx installs the lossy
       candidate tier in front of the exact engine; bq sketches persist
       as sketch.mqbq next to a file store's pages and are reloaded,
-      checksum-verified, on restart. --frontend event swaps the
-      thread-per-connection accept loop for a single readiness-polled
-      event-loop thread (same batching tier, bit-identical answers).
-      --max-queue bounds in-flight queries per collection and --quota
-      installs a per-tenant token bucket; both reject with a typed
-      Overloaded{retry_after_ms} reply instead of queueing unboundedly.
-      SIGTERM or Ctrl-C drains gracefully under either frontend: stop
+      checksum-verified, on restart. One readiness-polled event-loop
+      thread serves every connection; --timeout-ms closes connections
+      idle for longer (0 = never). --max-queue bounds in-flight queries
+      per collection and --quota installs a per-tenant token bucket;
+      both reject with a typed Overloaded{retry_after_ms} reply instead
+      of queueing unboundedly. SIGTERM or Ctrl-C drains gracefully: stop
       accepting, answer every in-flight query (up to --drain-timeout-s),
       checkpoint file-backed stores, exit 0.
 
@@ -95,18 +94,18 @@ USAGE:
       .mqdb path; --dim starts the collection empty. drop is refused
       while the collection has queries in flight.
 
-  mq insert <STOREDIR> --vector 1.0,2.0,... [--checkpoint true]
+  mq insert <STOREDIR> --vector 1.0,2.0,... [--checkpoint]
       Append one object to a durable file store: WAL append + fsync,
       then an atomic page rewrite. Offline single-writer — stop any
       server on the directory first.
 
-  mq delete <STOREDIR> --object <ID> [--checkpoint true]
+  mq delete <STOREDIR> --object <ID> [--checkpoint]
       Tombstone one object in a durable file store (same WAL protocol;
       ids are never reused).
 
   mq client [--addr 127.0.0.1:7878] --vector 1.0,2.0,... (--knn <K> | --range <EPS>)
                 [--collection <NAME>] [--tenant <ID>]
-  mq client [--addr 127.0.0.1:7878] --stats true [--collection <NAME>]
+  mq client [--addr 127.0.0.1:7878] --stats [--collection <NAME>]
       Query a running server, or fetch its batching counters. Answer
       distances use the server's configured --metric (euclidean,
       manhattan, cosine, or dot); under dot the \"distances\" are negated
@@ -140,6 +139,9 @@ USAGE:
       exposition): distance calculations performed vs. avoided, buffer
       and prefetch hit ratios, batch-size and queue-wait histograms,
       per-worker pool counters, per-partition cluster counters.
+
+Every command rejects an option it does not read; --no-avoidance,
+--checkpoint and --stats are switches and take no value.
 
 GLOBAL OPTIONS:
   --simd off|sse2|avx2|neon|auto

@@ -140,3 +140,63 @@ fn helpful_errors() {
     assert!(help.status.success());
     assert!(stdout(&help).contains("USAGE"));
 }
+
+#[test]
+fn switches_and_retired_options() {
+    let db = tmpfile("switches.mqdb");
+    let db_str = db.to_str().unwrap();
+    assert!(
+        mq(&["generate", "--kind", "tycho", "--n", "600", "--out", db_str])
+            .status
+            .success()
+    );
+    let stderr = |o: &Output| String::from_utf8_lossy(&o.stderr).into_owned();
+
+    // A valueless switch works as the last argument and in the middle.
+    let batch = ["batch", db_str, "--queries", "10", "--m", "5"];
+    let last = mq(&[&batch[..], &["--knn", "3", "--no-avoidance"]].concat());
+    assert!(last.status.success(), "{}", stderr(&last));
+    assert!(stdout(&last).contains("avoidance off"));
+    let middle = mq(&[&batch[..], &["--no-avoidance", "--knn", "3"]].concat());
+    assert!(middle.status.success(), "{}", stderr(&middle));
+    assert_eq!(stdout(&last), stdout(&middle));
+
+    // A misspelt option stops the run instead of running on the default.
+    let typo = mq(&[
+        "query", db_str, "--object", "1", "--knn", "3", "--indx", "scan",
+    ]);
+    assert!(!typo.status.success());
+    assert!(
+        stderr(&typo).contains("unknown option --indx"),
+        "{}",
+        stderr(&typo)
+    );
+
+    // So do the options this CLI used to read.
+    for retired in ["threads", "event"] {
+        let serve = mq(&[
+            "serve",
+            db_str,
+            "--addr",
+            "127.0.0.1:0",
+            "--frontend",
+            retired,
+        ]);
+        assert!(!serve.status.success());
+        assert!(
+            stderr(&serve).contains("unknown option --frontend"),
+            "{}",
+            stderr(&serve)
+        );
+    }
+    let hnsw = mq(&[
+        "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",
+    ]);
+    assert!(!hnsw.status.success());
+    assert!(
+        stderr(&hnsw).contains("unknown approx tier"),
+        "{}",
+        stderr(&hnsw)
+    );
+    std::fs::remove_file(&db).ok();
+}

@@ -1,12 +1,11 @@
 //! # mq-front — readiness-polled event-loop frontend
 //!
-//! A single poll thread drives every client connection over nonblocking
-//! sockets: no per-connection thread, no blocking reads. Decoded
-//! requests flow through the exact same [`Dispatcher`] as the
-//! thread-per-connection frontend in `mq_server::service`, and admitted
-//! queries are executed by the exact same [`BatchScheduler`] workers —
-//! the frontends differ only in how bytes get on and off the wire, which
-//! is what makes their replies bit-identical.
+//! The TCP frontend of the query service. A single poll thread drives
+//! every client connection over nonblocking sockets: no per-connection
+//! thread, no blocking reads. Decoded requests flow through
+//! `mq_server`'s [`Dispatcher`], and admitted queries are executed by its
+//! `BatchScheduler` workers — this crate only moves bytes on and off the
+//! wire.
 //!
 //! ## Architecture
 //!
@@ -97,12 +96,9 @@ impl Conn {
     }
 }
 
-/// The event-loop server. API-compatible with
-/// [`mq_server::QueryServer`]: `bind*`, [`local_addr`](Self::local_addr),
-/// [`metrics`](Self::metrics), [`in_flight`](Self::in_flight),
-/// [`drain`](Self::drain) and [`shutdown`](Self::shutdown) behave the
-/// same, so tests and the CLI can treat the two frontends
-/// interchangeably.
+/// The event-loop server. Dropping it (or calling
+/// [`shutdown`](Self::shutdown)) stops the poll thread, closes every
+/// connection, and lets the schedulers drain.
 pub struct FrontServer {
     addr: SocketAddr,
     dispatcher: Arc<Dispatcher>,
@@ -583,9 +579,8 @@ impl EventLoop {
         }
     }
 
-    /// Emulates the blocking frontend's read timeout: a connection that
-    /// has been silent past the deadline with no reply in flight is
-    /// closed.
+    /// Applies [`ServerConfig::read_timeout`]: a connection that has been
+    /// silent past the deadline with no reply in flight is closed.
     fn sweep_idle(&mut self) {
         let Some(timeout) = self.read_timeout else {
             return;

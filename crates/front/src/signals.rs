@@ -1,6 +1,6 @@
 //! Minimal SIGINT/SIGTERM latching for graceful drain.
 //!
-//! `mq serve` (either frontend) calls [`install`] once, then polls
+//! `mq serve` calls [`install`] once, then polls
 //! [`triggered`] from its supervision loop: the first signal flips a
 //! process-global flag, the loop stops accepting, drains in-flight
 //! batches, checkpoints file stores and exits 0. The handler itself only

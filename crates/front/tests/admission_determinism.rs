@@ -5,35 +5,18 @@
 //! where they were.
 
 use mq_core::QueryType;
-use mq_index::LinearScan;
+use mq_front::FrontServer;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::Recorder;
-use mq_server::{
-    AdmissionController, Client, ClientError, QueryServer, QuotaConfig, ServerConfig,
-    SingleEngineBackend,
-};
-use mq_storage::{Dataset, PageLayout, PagedDatabase};
+use mq_server::{AdmissionController, Client, ClientError, QuotaConfig, ServerConfig};
+use mq_storage::Dataset;
 use std::time::Duration;
 
-fn dataset(n: usize) -> Dataset<Vector> {
-    let mut x = 0x51ed_270b_a2fc_e1f5u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Dataset::new(
-        (0..n)
-            .map(|_| Vector::new((0..3).map(|_| (next() * 100.0) as f32).collect::<Vec<_>>()))
-            .collect(),
-    )
-}
+mod common;
+use common::backend;
 
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
-    let db = PagedDatabase::pack(ds, PageLayout::new(512, 16));
-    let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+fn dataset(n: usize) -> Dataset<Vector> {
+    common::dataset(n, 0x51ed_270b_a2fc_e1f5)
 }
 
 /// A deterministic offered plan: (tenant, logical arrival time).
@@ -109,7 +92,7 @@ fn rejected_requests_never_touch_the_engine() {
             burst: 2.0,
         }));
     let mut server =
-        QueryServer::bind_with_recorder("127.0.0.1:0", backend(&ds), &config, &recorder)
+        FrontServer::bind_with_recorder("127.0.0.1:0", backend(&ds), &config, &recorder)
             .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -178,7 +161,7 @@ fn queue_depth_bound_rejects_with_retry_hint_over_the_wire() {
         .with_max_batch(8)
         .with_max_wait(Duration::from_secs(1))
         .with_max_queue(1);
-    let mut server = QueryServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
     let q = ds.object(ObjectId(2)).clone();

@@ -5,43 +5,19 @@
 //! fail with a typed error — never a partial answer.
 
 use mq_core::{QueryEngine, QueryType};
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_server::{refusal, Client, ClientError, QueryServer, ServerConfig, SingleEngineBackend};
-use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
+use mq_server::{refusal, Client, ClientError, ServerConfig};
+use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+mod common;
+use common::{answer_bits as bits, backend, layout};
+
 fn dataset(n: usize, salt: u64) -> Dataset<Vector> {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ salt;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Dataset::new(
-        (0..n)
-            .map(|_| Vector::new((0..3).map(|_| (next() * 100.0) as f32).collect::<Vec<_>>()))
-            .collect(),
-    )
-}
-
-fn layout() -> PageLayout {
-    PageLayout::new(512, 16)
-}
-
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
-    let db = PagedDatabase::pack(ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
-}
-
-fn bits(answers: &[mq_core::Answer]) -> Vec<(u32, u64)> {
-    answers
-        .iter()
-        .map(|a| (a.id.0, a.distance.to_bits()))
-        .collect()
+    common::dataset(n, 0x9e37_79b9_7f4a_7c15 ^ salt)
 }
 
 #[test]
@@ -50,7 +26,7 @@ fn create_drop_churn_never_perturbs_in_flight_batches() {
     let config = ServerConfig::default()
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(5));
-    let mut server = QueryServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
     // Single-collection oracle computed up front.
@@ -136,7 +112,7 @@ fn dropping_a_busy_collection_is_a_typed_refusal_not_a_partial_answer() {
     let config = ServerConfig::default()
         .with_max_batch(64)
         .with_max_wait(Duration::from_millis(400));
-    let mut server = QueryServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
     // Queries against the *default* collection are what hold it busy;
@@ -219,7 +195,7 @@ fn collections_are_isolated_per_scheduler() {
     let config = ServerConfig::default()
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(20));
-    let mut server = QueryServer::bind("127.0.0.1:0", backend(&ds_a), &config).expect("bind");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds_a), &config).expect("bind");
     server
         .registry()
         .install("b", backend(&ds_b), &config, None)

@@ -4,34 +4,20 @@
 //! per-query sum.
 
 use mq_core::{QueryEngine, QueryType};
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_server::{
-    build_backend, Client, ExecutionMode, QueryServer, ServerConfig, SingleEngineBackend,
-};
-use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
+use mq_server::{build_backend, Client, ExecutionMode, ServerConfig, SingleEngineBackend};
+use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
 use std::time::Duration;
+
+mod common;
+use common::layout;
 
 const N_CLIENTS: usize = 6;
 
 fn dataset(n: usize) -> Dataset<Vector> {
-    // Deterministic scattered 3-d points (xorshift), no external RNG.
-    let mut x = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Dataset::new(
-        (0..n)
-            .map(|_| Vector::new((0..3).map(|_| (next() * 100.0) as f32).collect::<Vec<_>>()))
-            .collect(),
-    )
-}
-
-fn layout() -> PageLayout {
-    PageLayout::new(512, 16)
+    common::dataset(n, 0x1234_5678_9abc_def0)
 }
 
 fn client_queries(ds: &Dataset<Vector>) -> Vec<(Vector, QueryType)> {
@@ -54,7 +40,8 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
     let db = PagedDatabase::pack(&ds, layout());
     let pages = db.page_count();
     let scan = LinearScan::new(pages);
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.05, true);
+    let backend =
+        SingleEngineBackend::new(db, Box::new(scan), 0.05, ServerConfig::default().engine);
 
     // max_batch = N with a generous deadline: all clients fire at once,
     // so the first flush should carry the whole wave.
@@ -62,7 +49,7 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
         .with_max_batch(N_CLIENTS)
         .with_max_wait(Duration::from_secs(2));
     let mut server =
-        QueryServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
     let addr = server.local_addr();
 
     let queries = client_queries(&ds);
@@ -150,9 +137,9 @@ fn cluster_mode_agrees_with_single_mode() {
     let single_backend = build_backend(&db, &single_cfg, 0.10, build_index).expect("backend");
     let cluster_backend = build_backend(&db, &cluster_cfg, 0.10, build_index).expect("backend");
     let mut single_server =
-        QueryServer::bind("127.0.0.1:0", single_backend, &single_cfg).expect("bind");
+        FrontServer::bind("127.0.0.1:0", single_backend, &single_cfg).expect("bind");
     let mut cluster_server =
-        QueryServer::bind("127.0.0.1:0", cluster_backend, &cluster_cfg).expect("bind");
+        FrontServer::bind("127.0.0.1:0", cluster_backend, &cluster_cfg).expect("bind");
 
     let queries = client_queries(&ds);
     let mut a = Client::connect(single_server.local_addr()).expect("connect");
@@ -170,42 +157,18 @@ fn cluster_mode_agrees_with_single_mode() {
 }
 
 #[test]
-fn malformed_frame_gets_error_reply() {
-    let ds = dataset(60);
-    let db = PagedDatabase::pack(&ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
-    let mut server = QueryServer::bind(
-        "127.0.0.1:0",
-        Box::new(backend),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
-    )
-    .expect("bind");
-
-    use std::io::{Read, Write};
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    raw.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write");
-    // The server answers with an Error frame, then closes the connection.
-    let mut response = Vec::new();
-    let _ = raw.read_to_end(&mut response);
-    let (msg, _) = mq_server::Message::decode(&response).expect("error frame");
-    assert!(matches!(msg, mq_server::Message::Error(_)), "got {msg:?}");
-
-    server.shutdown();
-}
-
-#[test]
 fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     let ds = dataset(300);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+    let backend =
+        SingleEngineBackend::new(db, Box::new(scan), 0.10, ServerConfig::default().engine);
     // max_batch = 3: one doomed client plus two survivors fill a batch.
     let config = ServerConfig::default()
         .with_max_batch(3)
         .with_max_wait(Duration::from_millis(200));
     let mut server =
-        QueryServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
     let addr = server.local_addr();
 
     // The doomed client: writes a complete, valid Query frame and then
@@ -271,8 +234,9 @@ fn dimension_mismatch_is_rejected_and_server_keeps_serving() {
     let ds = dataset(80);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
-    let mut server = QueryServer::bind(
+    let backend =
+        SingleEngineBackend::new(db, Box::new(scan), 0.10, ServerConfig::default().engine);
+    let mut server = FrontServer::bind(
         "127.0.0.1:0",
         Box::new(backend),
         &ServerConfig::default().with_max_wait(Duration::from_millis(1)),

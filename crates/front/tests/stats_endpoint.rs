@@ -5,30 +5,16 @@
 //! every layer was supposed to register.
 
 use mq_core::QueryType;
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::{Recorder, Registry};
-use mq_server::{
-    build_backend_with_recorder, Client, ExecutionMode, QueryServer, ServerConfig, StoreChoice,
-};
-use mq_storage::{persist, Dataset, PageLayout, PagedDatabase, VectorCodec};
+use mq_server::{build_backend_with_recorder, Client, ExecutionMode, ServerConfig, StoreChoice};
+use mq_storage::{persist, PageLayout, PagedDatabase, VectorCodec};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn dataset(n: usize) -> Dataset<Vector> {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Dataset::new(
-        (0..n)
-            .map(|_| Vector::new((0..3).map(|_| (next() * 100.0) as f32).collect::<Vec<_>>()))
-            .collect(),
-    )
-}
+mod common;
 
 /// Saves a fresh database under a unique temp path and loads it back —
 /// the `mq generate` → `mq serve` workflow without the CLI.
@@ -37,7 +23,7 @@ fn persisted_db(tag: &str, n: usize) -> PagedDatabase<Vector> {
         "mq-stats-endpoint-{}-{tag}.mqdb",
         std::process::id()
     ));
-    let ds = dataset(n);
+    let ds = common::dataset(n, 0x9e37_79b9_7f4a_7c15);
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     persist::save(&db, &VectorCodec, &path).expect("save mqdb");
     let loaded = persist::load(&VectorCodec, &path).expect("load mqdb");
@@ -105,11 +91,11 @@ fn run_queries(addr: std::net::SocketAddr, db: &PagedDatabase<Vector>, n: usize)
 #[test]
 fn persisted_database_serves_scrapeable_metrics() {
     let db = persisted_db("single", 600);
-    let config = ServerConfig::default()
+    let mut config = ServerConfig::default()
         .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(250))
-        .with_threads(2)
-        .with_prefetch_depth(2);
+        .with_max_wait(Duration::from_millis(250));
+    config.engine.threads = 2;
+    config.engine.prefetch_depth = 2;
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
@@ -118,7 +104,7 @@ fn persisted_database_serves_scrapeable_metrics() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
-    let mut server = QueryServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
+    let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
     run_queries(server.local_addr(), &db, 12);
@@ -213,7 +199,7 @@ fn cluster_mode_scrape_reports_per_partition_counts() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
-    let mut server = QueryServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
+    let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
     run_queries(server.local_addr(), &db, 9);
@@ -260,7 +246,7 @@ fn file_store_scrape_reports_store_series() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
-    let mut server = QueryServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
+    let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
     run_queries(server.local_addr(), &db, 4);
@@ -310,7 +296,7 @@ fn server_without_recorder_returns_empty_exposition() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
-    let mut server = QueryServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
     run_queries(server.local_addr(), &db, 2);
     let text = Client::connect(server.local_addr())
         .expect("connect")

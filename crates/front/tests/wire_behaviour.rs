@@ -1,47 +1,26 @@
-//! Frontend equivalence: the event-loop frontend must serve the same
-//! protocol, the same answers — bit-identical distances — and the same
-//! error surfaces as the thread-per-connection frontend, at every point
-//! of the batching config matrix. Both frontends share the Dispatcher
-//! and BatchScheduler; these tests pin down that the event-driven I/O
-//! layer does not perturb anything observable.
+//! Wire behaviour of the frontend: answers bit-identical to the
+//! in-process serial engine at every point of the batching config matrix,
+//! under concurrent clients and pipelining, plus the error surfaces
+//! (malformed frames, version mismatch, dimension mismatch) and the drain
+//! protocol. These tests pin down that the event-driven I/O layer does
+//! not perturb anything observable.
 
 use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
 use mq_server::protocol::VERSION;
-use mq_server::{
-    Client, ClientError, Message, QueryServer, ServerConfig, SingleEngineBackend,
-    DEFAULT_COLLECTION,
-};
-use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
+use mq_server::{Client, ClientError, Message, ServerConfig, DEFAULT_COLLECTION};
+use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+mod common;
+use common::{answer_bits, backend, layout};
+
 fn dataset(n: usize) -> Dataset<Vector> {
-    let mut x = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Dataset::new(
-        (0..n)
-            .map(|_| Vector::new((0..3).map(|_| (next() * 100.0) as f32).collect::<Vec<_>>()))
-            .collect(),
-    )
-}
-
-fn layout() -> PageLayout {
-    PageLayout::new(512, 16)
-}
-
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
-    let db = PagedDatabase::pack(ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+    common::dataset(n, 0x1234_5678_9abc_def0)
 }
 
 fn queries(ds: &Dataset<Vector>, n: usize) -> Vec<(Vector, QueryType)> {
@@ -58,34 +37,19 @@ fn queries(ds: &Dataset<Vector>, n: usize) -> Vec<(Vector, QueryType)> {
         .collect()
 }
 
-/// `(id, distance_bits)` — bit-exact comparison, not approximate.
-fn answer_bits(answers: &[mq_core::Answer]) -> Vec<(u32, u64)> {
-    answers
-        .iter()
-        .map(|a| (a.id.0, a.distance.to_bits()))
-        .collect()
-}
-
 #[test]
-fn event_frontend_matches_thread_frontend_across_config_matrix() {
+fn answers_match_serial_oracle_across_config_matrix() {
     let ds = dataset(500);
     let qs = queries(&ds, 8);
 
-    // The serial oracle both frontends must agree with.
+    // The serial oracle every configuration must agree with.
     let oracle: Vec<Vec<(u32, u64)>> = {
         let db = PagedDatabase::pack(&ds, layout());
         let scan = LinearScan::new(db.page_count());
         let disk = SimulatedDisk::new(db, 0.05);
         let engine = QueryEngine::new(&disk, &scan, Euclidean);
         qs.iter()
-            .map(|(q, t)| {
-                engine
-                    .similarity_query(q, t)
-                    .as_slice()
-                    .iter()
-                    .map(|a| (a.id.0, a.distance.to_bits()))
-                    .collect()
-            })
+            .map(|(q, t)| answer_bits(engine.similarity_query(q, t).as_slice()))
             .collect()
     };
 
@@ -102,50 +66,34 @@ fn event_frontend_matches_thread_frontend_across_config_matrix() {
     ];
 
     for config in &matrix {
-        let mut threads =
-            QueryServer::bind("127.0.0.1:0", backend(&ds), config).expect("bind threads");
-        let mut events =
-            FrontServer::bind("127.0.0.1:0", backend(&ds), config).expect("bind event");
-
-        let mut ct = Client::connect(threads.local_addr()).expect("connect threads");
-        let mut ce = Client::connect(events.local_addr()).expect("connect event");
+        let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), config).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
         for (i, (q, t)) in qs.iter().enumerate() {
-            let rt = ct.query(q, t).expect("threads query");
-            let re = ce.query(q, t).expect("event query");
+            let reply = client.query(q, t).expect("query");
             assert_eq!(
-                answer_bits(&rt.answers),
+                answer_bits(&reply.answers),
                 oracle[i],
-                "thread frontend diverged from oracle ({})",
-                config.describe()
-            );
-            assert_eq!(
-                answer_bits(&re.answers),
-                oracle[i],
-                "event frontend diverged from oracle ({})",
+                "diverged from oracle ({})",
                 config.describe()
             );
         }
 
-        // Same aggregate counters over the same workload.
-        let mt = ct.stats().expect("threads stats");
-        let me = ce.stats().expect("event stats");
-        assert_eq!(mt.queries, qs.len() as u64);
-        assert_eq!(me.queries, qs.len() as u64);
+        // The aggregate counters saw exactly this workload.
+        assert_eq!(client.stats().expect("stats").queries, qs.len() as u64);
 
-        // Same dimension-mismatch surface, byte for byte.
+        // A dimension mismatch is a typed server error, not a dropped
+        // connection.
         let bad = Vector::new(vec![1.0, 2.0]);
-        let et = ct.query(&bad, &QueryType::knn(1)).expect_err("threads");
-        let ee = ce.query(&bad, &QueryType::knn(1)).expect_err("event");
-        match (et, ee) {
-            (ClientError::Server(a), ClientError::Server(b)) => {
-                assert_eq!(a, b, "error text differs between frontends")
-            }
-            other => panic!("expected Server errors from both frontends, got {other:?}"),
+        match client
+            .query(&bad, &QueryType::knn(1))
+            .expect_err("mismatch")
+        {
+            ClientError::Server(text) => assert!(text.contains("dimension mismatch"), "{text}"),
+            other => panic!("expected a Server error, got {other:?}"),
         }
 
-        drop((ct, ce));
-        threads.shutdown();
-        events.shutdown();
+        drop(client);
+        server.shutdown();
     }
 }
 

@@ -7,10 +7,11 @@
 
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
 use mq_obs::{Recorder, Snapshot};
-use mq_server::{Client, QueryServer, ServerConfig, SingleEngineBackend};
+use mq_server::{Client, ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -32,15 +33,15 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
     let ds = Dataset::new(vectors.clone());
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
     let recorder = Recorder::enabled();
     // Small batches with a short deadline: many flushes, so the scraped
     // counters actually move while the run is in flight.
     let config = ServerConfig::default()
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(2));
+    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
     let server =
-        QueryServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
+        FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");
     let addr = server.local_addr().to_string();
 

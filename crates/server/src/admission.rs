@@ -39,8 +39,7 @@ struct Bucket {
 
 /// Decides, per query, whether to admit or reject with a retry hint.
 ///
-/// Shared by both frontends so the two are bit-equivalent under load
-/// limits. With `max_queue == 0` and no quota every call admits.
+/// With `max_queue == 0` and no quota every call admits.
 pub struct AdmissionController {
     max_queue: usize,
     quota: Option<QuotaConfig>,

@@ -2,7 +2,7 @@
 //! limits.
 
 use mq_approx::ApproxTier;
-use mq_core::LeaderPolicy;
+use mq_core::{EngineOptions, FaultPolicy};
 use mq_metric::{Metric, VectorMetric};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -84,28 +84,20 @@ pub struct ServerConfig {
     pub max_wait: Duration,
     /// Single engine or shared-nothing cluster.
     pub mode: ExecutionMode,
-    /// Whether §5.2 triangle-inequality avoidance is enabled.
-    pub avoidance: bool,
-    /// Page-evaluation threads per engine (intra-batch parallelism; 1 =
-    /// the classic sequential loop). Identical answers for every value.
-    pub threads: usize,
-    /// Pages staged ahead of the one being evaluated (pipelined prefetch;
-    /// 0 disables it). Identical answers for every depth.
-    pub prefetch_depth: usize,
-    /// Which pending query leads each step of a batch.
-    pub leader: LeaderPolicy,
+    /// The option block of every engine the server builds (avoidance,
+    /// page-evaluation threads, prefetch depth, leader policy, fault
+    /// policy) — declared once, in [`EngineOptions`]. The server default
+    /// differs from the engine's in one value: a retry budget of 2 extra
+    /// read attempts on a *transient* disk fault before a batch fails.
+    pub engine: EngineOptions,
     /// Scheduler worker threads executing flushed batches. With 1 worker
     /// (the default) batches execute strictly one after another; more
     /// workers overlap batch execution with batch collection, at the cost
     /// of batches competing for cores.
     pub workers: usize,
-    /// Extra read attempts the engines make on a *transient* disk fault
-    /// before a batch fails (see [`mq_core::FaultPolicy`]). Only matters
-    /// when the backend's disks have a fault plan installed.
-    pub retry_budget: u32,
-    /// Read timeout applied to every client connection; a client that
-    /// stalls mid-frame for longer is disconnected instead of pinning its
-    /// handler thread forever. `None` (the default) blocks indefinitely.
+    /// Idle timeout applied to every client connection: one that stays
+    /// silent for longer with no reply owed is closed. `None` (the
+    /// default) keeps idle connections open indefinitely.
     pub read_timeout: Option<Duration>,
     /// Page-store backend: in-memory simulation (the default) or the
     /// durable file store.
@@ -119,7 +111,7 @@ pub struct ServerConfig {
     /// Euclidean geometry and would prune wrongly.
     pub metric: VectorMetric,
     /// Optional approximate candidate tier in front of the exact engine
-    /// (`bq:<budget>` or `hnsw:<ef>`; see [`ApproxTier`]). `None` — the
+    /// (`bq:<budget>`; see [`ApproxTier`]). `None` — the
     /// default — serves exact answers; a tier trades recall for speed
     /// while keeping every reported distance exact. Only supported with
     /// the Euclidean metric.
@@ -140,12 +132,11 @@ impl Default for ServerConfig {
             max_batch: 16,
             max_wait: Duration::from_millis(20),
             mode: ExecutionMode::Single,
-            avoidance: true,
-            threads: 1,
-            prefetch_depth: 0,
-            leader: LeaderPolicy::default(),
+            engine: EngineOptions {
+                fault_policy: FaultPolicy::new(2),
+                ..EngineOptions::default()
+            },
             workers: 1,
-            retry_budget: 2,
             read_timeout: None,
             store: StoreChoice::Sim,
             file_index: FileIndex::default(),
@@ -180,27 +171,10 @@ impl ServerConfig {
         self
     }
 
-    /// Enables or disables §5.2 avoidance.
-    pub fn with_avoidance(mut self, avoidance: bool) -> Self {
-        self.avoidance = avoidance;
-        self
-    }
-
-    /// Sets the page-evaluation threads per engine (clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the pipelined prefetch depth per engine.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects the leader scheduling policy per engine.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.leader = leader;
+    /// Replaces the engines' option block. Start from
+    /// `ServerConfig::default().engine` to keep the server's retry budget.
+    pub fn with_engine(mut self, engine: EngineOptions) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -210,13 +184,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the engines' transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the per-connection read timeout (`None` blocks forever).
+    /// Sets the per-connection idle timeout (`None` never closes).
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
         self
@@ -304,19 +272,25 @@ impl ServerConfig {
             Some(q) => format!("{}:{}", q.rate, q.burst),
             None => "off".to_string(),
         };
+        // The pivot bound has no CLI flag; name it only when a library
+        // caller set it.
+        let max_pivots = match self.engine.max_pivots {
+            Some(p) => format!(" max_pivots={p}"),
+            None => String::new(),
+        };
         format!(
             "mode={mode} store={store} metric={} approx={approx} max_batch={} max_wait={:.0}ms \
-             workers={} threads={} prefetch_depth={} leader={:?} avoidance={} retry_budget={} \
-             read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
+             workers={} threads={} prefetch_depth={} leader={:?} avoidance={} retry_budget={}\
+             {max_pivots} read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
             self.metric.name(),
             self.max_batch,
             self.max_wait.as_secs_f64() * 1e3,
             self.workers,
-            self.threads,
-            self.prefetch_depth,
-            self.leader,
-            self.avoidance,
-            self.retry_budget,
+            self.engine.threads,
+            self.engine.prefetch_depth,
+            self.engine.leader,
+            self.engine.avoidance,
+            self.engine.fault_policy.retry_budget,
         )
     }
 }
@@ -324,6 +298,7 @@ impl ServerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mq_core::LeaderPolicy;
 
     #[test]
     fn builder_chains() {
@@ -331,12 +306,11 @@ mod tests {
             .with_max_batch(4)
             .with_max_wait(Duration::from_millis(5))
             .with_mode(ExecutionMode::Cluster { servers: 3 })
-            .with_avoidance(false)
-            .with_threads(4)
-            .with_prefetch_depth(2)
-            .with_leader(LeaderPolicy::NearestChain)
+            .with_engine(EngineOptions {
+                avoidance: false,
+                ..EngineOptions::default()
+            })
             .with_workers(2)
-            .with_retry_budget(5)
             .with_read_timeout(Some(Duration::from_secs(3)))
             .with_store(StoreChoice::File(PathBuf::from("/tmp/mqdb")))
             .with_metric(VectorMetric::Cosine)
@@ -349,12 +323,8 @@ mod tests {
         assert_eq!(c.max_batch, 4);
         assert_eq!(c.max_wait, Duration::from_millis(5));
         assert_eq!(c.mode, ExecutionMode::Cluster { servers: 3 });
-        assert!(!c.avoidance);
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.prefetch_depth, 2);
-        assert_eq!(c.leader, LeaderPolicy::NearestChain);
+        assert!(!c.engine.avoidance);
         assert_eq!(c.workers, 2);
-        assert_eq!(c.retry_budget, 5);
         assert_eq!(c.read_timeout, Some(Duration::from_secs(3)));
         assert_eq!(c.store, StoreChoice::File(PathBuf::from("/tmp/mqdb")));
         assert_eq!(c.metric, VectorMetric::Cosine);
@@ -370,13 +340,25 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_sequential() {
+    fn defaults_describe_the_measured_server() {
         let c = ServerConfig::default();
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.prefetch_depth, 0);
-        assert_eq!(c.leader, LeaderPolicy::Fifo);
+        assert_eq!(c.max_batch, 16);
+        assert_eq!(c.max_wait, Duration::from_millis(20));
+        assert_eq!(c.mode, ExecutionMode::Single);
+        // The engine block is the paper's configuration plus the server's
+        // retry budget — nothing else differs from `EngineOptions::default()`.
+        assert_eq!(
+            c.engine,
+            EngineOptions {
+                avoidance: true,
+                max_pivots: None,
+                threads: 1,
+                prefetch_depth: 0,
+                leader: LeaderPolicy::Fifo,
+                fault_policy: FaultPolicy::new(2),
+            }
+        );
         assert_eq!(c.workers, 1);
-        assert_eq!(c.retry_budget, 2);
         assert_eq!(c.read_timeout, None);
         assert_eq!(c.store, StoreChoice::Sim);
         assert_eq!(c.metric, VectorMetric::Euclidean);
@@ -386,10 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_and_workers_clamp_to_one() {
-        let c = ServerConfig::default().with_threads(0).with_workers(0);
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.workers, 1);
+    fn zero_workers_clamp_to_one() {
+        assert_eq!(ServerConfig::default().with_workers(0).workers, 1);
     }
 
     #[test]
@@ -411,10 +391,13 @@ mod tests {
     fn describe_names_every_knob() {
         let line = ServerConfig::default()
             .with_mode(ExecutionMode::Cluster { servers: 3 })
-            .with_threads(4)
+            .with_engine(EngineOptions {
+                threads: 4,
+                prefetch_depth: 2,
+                fault_policy: FaultPolicy::new(5),
+                ..EngineOptions::default()
+            })
             .with_workers(2)
-            .with_prefetch_depth(2)
-            .with_retry_budget(5)
             .describe();
         assert!(!line.contains('\n'));
         for needle in [
@@ -436,6 +419,19 @@ mod tests {
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
+        for option in [
+            "threads=",
+            "prefetch_depth=",
+            "leader=",
+            "avoidance=",
+            "retry_budget=",
+        ] {
+            assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
+        }
+        assert!(!line.contains("max_pivots"), "{line}");
+        let mut bounded = ServerConfig::default();
+        bounded.engine.max_pivots = Some(8);
+        assert_eq!(bounded.describe().matches("max_pivots=8").count(), 1);
         let admission_line = ServerConfig::default()
             .with_max_queue(32)
             .with_quota(Some(QuotaConfig {
@@ -450,9 +446,9 @@ mod tests {
             .describe();
         assert!(file_line.contains("store=file:/data/mq"), "{file_line}");
         let approx_line = ServerConfig::default()
-            .with_approx(Some(ApproxTier::Hnsw { ef: 64 }))
+            .with_approx(Some(ApproxTier::Bq { budget: 64 }))
             .describe();
-        assert!(approx_line.contains("approx=hnsw:64"), "{approx_line}");
+        assert!(approx_line.contains("approx=bq:64"), "{approx_line}");
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Frontend-agnostic request dispatch.
+//! Request dispatch: everything between frame decode and the scheduler.
 //!
-//! Both frontends — the thread-per-connection loop in [`crate::service`]
-//! and the event loop in `mq-front` — funnel every decoded client message
-//! through one [`Dispatcher`]. That is what makes them *bit-equivalent*:
-//! collection resolution, dimension validation, admission control and the
-//! admin opcodes produce the same reply bytes regardless of how the
-//! connection is driven; the only split is mechanical (block on a reply
-//! channel vs. hand the scheduler a sink).
+//! The frontend (`mq-front`'s event loop) funnels every decoded client
+//! message through one [`Dispatcher`]: collection resolution, dimension
+//! validation, admission control and the admin opcodes produce the reply
+//! bytes here, independent of how the connection is driven; the frontend
+//! only moves bytes and hands the scheduler a sink for admitted queries.
 
 use crate::admission::AdmissionController;
 use crate::config::ServerConfig;
@@ -20,8 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A query that passed validation and admission: the caller must submit
-/// it to `collection`'s scheduler (blocking or sink-based) and answer
-/// with [`Dispatcher::reply_for`].
+/// it to `collection`'s scheduler and answer with
+/// [`Dispatcher::reply_for`].
 pub struct AdmittedQuery {
     /// The resolved target collection.
     pub collection: Arc<Collection>,

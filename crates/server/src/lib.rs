@@ -14,22 +14,23 @@
 //! - [`protocol`] — length-prefixed binary frames (requests, answers,
 //!   service counters) in the same `bytes` codec style as
 //!   `mq_storage::persist`.
-//! - [`scheduler`] — the batching scheduler: one queue, one worker,
-//!   flush on `max_batch` or `max_wait`, backends for a single engine
-//!   (§5.1–5.2) or a shared-nothing cluster (§5.3).
+//! - [`scheduler`] — the batching scheduler: one queue, a worker pool,
+//!   flush on `max_batch` or `max_wait`.
+//! - [`backend`] — what a flushed batch runs on: a single engine
+//!   (§5.1–5.2) or a shared-nothing cluster (§5.3), over the simulated
+//!   disk or the durable file store.
 //! - [`registry`] — named collections, each owning its own scheduler,
 //!   metric, index and (optionally durable) store.
 //! - [`admission`] — bounded queue depth and per-tenant token buckets
 //!   between decode and scheduling; overload becomes a typed reply.
-//! - [`dispatch`] — the frontend-agnostic request logic both frontends
-//!   share (this crate's thread-per-connection loop and `mq-front`'s
-//!   event loop answer bit-identically because of it).
-//! - [`service`] — the `std::net` TCP frontend, thread-per-connection.
+//! - [`dispatch`] — the request logic between decode and scheduling.
+//!   The TCP frontend itself is `mq-front`'s event loop
+//!   (`mq_front::FrontServer`).
 //! - [`client`] — a small blocking client library.
 //! - [`config`] — the tuning knobs.
 //!
-//! ```no_run
-//! use mq_server::{Client, QueryServer, ServerConfig, SingleEngineBackend};
+//! ```
+//! use mq_server::{BatchScheduler, ServerConfig, SingleEngineBackend};
 //! use mq_core::QueryType;
 //! use mq_index::LinearScan;
 //! use mq_metric::Vector;
@@ -38,25 +39,33 @@
 //! let ds = Dataset::new((0..1000).map(|i| Vector::new(vec![i as f32])).collect());
 //! let db = PagedDatabase::pack(&ds, Default::default());
 //! let scan = LinearScan::new(db.page_count());
-//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+//! let config = ServerConfig::default();
+//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, config.engine);
 //!
-//! let server = QueryServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())?;
-//! let mut client = Client::connect(server.local_addr())?;
-//! let reply = client.query(&Vector::new(vec![42.0]), &QueryType::knn(3))?;
-//! assert_eq!(reply.answers.len(), 3);
+//! // `mq_front::FrontServer::bind(addr, Box::new(backend), &config)` puts
+//! // this scheduler behind a TCP listener; in process it is driven directly.
+//! let scheduler = BatchScheduler::start(Box::new(backend), &config);
+//! let (tx, rx) = std::sync::mpsc::channel();
+//! scheduler.submit_with(Vector::new(vec![42.0]), QueryType::knn(3), move |reply| {
+//!     let _ = tx.send(reply);
+//! });
+//! assert_eq!(rx.recv()?.expect("batch executed").answers.len(), 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod admission;
+pub mod backend;
 pub mod client;
 pub mod config;
 pub mod dispatch;
 pub mod protocol;
 pub mod registry;
 pub mod scheduler;
-pub mod service;
 
 pub use admission::AdmissionController;
+pub use backend::{
+    build_backend, build_backend_with_recorder, ClusterBackend, QueryBackend, SingleEngineBackend,
+};
 pub use client::{Client, ClientError, RemoteAnswers, RetryConfig, RetryingClient};
 pub use config::{ExecutionMode, FileIndex, QuotaConfig, ServerConfig, StoreChoice};
 pub use dispatch::{AdmittedQuery, Dispatcher};
@@ -64,8 +73,4 @@ pub use protocol::{
     refusal, CollectionInfo, Message, ProtocolError, ServiceMetrics, DEFAULT_COLLECTION,
 };
 pub use registry::{Collection, CollectionRegistry};
-pub use scheduler::{
-    build_backend, build_backend_with_recorder, BatchScheduler, ClusterBackend, QueryBackend,
-    QueryReply, SingleEngineBackend,
-};
-pub use service::QueryServer;
+pub use scheduler::{BatchScheduler, QueryReply};

@@ -7,7 +7,7 @@
 //! paper's page-read sharing only helps queries that read the *same*
 //! pages. The [`CollectionRegistry`] maps wire names to collections and
 //! implements the `CreateCollection` / `DropCollection` /
-//! `ListCollections` opcodes for both frontends.
+//! `ListCollections` opcodes.
 //!
 //! All collections share one [`Recorder`]. The scheduler's unlabeled
 //! instruments (`mq_server_queries_total`, …) are get-or-fetch in
@@ -16,9 +16,10 @@
 //! server". Per-collection traffic is visible separately through the
 //! labeled `mq_front_collection_queries_total{collection=…}` counter.
 
+use crate::backend::{build_backend_with_recorder, QueryBackend};
 use crate::config::{ExecutionMode, ServerConfig, StoreChoice};
 use crate::protocol::{refusal, CollectionInfo, ServiceMetrics, DEFAULT_COLLECTION};
-use crate::scheduler::{build_backend_with_recorder, BatchScheduler, QueryBackend};
+use crate::scheduler::BatchScheduler;
 use mq_core::{Answer, ExecutionStats, QueryType};
 use mq_index::LinearScan;
 use mq_metric::{Metric, Vector, VectorMetric};
@@ -558,10 +559,15 @@ mod tests {
         let r = registry();
         r.create("e", 2, "", "").unwrap();
         let c = r.get("e").unwrap();
-        let rx = c
-            .scheduler()
-            .submit(Vector::new(vec![1.0, 2.0]), QueryType::knn(5));
-        let reply = rx.recv().expect("reply");
+        let (tx, rx) = std::sync::mpsc::channel();
+        c.scheduler().submit_with(
+            Vector::new(vec![1.0, 2.0]),
+            QueryType::knn(5),
+            move |reply| {
+                let _ = tx.send(reply);
+            },
+        );
+        let reply = rx.recv().expect("sink fired").expect("reply");
         assert!(reply.answers.is_empty());
     }
 }

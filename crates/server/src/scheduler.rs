@@ -3,7 +3,8 @@
 //!
 //! Requests from any number of connections flow into one queue. A pool of
 //! [`ServerConfig::workers`] worker threads (default 1) collects them and
-//! flushes the queue as `multiple_similarity_query` batches once
+//! flushes the queue as `multiple_similarity_query` batches (executed by
+//! a [`QueryBackend`]) once
 //! [`ServerConfig::max_batch`] requests accumulated or
 //! [`ServerConfig::max_wait`] passed since the first queued request — the
 //! server-side analogue of the paper's m-block: concurrent traffic pays one
@@ -11,29 +12,14 @@
 //! strictly sequentially; with more, batch execution overlaps batch
 //! collection.
 
-use crate::config::{ExecutionMode, FileIndex, ServerConfig, StoreChoice};
+use crate::backend::QueryBackend;
+use crate::config::ServerConfig;
 use crate::protocol::ServiceMetrics;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use mq_approx::{
-    ApproxTier, BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen, DEFAULT_PLANES,
-    SKETCH_FILE,
-};
-use mq_core::{
-    Answer, ExecutionStats, FaultPolicy, LeaderPolicy, QueryEngine, QueryType, StatsProbe,
-    WorkerPool,
-};
-use mq_core::{CandidatePrescreen, EngineObs};
-use mq_index::{LinearScan, SimilarityIndex};
-use mq_metric::{CountingMetric, Metric, ObjectId, Vector, VectorMetric};
+use mq_core::{Answer, ExecutionStats, QueryType};
+use mq_metric::Vector;
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
-use mq_parallel::{Declustering, Server, SharedNothingCluster};
-use mq_storage::{Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
-use mq_store::{
-    FilePageStore, PartitionManifest, SegmentMeta, StoreError, SEGMENT_FILE, SEGMENT_HEADER_LEN,
-};
-use mq_vafile::VaPageIndex;
 use parking_lot::Mutex;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,386 +37,17 @@ pub struct QueryReply {
     pub answers: Vec<Answer>,
 }
 
-/// Executes one flushed batch. Implementations own their storage and
-/// index; the scheduler's worker threads are their only callers, and with
-/// more than one worker `execute` runs concurrently — hence `Sync`.
-pub trait QueryBackend: Send + Sync + 'static {
-    /// Evaluates the whole batch, returning per-query answer lists in
-    /// input order plus the batch's execution statistics.
-    fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats);
-
-    /// Dimensionality of the stored vectors, or 0 when unknown (empty
-    /// database). The frontend rejects mismatched queries up front so a
-    /// single bad request cannot reach — let alone poison — a batch that
-    /// carries other clients' queries.
-    fn dimensions(&self) -> usize;
-
-    /// Number of live objects served (0 when unknown) — what the
-    /// `ListCollections` opcode reports per collection.
-    fn object_count(&self) -> u64 {
-        0
-    }
-
-    /// One-line description for logs.
-    fn describe(&self) -> String;
-}
-
-/// Single-engine backend: one page store (simulated or file-backed), one
-/// access method, §5.1–5.2 batched execution.
-pub struct SingleEngineBackend {
-    disk: Box<dyn PageStore<Vector>>,
-    index: Box<dyn SimilarityIndex<Vector>>,
-    metric: CountingMetric<VectorMetric>,
-    avoidance: bool,
-    threads: usize,
-    prefetch_depth: usize,
-    leader: LeaderPolicy,
-    /// The backend's persistent page-evaluation pool: created once (by
-    /// [`with_threads`](Self::with_threads)) and shared by the short-lived
-    /// engine of every batch, so batches never pay thread spawn/join.
-    /// `None` while `threads == 1`.
-    pool: Option<Arc<WorkerPool>>,
-    fault_policy: FaultPolicy,
-    dims: usize,
-    /// Observability handle; disabled by default. Kept so `with_threads`
-    /// can rebuild the pool with it regardless of builder call order.
-    recorder: Recorder,
-    /// Engine instruments shared by the short-lived engine of every batch.
-    obs: Option<Arc<EngineObs>>,
-    /// Optional approximate candidate tier restricting every batch's
-    /// sessions before the exact re-rank.
-    prescreen: Option<Arc<dyn CandidatePrescreen<Vector>>>,
-}
-
-impl SingleEngineBackend {
-    /// Wraps a database and its index. `buffer_fraction` sizes the page
-    /// buffer as in [`SimulatedDisk::new`].
-    pub fn new(
-        db: PagedDatabase<Vector>,
-        index: Box<dyn SimilarityIndex<Vector>>,
-        buffer_fraction: f64,
-        avoidance: bool,
-    ) -> Self {
-        let disk = Box::new(SimulatedDisk::new(db, buffer_fraction));
-        Self::from_store(disk, index, avoidance)
-    }
-
-    /// Wraps an already-built page store (any backend) and its index. This
-    /// is how the durable `mq-store` backend joins the scheduler: the
-    /// caller opens or creates the [`FilePageStore`] and hands it over
-    /// boxed.
-    pub fn from_store(
-        disk: Box<dyn PageStore<Vector>>,
-        index: Box<dyn SimilarityIndex<Vector>>,
-        avoidance: bool,
-    ) -> Self {
-        let dims = dims_of(disk.database());
-        Self {
-            disk,
-            index,
-            metric: CountingMetric::new(VectorMetric::default()),
-            avoidance,
-            threads: 1,
-            prefetch_depth: 0,
-            leader: LeaderPolicy::default(),
-            pool: None,
-            fault_policy: FaultPolicy::default(),
-            dims,
-            recorder: Recorder::disabled(),
-            obs: None,
-            prescreen: None,
-        }
-    }
-
-    /// Evaluates each loaded page with `threads` engine workers (clamped
-    /// to ≥ 1). Answers and counters are identical for every value. With
-    /// `threads > 1` this creates the backend's persistent worker pool.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self.pool = (self.threads > 1)
-            .then(|| Arc::new(WorkerPool::with_recorder(self.threads, &self.recorder)));
-        self
-    }
-
-    /// Attaches an observability [`Recorder`]: engine counters and stage
-    /// spans, the disk's buffer/prefetch/fault counters, and the worker
-    /// pool's per-worker counters. Order-independent with
-    /// [`with_threads`](Self::with_threads) — the pool is rebuilt here.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.recorder = recorder.clone();
-        self.obs = EngineObs::new(recorder);
-        self.disk.attach_recorder(recorder);
-        self.pool = (self.threads > 1)
-            .then(|| Arc::new(WorkerPool::with_recorder(self.threads, &self.recorder)));
-        self
-    }
-
-    /// Stages up to `depth` pages ahead per batch (pipelined prefetch).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects which pending query leads each step of a batch.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.leader = leader;
-        self
-    }
-
-    /// Sets the engine's transient-fault retry budget (only matters when
-    /// the disk has a [`mq_storage::FaultPlan`] installed).
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.fault_policy = FaultPolicy::new(budget);
-        self
-    }
-
-    /// Selects the distance function. Non-Euclidean metrics must be paired
-    /// with a sequential-scan index (see [`ServerConfig::metric`]).
-    pub fn with_metric(mut self, metric: VectorMetric) -> Self {
-        self.metric = CountingMetric::new(metric);
-        self
-    }
-
-    /// Installs an approximate candidate tier: every batch's session is
-    /// restricted to the tier's per-query candidates before the exact
-    /// re-rank (see [`mq_core::CandidatePrescreen`]).
-    pub fn with_prescreen(mut self, prescreen: Arc<dyn CandidatePrescreen<Vector>>) -> Self {
-        self.prescreen = Some(prescreen);
-        self
-    }
-
-    /// The backend's page store (fault-plan installation in tests).
-    pub fn disk(&self) -> &dyn PageStore<Vector> {
-        &*self.disk
-    }
-}
-
-/// Dimensionality of the first live vector, or 0 when the database holds
-/// none (empty, or every id tombstoned).
-fn dims_of(db: &PagedDatabase<Vector>) -> usize {
-    (0..db.object_count() as u32)
-        .find_map(|i| db.try_object(ObjectId(i)))
-        .map_or(0, |v| v.dim())
-}
-
-impl QueryBackend for SingleEngineBackend {
-    fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
-        let mut engine = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone())
-            .with_threads(self.threads)
-            .with_prefetch_depth(self.prefetch_depth)
-            .with_leader_policy(self.leader)
-            .with_fault_policy(self.fault_policy)
-            .with_obs(self.obs.clone());
-        if let Some(pool) = &self.pool {
-            engine = engine.with_pool(Arc::clone(pool));
-        }
-        if let Some(prescreen) = &self.prescreen {
-            engine = engine.with_prescreen(&**prescreen);
-        }
-        let engine = if self.avoidance {
-            engine
-        } else {
-            engine.without_avoidance()
-        };
-        let probe = StatsProbe::start(&*self.disk, self.metric.counter(), Default::default());
-        let mut session = engine.new_session(queries);
-        engine.run_to_completion(&mut session);
-        let stats = probe.finish(&*self.disk, session.avoidance_stats());
-        (session.into_answers(), stats)
-    }
-
-    fn dimensions(&self) -> usize {
-        self.dims
-    }
-
-    fn object_count(&self) -> u64 {
-        self.disk.database().object_count() as u64
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "single engine, {} pages, avoidance {}, approx {}",
-            self.disk.database().page_count(),
-            if self.avoidance { "on" } else { "off" },
-            self.prescreen.as_deref().map_or("off", |p| p.name()),
-        )
-    }
-}
-
-/// Cluster backend: a §5.3 shared-nothing cluster evaluates every batch in
-/// parallel across its servers.
-pub struct ClusterBackend {
-    cluster: SharedNothingCluster<Vector, CountingMetric<VectorMetric>>,
-    servers: usize,
-    avoidance: bool,
-    dims: usize,
-}
-
-impl ClusterBackend {
-    /// Declusters `objects` round-robin over `servers` local engines,
-    /// building each server's index with `build_index` and evaluating
-    /// `metric` on every server.
-    pub fn build<F>(
-        objects: &[Vector],
-        servers: usize,
-        buffer_fraction: f64,
-        avoidance: bool,
-        metric: VectorMetric,
-        build_index: F,
-    ) -> Self
-    where
-        F: Fn(
-            &mq_storage::Dataset<Vector>,
-        ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-    {
-        let cluster = SharedNothingCluster::build(
-            objects,
-            servers,
-            Declustering::RoundRobin,
-            CountingMetric::new(metric),
-            buffer_fraction,
-            build_index,
-        );
-        Self {
-            cluster,
-            servers,
-            avoidance,
-            dims: objects.first().map_or(0, |v| v.dim()),
-        }
-    }
-
-    /// Assembles the backend from already-built servers (any page-store
-    /// backend). This is how durable per-partition `mq-store` stores join
-    /// the cluster path.
-    pub fn from_servers(
-        servers: Vec<Server<Vector, CountingMetric<VectorMetric>>>,
-        avoidance: bool,
-    ) -> Self {
-        let dims = servers
-            .iter()
-            .map(|s| dims_of(s.disk().database()))
-            .find(|&d| d > 0)
-            .unwrap_or(0);
-        let count = servers.len();
-        Self {
-            cluster: SharedNothingCluster::from_servers(servers),
-            servers: count,
-            avoidance,
-            dims,
-        }
-    }
-
-    /// Evaluates each loaded page with `threads` engine workers on every
-    /// cluster server (clamped to ≥ 1). With `threads > 1` each server
-    /// gets its own persistent worker pool, reused across batches.
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.cluster = self.cluster.with_engine_threads(threads);
-        self
-    }
-
-    /// Stages up to `depth` pages ahead on every server (pipelined
-    /// prefetch).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.cluster = self.cluster.with_prefetch_depth(depth);
-        self
-    }
-
-    /// Selects the leader scheduling policy on every server.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.cluster = self.cluster.with_leader_policy(leader);
-        self
-    }
-
-    /// Sets every server engine's transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.cluster = self.cluster.with_fault_policy(FaultPolicy::new(budget));
-        self
-    }
-
-    /// Attaches an observability [`Recorder`] to the whole cluster —
-    /// per-partition counters, every server disk, every worker pool.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.cluster = self.cluster.with_recorder(recorder);
-        self
-    }
-
-    /// Installs the approximate candidate tier on every partition: one
-    /// prescreen per server, built over that server's partition-local id
-    /// space. With `sidecar_root` set (file-store clusters), each
-    /// partition's binary sketch is loaded from — or rebuilt into —
-    /// `<root>/part-<i>/sketch.mqbq`.
-    pub fn with_approx(mut self, tier: ApproxTier, sidecar_root: Option<&Path>) -> Self {
-        let prescreens: Vec<Arc<dyn CandidatePrescreen<Vector>>> = self
-            .cluster
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(p, s)| {
-                let sidecar = sidecar_root.map(|root| root.join(format!("part-{p}")));
-                build_prescreen(tier, s.disk().database(), sidecar.as_deref())
-            })
-            .collect();
-        self.cluster = self.cluster.with_prescreens(prescreens);
-        self
-    }
-
-    /// The underlying cluster (fault-plan installation in tests).
-    pub fn cluster(&self) -> &SharedNothingCluster<Vector, CountingMetric<VectorMetric>> {
-        &self.cluster
-    }
-}
-
-impl QueryBackend for ClusterBackend {
-    fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
-        let (answers, cluster_stats) = self.cluster.multiple_query(&queries, self.avoidance);
-        // Sum of per-server work; elapsed is the parallel wall-clock, not
-        // the sum — that is the whole point of the cluster path.
-        let mut stats = cluster_stats.total();
-        stats.elapsed = cluster_stats.elapsed;
-        (answers, stats)
-    }
-
-    fn dimensions(&self) -> usize {
-        self.dims
-    }
-
-    fn object_count(&self) -> u64 {
-        self.cluster
-            .servers()
-            .iter()
-            .map(|s| s.disk().database().object_count() as u64)
-            .sum()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "shared-nothing cluster of {} servers, avoidance {}, approx {}",
-            self.servers,
-            if self.avoidance { "on" } else { "off" },
-            self.cluster
-                .prescreen_names()
-                .first()
-                .copied()
-                .unwrap_or("off"),
-        )
-    }
-}
-
-/// Where a job's reply goes: a bounded channel the thread-per-connection
-/// frontend blocks on, or a boxed sink the event-loop frontend hands in
-/// (the sink enqueues the encoded reply on the connection's outbox and
-/// wakes the poll thread). A sink is invoked exactly once — with `Some`
-/// when the batch executed, `None` when it died first (backend panic or
-/// queue closed), so the frontend can always send *something*.
-enum ReplyTarget {
-    Channel(Sender<QueryReply>),
-    Sink(Box<dyn FnOnce(Option<QueryReply>) + Send>),
-}
+/// Where a job's reply goes: the sink the frontend handed in (it enqueues
+/// the encoded reply on the connection's outbox and wakes the poll
+/// thread). Invoked exactly once — with `Some` when the batch executed,
+/// `None` when it died first (backend panic or queue closed), so the
+/// frontend can always send *something*.
+type ReplySink = Box<dyn FnOnce(Option<QueryReply>) + Send>;
 
 struct Job {
     object: Vector,
     qtype: QueryType,
-    target: Option<ReplyTarget>,
+    sink: Option<ReplySink>,
     /// When the job entered the queue (queue-wait observability).
     submitted: Instant,
     /// The scheduler's in-flight count; decremented on drop, so every
@@ -441,13 +58,8 @@ struct Job {
 
 impl Job {
     fn deliver(&mut self, reply: QueryReply) {
-        match self.target.take() {
-            // A client that hung up simply misses its reply.
-            Some(ReplyTarget::Channel(tx)) => {
-                let _ = tx.send(reply);
-            }
-            Some(ReplyTarget::Sink(sink)) => sink(Some(reply)),
-            None => {}
+        if let Some(sink) = self.sink.take() {
+            sink(Some(reply));
         }
     }
 }
@@ -456,9 +68,9 @@ impl Drop for Job {
     fn drop(&mut self) {
         // A sink still present here means the job is being retired without
         // a reply (batch panic, queue closed at shutdown): deliver the
-        // failure so the event frontend answers with a typed error instead
-        // of leaving the connection waiting forever.
-        if let Some(ReplyTarget::Sink(sink)) = self.target.take() {
+        // failure so the frontend answers with a typed error instead of
+        // leaving the connection waiting forever.
+        if let Some(sink) = self.sink.take() {
             sink(None);
         }
         self.pending.fetch_sub(1, Ordering::SeqCst);
@@ -606,42 +218,23 @@ impl BatchScheduler {
         self.dims
     }
 
-    /// Submits one query; the reply arrives on the returned channel once
-    /// the query's batch flushed.
-    pub fn submit(&self, object: Vector, qtype: QueryType) -> Receiver<QueryReply> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        // Count the job before it enters the queue, so `in_flight` never
-        // under-reports; the job's drop guard retires it on every path
-        // (including an immediate drop when the queue is already closed).
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        // A send can only fail after shutdown; the caller then sees the
-        // reply channel disconnected, which is the honest signal.
-        let _ = self.tx.send(Job {
-            object,
-            qtype,
-            target: Some(ReplyTarget::Channel(reply_tx)),
-            submitted: Instant::now(),
-            pending: Arc::clone(&self.in_flight),
-        });
-        reply_rx
-    }
-
     /// Submits one query whose reply is delivered by invoking `sink` from
     /// the worker thread: `Some(reply)` once the batch executed, `None` if
-    /// the job was dropped unanswered (backend panic, queue closed). The
-    /// event-loop frontend uses this so no thread parks per in-flight
-    /// query; the thread frontend keeps [`submit`](Self::submit).
+    /// the job was dropped unanswered (backend panic, queue closed). No
+    /// thread parks per in-flight query.
     pub fn submit_with<F>(&self, object: Vector, qtype: QueryType, sink: F)
     where
         F: FnOnce(Option<QueryReply>) + Send + 'static,
     {
+        // Count the job before it enters the queue, so `in_flight` never
+        // under-reports; the job's drop guard retires it on every path.
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         // If the queue already closed the job is dropped right here and
         // its drop guard fires the sink with `None`.
         let _ = self.tx.send(Job {
             object,
             qtype,
-            target: Some(ReplyTarget::Sink(Box::new(sink))),
+            sink: Some(Box::new(sink)),
             submitted: Instant::now(),
             pending: Arc::clone(&self.in_flight),
         });
@@ -658,8 +251,9 @@ impl BatchScheduler {
     /// Jobs accepted but not yet retired: still queued, collecting into a
     /// batch, or executing. Zero means every submitted query has either
     /// been answered or dropped — the signal
-    /// [`QueryServer::drain`](crate::QueryServer::drain) polls so a load
-    /// run can end with no work left behind in the scheduler.
+    /// [`CollectionRegistry::drain`](crate::CollectionRegistry::drain)
+    /// polls so a load run can end with no work left behind in the
+    /// scheduler.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::SeqCst)
     }
@@ -733,8 +327,8 @@ fn worker_loop(
                     "mq-scheduler: batch #{batch_id} ({batch_size} queries) panicked; \
                      its clients get an error reply"
                 );
-                // Dropping the jobs disconnects their reply channels, which
-                // the connection handlers report as a server error.
+                // Dropping the jobs fires their sinks with `None`, which
+                // the frontend reports as a server error.
                 continue;
             }
         };
@@ -759,365 +353,40 @@ fn worker_loop(
     }
 }
 
-/// Builds the backend selected by `config.mode` and `config.store` from a
-/// database and an index-builder callback (invoked once per cluster
-/// server, or once for the single-engine path; ignored by the file-backed
-/// store, which always serves its recovered layout through a sequential
-/// scan).
-///
-/// # Errors
-/// Fails only in file-store mode, when the store directory cannot be
-/// created, opened, or recovered.
-pub fn build_backend<F>(
-    db: &PagedDatabase<Vector>,
-    config: &ServerConfig,
-    buffer_fraction: f64,
-    build_index: F,
-) -> Result<Box<dyn QueryBackend>, StoreError>
-where
-    F: Fn(
-        &mq_storage::Dataset<Vector>,
-    ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-{
-    build_backend_with_recorder(
-        db,
-        config,
-        buffer_fraction,
-        &Recorder::disabled(),
-        build_index,
-    )
-}
-
-/// [`build_backend`] with an observability [`Recorder`] threaded through
-/// the backend (engine counters, disk counters, worker pools, store
-/// durability counters, and — in cluster mode — per-partition counters).
-///
-/// # Errors
-/// Fails only in file-store mode, when the store directory cannot be
-/// created, opened, or recovered.
-pub fn build_backend_with_recorder<F>(
-    db: &PagedDatabase<Vector>,
-    config: &ServerConfig,
-    buffer_fraction: f64,
-    recorder: &Recorder,
-    build_index: F,
-) -> Result<Box<dyn QueryBackend>, StoreError>
-where
-    F: Fn(
-        &mq_storage::Dataset<Vector>,
-    ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-{
-    // The approximate tiers rank candidates by Euclidean proximity
-    // (Hamming over quantile planes, HNSW beam over l2); pairing them
-    // with another metric would silently mis-rank, so refuse up front.
-    if config.approx.is_some() && config.metric != VectorMetric::Euclidean {
-        return Err(StoreError::Format(format!(
-            "--approx requires the euclidean metric; the candidate tiers rank by \
-             Euclidean proximity and would mis-screen under '{}'",
-            config.metric.name()
-        )));
-    }
-    // The VA page index prunes with Euclidean lower bounds, like the
-    // trees; any other metric must scan.
-    if config.file_index == FileIndex::VaPage && config.metric != VectorMetric::Euclidean {
-        return Err(StoreError::Format(format!(
-            "--index vafile prunes with Euclidean page bounds; --metric {} \
-             requires --index scan",
-            config.metric.name()
-        )));
-    }
-    match (&config.mode, &config.store) {
-        (ExecutionMode::Single, StoreChoice::Sim) => {
-            let (index, db) = build_index(&db.to_dataset());
-            let prescreen = config.approx.map(|tier| build_prescreen(tier, &db, None));
-            let mut backend =
-                SingleEngineBackend::new(db, index, buffer_fraction, config.avoidance)
-                    .with_metric(config.metric)
-                    .with_threads(config.threads)
-                    .with_prefetch_depth(config.prefetch_depth)
-                    .with_leader(config.leader)
-                    .with_retry_budget(config.retry_budget)
-                    .with_recorder(recorder);
-            if let Some(p) = prescreen {
-                backend = backend.with_prescreen(p);
-            }
-            Ok(Box::new(backend))
-        }
-        (ExecutionMode::Single, StoreChoice::File(dir)) => {
-            // A partition of a clustered store must not be served alone:
-            // its answers would carry partition-local ids.
-            if let Some(manifest) = PartitionManifest::load(dir)? {
-                return Err(StoreError::Format(format!(
-                    "{} is partition {} of a {}-way cluster store; serve its parent \
-                     directory with --cluster {} instead",
-                    dir.display(),
-                    manifest.partition,
-                    manifest.parts,
-                    manifest.parts
-                )));
-            }
-            let store = open_or_create_store(dir, db, buffer_fraction)?;
-            let index = file_store_index(store.database(), config.file_index);
-            let prescreen = config
-                .approx
-                .map(|tier| build_prescreen(tier, store.database(), Some(dir)));
-            let mut backend =
-                SingleEngineBackend::from_store(Box::new(store), index, config.avoidance)
-                    .with_metric(config.metric)
-                    .with_threads(config.threads)
-                    .with_prefetch_depth(config.prefetch_depth)
-                    .with_leader(config.leader)
-                    .with_retry_budget(config.retry_budget)
-                    .with_recorder(recorder);
-            if let Some(p) = prescreen {
-                backend = backend.with_prescreen(p);
-            }
-            Ok(Box::new(backend))
-        }
-        (ExecutionMode::Cluster { servers }, StoreChoice::Sim) => {
-            let ds = db.to_dataset();
-            let mut backend = ClusterBackend::build(
-                ds.objects(),
-                (*servers).max(1),
-                buffer_fraction,
-                config.avoidance,
-                config.metric,
-                build_index,
-            )
-            .with_engine_threads(config.threads)
-            .with_prefetch_depth(config.prefetch_depth)
-            .with_leader(config.leader)
-            .with_retry_budget(config.retry_budget)
-            .with_recorder(recorder);
-            if let Some(tier) = config.approx {
-                backend = backend.with_approx(tier, None);
-            }
-            Ok(Box::new(backend))
-        }
-        (ExecutionMode::Cluster { servers }, StoreChoice::File(dir)) => {
-            let parts = open_or_create_partition_stores(
-                dir,
-                db,
-                (*servers).max(1),
-                buffer_fraction,
-                config.metric,
-                config.file_index,
-            )?;
-            let mut backend = ClusterBackend::from_servers(parts, config.avoidance)
-                .with_engine_threads(config.threads)
-                .with_prefetch_depth(config.prefetch_depth)
-                .with_leader(config.leader)
-                .with_retry_budget(config.retry_budget)
-                .with_recorder(recorder);
-            if let Some(tier) = config.approx {
-                backend = backend.with_approx(tier, Some(dir));
-            }
-            Ok(Box::new(backend))
-        }
-    }
-}
-
-/// Builds the access method for a recovered file-store layout: a
-/// sequential scan, or VA-quantized page bounds summarized in place (no
-/// repacking — the recovered layout is served as-is either way).
-fn file_store_index(
-    db: &PagedDatabase<Vector>,
-    choice: FileIndex,
-) -> Box<dyn SimilarityIndex<Vector>> {
-    match choice {
-        FileIndex::Scan => Box::new(LinearScan::new(db.page_count())),
-        FileIndex::VaPage => Box::new(VaPageIndex::build(db, 6)),
-    }
-}
-
-/// Builds one approximate-tier prescreen over `db`'s id space. With a
-/// `sidecar_dir` (file-backed stores) the binary sketch is persisted as
-/// `sketch.mqbq` next to the partition's page files and reloaded —
-/// checksum-verified — on later opens; HNSW graphs are always rebuilt in
-/// memory.
-fn build_prescreen(
-    tier: ApproxTier,
-    db: &PagedDatabase<Vector>,
-    sidecar_dir: Option<&Path>,
-) -> Arc<dyn CandidatePrescreen<Vector>> {
-    match tier {
-        ApproxTier::Bq { budget } => {
-            let sketch = match sidecar_dir {
-                Some(dir) => {
-                    BinarySketch::load_or_build(&dir.join(SKETCH_FILE), db, DEFAULT_PLANES).0
-                }
-                None => BinarySketch::build(db, DEFAULT_PLANES),
-            };
-            Arc::new(BqPrescreen::new(Arc::new(sketch), budget))
-        }
-        ApproxTier::Hnsw { ef } => Arc::new(HnswPrescreen::new(
-            Arc::new(Hnsw::build(db, HnswConfig::default())),
-            ef,
-        )),
-    }
-}
-
-/// Buffer capacity matching [`SimulatedDisk::new`]'s fraction sizing.
-fn buffer_pages(page_count: usize, fraction: f64) -> usize {
-    ((page_count as f64 * fraction).ceil() as usize).max(1)
-}
-
-/// Opens the durable store in `dir` if a segment exists there, otherwise
-/// creates one seeded with `db`'s pages (layout preserved as packed —
-/// never repacked, so the segment stays valid for any later access).
-fn open_or_create_store(
-    dir: &Path,
-    db: &PagedDatabase<Vector>,
-    buffer_fraction: f64,
-) -> Result<FilePageStore<Vector, VectorCodec>, StoreError> {
-    let seg = dir.join(SEGMENT_FILE);
-    if seg.exists() {
-        // Only the header is needed for buffer sizing; open() reads the
-        // frames itself, so a full std::fs::read here would double the
-        // startup I/O of a large segment.
-        let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-        std::io::Read::read_exact(&mut std::fs::File::open(&seg)?, &mut header).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StoreError::Format("segment header truncated".into())
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
-        let meta = SegmentMeta::decode_header(&header)?;
-        let pages = buffer_pages(meta.page_count as usize, buffer_fraction);
-        FilePageStore::open(dir, VectorCodec, pages)
-    } else {
-        let pages = buffer_pages(db.page_count(), buffer_fraction);
-        FilePageStore::create(dir, db.clone(), VectorCodec, pages)
-    }
-}
-
-/// Builds one durable store per cluster partition under
-/// `dir/part-<i>/`.
-///
-/// When `dir/part-0/` already holds a segment, every existing partition is
-/// reopened (their count wins over `servers` so a recovered cluster keeps
-/// its declustering). Otherwise `db` is declustered round-robin — object
-/// `i` to partition `i % servers` — exactly like
-/// [`Declustering::RoundRobin`], so answers stay bit-identical to the
-/// simulated cluster.
-///
-/// Each partition directory carries a [`PartitionManifest`] recording the
-/// partition count, its index, and the **explicit** local→global id
-/// mapping. Reopen reads the mapping back instead of deriving ids
-/// positionally, and cross-checks it against the recovered store — a
-/// partition mutated behind the cluster's back (offline `mq insert` on a
-/// single `part-<i>/`), a missing manifest, or a duplicated global id is
-/// a typed error rather than silently mis-addressed answers.
-fn open_or_create_partition_stores(
-    dir: &Path,
-    db: &PagedDatabase<Vector>,
-    servers: usize,
-    buffer_fraction: f64,
-    metric: VectorMetric,
-    file_index: FileIndex,
-) -> Result<Vec<Server<Vector, CountingMetric<VectorMetric>>>, StoreError> {
-    let part_dir = |p: usize| dir.join(format!("part-{p}"));
-    let mut out = Vec::new();
-    if part_dir(0).join(SEGMENT_FILE).exists() {
-        let mut parts = 0;
-        while part_dir(parts).join(SEGMENT_FILE).exists() {
-            parts += 1;
-        }
-        let mut seen_gids = std::collections::HashSet::new();
-        for p in 0..parts {
-            let pdir = part_dir(p);
-            let manifest = PartitionManifest::load(&pdir)?.ok_or_else(|| {
-                StoreError::Format(format!(
-                    "{} has no partition manifest; cannot reconstruct its global ids",
-                    pdir.display()
-                ))
-            })?;
-            if manifest.parts as usize != parts || manifest.partition as usize != p {
-                return Err(StoreError::Format(format!(
-                    "{} declares itself partition {} of {}, but the directory holds \
-                     partition {p} of {parts}",
-                    pdir.display(),
-                    manifest.partition,
-                    manifest.parts
-                )));
-            }
-            let store = open_or_create_store(&pdir, db, buffer_fraction)?;
-            let local = store.database();
-            if manifest.global_ids.len() != local.object_count() {
-                return Err(StoreError::Format(format!(
-                    "{} holds {} object ids but its manifest maps {} — the partition \
-                     was mutated outside the cluster",
-                    pdir.display(),
-                    local.object_count(),
-                    manifest.global_ids.len()
-                )));
-            }
-            for gid in &manifest.global_ids {
-                if !seen_gids.insert(*gid) {
-                    return Err(StoreError::Format(format!(
-                        "global id {gid} is mapped by two partitions"
-                    )));
-                }
-            }
-            let index = file_store_index(local, file_index);
-            out.push(Server::from_parts(
-                Box::new(store),
-                index,
-                CountingMetric::new(metric),
-                manifest.global_ids,
-            ));
-        }
-    } else {
-        let ds = db.to_dataset();
-        for p in 0..servers {
-            let local: Vec<Vector> = ds
-                .objects()
-                .iter()
-                .skip(p)
-                .step_by(servers)
-                .cloned()
-                .collect();
-            let global_ids: Vec<ObjectId> = (0..local.len())
-                .map(|j| ObjectId((j * servers + p) as u32))
-                .collect();
-            let part_db = PagedDatabase::pack(&Dataset::new(local), db.layout());
-            let pages = buffer_pages(part_db.page_count(), buffer_fraction);
-            let store = FilePageStore::create(part_dir(p), part_db, VectorCodec, pages)?;
-            PartitionManifest {
-                parts: servers as u32,
-                partition: p as u32,
-                global_ids: global_ids.clone(),
-            }
-            .save(&part_dir(p))?;
-            let index = file_store_index(store.database(), file_index);
-            out.push(Server::from_parts(
-                Box::new(store),
-                index,
-                CountingMetric::new(metric),
-                global_ids,
-            ));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SingleEngineBackend;
     use mq_index::LinearScan;
-    use mq_storage::{Dataset, PageLayout};
+    use mq_storage::{Dataset, PageLayout, PagedDatabase};
+    use std::sync::mpsc;
     use std::time::Duration;
 
-    fn line_db(n: usize) -> PagedDatabase<Vector> {
+    fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
         let ds = Dataset::new((0..n).map(|i| Vector::new(vec![i as f32])).collect());
-        PagedDatabase::pack(&ds, PageLayout::new(256, 16))
+        let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
+        let scan = LinearScan::new(db.page_count());
+        let options = ServerConfig::default().engine;
+        Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, options))
     }
 
-    fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
-        let db = line_db(n);
-        let scan = LinearScan::new(db.page_count());
-        Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, true))
+    /// Submits one query with a sink that forwards the outcome.
+    fn submit(
+        scheduler: &BatchScheduler,
+        object: Vector,
+        qtype: QueryType,
+    ) -> mpsc::Receiver<Option<QueryReply>> {
+        let (tx, rx) = mpsc::channel();
+        scheduler.submit_with(object, qtype, move |reply| {
+            let _ = tx.send(reply);
+        });
+        rx
+    }
+
+    /// The sink's outcome: `Some` reply, or `None` when the batch died.
+    fn reply(rx: mpsc::Receiver<Option<QueryReply>>) -> Option<QueryReply> {
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("every sink fires exactly once")
     }
 
     #[test]
@@ -1127,10 +396,16 @@ mod tests {
             .with_max_wait(Duration::from_millis(5));
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         let rxs: Vec<_> = (0..8)
-            .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 10.0]), QueryType::knn(1)))
+            .map(|i| {
+                submit(
+                    &scheduler,
+                    Vector::new(vec![i as f32 * 10.0]),
+                    QueryType::knn(1),
+                )
+            })
             .collect();
         for (i, rx) in rxs.into_iter().enumerate() {
-            let reply = rx.recv().expect("reply");
+            let reply = reply(rx).expect("reply");
             assert_eq!(reply.answers.len(), 1);
             assert_eq!(reply.answers[0].id.0, i as u32 * 10);
             assert!(reply.batch_size >= 1);
@@ -1149,10 +424,10 @@ mod tests {
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         assert_eq!(scheduler.in_flight(), 0);
         let rxs: Vec<_> = (0..6)
-            .map(|i| scheduler.submit(Vector::new(vec![i as f32]), QueryType::knn(1)))
+            .map(|i| submit(&scheduler, Vector::new(vec![i as f32]), QueryType::knn(1)))
             .collect();
         for rx in rxs {
-            rx.recv_timeout(Duration::from_secs(5)).expect("reply");
+            reply(rx).expect("reply");
         }
         // Replies are sent before the jobs retire; give the worker a
         // bounded moment to drop the batch.
@@ -1169,10 +444,8 @@ mod tests {
             .with_max_batch(1000)
             .with_max_wait(Duration::from_millis(10));
         let scheduler = BatchScheduler::start(scan_backend(50), &config);
-        let rx = scheduler.submit(Vector::new(vec![7.0]), QueryType::knn(2));
-        let reply = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("deadline flush");
+        let rx = submit(&scheduler, Vector::new(vec![7.0]), QueryType::knn(2));
+        let reply = reply(rx).expect("deadline flush");
         assert_eq!(reply.batch_size, 1);
         assert_eq!(reply.answers[0].id.0, 7);
     }
@@ -1184,12 +457,10 @@ mod tests {
             .with_max_wait(Duration::from_secs(3600));
         let scheduler = BatchScheduler::start(scan_backend(50), &config);
         let rxs: Vec<_> = (0..3)
-            .map(|i| scheduler.submit(Vector::new(vec![i as f32]), QueryType::knn(1)))
+            .map(|i| submit(&scheduler, Vector::new(vec![i as f32]), QueryType::knn(1)))
             .collect();
         for rx in rxs {
-            let reply = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("size-triggered flush despite huge max_wait");
+            let reply = reply(rx).expect("size-triggered flush despite huge max_wait");
             assert_eq!(reply.batch_size, 3);
             assert_eq!(reply.batch_id, 1);
         }
@@ -1203,11 +474,17 @@ mod tests {
             .with_workers(3);
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         let rxs: Vec<_> = (0..12)
-            .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 5.0]), QueryType::knn(1)))
+            .map(|i| {
+                submit(
+                    &scheduler,
+                    Vector::new(vec![i as f32 * 5.0]),
+                    QueryType::knn(1),
+                )
+            })
             .collect();
         let mut batch_ids = Vec::new();
         for (i, rx) in rxs.into_iter().enumerate() {
-            let reply = rx.recv_timeout(Duration::from_secs(5)).expect("reply");
+            let reply = reply(rx).expect("reply");
             assert_eq!(reply.answers[0].id.0, i as u32 * 5);
             batch_ids.push(reply.batch_id);
         }
@@ -1218,59 +495,6 @@ mod tests {
         let m = scheduler.metrics();
         assert_eq!(m.queries, 12);
         assert_eq!(m.batches, 12);
-    }
-
-    #[test]
-    fn pipelined_backend_agrees_with_sequential_across_batches() {
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 13.0 + 0.2]), QueryType::knn(3)))
-            .collect();
-        let plain = scan_backend(120).execute(queries.clone());
-        let db = line_db(120);
-        let scan = LinearScan::new(db.page_count());
-        let pipelined = SingleEngineBackend::new(db, Box::new(scan), 0.10, true)
-            .with_threads(2)
-            .with_prefetch_depth(2)
-            .with_leader(LeaderPolicy::NearestChain);
-        // Two batches through the same backend: the persistent pool is
-        // created once and must survive reuse.
-        for round in 0..2 {
-            let (answers, _) = pipelined.execute(queries.clone());
-            for (qi, (a, b)) in plain.0.iter().zip(&answers).enumerate() {
-                let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
-                let ib: Vec<u32> = b.iter().map(|x| x.id.0).collect();
-                assert_eq!(ia, ib, "round {round}, query {qi}");
-            }
-        }
-    }
-
-    #[test]
-    fn cluster_backend_agrees_with_single() {
-        let db = line_db(120);
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
-            .collect();
-        let single = scan_backend(120).execute(queries.clone());
-        let cluster = ClusterBackend::build(
-            db.to_dataset().objects(),
-            3,
-            0.10,
-            true,
-            VectorMetric::Euclidean,
-            |ds| {
-                let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-                (
-                    Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                    db,
-                )
-            },
-        );
-        let clustered = cluster.execute(queries);
-        for (a, b) in single.0.iter().zip(&clustered.0) {
-            let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
-            let ib: Vec<u32> = b.iter().map(|x| x.id.0).collect();
-            assert_eq!(ia, ib);
-        }
     }
 
     /// Stands in for any backend bug: panics when a query with the wrong
@@ -1305,338 +529,25 @@ mod tests {
             inner: scan_backend(30),
         });
         let scheduler = BatchScheduler::start(backend, &config);
-        let bad = scheduler.submit(Vector::new(vec![1.0, 2.0]), QueryType::knn(1));
+        let bad = submit(&scheduler, Vector::new(vec![1.0, 2.0]), QueryType::knn(1));
         assert!(
-            bad.recv_timeout(Duration::from_secs(5)).is_err(),
-            "panicked batch must drop its reply channel"
+            reply(bad).is_none(),
+            "a panicked batch must fire its sinks with None"
         );
-        let good = scheduler.submit(Vector::new(vec![7.0]), QueryType::knn(1));
-        let reply = good
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker must keep serving after a backend panic");
+        let good = submit(&scheduler, Vector::new(vec![7.0]), QueryType::knn(1));
+        let reply = reply(good).expect("worker must keep serving after a backend panic");
         assert_eq!(reply.answers[0].id.0, 7);
     }
 
     #[test]
-    fn file_store_backends_agree_with_sim_and_survive_restart() {
-        use crate::config::StoreChoice;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-store-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, db.layout());
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 19.0 + 0.3]), QueryType::knn(3)))
-            .collect();
-        let oracle = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("sim backend")
-            .execute(queries.clone());
-
-        for (mode, sub) in [
-            (ExecutionMode::Single, "single"),
-            (ExecutionMode::Cluster { servers: 3 }, "cluster"),
-        ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(StoreChoice::File(dir.join(sub)));
-            // First build creates the store, second reopens it from disk.
-            for round in ["create", "reopen"] {
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("file backend builds");
-                let (answers, _) = backend.execute(queries.clone());
-                for (qi, (a, b)) in oracle.0.iter().zip(&answers).enumerate() {
-                    let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
-                    let ib: Vec<u32> = b.iter().map(|x| x.id.0).collect();
-                    assert_eq!(ia, ib, "{sub} {round}, query {qi}");
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cluster_reopen_validates_partition_manifests() {
-        use crate::config::StoreChoice;
-        use mq_store::PARTITION_MANIFEST_FILE;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let root = std::env::temp_dir().join(format!(
-            "mq-sched-manifest-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, db.layout());
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let cluster_config = |dir: &std::path::Path| {
-            ServerConfig::default()
-                .with_mode(ExecutionMode::Cluster { servers: 3 })
-                .with_store(StoreChoice::File(dir.to_path_buf()))
-        };
-
-        // An offline insert against a single partition desynchronizes the
-        // persisted global-id mapping; reopen must refuse rather than
-        // silently mis-address answers.
-        let dir = root.join("mutated");
-        let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
-        {
-            let mut part: FilePageStore<Vector, VectorCodec> =
-                FilePageStore::open(dir.join("part-1"), VectorCodec, 1).expect("open partition");
-            part.insert(Vector::new(vec![500.0]))
-                .expect("offline insert");
-        }
-        match build_backend(&db, &config, 0.10, build) {
-            Err(StoreError::Format(msg)) => {
-                assert!(msg.contains("mutated outside the cluster"), "{msg}")
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("reopen of a desynchronized partition must fail"),
-        }
-
-        // A missing manifest leaves the global ids unknowable.
-        let dir = root.join("missing");
-        let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
-        std::fs::remove_file(dir.join("part-2").join(PARTITION_MANIFEST_FILE)).unwrap();
-        match build_backend(&db, &config, 0.10, build) {
-            Err(StoreError::Format(msg)) => {
-                assert!(msg.contains("no partition manifest"), "{msg}")
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("reopen without a manifest must fail"),
-        }
-
-        // Serving one partition standalone would answer with local ids.
-        let dir = root.join("single");
-        let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
-        let single = ServerConfig::default().with_store(StoreChoice::File(dir.join("part-0")));
-        match build_backend(&db, &single, 0.10, build) {
-            Err(StoreError::Format(msg)) => assert!(msg.contains("--cluster 3"), "{msg}"),
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("single-mode serve of a partition must fail"),
-        }
-
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn configured_metric_reaches_the_engine() {
-        // Under the dot-product ranking the best match for q=[5] in the
-        // 0..60 line is the *largest* vector, not the nearest one — so a
-        // Euclidean engine would answer id 5 and give the game away.
-        let db = line_db(60);
-        let config = ServerConfig::default().with_metric(VectorMetric::Dot);
-        let backend = build_backend(&db, &config, 0.10, |ds| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        })
-        .expect("sim backend");
-        let (answers, _) = backend.execute(vec![(Vector::new(vec![5.0]), QueryType::knn(1))]);
-        assert_eq!(answers[0][0].id.0, 59);
-        assert_eq!(answers[0][0].distance, -(5.0 * 59.0));
-    }
-
-    #[test]
-    fn approx_tier_with_full_budget_agrees_with_exact_in_every_mode() {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-approx-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
-            .collect();
-        let exact = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("exact backend")
-            .execute(queries.clone());
-
-        // A budget covering the whole collection must reproduce the exact
-        // answers bit-for-bit in every mode × store × tier combination.
-        for tier in [ApproxTier::Bq { budget: 120 }, ApproxTier::Hnsw { ef: 120 }] {
-            for (mode, store, label) in [
-                (ExecutionMode::Single, StoreChoice::Sim, "single/sim"),
-                (
-                    ExecutionMode::Cluster { servers: 3 },
-                    StoreChoice::Sim,
-                    "cluster/sim",
-                ),
-                (
-                    ExecutionMode::Single,
-                    StoreChoice::File(dir.join(format!("single-{tier}"))),
-                    "single/file",
-                ),
-                (
-                    ExecutionMode::Cluster { servers: 3 },
-                    StoreChoice::File(dir.join(format!("cluster-{tier}"))),
-                    "cluster/file",
-                ),
-            ] {
-                let config = ServerConfig::default()
-                    .with_mode(mode)
-                    .with_store(store)
-                    .with_approx(Some(tier));
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("approx backend builds");
-                assert!(
-                    backend.describe().contains("approx"),
-                    "{}",
-                    backend.describe()
-                );
-                let (answers, _) = backend.execute(queries.clone());
-                for (qi, (a, b)) in exact.0.iter().zip(&answers).enumerate() {
-                    let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
-                    let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
-                    assert_eq!(ia, ib, "{label} {tier}, query {qi}");
-                }
-            }
-        }
-        // The file-backed bq runs persisted their sketches next to the
-        // page files (single at the root, cluster per partition).
-        assert!(dir.join("single-bq:120").join(super::SKETCH_FILE).exists());
-        assert!(dir
-            .join("cluster-bq:120")
-            .join("part-0")
-            .join(super::SKETCH_FILE)
-            .exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn narrow_budget_restricts_the_scan() {
-        // budget 1 admits ~1 candidate per query; the answers must be
-        // drawn from that candidate set and the distances stay exact.
-        let db = line_db(120);
-        let config = ServerConfig::default().with_approx(Some(ApproxTier::Bq { budget: 1 }));
-        let backend = build_backend(&db, &config, 0.10, |ds| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        })
-        .expect("approx backend");
-        let (answers, _) = backend.execute(vec![(Vector::new(vec![60.0]), QueryType::knn(5))]);
-        assert!(
-            answers[0].len() <= 1,
-            "budget 1 cannot yield {} answers",
-            answers[0].len()
-        );
-        for a in &answers[0] {
-            // Exact re-rank: the reported distance is the true metric
-            // distance, not a Hamming proxy.
-            assert_eq!(a.distance, (a.id.0 as f64 - 60.0).abs());
-        }
-    }
-
-    #[test]
-    fn file_store_vafile_index_agrees_with_scan_and_guards_metric() {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-vafile-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, db.layout());
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 19.0 + 0.3]), QueryType::knn(3)))
-            .collect();
-        let oracle = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("sim backend")
-            .execute(queries.clone());
-
-        for (mode, sub) in [
-            (ExecutionMode::Single, "single"),
-            (ExecutionMode::Cluster { servers: 3 }, "cluster"),
-        ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(StoreChoice::File(dir.join(sub)))
-                .with_file_index(FileIndex::VaPage);
-            // Create, then reopen: the VA summary is rebuilt over the
-            // recovered layout both times.
-            for round in ["create", "reopen"] {
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("vafile file backend");
-                let (answers, _) = backend.execute(queries.clone());
-                for (qi, (a, b)) in oracle.0.iter().zip(&answers).enumerate() {
-                    let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
-                    let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
-                    assert_eq!(ia, ib, "{sub} {round}, query {qi}");
-                }
-            }
-        }
-
+    fn shutdown_flushes_the_collecting_batch() {
         let config = ServerConfig::default()
-            .with_store(StoreChoice::File(dir.join("guard")))
-            .with_file_index(FileIndex::VaPage)
-            .with_metric(VectorMetric::Dot);
-        match build_backend(&db, &config, 0.10, build) {
-            Err(StoreError::Format(msg)) => assert!(msg.contains("Euclidean"), "{msg}"),
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("vafile index + dot metric must be refused"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn approx_refuses_non_euclidean_metrics() {
-        let db = line_db(30);
-        let config = ServerConfig::default()
-            .with_metric(VectorMetric::Cosine)
-            .with_approx(Some(ApproxTier::Bq { budget: 10 }));
-        match build_backend(&db, &config, 0.10, |ds| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        }) {
-            Err(StoreError::Format(msg)) => assert!(msg.contains("euclidean"), "{msg}"),
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("approx + cosine must be refused"),
-        }
-    }
-
-    #[test]
-    fn shutdown_disconnects_pending_reply_channels() {
-        let config = ServerConfig::default().with_max_batch(2);
+            .with_max_batch(2)
+            .with_max_wait(Duration::from_secs(3600));
         let scheduler = BatchScheduler::start(scan_backend(20), &config);
-        let m0 = scheduler.metrics();
-        assert_eq!(m0.queries, 0);
-        drop(scheduler); // joins the worker without panicking
+        let rx = submit(&scheduler, Vector::new(vec![3.0]), QueryType::knn(1));
+        drop(scheduler); // closes the queue and joins the worker
+        let reply = reply(rx).expect("a queued job is answered, not lost, at shutdown");
+        assert_eq!(reply.answers[0].id.0, 3);
     }
 }

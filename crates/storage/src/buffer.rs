@@ -346,42 +346,179 @@ mod tests {
         assert!(!b.contains(p(1)));
     }
 
-    /// Model-based check against a naive reference implementation.
-    #[test]
-    fn matches_naive_reference() {
-        struct Naive {
-            cap: usize,
-            order: Vec<PageId>, // MRU first
+    /// A straightforward list-based model of the documented semantics,
+    /// pins included.
+    struct NaiveLru {
+        cap: usize,
+        order: Vec<PageId>, // MRU first
+        pins: HashMap<PageId, u32>,
+    }
+
+    impl NaiveLru {
+        fn new(cap: usize) -> Self {
+            Self {
+                cap,
+                order: Vec::new(),
+                pins: HashMap::new(),
+            }
         }
-        impl Naive {
-            fn access(&mut self, page: PageId) -> bool {
-                if let Some(pos) = self.order.iter().position(|&x| x == page) {
-                    self.order.remove(pos);
-                    self.order.insert(0, page);
-                    true
-                } else {
-                    if self.order.len() == self.cap {
-                        self.order.pop();
+
+        fn access(&mut self, page: PageId) -> bool {
+            if let Some(pos) = self.order.iter().position(|&q| q == page) {
+                self.order.remove(pos);
+                self.order.insert(0, page);
+                return true;
+            }
+            while self.order.len() >= self.cap {
+                // Evict the least-recently-used unpinned page; if
+                // everything is pinned, overflow.
+                match self.order.iter().rposition(|q| !self.pins.contains_key(q)) {
+                    Some(pos) => self.order.remove(pos),
+                    None => break,
+                };
+            }
+            self.order.insert(0, page);
+            false
+        }
+
+        fn pin(&mut self, page: PageId) {
+            if self.order.contains(&page) {
+                *self.pins.entry(page).or_insert(0) += 1;
+            }
+        }
+
+        fn unpin(&mut self, page: PageId) {
+            if let Some(c) = self.pins.get_mut(&page) {
+                *c -= 1;
+                if *c == 0 {
+                    self.pins.remove(&page);
+                    if self.order.len() > self.cap {
+                        self.order.retain(|&q| q != page);
                     }
-                    self.order.insert(0, page);
-                    false
                 }
             }
         }
+    }
+
+    /// Deterministic LCG driving the model-based checks.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x >> 33
+    }
+
+    /// Model-based check against the naive reference implementation.
+    #[test]
+    fn matches_naive_reference() {
         let mut lru = LruBuffer::new(4);
-        let mut naive = Naive {
-            cap: 4,
-            order: Vec::new(),
-        };
-        // Deterministic pseudo-random access pattern.
+        let mut naive = NaiveLru::new(4);
         let mut x: u64 = 42;
         for _ in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let page = p((x >> 33) as u32 % 10);
+            let page = p(lcg(&mut x) as u32 % 10);
             assert_eq!(lru.access(page), naive.access(page));
             assert_eq!(lru.pages_mru_to_lru(), naive.order);
+        }
+    }
+
+    /// The same check on a long pseudo-random access/pin/unpin workload.
+    #[test]
+    fn matches_naive_reference_with_pins() {
+        let mut lru = LruBuffer::new(4);
+        let mut naive = NaiveLru::new(4);
+        let mut pinned: Vec<PageId> = Vec::new();
+        let mut x: u64 = 1234;
+        for _ in 0..4000 {
+            let r = lcg(&mut x);
+            let page = p((r % 10) as u32);
+            match (r / 16) % 4 {
+                0 if pinned.len() < 3 => {
+                    lru.pin(page);
+                    naive.pin(page);
+                    if naive.pins.contains_key(&page) {
+                        pinned.push(page);
+                    }
+                }
+                1 if !pinned.is_empty() => {
+                    let victim = pinned.remove((r as usize / 64) % pinned.len());
+                    lru.unpin(victim);
+                    naive.unpin(victim);
+                }
+                _ => {
+                    assert_eq!(lru.access(page), naive.access(page));
+                }
+            }
+            assert_eq!(lru.pages_mru_to_lru(), naive.order, "LRU order diverged");
+        }
+    }
+
+    /// The prefetch corner case the disk can produce: every resident page
+    /// is pinned by staged prefetches when a demand read for an unstaged
+    /// page arrives. The insertion must overflow capacity, the overflow
+    /// must be reclaimed exactly when the responsible pin drops, and the
+    /// whole trajectory — hit/miss results and resident count at every
+    /// step — must match the naive model.
+    #[test]
+    fn fully_pinned_by_prefetch_demand_read_matches_model() {
+        enum Op {
+            Access(u32, bool), // page, expected hit
+            Pin(u32),
+            Unpin(u32),
+            Len(usize),
+        }
+        use Op::*;
+        // Capacity 2 throughout. Pages 1,2 are staged (accessed and
+        // pinned) by the prefetcher; page 3 is the demand read.
+        let script = [
+            Access(1, false),
+            Pin(1),
+            Access(2, false),
+            Pin(2),
+            Len(2),
+            // Demand read of unstaged page 3 with everything pinned: no
+            // victim exists, so the insertion overflows.
+            Access(3, false),
+            Len(3),
+            Pin(3), // the demand read pins its page too
+            Len(3),
+            // Prefetch pin on 1 handed over/dropped: buffer is over
+            // capacity, so 1 is reclaimed immediately.
+            Unpin(1),
+            Len(2),
+            // Re-demand 1: reclaimed above, so a miss; 2 and 3 are both
+            // pinned, so it overflows again.
+            Access(1, false),
+            Len(3),
+            // Demand pin on 3 released while over capacity: 3 itself is
+            // the reclaimed page.
+            Unpin(3),
+            Len(2),
+            // Last prefetch pin released at capacity: nothing reclaimed.
+            Unpin(2),
+            Len(2),
+            Access(2, true),
+            Access(1, true),
+        ];
+        let mut real = LruBuffer::new(2);
+        let mut naive = NaiveLru::new(2);
+        for (i, op) in script.iter().enumerate() {
+            match *op {
+                Access(page, expect_hit) => {
+                    let (rh, nh) = (real.access(p(page)), naive.access(p(page)));
+                    assert_eq!(rh, nh, "step {i}: hit/miss diverged");
+                    assert_eq!(rh, expect_hit, "step {i}: unexpected outcome");
+                }
+                Pin(page) => {
+                    real.pin(p(page));
+                    naive.pin(p(page));
+                }
+                Unpin(page) => {
+                    real.unpin(p(page));
+                    naive.unpin(p(page));
+                }
+                Len(expect) => assert_eq!(real.len(), expect, "step {i}: real len"),
+            }
+            assert_eq!(real.len(), naive.order.len(), "step {i}: len diverged");
         }
     }
 }

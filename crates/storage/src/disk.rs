@@ -4,7 +4,6 @@ use crate::buffer::LruBuffer;
 use crate::database::{PagedDatabase, StorageObject};
 use crate::fault::{page_checksum, DiskError, FaultDecision, FaultPlan, FaultStats};
 use crate::page::{Page, PageId};
-use crate::policy::BufferPolicy;
 use crate::stats::IoStats;
 use mq_obs::{Counter, Recorder};
 use parking_lot::Mutex;
@@ -50,7 +49,7 @@ struct DiskObs {
 
 #[derive(Debug)]
 struct DiskState {
-    buffer: Box<dyn BufferPolicy>,
+    buffer: LruBuffer,
     stats: IoStats,
     /// `Some` once a [`Recorder`] is attached; `None` costs one branch.
     obs: Option<DiskObs>,
@@ -112,13 +111,6 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     /// Creates a disk with an explicit buffer capacity in pages (minimum 1).
     pub fn with_buffer_pages(db: PagedDatabase<O>, buffer_pages: usize) -> Self {
-        let capacity = buffer_pages.max(1);
-        Self::with_policy(db, Box::new(LruBuffer::new(capacity)))
-    }
-
-    /// Creates a disk with an explicit page-replacement policy (the paper
-    /// uses LRU; see [`crate::policy`] for CLOCK and FIFO alternatives).
-    pub fn with_policy(db: PagedDatabase<O>, policy: Box<dyn BufferPolicy>) -> Self {
         let checksums = db
             .page_ids()
             .map(|pid| {
@@ -132,7 +124,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
             db,
             checksums,
             state: Mutex::new(DiskState {
-                buffer: policy,
+                buffer: LruBuffer::new(buffer_pages.max(1)),
                 stats: IoStats::default(),
                 obs: None,
                 last_physical: None,
@@ -147,10 +139,10 @@ impl<O: StorageObject> SimulatedDisk<O> {
     }
 
     /// Attaches an observability [`Recorder`]: buffer hits/misses (labelled
-    /// with the replacement policy's name), prefetch traffic, and injected
-    /// fault retries are mirrored into the recorder's registry from now on,
-    /// alongside — never instead of — the exact [`IoStats`] accounting. A
-    /// disabled recorder detaches. Derived gauges
+    /// `policy="lru"`, the paper's §6 replacement policy), prefetch traffic,
+    /// and injected fault retries are mirrored into the recorder's registry
+    /// from now on, alongside — never instead of — the exact [`IoStats`]
+    /// accounting. A disabled recorder detaches. Derived gauges
     /// `mq_storage_buffer_hit_ratio` and `mq_storage_prefetch_hit_ratio`
     /// are computed from the mirrored counters at scrape time.
     pub fn attach_recorder(&self, recorder: &Recorder) {
@@ -159,7 +151,8 @@ impl<O: StorageObject> SimulatedDisk<O> {
             st.obs = None;
             return;
         };
-        let policy = st.buffer.name();
+        // Kept as a label so existing dashboards' series names hold.
+        let policy = "lru";
         let labels = [("policy", policy)];
         let hits = registry.counter(
             "mq_storage_buffer_reads_total",
@@ -255,7 +248,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// whenever no read is in flight — a nonzero value between steps is a
     /// pin leak.
     pub fn pinned_pages(&self) -> usize {
-        self.state.lock().buffer.pinned()
+        self.state.lock().buffer.pinned_len()
     }
 
     /// The underlying database.
@@ -377,7 +370,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
                 }
             } else {
                 // A staged page is pinned and so cannot miss; this branch
-                // only de-stages defensively if a policy ignored the pin.
+                // only de-stages defensively if the buffer ignored the pin.
                 if st.prefetched.remove(&id) {
                     st.buffer.unpin(id);
                 }
@@ -660,23 +653,6 @@ mod tests {
         // 20: random (skip 8).
         assert_eq!(s.sequential_reads, 3);
         assert_eq!(s.random_reads, 4);
-    }
-
-    #[test]
-    fn custom_policy_is_honored() {
-        use crate::policy::FifoBuffer;
-        let ds = Dataset::new((0..30).map(|i| Vector::new(vec![i as f32, 0.0])).collect());
-        let db = PagedDatabase::pack(&ds, PageLayout::new(72, 16));
-        let d = SimulatedDisk::with_policy(db, Box::new(FifoBuffer::new(2)));
-        assert_eq!(d.buffer_capacity(), 2);
-        d.read_page(PageId(0));
-        d.read_page(PageId(1));
-        d.read_page(PageId(0)); // hit under FIFO
-        d.read_page(PageId(2)); // evicts 0 (oldest) despite the recent hit
-        d.read_page(PageId(0));
-        let s = d.stats();
-        assert_eq!(s.buffer_hits, 1);
-        assert_eq!(s.physical_reads, 4);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod disk;
 pub mod fault;
 pub mod page;
 pub mod persist;
-pub mod policy;
 pub mod stats;
 pub mod store;
 
@@ -45,6 +44,5 @@ pub use disk::SimulatedDisk;
 pub use fault::{page_checksum, DiskError, FaultPlan, FaultStats};
 pub use page::{Page, PageId, PageLayout};
 pub use persist::{ObjectCodec, PersistError, SymbolsCodec, VectorCodec};
-pub use policy::{BufferPolicy, ClockBuffer, FifoBuffer};
 pub use stats::{IoCostModel, IoStats};
 pub use store::PageStore;

@@ -2,7 +2,7 @@
 //! marked missing partition — never a panic, never a hang, never a
 //! silently complete answer set.
 
-use mq_core::{FaultPolicy, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{EngineOptions, FaultPolicy, LeaderPolicy, QueryEngine, QueryType};
 use mq_datagen::uniform_vectors;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{Euclidean, ObjectId, Vector};
@@ -16,20 +16,31 @@ fn layout() -> PageLayout {
     PageLayout::new(256, 16)
 }
 
-fn build_cluster(objects: &[Vector]) -> SharedNothingCluster<Vector, Euclidean> {
+/// The default engine block with the given transient-fault retry budget.
+fn retrying(retry_budget: u32) -> EngineOptions {
+    EngineOptions {
+        fault_policy: FaultPolicy::new(retry_budget),
+        ..EngineOptions::default()
+    }
+}
+
+fn build_cluster(
+    objects: &[Vector],
+    options: EngineOptions,
+) -> SharedNothingCluster<Vector, Euclidean> {
     SharedNothingCluster::build(
         objects,
         SERVERS,
         Declustering::RoundRobin,
         Euclidean,
         0.1,
+        options,
         |ds: &Dataset<Vector>| {
             let db = PagedDatabase::pack(ds, layout());
             let scan = LinearScan::new(db.page_count());
             (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
         },
     )
-    .with_fault_policy(FaultPolicy::new(2))
 }
 
 fn workload(seed: u64) -> (Vec<Vector>, Vec<(Vector, QueryType)>) {
@@ -92,12 +103,12 @@ fn surviving_reference(
 fn one_dead_server_is_marked_and_survivors_answer_exactly() {
     for seed in [1u64, 9, 17] {
         let (objects, queries) = workload(seed);
-        let cluster = build_cluster(&objects);
+        let cluster = build_cluster(&objects, retrying(2));
         let dead = (seed as usize) % SERVERS;
         cluster.servers()[dead]
             .disk()
             .set_fault_plan(Some(scenario::loss_plan(seed, 0)));
-        let degraded = cluster.multiple_query_degraded(&queries, true);
+        let degraded = cluster.multiple_query_degraded(&queries);
         assert!(!degraded.is_complete(), "seed {seed}");
         assert_eq!(degraded.missing_partitions, vec![dead], "seed {seed}");
         assert!(
@@ -119,14 +130,13 @@ fn one_dead_server_is_marked_and_survivors_answer_exactly() {
 #[test]
 fn transient_faults_with_budget_keep_the_cluster_complete() {
     let (objects, queries) = workload(5);
-    let cluster = build_cluster(&objects);
-    let healthy = cluster.multiple_query_degraded(&queries, true);
+    let cluster = build_cluster(&objects, retrying(4));
+    let healthy = cluster.multiple_query_degraded(&queries);
     assert!(healthy.is_complete());
     for server in cluster.servers() {
         server.disk().set_fault_plan(Some(scenario::disk_plan(5)));
     }
-    let cluster = cluster.with_fault_policy(FaultPolicy::new(4));
-    let faulty = cluster.multiple_query_degraded(&queries, true);
+    let faulty = cluster.multiple_query_degraded(&queries);
     assert!(faulty.is_complete(), "{:?}", faulty.failure_reasons);
     assert_eq!(faulty.answers, healthy.answers, "retries must be invisible");
 }
@@ -134,13 +144,13 @@ fn transient_faults_with_budget_keep_the_cluster_complete() {
 #[test]
 fn every_server_dead_yields_all_partitions_missing_not_a_hang() {
     let (objects, queries) = workload(3);
-    let cluster = build_cluster(&objects);
+    let cluster = build_cluster(&objects, retrying(2));
     for (si, server) in cluster.servers().iter().enumerate() {
         server
             .disk()
             .set_fault_plan(Some(scenario::loss_plan(si as u64, 0)));
     }
-    let degraded = cluster.multiple_query_degraded(&queries, true);
+    let degraded = cluster.multiple_query_degraded(&queries);
     assert_eq!(degraded.missing_partitions, vec![0, 1, 2]);
     assert_eq!(degraded.failure_reasons.len(), SERVERS);
     // With nothing reachable every query's merged answer list is empty.
@@ -153,14 +163,19 @@ fn degraded_mode_holds_across_engine_configs() {
     for threads in [1usize, 2] {
         for depth in [0usize, 2] {
             for leader in [LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                let cluster = build_cluster(&objects)
-                    .with_engine_threads(threads)
-                    .with_prefetch_depth(depth)
-                    .with_leader_policy(leader);
+                let cluster = build_cluster(
+                    &objects,
+                    EngineOptions {
+                        threads,
+                        prefetch_depth: depth,
+                        leader,
+                        ..retrying(2)
+                    },
+                );
                 cluster.servers()[1]
                     .disk()
                     .set_fault_plan(Some(scenario::loss_plan(13, 0)));
-                let degraded = cluster.multiple_query_degraded(&queries, true);
+                let degraded = cluster.multiple_query_degraded(&queries);
                 assert_eq!(
                     degraded.missing_partitions,
                     vec![1],

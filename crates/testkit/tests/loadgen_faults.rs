@@ -7,9 +7,10 @@
 
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
-use mq_server::{QueryServer, ServerConfig, SingleEngineBackend};
+use mq_server::{ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::{ConnFault, FlakyProxy};
 use std::time::Duration;
@@ -17,15 +18,15 @@ use std::time::Duration;
 const REQUESTS: usize = 48;
 const SPIKE: Duration = Duration::from_millis(150);
 
-fn serve() -> QueryServer {
+fn serve() -> FrontServer {
     let ds = Dataset::new(uniform_vectors(500, 3, 0xFAB));
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
     let config = ServerConfig::default()
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(2));
-    QueryServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind server")
+    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
+    FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind server")
 }
 
 fn spec() -> WorkloadSpec {

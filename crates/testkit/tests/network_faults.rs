@@ -7,31 +7,32 @@
 
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
+use mq_front::FrontServer;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::Vector;
 use mq_server::{
-    Client, ClientError, ProtocolError, QueryServer, RetryConfig, RetryingClient, ServerConfig,
+    Client, ClientError, ProtocolError, RetryConfig, RetryingClient, ServerConfig,
     SingleEngineBackend,
 };
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::FlakyProxy;
 use std::time::{Duration, Instant};
 
-fn start_server() -> QueryServer {
+fn start_server() -> FrontServer {
     let objects = uniform_vectors(200, 3, 77);
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
     let scan = LinearScan::new(db.page_count());
+    let config = ServerConfig::default()
+        .with_max_batch(4)
+        .with_max_wait(Duration::from_millis(2));
     let backend = Box::new(SingleEngineBackend::new(
         db,
         Box::new(scan) as Box<dyn SimilarityIndex<Vector>>,
         0.10,
-        true,
+        config.engine,
     ));
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
-    QueryServer::bind("127.0.0.1:0", backend, &config).expect("bind server")
+    FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind server")
 }
 
 fn retry_config() -> RetryConfig {

@@ -51,10 +51,12 @@
 //! | [`mq_parallel`] | shared-nothing cluster: declustering, per-server engines, answer merging |
 //! | [`mq_datagen`] | seeded synthetic stand-ins for the paper's two evaluation databases + workloads |
 //! | [`mq_vafile`] | VA-file filter-and-refine scan acceleration (paper ref. \[22\]) |
-//! | [`mq_server`] | online query service: TCP frontend + batching scheduler turning concurrent clients into multiple similarity queries |
+//! | [`mq_server`] | online query service: wire protocol, admission, batching scheduler turning concurrent clients into multiple similarity queries |
+//! | [`mq_front`] | the service's TCP frontend: one readiness-polled event loop (`FrontServer`) |
 
 pub use mq_core as core;
 pub use mq_datagen as datagen;
+pub use mq_front as front;
 pub use mq_index as index;
 pub use mq_metric as metric;
 pub use mq_mining as mining;
@@ -66,14 +68,15 @@ pub use mq_vafile as vafile;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mq_core::{
-        Answer, AnswerList, CostModel, ExecutionStats, MetricDatabase, MultiQuerySession,
-        QueryEngine, QueryKind, QueryType, StatsProbe,
+        Answer, AnswerList, CostModel, EngineOptions, ExecutionStats, MetricDatabase,
+        MultiQuerySession, QueryEngine, QueryKind, QueryType, StatsProbe,
     };
+    pub use mq_front::FrontServer;
     pub use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};
     pub use mq_metric::{
         CountingMetric, DistanceCounter, EditDistance, Euclidean, Metric, ObjectId, Symbols, Vector,
     };
-    pub use mq_server::{Client, ExecutionMode, QueryServer, ServerConfig, SingleEngineBackend};
+    pub use mq_server::{Client, ExecutionMode, ServerConfig, SingleEngineBackend};
     pub use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
     pub use mq_vafile::{VaConfig, VaFile, VaStats};
 }

@@ -63,13 +63,17 @@ proptest! {
             strategy,
             Euclidean,
             0.2,
+            EngineOptions {
+                avoidance,
+                ..EngineOptions::default()
+            },
             |ds: &Dataset<Vector>| {
                 let db = PagedDatabase::pack(ds, PageLayout::new(128, 16));
                 let scan = LinearScan::new(db.page_count());
                 (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
             },
         );
-        let (answers, stats) = cluster.multiple_query(&queries, avoidance);
+        let (answers, stats) = cluster.multiple_query(&queries);
         prop_assert_eq!(stats.per_server.len(), s);
         for (got, want) in answers.iter().zip(&reference) {
             let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
@@ -102,13 +106,17 @@ proptest! {
             Declustering::RoundRobin,
             Euclidean,
             0.2,
+            EngineOptions {
+                avoidance: false,
+                ..EngineOptions::default()
+            },
             |ds: &Dataset<Vector>| {
                 let db = PagedDatabase::pack(ds, PageLayout::new(128, 16));
                 let scan = LinearScan::new(db.page_count());
                 (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
             },
         );
-        let (_, stats) = cluster.multiple_query(&queries, false);
+        let (_, stats) = cluster.multiple_query(&queries);
         let total: u64 = stats.per_server.iter().map(|st| st.dist_calcs).sum();
         let init = s as u64 * (m * (m - 1) / 2) as u64;
         prop_assert_eq!(total, data.len() as u64 * m as u64 + init);

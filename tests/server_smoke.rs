@@ -1,7 +1,8 @@
 //! Tier-1 smoke test for the query service: serve a small database on
 //! loopback, query it through the client library, and confirm the answers
 //! match the local engine. (The thorough concurrency, protocol-property
-//! and cluster tests live in `crates/server/tests/`.)
+//! and cluster tests live in `crates/front/tests/` and
+//! `crates/server/tests/`.)
 
 use mquery::prelude::*;
 use std::time::Duration;
@@ -16,10 +17,10 @@ fn served_answers_match_local_engine() {
 
     let db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
     let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
+    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, config.engine);
     let mut server =
-        QueryServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
 
     let local_db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let local_scan = LinearScan::new(local_db.page_count());
