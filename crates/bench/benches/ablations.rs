@@ -117,41 +117,11 @@ fn bench_bulk_load_strategies(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pivot_cap(c: &mut Criterion) {
-    // §7 future work: limit the quadratic pivot overhead of large batches.
-    let mut group = c.benchmark_group("ablation-pivot-cap");
-    group.sample_size(10);
-    let ds = clustered(3_000);
-    let db = PagedDatabase::pack(&ds, Default::default());
-    let scan = LinearScan::new(db.page_count());
-    let disk = SimulatedDisk::new(db, 0.1);
-    let queries: Vec<(Vector, QueryType)> = (0..96)
-        .map(|i| {
-            (
-                ds.object(mq_metric::ObjectId(i * 29)).clone(),
-                QueryType::knn(20),
-            )
-        })
-        .collect();
-    for cap in [Some(2usize), Some(8), None] {
-        let label = cap.map_or("unbounded".to_string(), |p| format!("p={p}"));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &cap, |b, &cap| {
-            let engine = match cap {
-                Some(p) => QueryEngine::new(&disk, &scan, Euclidean).with_max_pivots(p),
-                None => QueryEngine::new(&disk, &scan, Euclidean),
-            };
-            b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_buffer_fraction,
     bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,
-    bench_declustering,
-    bench_pivot_cap
+    bench_declustering
 );
 criterion_main!(benches);

@@ -155,7 +155,6 @@ fn parse_engine_options(args: &Args) -> Result<EngineOptions, Box<dyn std::error
         fault_policy: mq_core::FaultPolicy::new(
             args.parse_or("retry-budget", defaults.fault_policy.retry_budget)?,
         ),
-        ..defaults
     })
 }
 

@@ -24,7 +24,9 @@ impl AnswerList {
     /// An empty list for a query of type `t`.
     pub fn new(t: &QueryType) -> Self {
         Self {
-            entries: Vec::with_capacity(t.cardinality.min(64)),
+            // One slot beyond the bound: an insert into a full list holds
+            // `cardinality + 1` entries until the farthest is popped.
+            entries: Vec::with_capacity(t.cardinality.min(64) + 1),
             cardinality: t.cardinality,
         }
     }
@@ -33,13 +35,24 @@ impl AnswerList {
     /// exceeds its cardinality, the farthest element is removed (Fig. 1's
     /// `remove_last_element`).
     pub fn insert(&mut self, answer: Answer) {
-        let pos = self.entries.partition_point(|a| {
-            a.distance < answer.distance || (a.distance == answer.distance && a.id < answer.id)
-        });
+        // A full list drops whatever sorts at or after its last entry — the
+        // candidate itself, or an equal (distance, id) it would displace.
+        // Page-level query-distance snapshots make such candidates routine.
+        let dropped = |last| !Self::precedes(&answer, last);
+        if self.is_full() && self.entries.last().is_some_and(dropped) {
+            return;
+        }
+        let pos = self.entries.partition_point(|a| Self::precedes(a, &answer));
         self.entries.insert(pos, answer);
         if self.entries.len() > self.cardinality {
             self.entries.pop();
         }
+    }
+
+    /// The list order: ascending distance, ties by ascending id.
+    #[inline]
+    fn precedes(a: &Answer, b: &Answer) -> bool {
+        a.distance < b.distance || (a.distance == b.distance && a.id < b.id)
     }
 
     /// Whether the list has reached its cardinality bound.
@@ -136,6 +149,41 @@ mod tests {
         }
         let ids: Vec<u32> = list.ids().map(|i| i.0).collect();
         assert_eq!(ids, vec![3, 7], "deterministic tie-break by id");
+    }
+
+    #[test]
+    fn full_list_fast_path_matches_insert_then_pop() {
+        // Fig. 1 verbatim: insert in order, then remove the last element.
+        fn insert_then_pop(entries: &mut Vec<Answer>, k: usize, answer: Answer) {
+            let pos = entries.partition_point(|e| AnswerList::precedes(e, &answer));
+            entries.insert(pos, answer);
+            if entries.len() > k {
+                entries.pop();
+            }
+        }
+        let t = QueryType::knn(3);
+        let mut list = AnswerList::new(&t);
+        let capacity = list.entries.capacity();
+        let mut model = Vec::new();
+        // Ties at the k-th distance on both sides of the last id, an exact
+        // duplicate of the last entry, and candidates beyond it.
+        for answer in [
+            a(5, 1.0),
+            a(9, 2.0),
+            a(4, 2.0),
+            a(7, 2.0),
+            a(7, 2.0),
+            a(8, 2.0),
+            a(6, 3.0),
+            a(3, 2.0),
+            a(4, 2.0),
+            a(1, 0.5),
+        ] {
+            list.insert(answer);
+            insert_then_pop(&mut model, 3, answer);
+            assert_eq!(list.as_slice(), model.as_slice(), "after {answer:?}");
+        }
+        assert_eq!(list.entries.capacity(), capacity, "overflow reallocated");
     }
 
     #[test]

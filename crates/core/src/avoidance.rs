@@ -128,6 +128,11 @@ impl QueryDistanceMatrix {
     /// Tries to prove `dist(Qi, O) > query_dist` from the known pivot
     /// distances `(j, dist(Qj, O))` via Lemma 1 / Lemma 2, updating `stats`.
     /// Returns `true` when the calculation of `dist(Qi, O)` is avoidable.
+    ///
+    /// This is Fig. 5 for one object, and the reference: page evaluation
+    /// runs the same comparisons for a page of objects at a time (the
+    /// avoidance sweep in [`crate::multiple`]) and a property test holds
+    /// the two to equal verdicts and counters.
     #[inline]
     pub fn try_avoid(
         &self,

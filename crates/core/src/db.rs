@@ -45,7 +45,6 @@ pub struct MetricDatabase<O, M> {
     index: Arc<dyn SimilarityIndex<O>>,
     metric: CountingMetric<M>,
     avoidance: bool,
-    max_pivots: Option<usize>,
 }
 
 impl<O: StorageObject, M: Metric<O> + Clone> MetricDatabase<O, M> {
@@ -63,7 +62,6 @@ impl<O: StorageObject, M: Metric<O> + Clone> MetricDatabase<O, M> {
             index: Arc::new(index),
             metric: CountingMetric::new(metric),
             avoidance: true,
-            max_pivots: None,
         }
     }
 
@@ -73,21 +71,11 @@ impl<O: StorageObject, M: Metric<O> + Clone> MetricDatabase<O, M> {
         self
     }
 
-    /// Caps the avoidance pivots per object (see
-    /// [`QueryEngine::with_max_pivots`]).
-    pub fn with_max_pivots(mut self, p: usize) -> Self {
-        self.max_pivots = Some(p);
-        self
-    }
-
     /// A fresh engine over this database's components.
     pub fn engine(&self) -> QueryEngine<'_, O, CountingMetric<M>> {
         let mut e = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone());
         if !self.avoidance {
             e = e.without_avoidance();
-        }
-        if let Some(p) = self.max_pivots {
-            e = e.with_max_pivots(p);
         }
         e
     }
@@ -180,7 +168,7 @@ mod tests {
 
     #[test]
     fn facade_sessions_and_options() {
-        let db = make().with_max_pivots(4);
+        let db = make();
         let mut session = db.session(vec![
             (Vector::new(vec![10.0]), QueryType::range(2.0)),
             (Vector::new(vec![12.0]), QueryType::range(2.0)),

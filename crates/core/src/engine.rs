@@ -17,15 +17,11 @@ use std::sync::{Arc, OnceLock};
 /// Tuning knobs of the [`QueryEngine`].
 ///
 /// The defaults reproduce the paper's configuration: §5.2 avoidance on,
-/// an unbounded pivot set, single-threaded page evaluation, no prefetch,
-/// and FIFO leader order.
+/// single-threaded page evaluation, no prefetch, and FIFO leader order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Whether §5.2 triangle-inequality avoidance is enabled.
     pub avoidance: bool,
-    /// Bound on pivot distances consulted per avoidance attempt
-    /// (`None` = the paper's unbounded behaviour).
-    pub max_pivots: Option<usize>,
     /// Worker threads evaluating each loaded page (1 = the classic
     /// sequential loop). Results are identical for every thread count;
     /// see [`crate::multiple`] for why.
@@ -47,7 +43,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         Self {
             avoidance: true,
-            max_pivots: None,
             threads: 1,
             prefetch_depth: 0,
             leader: LeaderPolicy::Fifo,
@@ -176,17 +171,6 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     /// page reads but computes every distance.
     pub fn without_avoidance(mut self) -> Self {
         self.options.avoidance = false;
-        self
-    }
-
-    /// Bounds the number of pivot distances consulted per avoidance
-    /// attempt. §7 names the quadratic-in-m overhead of the triangle-
-    /// inequality machinery as the main scalability limit of large batches;
-    /// capping the pivots makes the per-object work `O(p)` instead of
-    /// `O(m)` at the price of fewer avoided calculations. `None` (default)
-    /// is the paper's unbounded behaviour.
-    pub fn with_max_pivots(mut self, p: usize) -> Self {
-        self.options.max_pivots = Some(p);
         self
     }
 
@@ -640,41 +624,6 @@ mod tests {
         assert!(
             with_avoidance < without_avoidance,
             "avoidance did not reduce calculations: {with_avoidance} vs {without_avoidance}"
-        );
-    }
-
-    #[test]
-    fn max_pivots_caps_comparisons_without_changing_answers() {
-        let ds = Dataset::new(random_points(500, 4, 108));
-        let db = PagedDatabase::pack(&ds, layout());
-        let scan = LinearScan::new(db.page_count());
-        let disk = SimulatedDisk::with_buffer_pages(db, 4);
-        let queries: Vec<(Vector, QueryType)> = ds
-            .objects()
-            .iter()
-            .take(16)
-            .map(|v| (v.clone(), QueryType::range(30.0)))
-            .collect();
-
-        let unbounded_engine = QueryEngine::new(&disk, &scan, Euclidean);
-        let mut unbounded = unbounded_engine.new_session(queries.clone());
-        unbounded_engine.run_to_completion(&mut unbounded);
-        let unbounded_tries = unbounded.avoidance_stats().tries;
-        let unbounded_answers = unbounded.into_answers();
-
-        let capped_engine = QueryEngine::new(&disk, &scan, Euclidean).with_max_pivots(2);
-        let mut capped = capped_engine.new_session(queries);
-        capped_engine.run_to_completion(&mut capped);
-        let capped_tries = capped.avoidance_stats().tries;
-        let capped_answers = capped.into_answers();
-
-        assert_eq!(
-            unbounded_answers, capped_answers,
-            "pivot cap must not change answers"
-        );
-        assert!(
-            capped_tries < unbounded_tries,
-            "pivot cap should reduce comparisons: {capped_tries} vs {unbounded_tries}"
         );
     }
 

@@ -19,6 +19,21 @@
 //! active query, whose distances are never needed as pivots, with the
 //! early-exit bounded kernel ([`Metric::distance_le`]).
 //!
+//! The chunk's computed distances — the pivots of the queries that follow —
+//! are stored column-major: `dists[qi * n + oi]`, one contiguous column of
+//! `n` records per active query, `NaN` where the distance was avoided and
+//! is therefore unknown. The filter (`avoidance_sweep`) is pivot-major: for
+//! each earlier active query, in active order, it loads `dist(Qi, Qp)` and
+//! `dist(Qi, Qp) + QueryDist(Qi)` once and sweeps the records still alive,
+//! dropping those either lemma excludes, without a data-dependent branch.
+//! Fig. 5 does the same comparisons object by object
+//! ([`QueryDistanceMatrix::try_avoid`], kept as the reference): a record
+//! meets its known pivots in the same order and leaves at the same
+//! comparison, so verdicts and [`AvoidanceStats`] are equal, not merely
+//! close — what differs is that a comparison costs a load, an add and two
+//! compares on a contiguous column, which is the cost §5.2 assumes when it
+//! trades distance calculations for comparisons.
+//!
 //! Three design decisions make the result *bit-identical* for every thread
 //! count (the equivalence property test in `tests/` checks answers,
 //! counters and page reads across thread counts 1–4):
@@ -527,22 +542,95 @@ const PARALLEL_MIN_WORK: usize = 512;
 /// claim traffic on the pool's counter stays negligible.
 const MORSELS_PER_THREAD: usize = 4;
 
+/// The avoidance sweep: §5.2's Lemma 1 / Lemma 2 filter for one query
+/// against a whole chunk, pivot-major.
+///
+/// `survivors` holds chunk-local record indices; on return it holds those
+/// whose distance to query `i` could not be proven larger than `bound`, in
+/// their original order. `pivots` are the earlier active queries in active
+/// order and `columns[pj * n + oi]` is the distance of record `oi` to
+/// `pivots[pj]` (`NaN` = never computed, so that pivot is unknown for that
+/// record).
+///
+/// Per surviving record this evaluates exactly the two comparisons of
+/// [`QueryDistanceMatrix::try_avoid`], in the same pivot order, and a
+/// record leaves the list at the first comparison that fires — so every
+/// verdict and every [`AvoidanceStats`] counter equals the object-major
+/// early-exit loop of Fig. 5 (see the module docs). The inner loop has no
+/// data-dependent branch: a `NaN` distance fails both comparisons and
+/// counts no try.
+#[allow(clippy::too_many_arguments)]
+fn avoidance_sweep(
+    qq: &QueryDistanceMatrix,
+    i: usize,
+    pivots: &[usize],
+    columns: &[f64],
+    n: usize,
+    bound: f64,
+    survivors: &mut Vec<u32>,
+    stats: &mut AvoidanceStats,
+) {
+    // An infinite query distance (k-NN before k answers) can never be
+    // exceeded: no lemma can fire and, as in `try_avoid`, none is tried.
+    if bound.is_infinite() {
+        return;
+    }
+    for (pj, &p) in pivots.iter().enumerate() {
+        if survivors.is_empty() {
+            break;
+        }
+        let column = &columns[pj * n..(pj + 1) * n];
+        let d_ij = qq.get(i, p);
+        let lemma1_limit = d_ij + bound;
+        let mut tries = 0u64;
+        let mut kept = 0;
+        for k in 0..survivors.len() {
+            let oi = survivors[k];
+            let d = column[oi as usize];
+            let known = !d.is_nan();
+            // Lemma 1 (strict): dist(O,Qp) > dist(Qi,Qp) + QueryDist(Qi).
+            let lemma1 = d > lemma1_limit;
+            // Lemma 2 (strict): dist(Qi,Qp) > dist(O,Qp) + QueryDist(Qi).
+            let lemma2 = d_ij > d + bound;
+            tries += u64::from(known) + u64::from(known & !lemma1);
+            survivors[kept] = oi;
+            kept += usize::from(!(lemma1 | lemma2));
+        }
+        stats.tries += tries;
+        stats.avoided += (survivors.len() - kept) as u64;
+        survivors.truncate(kept);
+    }
+}
+
+/// The chunk-local indices of the records every active query starts from:
+/// all of them, or the `filter`'s candidates. (`u32`: a page holds far fewer
+/// than 2³² records, and the sweep moves half the bytes.)
+fn eligible_records(
+    ids: impl Iterator<Item = ObjectId>,
+    filter: Option<&CandidateRestriction>,
+) -> Vec<u32> {
+    ids.enumerate()
+        .filter(|&(_, id)| filter.is_none_or(|f| f.contains_object(id)))
+        .map(|(oi, _)| oi as u32)
+        .collect()
+}
+
 /// Evaluates one chunk of page records against the active queries.
 ///
-/// Query-major: for each active query the chunk's objects are first
-/// filtered through §5.2 avoidance (using pivot distances of *earlier*
-/// active queries, recorded per object in a chunk-local matrix — see the
+/// Query-major: for each active query the chunk's records are first
+/// filtered by [`avoidance_sweep`] (using pivot distances of *earlier*
+/// active queries, recorded in a chunk-local column-major matrix — see the
 /// module docs for why chunk-local pivots are exactly equivalent to the
 /// sequential loop), then the surviving distances are computed with the
-/// batch kernel. The last active query skips pivot recording entirely and
-/// uses the early-exit bounded kernel, since no later query will consult
-/// its distances.
+/// batch kernel and land in the query's own column. The last active query
+/// skips pivot recording entirely and uses the early-exit bounded kernel,
+/// since no later query will consult its distances.
 ///
 /// With a candidate `filter` (the approximate tier), non-candidate records
 /// are dropped before any avoidance or distance work — for *every* active
 /// query, so the filter's effect is record-wise and chunk boundaries stay
 /// irrelevant. A `filter` that contains every record is a no-op: the
-/// pending lists, pivot matrices and counters are bit-identical to the
+/// survivor lists, pivot columns and counters are bit-identical to the
 /// unfiltered run.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_chunk<O, M>(
@@ -552,82 +640,70 @@ fn evaluate_chunk<O, M>(
     metric: &M,
     active: &[usize],
     qd: &[f64],
-    options: EngineOptions,
+    avoidance: bool,
     filter: Option<&CandidateRestriction>,
 ) -> ChunkOutcome
 where
     O: StorageObject,
     M: Metric<O>,
 {
+    let n = records.len();
     let m = active.len();
     let mut stats = AvoidanceStats::default();
     let mut approx = ApproxStats::default();
     let mut candidates: Vec<Vec<Answer>> = std::iter::repeat_with(Vec::new).take(m).collect();
-    // dists[oi * m + qi] = computed distance of records[oi] to query
+    let eligible = eligible_records(records.iter().map(|r| r.0), filter);
+    // Each skipped record counts once per page evaluation, not once per
+    // active query.
+    approx.objects_skipped = (n - eligible.len()) as u64;
+    // dists[qi * n + oi] = computed distance of records[oi] to query
     // active[qi]; NaN = avoided / not computed. This is the paper's
-    // per-object `AvoidingDists`, laid out for the whole chunk. A single
-    // active query needs no pivot storage at all.
-    let mut dists = vec![f64::NAN; if m > 1 { records.len() * m } else { 0 }];
-    let mut pivots: Vec<(usize, f64)> = Vec::new();
-    let mut pending: Vec<usize> = Vec::with_capacity(records.len());
+    // per-object `AvoidingDists` for the whole chunk, one contiguous column
+    // per pivot. The last active query is nobody's pivot and has no column.
+    let mut dists = vec![f64::NAN; n * (m - 1)];
+    let mut survivors: Vec<u32> = Vec::with_capacity(eligible.len());
     let mut batch: Vec<&O> = Vec::new();
     let mut out: Vec<f64> = Vec::new();
-    let pivot_cap = options.max_pivots.unwrap_or(usize::MAX);
 
     for (qi, (&i, &bound)) in active.iter().zip(qd).enumerate() {
         let query = &queries[i];
-        pending.clear();
-        for oi in 0..records.len() {
-            if let Some(f) = filter {
-                if !f.contains_object(records[oi].0) {
-                    if qi == 0 {
-                        // Count each skipped record once per page
-                        // evaluation, not once per active query.
-                        approx.objects_skipped += 1;
-                    }
-                    continue;
-                }
-            }
-            if options.avoidance && qi > 0 {
-                // Pivots in active order, first `pivot_cap` computed ones —
-                // the same list the sequential loop would consult.
-                pivots.clear();
-                for (pj, &p) in active[..qi].iter().enumerate() {
-                    if pivots.len() >= pivot_cap {
-                        break;
-                    }
-                    let d = dists[oi * m + pj];
-                    if !d.is_nan() {
-                        pivots.push((p, d));
-                    }
-                }
-                if qq.try_avoid(i, &pivots, bound, &mut stats) {
-                    // dist(Qi, O) > QueryDist(Qi) proven — O cannot answer
-                    // Qi now or later (the query distance only shrinks).
-                    continue;
-                }
-            }
-            pending.push(oi);
+        survivors.clear();
+        survivors.extend_from_slice(&eligible);
+        if avoidance {
+            // A record that leaves the list has dist(Qi, O) > QueryDist(Qi)
+            // proven — it cannot answer Qi now or later (the query distance
+            // only shrinks).
+            avoidance_sweep(
+                qq,
+                i,
+                &active[..qi],
+                &dists,
+                n,
+                bound,
+                &mut survivors,
+                &mut stats,
+            );
         }
-        stats.computed += pending.len() as u64;
+        stats.computed += survivors.len() as u64;
         if qi + 1 == m {
-            for &oi in &pending {
-                let (id, object) = &records[oi];
+            for &oi in &survivors {
+                let (id, object) = &records[oi as usize];
                 if let Some(distance) = metric.distance_le(object, query, bound) {
                     candidates[qi].push(Answer { id: *id, distance });
                 }
             }
         } else {
             batch.clear();
-            batch.extend(pending.iter().map(|&oi| &records[oi].1));
+            batch.extend(survivors.iter().map(|&oi| &records[oi as usize].1));
             out.clear();
-            out.resize(pending.len(), 0.0);
+            out.resize(survivors.len(), 0.0);
             metric.distance_batch(query, &batch, &mut out);
-            for (&oi, &distance) in pending.iter().zip(&out) {
-                dists[oi * m + qi] = distance;
+            let column = &mut dists[qi * n..(qi + 1) * n];
+            for (&oi, &distance) in survivors.iter().zip(&out) {
+                column[oi as usize] = distance;
                 if distance <= bound {
                     candidates[qi].push(Answer {
-                        id: records[oi].0,
+                        id: records[oi as usize].0,
                         distance,
                     });
                 }
@@ -896,7 +972,7 @@ where
                     metric,
                     active_ref,
                     qd_ref,
-                    options,
+                    options.avoidance,
                     filter,
                 );
                 *outcomes[i].lock().unwrap() = Some(outcome);
@@ -922,7 +998,7 @@ where
                 metric,
                 &active,
                 &qd_snapshot,
-                options,
+                options.avoidance,
                 filter,
             );
             drop(eval_span);
@@ -991,6 +1067,114 @@ mod tests {
         }
         for i in [2u32, 61, 66, 125] {
             assert!(!s.contains(PageId(i)));
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use mq_metric::{Euclidean, Vector};
+    use proptest::prelude::*;
+
+    /// Fig. 5's loop, one object at a time: gather the object's known pivot
+    /// distances in pivot order and ask [`QueryDistanceMatrix::try_avoid`].
+    #[allow(clippy::too_many_arguments)]
+    fn object_major(
+        qq: &QueryDistanceMatrix,
+        i: usize,
+        pivots: &[usize],
+        columns: &[f64],
+        records: &[ObjectId],
+        bound: f64,
+        filter: Option<&CandidateRestriction>,
+        stats: &mut AvoidanceStats,
+    ) -> Vec<u32> {
+        let n = records.len();
+        let mut survivors = Vec::new();
+        let mut known = Vec::new();
+        for (oi, &id) in records.iter().enumerate() {
+            if filter.is_some_and(|f| !f.contains_object(id)) {
+                continue;
+            }
+            known.clear();
+            for (pj, &p) in pivots.iter().enumerate() {
+                let d = columns[pj * n + oi];
+                if !d.is_nan() {
+                    known.push((p, d));
+                }
+            }
+            if !qq.try_avoid(i, &known, bound, stats) {
+                survivors.push(oi as u32);
+            }
+        }
+        survivors
+    }
+
+    /// Halves in `0..=8`, so that sums are exact and `d == d_ij + bound`
+    /// happens by construction rather than by luck.
+    fn halves() -> impl Strategy<Value = f64> {
+        (0u32..=16).prop_map(|h| f64::from(h) / 2.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The pivot-major sweep and the object-major reference agree on
+        /// every survivor list and every counter — for every later query of
+        /// a chunk, over pivot columns with holes, with bounds that include
+        /// `0`, `∞` and exact ties, with and without a candidate filter.
+        #[test]
+        fn sweep_equals_object_major_reference(
+            m in 1usize..=9,
+            positions in prop::collection::vec(halves(), 9),
+            order in prop::collection::vec(any::<u64>(), 9),
+            bounds in prop::collection::vec(
+                prop_oneof![Just(0.0), Just(f64::INFINITY), halves()], 9),
+            cells in prop::collection::vec(
+                prop_oneof![Just(f64::NAN), halves(), halves(), halves()], 8 * 24),
+            n in 0usize..=24,
+            filtered in any::<bool>(),
+            admitted in prop::collection::vec(any::<bool>(), 24),
+        ) {
+            let positions = &positions[..m];
+            // The active order is any order: the leader comes first whatever
+            // its admission index.
+            let mut active: Vec<usize> = (0..m).collect();
+            active.sort_by_key(|&i| order[i]);
+            // 1-d queries at half-integers: `dist(Qi, Qj)` is exact.
+            let queries: Vec<Vector> =
+                positions.iter().map(|&x| Vector::new(vec![x as f32])).collect();
+            let mut qq = QueryDistanceMatrix::new();
+            for (j, q) in queries.iter().enumerate() {
+                qq.admit(&Euclidean, &queries[..j], q);
+            }
+            let records: Vec<ObjectId> = (0..n as u32).map(|oi| ObjectId(3 * oi + 1)).collect();
+            let filter = filtered.then(|| {
+                let mut restriction = CandidateRestriction::default();
+                for (&id, _) in records.iter().zip(&admitted).filter(|(_, &keep)| keep) {
+                    restriction.admit(id, PageId(0));
+                }
+                restriction
+            });
+            let columns = &cells[..n * (m - 1)];
+
+            for (qi, &i) in active.iter().enumerate() {
+                let mut expected_stats = AvoidanceStats::default();
+                let expected = object_major(
+                    &qq, i, &active[..qi], columns, &records, bounds[qi],
+                    filter.as_ref(), &mut expected_stats,
+                );
+
+                let mut stats = AvoidanceStats::default();
+                let mut survivors = eligible_records(records.iter().copied(), filter.as_ref());
+                avoidance_sweep(
+                    &qq, i, &active[..qi], columns, n, bounds[qi], &mut survivors, &mut stats,
+                );
+
+                prop_assert_eq!(&survivors, &expected, "survivors of active[{}]", qi);
+                prop_assert_eq!(stats, expected_stats, "stats of active[{}]", qi);
+            }
         }
     }
 }

@@ -252,12 +252,11 @@ proptest! {
         assert_answers_identical(&per_policy[0], &per_policy[1], "Fifo vs NearestChain");
     }
 
-    /// Avoidance off and pivot caps must also be thread-count invariant.
+    /// Avoidance off must also be thread-count invariant.
     #[test]
     fn option_combinations_are_thread_invariant(
         seed in any::<u64>(),
         avoidance in any::<bool>(),
-        max_pivots in prop_oneof![Just(None), (0usize..5).prop_map(Some)],
     ) {
         let points = cloud(150, 4, seed);
         let ds = Dataset::new(points);
@@ -275,7 +274,6 @@ proptest! {
             &queries,
             EngineOptions {
                 avoidance,
-                max_pivots,
                 threads: 1,
                 ..EngineOptions::default()
             },
@@ -287,7 +285,6 @@ proptest! {
             &queries,
             EngineOptions {
                 avoidance,
-                max_pivots,
                 threads: 4,
                 ..EngineOptions::default()
             },

@@ -32,7 +32,7 @@
 //! * [`EditDistance`] — a non-vector metric over symbol sequences, covering
 //!   the paper's "WWW access log sessions / URLs" motivation (§1).
 //!
-//! All vector distances operate on [`Vector`] (`Box<[f32]>` payloads with
+//! All vector distances operate on [`Vector`] (shared `Arc<[f32]>` payloads with
 //! `f64` distance arithmetic). The vector kernels live in [`kernel`] and
 //! dispatch at runtime between blocked scalar and SIMD (SSE2/AVX2/NEON)
 //! tiers that produce bit-identical results; `MQ_SIMD=off|sse2|avx2|neon|auto`

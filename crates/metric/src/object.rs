@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// Identifier of a database object.
 ///
@@ -36,9 +37,13 @@ impl From<u32> for ObjectId {
 ///
 /// Components are stored as `f32` (like the paper's 20-d/64-d feature files);
 /// all distance arithmetic is carried out in `f64`.
+///
+/// The payload is immutable and shared: a clone is a reference-count bump,
+/// so the paged database, an index built over it and a session's query
+/// objects all point at one copy of the components.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Vector {
-    components: Box<[f32]>,
+    components: Arc<[f32]>,
 }
 
 impl Vector {
@@ -47,7 +52,7 @@ impl Vector {
     /// # Panics
     /// Panics if `components` is empty or contains a non-finite value; a
     /// metric space over NaN coordinates would violate the identity axiom.
-    pub fn new(components: impl Into<Box<[f32]>>) -> Self {
+    pub fn new(components: impl Into<Arc<[f32]>>) -> Self {
         let components = components.into();
         assert!(
             !components.is_empty(),
@@ -111,7 +116,7 @@ impl From<Vec<f32>> for Vector {
 
 impl From<&[f32]> for Vector {
     fn from(v: &[f32]) -> Self {
-        Vector::new(v.to_vec())
+        Vector::new(v)
     }
 }
 
@@ -127,6 +132,17 @@ mod tests {
         assert_eq!(v.payload_bytes(), 8);
         assert!((v.norm() - 5.0).abs() < 1e-12);
         assert!((v.sum() - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clone_shares_its_payload() {
+        let v = Vector::new(vec![1.0, 2.0, 3.0]);
+        let c = v.clone();
+        assert!(std::ptr::eq(
+            v.components().as_ptr(),
+            c.components().as_ptr()
+        ));
+        assert_eq!(v, c);
     }
 
     #[test]

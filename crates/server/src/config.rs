@@ -272,16 +272,10 @@ impl ServerConfig {
             Some(q) => format!("{}:{}", q.rate, q.burst),
             None => "off".to_string(),
         };
-        // The pivot bound has no CLI flag; name it only when a library
-        // caller set it.
-        let max_pivots = match self.engine.max_pivots {
-            Some(p) => format!(" max_pivots={p}"),
-            None => String::new(),
-        };
         format!(
             "mode={mode} store={store} metric={} approx={approx} max_batch={} max_wait={:.0}ms \
-             workers={} threads={} prefetch_depth={} leader={:?} avoidance={} retry_budget={}\
-             {max_pivots} read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
+             workers={} threads={} prefetch_depth={} leader={:?} avoidance={} retry_budget={} \
+             read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
             self.metric.name(),
             self.max_batch,
             self.max_wait.as_secs_f64() * 1e3,
@@ -351,7 +345,6 @@ mod tests {
             c.engine,
             EngineOptions {
                 avoidance: true,
-                max_pivots: None,
                 threads: 1,
                 prefetch_depth: 0,
                 leader: LeaderPolicy::Fifo,
@@ -428,10 +421,6 @@ mod tests {
         ] {
             assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
         }
-        assert!(!line.contains("max_pivots"), "{line}");
-        let mut bounded = ServerConfig::default();
-        bounded.engine.max_pivots = Some(8);
-        assert_eq!(bounded.describe().matches("max_pivots=8").count(), 1);
         let admission_line = ServerConfig::default()
             .with_max_queue(32)
             .with_quota(Some(QuotaConfig {
