@@ -5,13 +5,13 @@
 //! the whole collection admits every object, so the candidate restriction
 //! never skips a page or a record and the engine must be bit-identical to
 //! running with no tier at all — answers, `AvoidanceStats`, **and**
-//! `IoStats` — for every combination of evaluation threads, prefetch
-//! depth, and leader policy. This is the test that lets `--approx` ship
+//! `IoStats` — for every prefetch depth. This is the test that lets
+//! `--approx` ship
 //! inside the exact engine: the approximation is entirely in candidate
 //! *selection*, never in evaluation.
 
 use mq_approx::{BinarySketch, BqPrescreen};
-use mq_core::{AvoidanceStats, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{AvoidanceStats, EngineOptions, QueryEngine, QueryType};
 use mq_datagen::embeddings;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, Vector};
@@ -53,16 +53,14 @@ fn queries(db: &PagedDatabase<Vector>) -> Vec<(Vector, QueryType)> {
 fn run(
     db: &PagedDatabase<Vector>,
     prescreen: Option<&dyn mq_core::CandidatePrescreen<Vector>>,
-    threads: usize,
     prefetch_depth: usize,
-    leader: LeaderPolicy,
 ) -> (Vec<Vec<mq_core::Answer>>, AvoidanceStats, IoStats) {
     let disk = SimulatedDisk::with_buffer_pages(db.clone(), 4);
     let scan = LinearScan::new(db.page_count());
-    let mut engine = QueryEngine::new(&disk, &scan, Euclidean)
-        .with_threads(threads)
-        .with_prefetch_depth(prefetch_depth)
-        .with_leader_policy(leader);
+    let mut engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+        prefetch_depth,
+        ..EngineOptions::default()
+    });
     if let Some(p) = prescreen {
         engine = engine.with_prescreen(p);
     }
@@ -77,17 +75,15 @@ fn full_budget_bq_is_bit_identical_across_the_matrix() {
     let db = database(7);
     let sketch = Arc::new(BinarySketch::build(&db, 4));
     let prescreen = BqPrescreen::new(sketch, N);
-    for &threads in &[1usize, 2, 4] {
-        for &depth in &[0usize, 2] {
-            for &leader in &[LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                let (ea, eav, eio) = run(&db, None, threads, depth, leader);
-                let (ta, tav, tio) = run(&db, Some(&prescreen), threads, depth, leader);
-                let tag = format!("threads {threads}, depth {depth}, {leader:?}");
-                assert_eq!(ea, ta, "{tag}: bq budget=N answers diverged");
-                assert_eq!(eav, tav, "{tag}: bq budget=N avoidance counters diverged");
-                assert_eq!(eio, tio, "{tag}: bq budget=N I/O counters diverged");
-            }
-        }
+    for depth in [0usize, 2] {
+        let (ea, eav, eio) = run(&db, None, depth);
+        let (ta, tav, tio) = run(&db, Some(&prescreen), depth);
+        assert_eq!(ea, ta, "depth {depth}: bq budget=N answers diverged");
+        assert_eq!(
+            eav, tav,
+            "depth {depth}: bq budget=N avoidance counters diverged"
+        );
+        assert_eq!(eio, tio, "depth {depth}: bq budget=N I/O counters diverged");
     }
 }
 
@@ -98,8 +94,8 @@ fn narrow_budget_reduces_io_and_distance_work() {
     let db = database(7);
     let sketch = Arc::new(BinarySketch::build(&db, 4));
     let prescreen = BqPrescreen::new(sketch, N / 20);
-    let (ea, eav, eio) = run(&db, None, 1, 0, LeaderPolicy::Fifo);
-    let (ta, tav, tio) = run(&db, Some(&prescreen), 1, 0, LeaderPolicy::Fifo);
+    let (ea, eav, eio) = run(&db, None, 0);
+    let (ta, tav, tio) = run(&db, Some(&prescreen), 0);
     assert!(
         tav.computed < eav.computed,
         "budget N/20 did not reduce distance work ({} vs {})",

@@ -15,7 +15,6 @@
 //! | `fig11_parallel`    | parallel vs. sequential multiple, s sweep |
 //! | `fig12_overall`     | parallel multiple vs. sequential single |
 //! | `table_k_robustness`| robustness of per-query cost to k |
-//! | `bench_core`        | batch-kernel / parallel page-eval micro-bench |
 //!
 //! Scaling: the real datasets (1,000,000 / 112,000 objects) are replaced by
 //! seeded synthetic stand-ins (see `mq-datagen`); sizes default to

@@ -140,18 +140,9 @@ fn parse_approx(
 /// (`mq serve`), starting from the server's defaults.
 fn parse_engine_options(args: &Args) -> Result<EngineOptions, Box<dyn std::error::Error>> {
     let defaults = mq_server::ServerConfig::default().engine;
-    let leader = match args.string_or("leader", "fifo").as_str() {
-        "fifo" => mq_core::LeaderPolicy::Fifo,
-        "nearest" => mq_core::LeaderPolicy::NearestChain,
-        other => {
-            return Err(format!("unknown --leader '{other}' (expected fifo or nearest)").into())
-        }
-    };
     Ok(EngineOptions {
         avoidance: avoidance(args),
-        threads: args.parse_or("threads", defaults.threads)?,
         prefetch_depth: args.parse_or("prefetch-depth", defaults.prefetch_depth)?,
-        leader,
         fault_policy: mq_core::FaultPolicy::new(
             args.parse_or("retry-budget", defaults.fault_policy.retry_budget)?,
         ),
@@ -320,20 +311,16 @@ pub fn batch(args: &Args) -> CmdResult {
     let model = CostModel::paper_1999(dim);
     let disk = SimulatedDisk::new(db, 0.10);
     let metric = CountingMetric::new(metric_choice);
-    let engine = {
-        let mut e = QueryEngine::new(&disk, &*index, metric.clone());
-        // The tier only hooks into session admission: the singles loop
-        // below stays exact, so the printed comparison is the exact
-        // baseline against the approximate shared-batch run.
-        if let Some(p) = &prescreen {
-            e = e.with_prescreen(&**p);
-        }
-        if avoidance {
-            e
-        } else {
-            e.without_avoidance()
-        }
-    };
+    let mut engine = QueryEngine::new(&disk, &*index, metric.clone()).with_options(EngineOptions {
+        avoidance,
+        ..EngineOptions::default()
+    });
+    // The tier only hooks into session admission: the singles loop below
+    // stays exact, so the printed comparison is the exact baseline against
+    // the approximate shared-batch run.
+    if let Some(p) = &prescreen {
+        engine = engine.with_prescreen(&**p);
+    }
 
     let ids = classification_query_ids(
         stored.object_count(),
@@ -451,9 +438,7 @@ pub fn serve(args: &Args) -> CmdResult {
         "max-batch",
         "max-wait-ms",
         "cluster",
-        "threads",
         "prefetch-depth",
-        "leader",
         "workers",
         "retry-budget",
         "no-avoidance",

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `mq` — command-line front end for the multiple-similarity-query
 //! engine.
 //!
@@ -51,8 +52,8 @@ USAGE:
   mq serve <FILE> [--addr 127.0.0.1:7878] [--index scan|xtree|mtree|vafile]
                 [--metric euclidean|manhattan|cosine|dot]
                 [--store sim|file:<DIR>] [--max-batch <M>] [--max-wait-ms <MS>]
-                [--cluster <S>] [--threads <T>] [--prefetch-depth <D>]
-                [--leader fifo|nearest] [--workers <W>] [--retry-budget <R>]
+                [--cluster <S>] [--prefetch-depth <D>] [--workers <W>]
+                [--retry-budget <R>]
                 [--no-avoidance] [--approx bq:<BUDGET>] [--timeout-ms <MS>]
                 [--max-queue <N>] [--quota <RATE:BURST>]
                 [--drain-timeout-s <S>] [--log-interval-s <S>]
@@ -61,12 +62,9 @@ USAGE:
       cluster of S servers with --cluster). --store file:<DIR> serves
       from a durable page store in DIR (created from <FILE> on first
       start, recovered from segment + WAL afterwards; one store per
-      partition under --cluster). --threads sets the page-evaluation
-      threads per engine; --prefetch-depth stages pages ahead of
-      evaluation; --leader picks which pending query leads each step
-      (nearest = nearest-neighbor chains over the inter-query distance
-      matrix); --workers the number of scheduler threads executing
-      flushed batches. --metric selects the distance the engines
+      partition under --cluster). --prefetch-depth stages pages ahead
+      of evaluation; --workers sets the number of scheduler threads
+      executing flushed batches. --metric selects the distance the engines
       evaluate (non-Euclidean metrics require --index scan); clients
       receive distances under the server's configured metric — e.g.
       serve an embeddings database with --metric cosine --index scan.
@@ -138,7 +136,7 @@ USAGE:
       Scrape a running server's metric registry (Prometheus text
       exposition): distance calculations performed vs. avoided, buffer
       and prefetch hit ratios, batch-size and queue-wait histograms,
-      per-worker pool counters, per-partition cluster counters.
+      per-partition cluster counters.
 
 Every command rejects an option it does not read; --no-avoidance,
 --checkpoint and --stats are switches and take no value.

@@ -189,6 +189,15 @@ fn switches_and_retired_options() {
             stderr(&serve)
         );
     }
+    for (option, value) in [("--threads", "2"), ("--leader", "nearest")] {
+        let serve = mq(&["serve", db_str, "--addr", "127.0.0.1:0", option, value]);
+        assert!(!serve.status.success());
+        assert!(
+            stderr(&serve).contains(&format!("unknown option {option}")),
+            "{}",
+            stderr(&serve)
+        );
+    }
     let hnsw = mq(&[
         "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",
     ]);

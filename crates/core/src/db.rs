@@ -30,7 +30,7 @@
 //! ```
 
 use crate::answers::{Answer, AnswerList};
-use crate::engine::QueryEngine;
+use crate::engine::{EngineOptions, QueryEngine};
 use crate::multiple::MultiQuerySession;
 use crate::query::QueryType;
 use crate::stats::ExecutionStats;
@@ -73,11 +73,12 @@ impl<O: StorageObject, M: Metric<O> + Clone> MetricDatabase<O, M> {
 
     /// A fresh engine over this database's components.
     pub fn engine(&self) -> QueryEngine<'_, O, CountingMetric<M>> {
-        let mut e = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone());
-        if !self.avoidance {
-            e = e.without_avoidance();
-        }
-        e
+        QueryEngine::new(&*self.disk, &*self.index, self.metric.clone()).with_options(
+            EngineOptions {
+                avoidance: self.avoidance,
+                ..Default::default()
+            },
+        )
     }
 
     /// One similarity query (Fig. 1).

@@ -2,9 +2,8 @@
 
 use crate::answers::{Answer, AnswerList};
 use crate::fault::{EngineError, FaultPolicy};
-use crate::multiple::{self, LeaderPolicy, MultiQuerySession};
+use crate::multiple::{self, MultiQuerySession};
 use crate::obs::EngineObs;
-use crate::pool::WorkerPool;
 use crate::prescreen::CandidatePrescreen;
 use crate::query::QueryType;
 use crate::single;
@@ -12,26 +11,20 @@ use mq_index::SimilarityIndex;
 use mq_metric::{Metric, ObjectId};
 use mq_obs::Recorder;
 use mq_storage::{PageStore, StorageObject};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Tuning knobs of the [`QueryEngine`].
 ///
-/// The defaults reproduce the paper's configuration: §5.2 avoidance on,
-/// single-threaded page evaluation, no prefetch, and FIFO leader order.
+/// The defaults reproduce the paper's configuration: §5.2 avoidance on
+/// and no prefetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Whether §5.2 triangle-inequality avoidance is enabled.
     pub avoidance: bool,
-    /// Worker threads evaluating each loaded page (1 = the classic
-    /// sequential loop). Results are identical for every thread count;
-    /// see [`crate::multiple`] for why.
-    pub threads: usize,
     /// Pages staged ahead of the one being evaluated (0 = no prefetch).
     /// Answers, counters, `logical_reads`, and per-query page sets are
     /// identical for every depth; see [`crate::multiple`] for why.
     pub prefetch_depth: usize,
-    /// Which pending query leads each step; see [`LeaderPolicy`].
-    pub leader: LeaderPolicy,
     /// How disk faults are retried before a step surfaces an
     /// [`EngineError`]; see [`FaultPolicy`]. Irrelevant (and free) when the
     /// disk has no fault plan installed — the default budget of 0 then
@@ -43,9 +36,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         Self {
             avoidance: true,
-            threads: 1,
             prefetch_depth: 0,
-            leader: LeaderPolicy::Fifo,
             fault_policy: FaultPolicy::default(),
         }
     }
@@ -92,19 +83,10 @@ pub struct QueryEngine<'a, O, M> {
     index: &'a dyn SimilarityIndex<O>,
     metric: M,
     options: EngineOptions,
-    /// The persistent page-evaluation pool. Created lazily on the first
-    /// parallel step (so single-threaded engines never spawn a thread) or
-    /// injected with [`with_pool`](Self::with_pool) to share one pool
-    /// across engines — e.g. a server building a fresh engine per batch
-    /// reuses the same workers for every batch.
-    pool: OnceLock<Arc<WorkerPool>>,
     /// Engine instruments, pre-registered by
     /// [`with_recorder`](Self::with_recorder) (`None` = observability off;
     /// the step loop then pays one discriminant check).
     obs: Option<Arc<EngineObs>>,
-    /// The recorder the engine was wired with, so a lazily created
-    /// [`WorkerPool`] inherits it.
-    recorder: Recorder,
     /// The approximate candidate tier, if any: queries admitted into a
     /// session are prescreened and the session restricted to the candidate
     /// union (see [`CandidatePrescreen`]). `None` = the exact engine.
@@ -120,9 +102,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
             index,
             metric,
             options: EngineOptions::default(),
-            pool: OnceLock::new(),
             obs: None,
-            recorder: Recorder::disabled(),
             prescreen: None,
         }
     }
@@ -142,14 +122,12 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
 
     /// Wires an observability [`Recorder`] through the engine: step,
     /// distance-calculation and completion-latency instruments are
-    /// registered now, and a lazily created worker pool inherits the
-    /// recorder. A disabled recorder (the default) keeps the hot path at a
-    /// single branch. The disk is **not** implicitly attached — call
+    /// registered now. A disabled recorder (the default) keeps the hot path
+    /// at a single branch. The disk is **not** implicitly attached — call
     /// [`PageStore::attach_recorder`] for buffer metrics, so that
     /// engines sharing a disk don't fight over its recorder.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
         self.obs = EngineObs::new(recorder);
-        self.recorder = recorder.clone();
         self
     }
 
@@ -160,80 +138,11 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         self
     }
 
-    /// Replaces the whole option block at once.
+    /// Replaces the whole option block — the one setter for
+    /// [`EngineOptions`].
     pub fn with_options(mut self, options: EngineOptions) -> Self {
         self.options = options;
-        self.options.threads = self.options.threads.max(1);
         self
-    }
-
-    /// Disables §5.2 avoidance — the ablation baseline that still shares
-    /// page reads but computes every distance.
-    pub fn without_avoidance(mut self) -> Self {
-        self.options.avoidance = false;
-        self
-    }
-
-    /// Evaluates each loaded page with `threads` workers (clamped to at
-    /// least 1). Answers, counters and page reads are identical for every
-    /// thread count — only wall-clock time changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads.max(1);
-        self
-    }
-
-    /// Stages up to `depth` pages ahead of the one being evaluated
-    /// (pipelined prefetch; 0 disables it). Answers, counters, logical
-    /// reads and per-query page sets are identical for every depth.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.options.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects which pending query leads each step; see [`LeaderPolicy`].
-    pub fn with_leader_policy(mut self, leader: LeaderPolicy) -> Self {
-        self.options.leader = leader;
-        self
-    }
-
-    /// Sets the whole fault policy; see [`FaultPolicy`].
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.options.fault_policy = policy;
-        self
-    }
-
-    /// Retries transient disk faults up to `budget` extra times per read
-    /// before a step surfaces an [`EngineError`].
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.options.fault_policy.retry_budget = budget;
-        self
-    }
-
-    /// Shares an existing persistent [`WorkerPool`] with this engine
-    /// instead of letting it create its own on first use. The pool's
-    /// thread count takes precedence over [`EngineOptions::threads`] for
-    /// sizing morsels; results are identical either way.
-    pub fn with_pool(self, pool: Arc<WorkerPool>) -> Self {
-        self.options_pool_init(pool);
-        self
-    }
-
-    fn options_pool_init(&self, pool: Arc<WorkerPool>) {
-        let _ = self.pool.set(pool);
-    }
-
-    /// The engine's page-evaluation pool, if parallel evaluation is
-    /// enabled (`threads > 1`); created on first use.
-    fn worker_pool(&self) -> Option<&WorkerPool> {
-        if self.options.threads <= 1 && self.pool.get().is_none() {
-            return None;
-        }
-        Some(self.pool.get_or_init(|| {
-            Arc::new(WorkerPool::with_recorder(
-                self.options.threads,
-                &self.recorder,
-            ))
-        }))
     }
 
     /// The access method in use.
@@ -254,11 +163,6 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     /// The current option block.
     pub fn options(&self) -> EngineOptions {
         self.options
-    }
-
-    /// Whether §5.2 avoidance is enabled.
-    pub fn avoidance_enabled(&self) -> bool {
-        self.options.avoidance
     }
 
     /// The attached approximate tier's name, if any.
@@ -365,7 +269,6 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
             self.index,
             &self.metric,
             self.options,
-            self.worker_pool(),
             self.obs.as_deref(),
         )
     }
@@ -392,10 +295,10 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     }
 
     /// Runs steps until query `i` is complete — the paper's incremental
-    /// contract made explicit: whatever the leader policy, the demanded
-    /// query (typically the first-admitted pending one) is answered
-    /// completely when the caller needs it. Returns `true` once complete
-    /// (`false` only if `i` is out of range).
+    /// contract made explicit: the demanded query (typically the
+    /// first-admitted pending one) is answered completely when the caller
+    /// needs it. Returns `true` once complete (`false` only if `i` is out
+    /// of range).
     pub fn complete_query(&self, session: &mut MultiQuerySession<O>, i: usize) -> bool {
         self.try_complete_query(session, i)
             .unwrap_or_else(|e| panic!("unrecoverable engine error: {e}"))
@@ -579,7 +482,10 @@ mod tests {
         let with =
             QueryEngine::new(&disk, &scan, Euclidean).multiple_similarity_query(queries.clone());
         let without = QueryEngine::new(&disk, &scan, Euclidean)
-            .without_avoidance()
+            .with_options(EngineOptions {
+                avoidance: false,
+                ..Default::default()
+            })
             .multiple_similarity_query(queries.clone());
         for (a, b) in with.iter().zip(&without) {
             let ia: Vec<ObjectId> = a.iter().map(|x| x.id).collect();
@@ -615,7 +521,10 @@ mod tests {
 
         let counting = CountingMetric::new(Euclidean);
         let counter = counting.counter().clone();
-        let engine = QueryEngine::new(&disk, &scan, counting).without_avoidance();
+        let engine = QueryEngine::new(&disk, &scan, counting).with_options(EngineOptions {
+            avoidance: false,
+            ..Default::default()
+        });
         counter.reset();
         let mut session = engine.new_session(queries);
         engine.run_to_completion(&mut session);

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # mq-core — single and multiple similarity queries
 //!
@@ -36,7 +37,6 @@ pub mod engine;
 pub mod fault;
 pub mod multiple;
 pub mod obs;
-pub mod pool;
 pub mod prescreen;
 pub mod query;
 pub mod single;
@@ -48,9 +48,8 @@ pub use browse::DistanceBrowser;
 pub use db::MetricDatabase;
 pub use engine::{EngineOptions, QueryEngine};
 pub use fault::{EngineError, FaultPolicy};
-pub use multiple::{ApproxStats, LeaderPolicy, MultiQuerySession};
+pub use multiple::{ApproxStats, MultiQuerySession};
 pub use obs::EngineObs;
-pub use pool::WorkerPool;
 pub use prescreen::CandidatePrescreen;
 pub use query::{QueryKind, QueryType};
 pub use stats::{CostModel, ExecutionStats, StatsProbe};

@@ -10,16 +10,17 @@
 //! it answers the first pending query **completely** and advances all
 //! trailing queries **opportunistically** on every page it loads.
 //!
-//! # Page evaluation: kernels, snapshots, and parallelism
+//! # Page evaluation: kernels and snapshots
 //!
-//! Each loaded page is evaluated by `evaluate_chunk`, which processes the
-//! page query-major: per active query it first filters the chunk's objects
-//! through §5.2 avoidance, then computes the surviving distances with the
-//! metric's batch kernel ([`Metric::distance_batch`]) — or, for the last
-//! active query, whose distances are never needed as pivots, with the
-//! early-exit bounded kernel ([`Metric::distance_le`]).
+//! Each loaded page is evaluated once, on the calling thread, by
+//! `evaluate_page`, which processes the page query-major: per active query
+//! it first filters the page's objects through §5.2 avoidance, then
+//! computes the surviving distances with the metric's batch kernel
+//! ([`Metric::distance_batch`]) — or, for the last active query, whose
+//! distances are never needed as pivots, with the early-exit bounded kernel
+//! ([`Metric::distance_le`]).
 //!
-//! The chunk's computed distances — the pivots of the queries that follow —
+//! The page's computed distances — the pivots of the queries that follow —
 //! are stored column-major: `dists[qi * n + oi]`, one contiguous column of
 //! `n` records per active query, `NaN` where the distance was avoided and
 //! is therefore unknown. The filter (`avoidance_sweep`) is pivot-major: for
@@ -34,9 +35,7 @@
 //! compares on a contiguous column, which is the cost §5.2 assumes when it
 //! trades distance calculations for comparisons.
 //!
-//! Three design decisions make the result *bit-identical* for every thread
-//! count (the equivalence property test in `tests/` checks answers,
-//! counters and page reads across thread counts 1–4):
+//! Two facts about the evaluation that callers and tests rely on:
 //!
 //! * **Query distances are snapshotted per page**, not refreshed per
 //!   object. A snapshot distance is never smaller than the refreshed one,
@@ -45,23 +44,9 @@
 //!   the final answers, the adapted query distance, and therefore the page
 //!   sequence and I/O counts are unchanged. (This also hoists the repeated
 //!   `query_dist` match out of the inner loop.)
-//! * **Pivots are chunk-local.** Lemma 1/2 are sound for *any* subset of
-//!   known pivot distances — a worker that has only computed distances for
-//!   its own chunk of objects simply consults fewer pivots than the
-//!   sequential loop would. Since a chunk always spans whole objects and
-//!   pivots are per-object anyway (`AvoidingDists` is cleared per object in
-//!   Fig. 5), chunking along objects loses nothing: each object's pivot
-//!   distances all live in its own chunk, so the per-object decisions are
-//!   *identical*, not merely admissible.
-//! * **Merges are ordered.** Chunk outcomes (candidate answers and local
-//!   [`AvoidanceStats`]) are merged in chunk order, so the insert sequence
-//!   equals the sequential one.
-//!
-//! Page evaluation runs on the engine's persistent [`WorkerPool`] at
-//! *morsel* granularity (several morsels per pool thread, claimed from a
-//! shared counter): no threads are spawned per step, and a worker that
-//! finishes a light morsel immediately claims the next one. The morsel
-//! boundaries are irrelevant to the result, by the same three arguments.
+//! * **Merges are ordered.** A page's candidate answers are inserted per
+//!   active query in record order, after the whole page has been
+//!   evaluated, so the insert sequence is a function of the page alone.
 //!
 //! # Pipelined prefetch
 //!
@@ -81,53 +66,24 @@
 //! `physical_reads` may include window entries that were staged but never
 //! demanded.
 //!
-//! # Leader scheduling
+//! # Admission order
 //!
-//! §5.1 leaves unspecified *which* pending query takes the lead in each
-//! call. [`LeaderPolicy::Fifo`] is the paper's reading (admission order);
-//! [`LeaderPolicy::NearestChain`] greedily chains leaders by the smallest
-//! `QObjDists` entry to the previous leader — consecutive leaders are
-//! close in metric space, so their relevant-page sets overlap and the
-//! trailing opportunistic evaluations land on buffer-resident pages. Any
-//! policy completes one pending query per step, so demanding a specific
-//! query (`QueryEngine::complete_query`, or the mining loops' step-until-
-//! complete pattern) still terminates; per-query final answers are
-//! policy-invariant because each query's answer list is a pure function
-//! of its own evaluated pages, and every query is eventually evaluated
-//! against every page its final query distance cannot prune.
+//! The first-admitted pending query leads each call (Fig. 4). Per-query
+//! final answers do not depend on the order queries were admitted in: each
+//! query's answer list is a pure function of its own evaluated pages, and
+//! every query is eventually evaluated against every page its final query
+//! distance cannot prune.
 
 use crate::answers::{Answer, AnswerList};
 use crate::avoidance::{AvoidanceStats, QueryDistanceMatrix};
 use crate::engine::EngineOptions;
 use crate::fault::{self, EngineError};
 use crate::obs::EngineObs;
-use crate::pool::WorkerPool;
 use crate::query::QueryType;
 use mq_index::SimilarityIndex;
 use mq_metric::{Metric, ObjectId};
 use mq_storage::{PageId, PageStore, PagedDatabase, StorageObject};
 use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// Which pending query leads the next
-/// [`multiple_query_step`](crate::QueryEngine::multiple_query_step) call.
-///
-/// Every policy completes exactly one pending query per step and yields
-/// identical final answers; policies differ only in completion *order*
-/// and therefore in buffer locality (total I/O).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LeaderPolicy {
-    /// Admission order — the paper's reading of Fig. 4: the first-admitted
-    /// pending query leads. The default.
-    #[default]
-    Fifo,
-    /// Nearest-neighbor chaining over the `QObjDists` matrix: the pending
-    /// query closest to the previous leader goes next (ties broken toward
-    /// the lower index; the first step, with no previous leader, picks the
-    /// first pending query). Consecutive leaders share relevant pages, so
-    /// trailing queries hit the buffer more often.
-    NearestChain,
-}
 
 /// A compact bitset over page ids — the per-query `processed pages` set.
 #[derive(Clone, Debug)]
@@ -285,16 +241,13 @@ impl CandidateRestriction {
 /// behaviour of `ExploreNeighborhoodsMultiple`, §5.1).
 pub struct MultiQuerySession<O> {
     /// Query objects, indexed like `states`. Kept apart from the mutable
-    /// per-query state so that page-evaluation workers can borrow the
-    /// objects (and `qq`) immutably while the merge mutates answer lists.
+    /// per-query state so that page evaluation can borrow the objects (and
+    /// `qq`) immutably while the merge mutates answer lists.
     pub(crate) objects: Vec<O>,
     pub(crate) states: Vec<QueryState>,
     pub(crate) qq: QueryDistanceMatrix,
     pub(crate) avoidance_stats: AvoidanceStats,
     pub(crate) page_count: usize,
-    /// The leader completed by the most recent step — the chain link
-    /// consulted by [`LeaderPolicy::NearestChain`].
-    pub(crate) last_leader: Option<usize>,
     /// The approximate tier's candidate union, when the engine has a
     /// prescreen attached. `None` means the exact engine — the step loop
     /// takes no restriction branch at all.
@@ -310,7 +263,6 @@ impl<O> MultiQuerySession<O> {
             qq: QueryDistanceMatrix::new(),
             avoidance_stats: AvoidanceStats::default(),
             page_count,
-            last_leader: None,
             restriction: None,
             approx_stats: ApproxStats::default(),
         }
@@ -362,8 +314,7 @@ impl<O> MultiQuerySession<O> {
 
     /// The data pages evaluated for query `i` so far, in ascending page
     /// order. For a completed query this set is an invariant of the query
-    /// (thread count, prefetch depth, and — for range queries — leader
-    /// policy do not change it).
+    /// (the prefetch depth does not change it).
     pub fn processed_pages(&self, i: usize) -> Vec<PageId> {
         self.states[i].processed.iter().collect()
     }
@@ -523,29 +474,19 @@ pub(crate) fn admit<O, M: Metric<O>>(
     session.states.len() - 1
 }
 
-/// What one chunk evaluation produces: local avoidance counters and, per
-/// active query (indexed like `active`), the candidate answers found in
-/// the chunk, in record order.
-struct ChunkOutcome {
+/// What one page evaluation produces: its avoidance counters and, per
+/// active query (indexed like `active`), the candidate answers found on
+/// the page, in record order.
+struct PageOutcome {
     stats: AvoidanceStats,
     approx: ApproxStats,
     candidates: Vec<Vec<Answer>>,
 }
 
-/// Minimum `objects × queries` pairs on a page before morsels are handed
-/// to the worker pool; below this waking the pool costs more than the
-/// evaluation.
-const PARALLEL_MIN_WORK: usize = 512;
-
-/// Morsels per pool thread and page: small enough that a worker stalled on
-/// a heavy morsel leaves plenty for the others to steal, large enough that
-/// claim traffic on the pool's counter stays negligible.
-const MORSELS_PER_THREAD: usize = 4;
-
 /// The avoidance sweep: §5.2's Lemma 1 / Lemma 2 filter for one query
-/// against a whole chunk, pivot-major.
+/// against a whole page, pivot-major.
 ///
-/// `survivors` holds chunk-local record indices; on return it holds those
+/// `survivors` holds page-local record indices; on return it holds those
 /// whose distance to query `i` could not be proven larger than `bound`, in
 /// their original order. `pivots` are the earlier active queries in active
 /// order and `columns[pj * n + oi]` is the distance of record `oi` to
@@ -602,7 +543,7 @@ fn avoidance_sweep(
     }
 }
 
-/// The chunk-local indices of the records every active query starts from:
+/// The page-local indices of the records every active query starts from:
 /// all of them, or the `filter`'s candidates. (`u32`: a page holds far fewer
 /// than 2³² records, and the sweep moves half the bytes.)
 fn eligible_records(
@@ -615,25 +556,23 @@ fn eligible_records(
         .collect()
 }
 
-/// Evaluates one chunk of page records against the active queries.
+/// Evaluates one page's records against the active queries.
 ///
-/// Query-major: for each active query the chunk's records are first
+/// Query-major: for each active query the page's records are first
 /// filtered by [`avoidance_sweep`] (using pivot distances of *earlier*
-/// active queries, recorded in a chunk-local column-major matrix — see the
-/// module docs for why chunk-local pivots are exactly equivalent to the
-/// sequential loop), then the surviving distances are computed with the
-/// batch kernel and land in the query's own column. The last active query
-/// skips pivot recording entirely and uses the early-exit bounded kernel,
-/// since no later query will consult its distances.
+/// active queries, recorded in a page-local column-major matrix), then the
+/// surviving distances are computed with the batch kernel and land in the
+/// query's own column. The last active query skips pivot recording
+/// entirely and uses the early-exit bounded kernel, since no later query
+/// will consult its distances.
 ///
 /// With a candidate `filter` (the approximate tier), non-candidate records
 /// are dropped before any avoidance or distance work — for *every* active
-/// query, so the filter's effect is record-wise and chunk boundaries stay
-/// irrelevant. A `filter` that contains every record is a no-op: the
-/// survivor lists, pivot columns and counters are bit-identical to the
-/// unfiltered run.
+/// query. A `filter` that contains every record is a no-op: the survivor
+/// lists, pivot columns and counters are bit-identical to the unfiltered
+/// run.
 #[allow(clippy::too_many_arguments)]
-fn evaluate_chunk<O, M>(
+fn evaluate_page<O, M>(
     records: &[(ObjectId, O)],
     queries: &[O],
     qq: &QueryDistanceMatrix,
@@ -642,7 +581,7 @@ fn evaluate_chunk<O, M>(
     qd: &[f64],
     avoidance: bool,
     filter: Option<&CandidateRestriction>,
-) -> ChunkOutcome
+) -> PageOutcome
 where
     O: StorageObject,
     M: Metric<O>,
@@ -658,7 +597,7 @@ where
     approx.objects_skipped = (n - eligible.len()) as u64;
     // dists[qi * n + oi] = computed distance of records[oi] to query
     // active[qi]; NaN = avoided / not computed. This is the paper's
-    // per-object `AvoidingDists` for the whole chunk, one contiguous column
+    // per-object `AvoidingDists` for the whole page, one contiguous column
     // per pivot. The last active query is nobody's pivot and has no column.
     let mut dists = vec![f64::NAN; n * (m - 1)];
     let mut survivors: Vec<u32> = Vec::with_capacity(eligible.len());
@@ -715,7 +654,7 @@ where
         approx.rerank_survivors = candidates.iter().map(|c| c.len() as u64).sum();
     }
 
-    ChunkOutcome {
+    PageOutcome {
         stats,
         approx,
         candidates,
@@ -727,7 +666,7 @@ fn merge_outcome(
     stats: &mut AvoidanceStats,
     approx: &mut ApproxStats,
     active: &[usize],
-    outcome: ChunkOutcome,
+    outcome: PageOutcome,
 ) {
     *stats += outcome.stats;
     *approx += outcome.approx;
@@ -739,31 +678,8 @@ fn merge_outcome(
     }
 }
 
-/// Picks the next leader according to `policy` (see [`LeaderPolicy`]).
-fn select_leader<O>(session: &MultiQuerySession<O>, policy: LeaderPolicy) -> Option<usize> {
-    let first = session.next_pending()?;
-    match (policy, session.last_leader) {
-        (LeaderPolicy::Fifo, _) | (LeaderPolicy::NearestChain, None) => Some(first),
-        (LeaderPolicy::NearestChain, Some(prev)) => {
-            let mut best = first;
-            let mut best_dist = session.qq.get(prev, first);
-            for i in (first + 1)..session.states.len() {
-                if session.states[i].completed {
-                    continue;
-                }
-                let d = session.qq.get(prev, i);
-                if d.total_cmp(&best_dist) == std::cmp::Ordering::Less {
-                    best = i;
-                    best_dist = d;
-                }
-            }
-            Some(best)
-        }
-    }
-}
-
 /// Releases one demand-read pin when dropped — including during an unwind
-/// (a panicking metric or worker must not leak the pin and leave the page
+/// (a panicking metric must not leak the pin and leave the page
 /// permanently unevictable).
 struct PinGuard<'a, O: StorageObject> {
     disk: &'a dyn PageStore<O>,
@@ -790,9 +706,8 @@ impl<O: StorageObject> Drop for PrefetchPinsGuard<'_, O> {
     }
 }
 
-/// One incremental multiple-query call (Fig. 4): completes the leader
-/// chosen by `options.leader` (the first pending query under the default
-/// FIFO policy), opportunistically advancing every other pending query on
+/// One incremental multiple-query call (Fig. 4): completes the first
+/// pending query, opportunistically advancing every other pending query on
 /// each loaded page that is relevant for it. Returns the index of the
 /// completed query, or `None` when every admitted query is already
 /// complete.
@@ -802,14 +717,12 @@ impl<O: StorageObject> Drop for PrefetchPinsGuard<'_, O> {
 /// merged before the error are recorded as processed, the erroring page is
 /// not, so partial answers stay valid and a retried step resumes without
 /// re-evaluating (or double-inserting from) any completed page.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn step<O, M, I>(
     session: &mut MultiQuerySession<O>,
     disk: &dyn PageStore<O>,
     index: &I,
     metric: &M,
     options: EngineOptions,
-    pool: Option<&WorkerPool>,
     obs: Option<&EngineObs>,
 ) -> Result<Option<usize>, EngineError>
 where
@@ -817,10 +730,9 @@ where
     M: Metric<O>,
     I: SimilarityIndex<O> + ?Sized,
 {
-    let Some(head) = select_leader(session, options.leader) else {
+    let Some(head) = session.next_pending() else {
         return Ok(None);
     };
-    session.last_leader = Some(head);
 
     // Capability-gated execution: a distance function without the
     // triangle inequality (e.g. dot product) makes §5.2 avoidance
@@ -844,8 +756,8 @@ where
     let avoidance_before = session.avoidance_stats;
     let approx_before = session.approx_stats;
 
-    // Split the session so workers can hold `objects`, `qq` and the
-    // candidate restriction immutably while the merge below mutates
+    // Split the session so page evaluation can hold `objects`, `qq` and
+    // the candidate restriction immutably while the merge below mutates
     // `states` / `avoidance_stats` / `approx_stats`.
     let MultiQuerySession {
         objects,
@@ -948,64 +860,21 @@ where
             disk,
             page: page_id,
         };
-        let parallel = pool.filter(|p| {
-            p.threads() > 1
-                && records.len() > 1
-                && records.len() * active.len() >= PARALLEL_MIN_WORK
-        });
-        if let Some(pool) = parallel {
-            let morsel_count = (pool.threads() * MORSELS_PER_THREAD).min(records.len());
-            let morsel_len = records.len().div_ceil(morsel_count);
-            let morsel_count = records.len().div_ceil(morsel_len);
-            let outcomes: Vec<Mutex<Option<ChunkOutcome>>> =
-                (0..morsel_count).map(|_| Mutex::new(None)).collect();
-            let active_ref: &[usize] = &active;
-            let qd_ref: &[f64] = &qd_snapshot;
-            let eval_span = obs.map(|o| o.eval_seconds.start_timer());
-            pool.run(morsel_count, &|i| {
-                let lo = i * morsel_len;
-                let hi = (lo + morsel_len).min(records.len());
-                let outcome = evaluate_chunk(
-                    &records[lo..hi],
-                    objects,
-                    qq,
-                    metric,
-                    active_ref,
-                    qd_ref,
-                    options.avoidance,
-                    filter,
-                );
-                *outcomes[i].lock().unwrap() = Some(outcome);
-            });
-            drop(eval_span);
-            // Merge strictly in morsel order so the answer-insert sequence
-            // matches the sequential loop.
-            let merge_span = obs.map(|o| o.merge_seconds.start_timer());
-            for cell in outcomes {
-                let outcome = cell
-                    .into_inner()
-                    .unwrap()
-                    .expect("pool.run completed every morsel");
-                merge_outcome(states, avoidance_stats, approx_stats, &active, outcome);
-            }
-            drop(merge_span);
-        } else {
-            let eval_span = obs.map(|o| o.eval_seconds.start_timer());
-            let outcome = evaluate_chunk(
-                records,
-                objects,
-                qq,
-                metric,
-                &active,
-                &qd_snapshot,
-                options.avoidance,
-                filter,
-            );
-            drop(eval_span);
-            let merge_span = obs.map(|o| o.merge_seconds.start_timer());
-            merge_outcome(states, avoidance_stats, approx_stats, &active, outcome);
-            drop(merge_span);
-        }
+        let eval_span = obs.map(|o| o.eval_seconds.start_timer());
+        let outcome = evaluate_page(
+            records,
+            objects,
+            qq,
+            metric,
+            &active,
+            &qd_snapshot,
+            options.avoidance,
+            filter,
+        );
+        drop(eval_span);
+        let merge_span = obs.map(|o| o.merge_seconds.start_timer());
+        merge_outcome(states, avoidance_stats, approx_stats, &active, outcome);
+        drop(merge_span);
         for &i in &active {
             states[i].processed.insert(page_id);
         }
@@ -1122,7 +991,7 @@ mod proptests {
 
         /// The pivot-major sweep and the object-major reference agree on
         /// every survivor list and every counter — for every later query of
-        /// a chunk, over pivot columns with holes, with bounds that include
+        /// a page, over pivot columns with holes, with bounds that include
         /// `0`, `∞` and exact ties, with and without a candidate filter.
         #[test]
         fn sweep_equals_object_major_reference(

@@ -1,24 +1,19 @@
-//! Equivalence of the kernel + parallel page-evaluation path with the
-//! classic sequential loop.
+//! Equivalence of every [`EngineOptions`] combination with the default
+//! engine.
 //!
 //! The multiple-query engine promises *bit-identical* results for every
-//! thread count and every prefetch depth (see the module docs of
-//! `mq_core::multiple`): the same answers (ids and `f64::to_bits` of every
-//! distance), the same avoidance counters, the same distance-calculation
-//! totals, the same per-query processed-page sets, and the same demanded
-//! (logical) page I/O. These tests enforce that promise over randomized
-//! databases, query mixes, thread counts, prefetch depths, and both leader
-//! scheduling policies.
+//! prefetch depth, with avoidance on or off, observed or not (see the
+//! module docs of `mq_core::multiple`): the same answers (ids and
+//! `f64::to_bits` of every distance), the same avoidance counters, the same
+//! distance-calculation totals, the same per-query processed-page sets, and
+//! the same demanded (logical) page I/O. These tests enforce that promise
+//! over randomized databases and query mixes.
 //!
-//! What may legitimately vary:
-//!
-//! * `physical_reads` at `prefetch_depth > 0` — a staged page the leader
-//!   never demands still paid its physical read at schedule time.
-//! * Everything except the final answers across *leader policies* — the
-//!   scheduler changes page visit order, so counters differ, but the
-//!   answer to every query is unique and must not change.
+//! What may legitimately vary: `physical_reads` at `prefetch_depth > 0` — a
+//! staged page the leader never demands still paid its physical read at
+//! schedule time.
 
-use mq_core::{Answer, EngineOptions, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{Answer, EngineOptions, QueryEngine, QueryType};
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{CountingMetric, Euclidean, Vector};
 use mq_storage::{Dataset, IoStats, PageId, PageLayout, PagedDatabase, SimulatedDisk};
@@ -69,8 +64,12 @@ fn run_batch(
     }
 }
 
-/// Asserts the answers of two outcomes are bit-identical.
-fn assert_answers_identical(base: &RunOutcome, other: &RunOutcome, what: &str) {
+/// Asserts two outcomes are bit-identical up to prefetch staging: answers,
+/// avoidance counters, distance calculations, processed-page sets, and the
+/// *demanded* page I/O must all match. `physical_reads` (and the prefetch
+/// counters) may differ, because a deeper pipeline may stage pages the
+/// leader never ends up demanding.
+fn assert_outcomes_equivalent(base: &RunOutcome, other: &RunOutcome, what: &str) {
     assert_eq!(
         base.answers.len(),
         other.answers.len(),
@@ -87,15 +86,6 @@ fn assert_answers_identical(base: &RunOutcome, other: &RunOutcome, what: &str) {
             );
         }
     }
-}
-
-/// Asserts two outcomes are bit-identical up to prefetch staging: answers,
-/// avoidance counters, distance calculations, processed-page sets, and the
-/// *demanded* page I/O must all match. `physical_reads` (and the prefetch
-/// counters) may differ, because a deeper pipeline may stage pages the
-/// leader never ends up demanding.
-fn assert_outcomes_equivalent(base: &RunOutcome, other: &RunOutcome, what: &str) {
-    assert_answers_identical(base, other, what);
     assert_eq!(base.avoidance, other.avoidance, "{what}: avoidance stats");
     assert_eq!(
         base.distance_calcs, other.distance_calcs,
@@ -140,10 +130,12 @@ fn query_type_strategy() -> impl Strategy<Value = QueryType> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random database + query mix: threads 2..=4 must reproduce the
-    /// threads=1 run bit for bit, on both access methods.
+    /// Random database + query mix, avoidance on or off, both access
+    /// methods: prefetch depths 1 and 2 must be equivalent to the depth-0
+    /// run of the same avoidance setting, and avoidance must not change any
+    /// answer.
     #[test]
-    fn parallel_path_is_bit_identical_to_sequential(
+    fn avoidance_and_prefetch_matrix_is_equivalent(
         n in 30usize..220,
         dim in 1usize..6,
         seed in any::<u64>(),
@@ -153,8 +145,7 @@ proptest! {
             1..7,
         ),
     ) {
-        let points = cloud(n, dim, seed);
-        let ds = Dataset::new(points.clone());
+        let ds = Dataset::new(cloud(n, dim, seed));
         let layout = PageLayout::new(1024, 24);
         let queries: Vec<(Vector, QueryType)> = queries
             .into_iter()
@@ -167,171 +158,48 @@ proptest! {
             })
             .collect();
 
-        let base = run_batch(&ds, layout, use_xtree, &queries, EngineOptions::default());
-        for threads in 2..=4usize {
-            let options = EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            };
-            let got = run_batch(&ds, layout, use_xtree, &queries, options);
-            assert_outcomes_identical(&base, &got, &format!("threads={threads}"));
-        }
-    }
-
-    /// The full matrix of the tentpole: threads 1..=4 × prefetch depths
-    /// 0..=2 × both leader policies. Within a policy every cell must be
-    /// equivalent to that policy's (threads=1, depth=0) run — identical
-    /// answers, avoidance counters, distance calcs, page sets and demanded
-    /// I/O; at depth 0 the whole `IoStats` must match bit for bit. Across
-    /// policies the final answers must agree.
-    #[test]
-    fn matrix_threads_prefetch_leader_is_equivalent(
-        n in 40usize..160,
-        seed in any::<u64>(),
-        use_xtree in any::<bool>(),
-        queries in prop::collection::vec(
-            ((0.0f32..100.0), (0.0f32..100.0), query_type_strategy()),
-            2..6,
-        ),
-    ) {
-        let dim = 3;
-        let points = cloud(n, dim, seed);
-        let ds = Dataset::new(points);
-        let layout = PageLayout::new(1024, 20);
-        let queries: Vec<(Vector, QueryType)> = queries
-            .into_iter()
-            .map(|(a, b, t)| {
-                let coords: Vec<f32> =
-                    (0..dim).map(|d| if d % 2 == 0 { a } else { b }).collect();
-                (Vector::new(coords), t)
-            })
-            .collect();
-
-        let mut per_policy: Vec<RunOutcome> = Vec::new();
-        for leader in [LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
+        let mut bases: Vec<RunOutcome> = Vec::new();
+        for avoidance in [true, false] {
             let base = run_batch(
                 &ds,
                 layout,
                 use_xtree,
                 &queries,
                 EngineOptions {
-                    leader,
+                    avoidance,
                     ..EngineOptions::default()
                 },
             );
-            for threads in 1..=4usize {
-                for prefetch_depth in 0..=2usize {
-                    if threads == 1 && prefetch_depth == 0 {
-                        continue;
-                    }
-                    let got = run_batch(
-                        &ds,
-                        layout,
-                        use_xtree,
-                        &queries,
-                        EngineOptions {
-                            threads,
-                            prefetch_depth,
-                            leader,
-                            ..EngineOptions::default()
-                        },
-                    );
-                    let what =
-                        format!("{leader:?} threads={threads} depth={prefetch_depth}");
-                    if prefetch_depth == 0 {
-                        assert_outcomes_identical(&base, &got, &what);
-                    } else {
-                        assert_outcomes_equivalent(&base, &got, &what);
-                    }
-                }
+            for prefetch_depth in 1..=2usize {
+                let got = run_batch(
+                    &ds,
+                    layout,
+                    use_xtree,
+                    &queries,
+                    EngineOptions {
+                        avoidance,
+                        prefetch_depth,
+                        ..EngineOptions::default()
+                    },
+                );
+                assert_outcomes_equivalent(
+                    &base,
+                    &got,
+                    &format!("avoidance={avoidance} depth={prefetch_depth}"),
+                );
             }
-            per_policy.push(base);
+            bases.push(base);
         }
-        // The leader schedule changes page order and counters, never the
-        // answer to any individual query.
-        assert_answers_identical(&per_policy[0], &per_policy[1], "Fifo vs NearestChain");
-    }
-
-    /// Avoidance off must also be thread-count invariant.
-    #[test]
-    fn option_combinations_are_thread_invariant(
-        seed in any::<u64>(),
-        avoidance in any::<bool>(),
-    ) {
-        let points = cloud(150, 4, seed);
-        let ds = Dataset::new(points);
-        let layout = PageLayout::new(1024, 16);
-        let queries: Vec<(Vector, QueryType)> = (0..5)
-            .map(|i| {
-                let q = Vector::new(vec![i as f32 * 20.0; 4]);
-                (q, if i % 2 == 0 { QueryType::knn(4) } else { QueryType::range(25.0) })
-            })
-            .collect();
-        let base = run_batch(
-            &ds,
-            layout,
-            true,
-            &queries,
-            EngineOptions {
-                avoidance,
-                threads: 1,
-                ..EngineOptions::default()
-            },
-        );
-        let got = run_batch(
-            &ds,
-            layout,
-            true,
-            &queries,
-            EngineOptions {
-                avoidance,
-                threads: 4,
-                ..EngineOptions::default()
-            },
-        );
-        assert_outcomes_identical(&base, &got, "threads=4 with options");
+        // §5.2 trades calculations for comparisons, never answers or pages.
+        prop_assert_eq!(&bases[0].answers, &bases[1].answers);
+        prop_assert_eq!(&bases[0].pages, &bases[1].pages);
+        prop_assert_eq!(bases[0].io, bases[1].io);
     }
 }
 
-/// A fixed, fast regression case that runs even under `--test-threads`
-/// constrained CI: x-tree, mixed query types, threads 1 vs 4.
-#[test]
-fn xtree_mixed_batch_threads_1_vs_4() {
-    let points = cloud(400, 4, 0xC0FFEE);
-    let ds = Dataset::new(points);
-    let layout = PageLayout::new(1024, 24);
-    let queries: Vec<(Vector, QueryType)> = vec![
-        (Vector::new(vec![10.0, 20.0, 30.0, 40.0]), QueryType::knn(8)),
-        (
-            Vector::new(vec![80.0, 10.0, 50.0, 25.0]),
-            QueryType::range(18.0),
-        ),
-        (
-            Vector::new(vec![50.0, 50.0, 50.0, 50.0]),
-            QueryType::bounded_knn(6, 22.0),
-        ),
-        (Vector::new(vec![5.0, 90.0, 15.0, 70.0]), QueryType::knn(3)),
-    ];
-    let base = run_batch(&ds, layout, true, &queries, EngineOptions::default());
-    let got = run_batch(
-        &ds,
-        layout,
-        true,
-        &queries,
-        EngineOptions {
-            threads: 4,
-            ..EngineOptions::default()
-        },
-    );
-    assert_outcomes_identical(&base, &got, "xtree threads=4");
-    // Sanity: the batch actually found something, so the comparison is
-    // not vacuous.
-    assert!(base.answers.iter().all(|a| !a.is_empty()));
-}
-
-/// A fixed regression case for the pipelined path: prefetch depth 2 with
-/// a shared pool must match the depth-0 sequential run on everything the
-/// determinism contract covers, and staging must actually happen.
+/// A fixed regression case for the pipelined path: prefetch depth 2 must
+/// match the depth-0 run on everything the determinism contract covers,
+/// and staging must actually happen.
 #[test]
 fn xtree_prefetch_depth_2_matches_depth_0() {
     let points = cloud(500, 4, 0xDECADE);
@@ -355,7 +223,6 @@ fn xtree_prefetch_depth_2_matches_depth_0() {
         true,
         &queries,
         EngineOptions {
-            threads: 2,
             prefetch_depth: 2,
             ..EngineOptions::default()
         },
@@ -430,11 +297,10 @@ fn enabled_recorder_keeps_runs_bit_identical() {
         ),
     ];
     for (what, options) in [
-        ("sequential", EngineOptions::default()),
+        ("default", EngineOptions::default()),
         (
-            "threads=3 prefetch=2",
+            "prefetch=2",
             EngineOptions {
-                threads: 3,
                 prefetch_depth: 2,
                 ..EngineOptions::default()
             },

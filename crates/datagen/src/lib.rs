@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # mq-datagen — synthetic datasets and workloads for the evaluation
 //!

@@ -183,7 +183,7 @@ pub fn force(level: SimdLevel) -> SimdLevel {
 }
 
 /// A human-readable summary of the CPU's relevant vector features, for
-/// benchmark provenance (`BENCH_core.json`) and diagnostics.
+/// benchmark provenance (`BENCH_ann.json`) and diagnostics.
 pub fn cpu_features() -> String {
     #[cfg(target_arch = "x86_64")]
     {

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `mq-obs`: a zero-dependency observability core for the mquery workspace.
 //!
 //! The paper's whole argument is quantitative — §4 splits query cost into
@@ -8,9 +9,8 @@
 //!
 //! This crate provides the three pieces every layer shares:
 //!
-//! * **Instruments** ([`Counter`], [`Gauge`], [`FloatCounter`],
-//!   [`Histogram`]) — lock-free atomics, safe to hammer from the worker
-//!   pool's hot loops.
+//! * **Instruments** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free
+//!   atomics, safe to hammer from the engine's hot loops.
 //! * **A [`Registry`]** — named, labelled families with cheap
 //!   [`snapshot`](Registry::snapshot)/[`Snapshot::delta`] and a
 //!   Prometheus-style text [`render`](Registry::render) served over the
@@ -18,7 +18,7 @@
 //! * **A [`Recorder`] handle** — the only type the runtime crates touch.
 //!   [`Recorder::disabled`] carries no registry, so every instrumentation
 //!   site collapses to a single `Option` check and the equivalence suites
-//!   (`parallel_equivalence`, `oracle_equivalence`) stay bit-identical with
+//!   (`option_equivalence`, `oracle_equivalence`) stay bit-identical with
 //!   observability on or off.
 //!
 //! Span-level tracing is a [`Histogram`] of elapsed seconds plus the

@@ -1,6 +1,6 @@
-//! The four instrument types. All of them are plain atomics: incrementing
-//! a counter from the worker pool's inner loop costs one relaxed
-//! fetch-add, and none of them ever block.
+//! The instrument types. All of them are plain atomics: incrementing a
+//! counter from the engine's step loop costs one relaxed fetch-add, and
+//! none of them ever block.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
@@ -69,10 +69,10 @@ impl Gauge {
     }
 }
 
-/// A monotonically increasing `f64` counter (total seconds spent idle,
-/// summed span durations). Stored as bit-cast `f64` in an `AtomicU64`,
-/// updated with a CAS loop — contention on these is low (one add per
-/// condvar wake or span end, not per distance calculation).
+/// A monotonically increasing `f64` counter (a histogram's summed span
+/// durations). Stored as bit-cast `f64` in an `AtomicU64`, updated with a
+/// CAS loop — contention on these is low (one add per span end, not per
+/// distance calculation).
 #[derive(Debug, Default)]
 pub struct FloatCounter(AtomicU64);
 

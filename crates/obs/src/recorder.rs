@@ -1,6 +1,6 @@
 //! The handle the runtime crates actually thread around.
 
-use crate::metrics::{Counter, FloatCounter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram};
 use crate::registry::{Registry, Snapshot};
 use std::sync::Arc;
 
@@ -52,18 +52,6 @@ impl Recorder {
         self.registry
             .as_ref()
             .map(|r| r.counter(name, help, labels))
-    }
-
-    /// Registers a [`FloatCounter`] series (`None` when disabled).
-    pub fn float_counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<Arc<FloatCounter>> {
-        self.registry
-            .as_ref()
-            .map(|r| r.float_counter(name, help, labels))
     }
 
     /// Registers a [`Gauge`] series (`None` when disabled).

@@ -1,7 +1,7 @@
 //! The named metric registry: families of labelled series, text
 //! exposition, and cheap snapshot/delta arithmetic.
 
-use crate::metrics::{Counter, FloatCounter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -12,7 +12,7 @@ type DerivedFn = Arc<dyn Fn() -> f64 + Send + Sync>;
 /// The Prometheus-style type of a metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonically increasing ([`Counter`], [`FloatCounter`]).
+    /// Monotonically increasing ([`Counter`]).
     Counter,
     /// Goes up and down ([`Gauge`] and derived gauges).
     Gauge,
@@ -32,7 +32,6 @@ impl MetricKind {
 
 enum Instrument {
     Counter(Arc<Counter>),
-    FloatCounter(Arc<FloatCounter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     /// Computed at snapshot/render time from other instruments (hit
@@ -44,7 +43,7 @@ enum Instrument {
 impl Instrument {
     fn kind(&self) -> MetricKind {
         match self {
-            Instrument::Counter(_) | Instrument::FloatCounter(_) => MetricKind::Counter,
+            Instrument::Counter(_) => MetricKind::Counter,
             Instrument::Gauge(_) | Instrument::Derived(_) => MetricKind::Gauge,
             Instrument::Histogram(_) => MetricKind::Histogram,
         }
@@ -124,26 +123,6 @@ impl Registry {
             || Instrument::Counter(Arc::new(Counter::new())),
             |i| match i {
                 Instrument::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or fetches) a [`FloatCounter`] series (rendered as a
-    /// Prometheus counter).
-    pub fn float_counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<FloatCounter> {
-        self.register(
-            name,
-            help,
-            labels,
-            || Instrument::FloatCounter(Arc::new(FloatCounter::new())),
-            |i| match i {
-                Instrument::FloatCounter(c) => Some(Arc::clone(c)),
                 _ => None,
             },
         )
@@ -262,7 +241,6 @@ impl Registry {
 fn flatten(name: &str, instrument: &Instrument) -> Vec<(String, Option<String>, f64)> {
     match instrument {
         Instrument::Counter(c) => vec![(name.to_string(), None, c.get() as f64)],
-        Instrument::FloatCounter(c) => vec![(name.to_string(), None, c.get())],
         Instrument::Gauge(g) => vec![(name.to_string(), None, g.get() as f64)],
         Instrument::Derived(f) => vec![(name.to_string(), None, f())],
         Instrument::Histogram(h) => {

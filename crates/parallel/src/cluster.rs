@@ -6,7 +6,7 @@ use crate::partition::Declustering;
 use crate::server::Server;
 use mq_core::{
     Answer, CandidatePrescreen, EngineError, EngineOptions, ExecutionStats, QueryEngine, QueryType,
-    StatsProbe, WorkerPool,
+    StatsProbe,
 };
 use mq_index::SimilarityIndex;
 use mq_metric::Metric;
@@ -129,17 +129,10 @@ impl ClusterObs {
 /// A cluster of `s` shared-nothing servers over one logical database.
 pub struct SharedNothingCluster<O, M> {
     servers: Vec<Server<O, M>>,
-    /// The option block of every server's engine. `threads` is *per
-    /// server*, orthogonal to the inter-server parallelism: a 4-server
-    /// cluster with 2 engine threads runs on up to 8 cores.
+    /// The option block of every server's engine.
     options: EngineOptions,
-    /// One persistent page-evaluation pool per server, shared by every
-    /// engine built for that server across `multiple_query` calls —
-    /// batches do not pay thread spawn/join. Empty while
-    /// `options.threads == 1` (nothing to parallelize).
-    pools: Vec<Arc<WorkerPool>>,
-    /// Observability handle threaded into every server's engine, pool, and
-    /// disk; disabled by default.
+    /// Observability handle threaded into every server's engine and disk;
+    /// disabled by default.
     recorder: Recorder,
     /// Per-partition instruments, present iff `recorder` is enabled.
     obs: Option<ClusterObs>,
@@ -156,7 +149,7 @@ where
     /// Declusters `objects` over `s` servers and builds each server's
     /// local index with `build_index` (invoked once per server). Every
     /// server's engine runs `options`; answers and counters are identical
-    /// for every thread count, prefetch depth and leader policy.
+    /// for every prefetch depth.
     pub fn build<F>(
         objects: &[O],
         s: usize,
@@ -181,16 +174,13 @@ where
     /// backend per partition — this is how `mq serve --store file:` brings
     /// up a durable cluster, one store directory per server).
     pub fn from_servers(servers: Vec<Server<O, M>>, options: EngineOptions) -> Self {
-        let mut cluster = Self {
+        Self {
             servers,
             options,
-            pools: Vec::new(),
             recorder: Recorder::disabled(),
             obs: None,
             prescreens: Vec::new(),
-        };
-        cluster.rebuild_pools();
-        cluster
+        }
     }
 
     /// Attaches one approximate candidate tier per server (partition-local
@@ -220,31 +210,16 @@ where
     }
 
     /// Attaches an observability [`Recorder`] to the whole cluster:
-    /// per-partition query/distance/read/failure counters, every server
-    /// disk's buffer and fault counters, and the per-server worker pools.
-    /// A disabled recorder detaches everything.
+    /// per-partition query/distance/read/failure counters and every server
+    /// disk's buffer and fault counters. A disabled recorder detaches
+    /// everything.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
         self.recorder = recorder.clone();
         self.obs = ClusterObs::new(recorder, self.servers.len());
         for server in &self.servers {
             server.disk().attach_recorder(recorder);
         }
-        self.rebuild_pools();
         self
-    }
-
-    /// (Re)creates the per-server page-evaluation pools for the current
-    /// recorder.
-    fn rebuild_pools(&mut self) {
-        let threads = self.options.threads;
-        self.pools = if threads > 1 {
-            self.servers
-                .iter()
-                .map(|_| Arc::new(WorkerPool::with_recorder(threads, &self.recorder)))
-                .collect()
-        } else {
-            Vec::new()
-        };
     }
 
     /// The option block of every server's engine.
@@ -295,11 +270,10 @@ where
                 .iter()
                 .enumerate()
                 .map(|(si, server)| {
-                    let pool = self.pools.get(si).cloned();
                     let prescreen = self.prescreens.get(si).cloned();
                     let recorder = &self.recorder;
                     scope.spawn(move || {
-                        run_on_server(server, queries, self.options, pool, recorder, prescreen)
+                        run_on_server(server, queries, self.options, recorder, prescreen)
                     })
                 })
                 .collect();
@@ -372,7 +346,6 @@ fn run_on_server<O, M>(
     server: &Server<O, M>,
     queries: &[(O, QueryType)],
     options: EngineOptions,
-    pool: Option<Arc<WorkerPool>>,
     recorder: &Recorder,
     prescreen: Option<Arc<dyn CandidatePrescreen<O>>>,
 ) -> Result<(Vec<Vec<Answer>>, ExecutionStats), EngineError>
@@ -384,9 +357,6 @@ where
     let mut engine = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
         .with_options(options)
         .with_recorder(recorder);
-    if let Some(pool) = pool {
-        engine = engine.with_pool(pool);
-    }
     if let Some(p) = prescreen {
         engine = engine.with_prescreen(p);
     }
@@ -418,7 +388,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_core::LeaderPolicy;
     use mq_index::{LinearScan, XTree, XTreeConfig};
     use mq_metric::{Euclidean, ObjectId, Vector};
     use mq_storage::{PageLayout, SimulatedDisk};
@@ -638,37 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_do_not_change_results() {
-        let objects = random_points(500, 4, 219);
-        let queries: Vec<(Vector, QueryType)> = objects
-            .iter()
-            .step_by(59)
-            .take(8)
-            .map(|v| (v.clone(), QueryType::knn(6)))
-            .collect();
-        let reference = sequential_answers(&objects, &queries);
-        let cluster = SharedNothingCluster::build(
-            &objects,
-            2,
-            Declustering::RoundRobin,
-            Euclidean,
-            0.1,
-            EngineOptions {
-                threads: 3,
-                ..EngineOptions::default()
-            },
-            scan_builder(),
-        );
-        assert_eq!(cluster.options().threads, 3);
-        let (answers, _) = cluster.multiple_query(&queries);
-        for (got, want) in answers.iter().zip(&reference) {
-            let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
-            assert_eq!(&ids, want);
-        }
-    }
-
-    #[test]
-    fn prefetch_and_leader_do_not_change_results_and_pools_are_reused() {
+    fn prefetch_does_not_change_results_across_batches() {
         let objects = random_points(500, 4, 223);
         let queries: Vec<(Vector, QueryType)> = objects
             .iter()
@@ -684,15 +623,13 @@ mod tests {
             Euclidean,
             0.1,
             EngineOptions {
-                threads: 2,
                 prefetch_depth: 2,
-                leader: LeaderPolicy::NearestChain,
                 ..EngineOptions::default()
             },
             xtree_builder(),
         );
-        // Two batches through the same cluster: the per-server pools are
-        // created once and must survive reuse.
+        // Two batches through the same cluster: every server's prefetch
+        // pins are released between batches.
         for round in 0..2 {
             let (answers, _) = cluster.multiple_query(&queries);
             for (got, want) in answers.iter().zip(&reference) {
@@ -837,10 +774,7 @@ mod tests {
             Declustering::RoundRobin,
             Euclidean,
             0.1,
-            EngineOptions {
-                threads: 2,
-                ..EngineOptions::default()
-            },
+            EngineOptions::default(),
             scan_builder(),
         )
         .with_recorder(&recorder);
@@ -900,10 +834,7 @@ mod tests {
                 Declustering::Hash,
                 Euclidean,
                 0.1,
-                EngineOptions {
-                    threads: 2,
-                    ..EngineOptions::default()
-                },
+                EngineOptions::default(),
                 scan_builder(),
             )
         };

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # mq-parallel — multiple similarity queries on a shared-nothing cluster
 //!

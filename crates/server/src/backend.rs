@@ -11,7 +11,7 @@ use crate::config::{ExecutionMode, FileIndex, ServerConfig, StoreChoice};
 use mq_approx::ApproxTier;
 use mq_core::{
     Answer, CandidatePrescreen, EngineObs, EngineOptions, ExecutionStats, QueryEngine, QueryType,
-    StatsProbe, WorkerPool,
+    StatsProbe,
 };
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{CountingMetric, Metric, ObjectId, Vector, VectorMetric};
@@ -56,10 +56,6 @@ pub struct SingleEngineBackend {
     index: Box<dyn SimilarityIndex<Vector>>,
     metric: CountingMetric<VectorMetric>,
     options: EngineOptions,
-    /// The backend's persistent page-evaluation pool, shared by the
-    /// short-lived engine of every batch so batches never pay thread
-    /// spawn/join. `None` while `options.threads == 1`.
-    pool: Option<Arc<WorkerPool>>,
     dims: usize,
     /// Engine instruments shared by the short-lived engine of every batch.
     obs: Option<Arc<EngineObs>>,
@@ -97,7 +93,6 @@ impl SingleEngineBackend {
             index,
             metric: CountingMetric::new(VectorMetric::default()),
             options,
-            pool: page_pool(options, &Recorder::disabled()),
             dims,
             obs: None,
             prescreen: None,
@@ -105,12 +100,10 @@ impl SingleEngineBackend {
     }
 
     /// Attaches an observability [`Recorder`]: engine counters and stage
-    /// spans, the disk's buffer/prefetch/fault counters, and the worker
-    /// pool's per-worker counters (the pool is rebuilt here).
+    /// spans and the disk's buffer/prefetch/fault counters.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
         self.obs = EngineObs::new(recorder);
         self.disk.attach_recorder(recorder);
-        self.pool = page_pool(self.options, recorder);
         self
     }
 
@@ -135,12 +128,6 @@ impl SingleEngineBackend {
     }
 }
 
-/// The persistent page-evaluation pool for `options`, or `None` when the
-/// engine evaluates pages on the calling thread.
-fn page_pool(options: EngineOptions, recorder: &Recorder) -> Option<Arc<WorkerPool>> {
-    (options.threads > 1).then(|| Arc::new(WorkerPool::with_recorder(options.threads, recorder)))
-}
-
 /// Dimensionality of the first live vector, or 0 when the database holds
 /// none (empty, or every id tombstoned).
 fn dims_of(db: &PagedDatabase<Vector>) -> usize {
@@ -154,9 +141,6 @@ impl QueryBackend for SingleEngineBackend {
         let mut engine = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone())
             .with_options(self.options)
             .with_obs(self.obs.clone());
-        if let Some(pool) = &self.pool {
-            engine = engine.with_pool(Arc::clone(pool));
-        }
         if let Some(prescreen) = &self.prescreen {
             engine = engine.with_prescreen(&**prescreen);
         }
@@ -241,7 +225,7 @@ impl ClusterBackend {
     }
 
     /// Attaches an observability [`Recorder`] to the whole cluster —
-    /// per-partition counters, every server disk, every worker pool.
+    /// per-partition counters and every server disk.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
         self.cluster = self.cluster.with_recorder(recorder);
         self
@@ -341,8 +325,8 @@ where
 }
 
 /// [`build_backend`] with an observability [`Recorder`] threaded through
-/// the backend (engine counters, disk counters, worker pools, store
-/// durability counters, and — in cluster mode — per-partition counters).
+/// the backend (engine counters, disk counters, store durability
+/// counters, and — in cluster mode — per-partition counters).
 ///
 /// # Errors
 /// Fails only in file-store mode, when the store directory cannot be
@@ -611,7 +595,6 @@ fn open_or_create_partition_stores(
 mod tests {
     use super::*;
     use crate::build_backend;
-    use mq_core::LeaderPolicy;
     use mq_storage::PageLayout;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -636,14 +619,12 @@ mod tests {
         let db = line_db(120);
         let scan = LinearScan::new(db.page_count());
         let options = EngineOptions {
-            threads: 2,
             prefetch_depth: 2,
-            leader: LeaderPolicy::NearestChain,
             ..EngineOptions::default()
         };
         let pipelined = SingleEngineBackend::new(db, Box::new(scan), 0.10, options);
-        // Two batches through the same backend: the persistent pool is
-        // created once and must survive reuse.
+        // Two batches through the same backend: the prefetch pins of one
+        // batch are released before the next.
         for round in 0..2 {
             let (answers, _) = pipelined.execute(queries.clone());
             for (qi, (a, b)) in plain.0.iter().zip(&answers).enumerate() {

@@ -85,8 +85,8 @@ pub struct ServerConfig {
     /// Single engine or shared-nothing cluster.
     pub mode: ExecutionMode,
     /// The option block of every engine the server builds (avoidance,
-    /// page-evaluation threads, prefetch depth, leader policy, fault
-    /// policy) — declared once, in [`EngineOptions`]. The server default
+    /// prefetch depth, fault policy) — declared once, in
+    /// [`EngineOptions`]. The server default
     /// differs from the engine's in one value: a retry budget of 2 extra
     /// read attempts on a *transient* disk fault before a batch fails.
     pub engine: EngineOptions,
@@ -274,15 +274,13 @@ impl ServerConfig {
         };
         format!(
             "mode={mode} store={store} metric={} approx={approx} max_batch={} max_wait={:.0}ms \
-             workers={} threads={} prefetch_depth={} leader={:?} avoidance={} retry_budget={} \
+             workers={} prefetch_depth={} avoidance={} retry_budget={} \
              read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
             self.metric.name(),
             self.max_batch,
             self.max_wait.as_secs_f64() * 1e3,
             self.workers,
-            self.engine.threads,
             self.engine.prefetch_depth,
-            self.engine.leader,
             self.engine.avoidance,
             self.engine.fault_policy.retry_budget,
         )
@@ -292,7 +290,6 @@ impl ServerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_core::LeaderPolicy;
 
     #[test]
     fn builder_chains() {
@@ -345,9 +342,7 @@ mod tests {
             c.engine,
             EngineOptions {
                 avoidance: true,
-                threads: 1,
                 prefetch_depth: 0,
-                leader: LeaderPolicy::Fifo,
                 fault_policy: FaultPolicy::new(2),
             }
         );
@@ -385,7 +380,6 @@ mod tests {
         let line = ServerConfig::default()
             .with_mode(ExecutionMode::Cluster { servers: 3 })
             .with_engine(EngineOptions {
-                threads: 4,
                 prefetch_depth: 2,
                 fault_policy: FaultPolicy::new(5),
                 ..EngineOptions::default()
@@ -401,9 +395,7 @@ mod tests {
             "max_batch=16",
             "max_wait=20ms",
             "workers=2",
-            "threads=4",
             "prefetch_depth=2",
-            "leader=Fifo",
             "avoidance=true",
             "retry_budget=5",
             "read_timeout=none",
@@ -412,14 +404,13 @@ mod tests {
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
-        for option in [
-            "threads=",
-            "prefetch_depth=",
-            "leader=",
-            "avoidance=",
-            "retry_budget=",
-        ] {
+        // The engine block is exactly its three fields, each named once;
+        // the retired intra-page knobs are gone from the line.
+        for option in ["prefetch_depth=", "avoidance=", "retry_budget="] {
             assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
+        }
+        for retired in ["threads=", "leader="] {
+            assert!(!line.contains(retired), "{retired} in {line}");
         }
         let admission_line = ServerConfig::default()
             .with_max_queue(32)

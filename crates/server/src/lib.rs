@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! mq-server: an online similarity-query service that turns concurrent
 //! client traffic into multiple similarity queries.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # mq-testkit — deterministic fault injection and oracle equivalence
 //!
@@ -17,9 +18,8 @@
 //!
 //! The central invariant ([`Sim::assert_oracle_equivalence`]): whenever a
 //! faulty run reports success, its answers **and** its avoidance counters
-//! are bit-identical to a fault-free oracle run — across engine threads
-//! {1, 2, 4} × prefetch depths {0, 2} × both leader policies. Failed read
-//! attempts only ever touch [`mq_storage::FaultStats`]; they never leak
+//! are bit-identical to a fault-free oracle run — at prefetch depths
+//! {0, 2}. Failed read attempts only ever touch [`mq_storage::FaultStats`]; they never leak
 //! into I/O counters, the buffer, or the answers.
 //!
 //! The durable backend extends the invariant
@@ -46,4 +46,4 @@ pub mod scenario;
 pub mod sim;
 
 pub use proxy::{ConnFault, FlakyProxy};
-pub use sim::{config_matrix, LengthBudgetPrescreen, Sim, SimConfig, SimReport};
+pub use sim::{config_matrix, LengthBudgetPrescreen, Sim, SimReport};

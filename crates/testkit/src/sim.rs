@@ -6,7 +6,7 @@
 //! faulty run and its oracle see byte-identical inputs.
 
 use mq_core::{
-    Answer, AvoidanceStats, CandidatePrescreen, FaultPolicy, LeaderPolicy, QueryEngine, QueryType,
+    Answer, AvoidanceStats, CandidatePrescreen, EngineOptions, FaultPolicy, QueryEngine, QueryType,
 };
 use mq_datagen::sessions::{web_sessions, SessionConfig};
 use mq_index::LinearScan;
@@ -18,33 +18,18 @@ use mq_storage::{
 use mq_store::{FilePageStore, SEGMENT_FILE};
 use std::path::Path;
 
-/// One engine configuration of the equivalence matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimConfig {
-    /// Page-evaluation threads.
-    pub threads: usize,
-    /// Pipelined prefetch depth.
-    pub prefetch_depth: usize,
-    /// Leader scheduling policy.
-    pub leader: LeaderPolicy,
-}
-
-/// The full configuration matrix the acceptance criteria quantify over:
-/// threads {1, 2, 4} × prefetch depths {0, 2} × both leader schedulers.
-pub fn config_matrix() -> Vec<SimConfig> {
-    let mut configs = Vec::new();
-    for &threads in &[1usize, 2, 4] {
-        for &prefetch_depth in &[0usize, 2] {
-            for &leader in &[LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                configs.push(SimConfig {
-                    threads,
-                    prefetch_depth,
-                    leader,
-                });
-            }
-        }
-    }
-    configs
+/// The engine configurations the acceptance criteria quantify over:
+/// prefetch depths {0, 2}, each retrying transient faults up to
+/// `retry_budget` times, everything else at its default.
+pub fn config_matrix(retry_budget: u32) -> Vec<EngineOptions> {
+    [0, 2]
+        .into_iter()
+        .map(|prefetch_depth| EngineOptions {
+            prefetch_depth,
+            fault_policy: FaultPolicy::new(retry_budget),
+            ..EngineOptions::default()
+        })
+        .collect()
 }
 
 /// The outcome of one simulated run.
@@ -114,14 +99,14 @@ impl CandidatePrescreen<Symbols> for LengthBudgetPrescreen {
 }
 
 /// A deterministic simulation: seed-derived workload, optional fault
-/// plan, engine retry budget, optional approximate candidate tier.
+/// plan, optional approximate candidate tier. The engine's retry budget
+/// arrives with the [`EngineOptions`] of each run.
 #[derive(Clone, Copy, Debug)]
 pub struct Sim {
     seed: u64,
     objects: usize,
     queries: usize,
     plan: Option<FaultPlan>,
-    retry_budget: u32,
     prescreen_budget: Option<usize>,
 }
 
@@ -134,7 +119,6 @@ impl Sim {
             objects: 160,
             queries: 8,
             plan: None,
-            retry_budget: 0,
             prescreen_budget: None,
         }
     }
@@ -155,12 +139,6 @@ impl Sim {
     /// admits everything and must be bit-identical to no tier at all.
     pub fn with_prescreen_budget(mut self, budget: usize) -> Self {
         self.prescreen_budget = Some(budget);
-        self
-    }
-
-    /// Sets the engine's transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
         self
     }
 
@@ -212,11 +190,11 @@ impl Sim {
         PagedDatabase::pack(&Dataset::new(sessions), PageLayout::new(256, 8))
     }
 
-    /// Runs the simulation under `config` on the in-memory backend,
+    /// Runs the simulation under `options` on the in-memory backend,
     /// faults included.
-    pub fn run(&self, config: SimConfig) -> SimReport {
+    pub fn run(&self, options: EngineOptions) -> SimReport {
         let disk = SimulatedDisk::with_buffer_pages(self.database(), 4);
-        self.run_on(config, &disk)
+        self.run_on(options, &disk)
     }
 
     /// [`run`](Self::run) against the durable file backend: a
@@ -224,8 +202,8 @@ impl Sim {
     /// and recovered from segment + WAL afterwards. The report must be
     /// bit-identical to the in-memory backend's
     /// ([`assert_backend_equivalence`](Self::assert_backend_equivalence)).
-    pub fn run_file(&self, config: SimConfig, dir: &Path) -> SimReport {
-        self.run_on(config, &self.open_or_create_store(dir))
+    pub fn run_file(&self, options: EngineOptions, dir: &Path) -> SimReport {
+        self.run_on(options, &self.open_or_create_store(dir))
     }
 
     /// Opens the durable store in `dir`, creating it from the workload
@@ -241,18 +219,14 @@ impl Sim {
     }
 
     /// Runs the workload's query batch against an already-built backend.
-    fn run_on(&self, config: SimConfig, disk: &dyn PageStore<Symbols>) -> SimReport {
+    fn run_on(&self, options: EngineOptions, disk: &dyn PageStore<Symbols>) -> SimReport {
         let (_, queries) = self.workload();
         let scan = LinearScan::new(disk.database().page_count());
         let prescreen = self
             .prescreen_budget
             .map(|budget| LengthBudgetPrescreen::new(disk.database(), budget));
         disk.set_fault_plan(self.plan);
-        let mut engine = QueryEngine::new(disk, &scan, EditDistance)
-            .with_threads(config.threads)
-            .with_prefetch_depth(config.prefetch_depth)
-            .with_leader_policy(config.leader)
-            .with_fault_policy(FaultPolicy::new(self.retry_budget));
+        let mut engine = QueryEngine::new(disk, &scan, EditDistance).with_options(options);
         if let Some(prescreen) = &prescreen {
             engine = engine.with_prescreen(prescreen);
         }
@@ -276,26 +250,26 @@ impl Sim {
         }
     }
 
-    /// Runs the fault-free oracle of this simulation under `config`.
-    pub fn oracle(&self, config: SimConfig) -> SimReport {
+    /// Runs the fault-free oracle of this simulation under `options`.
+    pub fn oracle(&self, options: EngineOptions) -> SimReport {
         Sim {
             plan: None,
             ..*self
         }
-        .run(config)
+        .run(options)
     }
 
     /// Asserts the testkit's central invariant over the whole
-    /// [`config_matrix`]: whenever the faulty run succeeds, its answers
-    /// and avoidance counters are bit-identical to the oracle's. Without
-    /// prefetch the full I/O counters must match too (failed attempts
-    /// leave no trace); with prefetch only `logical_reads` is required to
-    /// match, because an absorbed prefetch fault legitimately turns a
-    /// prefetched hit into a demand read.
+    /// [`config_matrix`] of `retry_budget`: whenever the faulty run
+    /// succeeds, its answers and avoidance counters are bit-identical to
+    /// the oracle's. Without prefetch the full I/O counters must match too
+    /// (failed attempts leave no trace); with prefetch only
+    /// `logical_reads` is required to match, because an absorbed prefetch
+    /// fault legitimately turns a prefetched hit into a demand read.
     ///
     /// Panics name the seed and configuration, which reproduce the run.
-    pub fn assert_oracle_equivalence(&self) {
-        for config in config_matrix() {
+    pub fn assert_oracle_equivalence(&self, retry_budget: u32) {
+        for config in config_matrix(retry_budget) {
             let run = self.run(config);
             let oracle = self.oracle(config);
             assert!(
@@ -340,14 +314,14 @@ impl Sim {
     }
 
     /// Asserts the durable backend's half of the central invariant over
-    /// the whole [`config_matrix`]: the file-backed store in `dir` must
-    /// produce a **fully** bit-identical [`SimReport`] — answers,
-    /// avoidance counters, every I/O counter, every fault counter — for
-    /// every configuration, faults included. (Unlike faulty-vs-oracle
+    /// the whole [`config_matrix`] of `retry_budget`: the file-backed
+    /// store in `dir` must produce a **fully** bit-identical [`SimReport`]
+    /// — answers, avoidance counters, every I/O counter, every fault
+    /// counter — for every configuration, faults included. (Unlike faulty-vs-oracle
     /// comparisons, the two backends see the same fault plan, so nothing
     /// is exempted.)
-    pub fn assert_backend_equivalence(&self, dir: &Path) {
-        for config in config_matrix() {
+    pub fn assert_backend_equivalence(&self, dir: &Path, retry_budget: u32) {
+        for config in config_matrix(retry_budget) {
             let mem = self.run(config);
             let file = self.run_file(config, dir);
             assert_eq!(
@@ -399,24 +373,17 @@ mod tests {
     }
 
     #[test]
-    fn matrix_covers_threads_depths_and_leaders() {
-        let m = config_matrix();
-        assert_eq!(m.len(), 12);
-        assert!(m.iter().any(|c| c.threads == 4
-            && c.prefetch_depth == 2
-            && c.leader == LeaderPolicy::NearestChain));
-        assert!(m
-            .iter()
-            .any(|c| c.threads == 1 && c.prefetch_depth == 0 && c.leader == LeaderPolicy::Fifo));
+    fn matrix_covers_both_prefetch_depths_with_the_budget() {
+        let m = config_matrix(3);
+        assert_eq!(m.len(), 2);
+        assert!(m.iter().any(|c| c.prefetch_depth == 0));
+        assert!(m.iter().any(|c| c.prefetch_depth == 2));
+        assert!(m.iter().all(|c| c.fault_policy.retry_budget == 3));
     }
 
     #[test]
     fn fault_free_run_completes_every_query() {
-        let report = Sim::new(11).run(SimConfig {
-            threads: 1,
-            prefetch_depth: 0,
-            leader: LeaderPolicy::Fifo,
-        });
+        let report = Sim::new(11).run(EngineOptions::default());
         assert!(report.gave_up.is_none());
         assert!(report.completed.iter().all(|&c| c));
         assert_eq!(report.answers.len(), 8);

@@ -2,7 +2,7 @@
 //! marked missing partition — never a panic, never a hang, never a
 //! silently complete answer set.
 
-use mq_core::{EngineOptions, FaultPolicy, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{EngineOptions, FaultPolicy, QueryEngine, QueryType};
 use mq_datagen::uniform_vectors;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{Euclidean, ObjectId, Vector};
@@ -160,37 +160,23 @@ fn every_server_dead_yields_all_partitions_missing_not_a_hang() {
 #[test]
 fn degraded_mode_holds_across_engine_configs() {
     let (objects, queries) = workload(13);
-    for threads in [1usize, 2] {
-        for depth in [0usize, 2] {
-            for leader in [LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                let cluster = build_cluster(
-                    &objects,
-                    EngineOptions {
-                        threads,
-                        prefetch_depth: depth,
-                        leader,
-                        ..retrying(2)
-                    },
-                );
-                cluster.servers()[1]
-                    .disk()
-                    .set_fault_plan(Some(scenario::loss_plan(13, 0)));
-                let degraded = cluster.multiple_query_degraded(&queries);
-                assert_eq!(
-                    degraded.missing_partitions,
-                    vec![1],
-                    "threads {threads}, depth {depth}, {leader:?}"
-                );
-                let reference = surviving_reference(&objects, 1, &queries);
-                for (got, want) in degraded.answers.iter().zip(&reference) {
-                    let got_pairs: Vec<(ObjectId, f64)> =
-                        got.iter().map(|a| (a.id, a.distance)).collect();
-                    assert_eq!(
-                        &got_pairs, want,
-                        "threads {threads}, depth {depth}, {leader:?}"
-                    );
-                }
-            }
+    for depth in [0usize, 2] {
+        let cluster = build_cluster(
+            &objects,
+            EngineOptions {
+                prefetch_depth: depth,
+                ..retrying(2)
+            },
+        );
+        cluster.servers()[1]
+            .disk()
+            .set_fault_plan(Some(scenario::loss_plan(13, 0)));
+        let degraded = cluster.multiple_query_degraded(&queries);
+        assert_eq!(degraded.missing_partitions, vec![1], "depth {depth}");
+        let reference = surviving_reference(&objects, 1, &queries);
+        for (got, want) in degraded.answers.iter().zip(&reference) {
+            let got_pairs: Vec<(ObjectId, f64)> = got.iter().map(|a| (a.id, a.distance)).collect();
+            assert_eq!(&got_pairs, want, "depth {depth}");
         }
     }
 }

@@ -33,7 +33,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn file_backend_is_report_identical_without_faults() {
     let dir = temp_dir("clean");
-    Sim::new(21).assert_backend_equivalence(&dir);
+    Sim::new(21).assert_backend_equivalence(&dir, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -42,8 +42,7 @@ fn file_backend_injects_disk_faults_identically() {
     let dir = temp_dir("faulty");
     Sim::new(22)
         .with_plan(scenario::disk_plan(22))
-        .with_retry_budget(3)
-        .assert_backend_equivalence(&dir);
+        .assert_backend_equivalence(&dir, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -52,7 +51,7 @@ fn file_backend_injects_latency_faults_identically() {
     let dir = temp_dir("latency");
     Sim::new(23)
         .with_plan(scenario::latency_plan(23))
-        .assert_backend_equivalence(&dir);
+        .assert_backend_equivalence(&dir, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -147,7 +146,7 @@ fn kill_after_n_appends_recovers_to_the_clean_twin() {
         std::fs::remove_dir_all(&verify_dir).ok();
     }
 
-    let config = config_matrix()[0];
+    let config = config_matrix(0)[0];
     for n in 0..OPS {
         let record = &wal_image[offsets[n] as usize..offsets[n + 1] as usize];
         // Two reachable crash states at the append boundary: record n+1
@@ -236,7 +235,7 @@ fn crash_inside_the_checkpoint_window_reopens_with_the_stale_wal() {
     assert_same_database(&recovered, &clean, "checkpoint-window crash");
     drop((recovered, clean));
 
-    let config = config_matrix()[0];
+    let config = config_matrix(0)[0];
     assert_eq!(
         sim.run_file(config, &crash_dir).answers,
         sim.run_file(config, &clean_dir).answers,

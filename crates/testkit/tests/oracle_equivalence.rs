@@ -16,8 +16,7 @@ fn lossy_disk_runs_match_the_oracle_when_they_succeed() {
     for &seed in &SEEDS {
         Sim::new(seed)
             .with_plan(scenario::disk_plan(seed))
-            .with_retry_budget(4)
-            .assert_oracle_equivalence();
+            .assert_oracle_equivalence(4);
     }
 }
 
@@ -28,10 +27,8 @@ fn lossy_disk_faults_actually_fire() {
     // absorbed by the budget.
     let mut total_faults = 0u64;
     for &seed in &SEEDS {
-        let sim = Sim::new(seed)
-            .with_plan(scenario::disk_plan(seed))
-            .with_retry_budget(4);
-        for config in config_matrix() {
+        let sim = Sim::new(seed).with_plan(scenario::disk_plan(seed));
+        for config in config_matrix(4) {
             let report = sim.run(config);
             assert!(
                 report.gave_up.is_none(),
@@ -55,8 +52,8 @@ fn latency_spikes_change_no_counter_at_all() {
     // show up only in FaultStats.
     for &seed in &SEEDS {
         let sim = Sim::new(seed).with_plan(scenario::latency_plan(seed));
-        sim.assert_oracle_equivalence();
-        for config in config_matrix() {
+        sim.assert_oracle_equivalence(0);
+        for config in config_matrix(0) {
             let report = sim.run(config);
             let oracle = sim.oracle(config);
             assert!(report.gave_up.is_none(), "seed {seed}, {config:?}");
@@ -75,7 +72,7 @@ fn zero_budget_either_succeeds_identically_or_fails_typed() {
     // with a typed error and preserved partial state, never silently.
     for &seed in &SEEDS {
         let sim = Sim::new(seed).with_plan(scenario::disk_plan(seed));
-        for config in config_matrix() {
+        for config in config_matrix(0) {
             let report = sim.run(config);
             let oracle = sim.oracle(config);
             match &report.gave_up {
@@ -106,10 +103,8 @@ fn zero_budget_either_succeeds_identically_or_fails_typed() {
 #[test]
 fn killed_disk_surfaces_unavailable_and_preserves_completed_queries() {
     for &seed in &SEEDS {
-        let sim = Sim::new(seed)
-            .with_plan(scenario::loss_plan(seed, 6))
-            .with_retry_budget(8);
-        for config in config_matrix() {
+        let sim = Sim::new(seed).with_plan(scenario::loss_plan(seed, 6));
+        for config in config_matrix(8) {
             let report = sim.run(config);
             let oracle = sim.oracle(config);
             let reason = report.gave_up.as_deref().unwrap_or_else(|| {

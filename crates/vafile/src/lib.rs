@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! The VA-file: vector-approximation filtering for high-dimensional scans
 //! (Weber, Schek, Blott — VLDB'98; paper ref. \[22\]).

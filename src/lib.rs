@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # mquery — multiple similarity queries for mining in metric databases
 //!

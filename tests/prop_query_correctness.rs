@@ -115,7 +115,10 @@ proptest! {
         let with = QueryEngine::new(&disk, &scan, Euclidean)
             .multiple_similarity_query(queries.clone());
         let without = QueryEngine::new(&disk, &scan, Euclidean)
-            .without_avoidance()
+            .with_options(EngineOptions {
+                avoidance: false,
+                ..EngineOptions::default()
+            })
             .multiple_similarity_query(queries);
         prop_assert_eq!(with, without);
     }
