@@ -55,14 +55,14 @@ impl Args {
         Ok(out)
     }
 
-    /// Fails if an option was given that the command does not read (the
-    /// global `--simd` aside): a misspelt or retired option must stop the
-    /// run, not silently fall back to a default.
+    /// Fails if an option was given that the command does not read: a
+    /// misspelt or retired option must stop the run, not silently fall
+    /// back to a default.
     pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
         let unknown = self
             .options
             .keys()
-            .filter(|key| *key != "simd" && !known.contains(&key.as_str()))
+            .filter(|key| !known.contains(&key.as_str()))
             .min();
         match unknown {
             None => Ok(()),
@@ -166,9 +166,12 @@ mod tests {
         let err = a.reject_unknown(&["knn", "index"]).unwrap_err();
         assert!(err.0.contains("unknown option --indx"), "{err}");
         assert!(err.0.contains("mq query"), "{err}");
-        // Known options and the global --simd pass.
-        let a = parse(&["query", "db", "--index", "scan", "--simd", "off"]).unwrap();
+        // Known options pass; the retired global --simd is one more unknown.
+        let a = parse(&["query", "db", "--index", "scan"]).unwrap();
         assert!(a.reject_unknown(&["knn", "index"]).is_ok());
+        let a = parse(&["query", "db", "--index", "scan", "--simd", "off"]).unwrap();
+        let err = a.reject_unknown(&["knn", "index"]).unwrap_err();
+        assert!(err.0.contains("unknown option --simd"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mq_datagen::{
 use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{CountingMetric, Euclidean, Metric, ObjectId, Vector, VectorMetric};
 use mq_storage::{persist, Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
-use mq_vafile::{VaConfig, VaFile, VaPageIndex};
+use mq_vafile::{VaConfig, VaFile};
 use std::sync::Arc;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -157,11 +157,29 @@ fn avoidance(args: &Args) -> bool {
 /// An access method plus the database laid out for it.
 type IndexedDb = (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>);
 
+/// Checks that `which` names a page-level access method — the ones
+/// [`build_index`] builds and `mq batch` / `mq serve` run. `vafile` is not
+/// one: it is `mq query`'s object-level filter-and-refine path.
+fn check_index_name(which: &str) -> Result<(), String> {
+    match which {
+        "scan" | "xtree" | "mtree" => Ok(()),
+        "vafile" => Err(
+            "--index vafile is the filter-and-refine path of 'mq query'; \
+             this command takes --index scan|xtree|mtree"
+                .into(),
+        ),
+        other => Err(format!(
+            "unknown --index '{other}' (scan|xtree|mtree, and vafile on 'mq query')"
+        )),
+    }
+}
+
 /// Builds the selected access method over a freshly laid-out database.
 fn build_index(
     db: &PagedDatabase<Vector>,
     which: &str,
 ) -> Result<IndexedDb, Box<dyn std::error::Error>> {
+    check_index_name(which)?;
     let ds = db.to_dataset();
     match which {
         "scan" => {
@@ -189,11 +207,7 @@ fn build_index(
             );
             Ok((Box::new(tree), db))
         }
-        "vafile" => {
-            let db = PagedDatabase::pack(&ds, db.layout());
-            Ok((Box::new(VaPageIndex::build(&db, 6)), db))
-        }
-        other => Err(format!("unknown --index '{other}' (scan|xtree|mtree|vafile)").into()),
+        _ => unreachable!("check_index_name admits only the three names above"),
     }
 }
 
@@ -296,12 +310,13 @@ pub fn batch(args: &Args) -> CmdResult {
         "approx",
     ])?;
     let stored = load(args)?;
+    let metric_choice = parse_metric(args)?;
+    let which = resolve_index_for_metric(args, metric_choice, "scan")?;
+    check_index_name(&which)?;
     let qtype = parse_qtype(args)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
     let m: usize = args.parse_or("m", 10)?;
     let seed: u64 = args.parse_or("seed", 1)?;
-    let metric_choice = parse_metric(args)?;
-    let which = resolve_index_for_metric(args, metric_choice, "scan")?;
     let tier = parse_approx(args, metric_choice)?;
     let avoidance = avoidance(args);
 
@@ -427,9 +442,7 @@ fn parse_quota(args: &Args) -> Result<Option<mq_server::QuotaConfig>, Box<dyn st
 pub fn serve(args: &Args) -> CmdResult {
     use mq_front::FrontServer;
     use mq_obs::{Recorder, Registry};
-    use mq_server::{
-        build_backend_with_recorder, ExecutionMode, FileIndex, ServerConfig, StoreChoice,
-    };
+    use mq_server::{build_backend_with_recorder, ExecutionMode, ServerConfig, StoreChoice};
     args.reject_unknown(&[
         "addr",
         "index",
@@ -453,6 +466,8 @@ pub fn serve(args: &Args) -> CmdResult {
     let addr = args.string_or("addr", "127.0.0.1:7878");
     let metric = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric, "xtree")?;
+    // A typo fails here, by name, before anything is built or bound.
+    check_index_name(&which)?;
     let store = parse_store(args)?;
     let max_batch: usize = args.parse_or("max-batch", 16)?;
     let max_wait_ms: u64 = args.parse_or("max-wait-ms", 20)?;
@@ -479,21 +494,16 @@ pub fn serve(args: &Args) -> CmdResult {
     if servers > 0 {
         config = config.with_mode(ExecutionMode::Cluster { servers });
     }
-    // The file store serves its recovered page layout as-is, so only
-    // indexes that summarize an existing layout qualify: the sequential
-    // scan and the VA page index. The tree bulk-loaders would repack —
-    // an explicit request for one is an error, while the implicit
-    // default (xtree) quietly falls back to the scan.
+    // The file store serves its recovered page layout as-is, by a
+    // sequential scan. The tree bulk-loaders would repack — an explicit
+    // request for one is an error, while the implicit default (xtree)
+    // quietly falls back to the scan.
     let which = match (&store, which.as_str()) {
         (StoreChoice::File(_), "scan") => which,
-        (StoreChoice::File(_), "vafile") => {
-            config = config.with_file_index(FileIndex::VaPage);
-            which
-        }
         (StoreChoice::File(_), other) if args.has("index") => {
             return Err(format!(
                 "--store file:<DIR> serves the recovered page layout; --index {other} \
-                 would repack it (supported: scan, vafile)"
+                 would repack it (supported: scan)"
             )
             .into())
         }
@@ -503,16 +513,13 @@ pub fn serve(args: &Args) -> CmdResult {
 
     let log_interval_s: u64 = args.parse_or("log-interval-s", 60)?;
 
-    // Validate the index name up front so a typo fails fast, not inside
-    // the backend builder.
-    build_index(&stored, &which)?;
     let layout = stored.layout();
     let which_owned = which.clone();
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let backend = build_backend_with_recorder(&stored, &config, 0.10, &recorder, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
-        build_index(&db, &which_owned).expect("index kind validated before serving")
+        build_index(&db, &which_owned).expect("index name checked before serving")
     })?;
 
     // Latch SIGTERM/Ctrl-C before the listener goes up so a signal at

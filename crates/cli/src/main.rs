@@ -33,14 +33,16 @@ USAGE:
                 [--metric euclidean|manhattan|cosine|dot]
                 [--approx bq:<BUDGET>]
       Run one similarity query and print answers plus cost counters.
-      Non-Euclidean metrics require --index scan (tree and VA-file page
-      bounds are Euclidean geometry). --approx prescreens candidates
+      --index vafile is the VA-file's object-level filter-and-refine
+      scan and exists on this command only. Non-Euclidean metrics
+      require --index scan (tree and VA-file bounds are Euclidean
+      geometry). --approx prescreens candidates
       with a lossy tier (binary-quantized Hamming scan keeping BUDGET
       ids) and re-ranks them exactly — recall may drop, reported
       distances never lie.
 
   mq batch <FILE> --queries <N> --m <M> (--knn <K> | --range <EPS>)
-                [--index scan|xtree|mtree|vafile] [--metric ...] [--seed <S>]
+                [--index scan|xtree|mtree] [--metric ...] [--seed <S>]
                 [--no-avoidance] [--approx bq:<BUDGET>]
       Run N random queries in blocks of M and compare against singles.
       With --approx the blocks run through the approximate candidate
@@ -49,7 +51,7 @@ USAGE:
   mq dbscan <FILE> --eps <EPS> --min-pts <P> [--batch <M>]
       Density-based clustering with single or multiple queries.
 
-  mq serve <FILE> [--addr 127.0.0.1:7878] [--index scan|xtree|mtree|vafile]
+  mq serve <FILE> [--addr 127.0.0.1:7878] [--index scan|xtree|mtree]
                 [--metric euclidean|manhattan|cosine|dot]
                 [--store sim|file:<DIR>] [--max-batch <M>] [--max-wait-ms <MS>]
                 [--cluster <S>] [--prefetch-depth <D>] [--workers <W>]
@@ -68,9 +70,8 @@ USAGE:
       evaluate (non-Euclidean metrics require --index scan); clients
       receive distances under the server's configured metric — e.g.
       serve an embeddings database with --metric cosine --index scan.
-      A file store serves its recovered layout: --index scan or vafile
-      only (the VA page index summarizes the layout in place; trees
-      would repack and are refused). --approx installs the lossy
+      A file store serves its recovered layout by a sequential scan
+      (trees would repack it and are refused). --approx installs the lossy
       candidate tier in front of the exact engine; bq sketches persist
       as sketch.mqbq next to a file store's pages and are reloaded,
       checksum-verified, on restart. One readiness-polled event-loop
@@ -141,12 +142,8 @@ USAGE:
 Every command rejects an option it does not read; --no-avoidance,
 --checkpoint and --stats are switches and take no value.
 
-GLOBAL OPTIONS:
-  --simd off|sse2|avx2|neon|auto
-      Pin the distance-kernel SIMD dispatch tier (default: runtime CPU
-      detection; the MQ_SIMD environment variable is the same knob).
-      Every tier returns bit-identical distances — this only trades
-      speed, never answers.
+The MQ_SIMD environment variable (off|avx2|neon|auto, default auto) pins
+the distance-kernel tier; every tier returns bit-identical distances.
 ";
 
 fn main() {
@@ -157,24 +154,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Global `--simd` override, equivalent to the MQ_SIMD environment
-    // variable: pin the distance-kernel dispatch tier before any command
-    // touches a metric. Answers are bit-identical across tiers; this knob
-    // exists for benchmarking and for ruling the kernels out when
-    // debugging.
-    if args.has("simd") {
-        let raw = args.string_or("simd", "auto");
-        match mq_metric::SimdLevel::parse(&raw) {
-            Ok(Some(level)) => {
-                mq_metric::kernel::force(level);
-            }
-            Ok(None) => {} // auto: keep runtime detection
-            Err(e) => {
-                eprintln!("error: --simd: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
     let result = match args.command.as_str() {
         "generate" => commands::generate(&args),
         "info" => commands::info(&args),

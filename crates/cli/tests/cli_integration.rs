@@ -198,6 +198,41 @@ fn switches_and_retired_options() {
             stderr(&serve)
         );
     }
+    // `--index vafile` is `mq query`'s filter-and-refine path only: `batch`
+    // and `serve` refuse it by name, on either store, before anything is
+    // built or bound — as they do a misspelt index.
+    let store = tmpfile("switches-store");
+    let store_arg = format!("file:{}", store.display());
+    let serve = ["serve", db_str, "--addr", "127.0.0.1:0"];
+    let refuse = |base: &[&str], extra: &[&str], needles: [&str; 2]| {
+        let out = mq(&[base, extra].concat());
+        assert!(!out.status.success(), "{extra:?}");
+        for needle in needles {
+            assert!(stderr(&out).contains(needle), "{extra:?}: {}", stderr(&out));
+        }
+        assert!(!stdout(&out).contains("listening"), "{extra:?}");
+    };
+    let vafile = ["--index vafile", "mq query"];
+    refuse(&batch, &["--knn", "3", "--index", "vafile"], vafile);
+    refuse(&serve, &["--index", "vafile"], vafile);
+    refuse(
+        &serve,
+        &["--store", &store_arg, "--index", "vafile"],
+        vafile,
+    );
+    refuse(
+        &serve,
+        &["--index", "xtreee"],
+        ["unknown --index", "xtreee"],
+    );
+    assert!(!store.exists(), "a refused serve must not create its store");
+    // The kernel tier is pinned by MQ_SIMD alone; the flag is gone.
+    let query = ["query", db_str, "--object", "1", "--knn", "3"];
+    refuse(
+        &query,
+        &["--simd", "off"],
+        ["unknown option --simd", "mq query"],
+    );
     let hnsw = mq(&[
         "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",
     ]);

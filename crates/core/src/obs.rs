@@ -73,7 +73,7 @@ impl EngineObs {
         let registry = recorder.registry()?;
         // Info-style gauge: constant 1, the payload is the label. Scrapes
         // can tell which distance-kernel tier this process dispatches to
-        // (scalar / sse2 / avx2 / neon) without guessing from the host.
+        // (scalar / avx2 / neon) without guessing from the host.
         registry
             .gauge(
                 "mq_core_simd_dispatch_info",

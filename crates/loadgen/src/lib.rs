@@ -18,15 +18,14 @@
 //!   sequence (vectors, query types, sessions, arrival offsets) as plain
 //!   data, a pure function of one seed. [`RequestPlan::encode`] is its
 //!   canonical byte form; [`RequestPlan::fingerprint`] the FNV-1a hash
-//!   `BENCH_server.json` records, so two runs can prove they offered the
-//!   same stream even when their latency numbers differ.
+//!   every report records, so two runs can prove they offered the same
+//!   stream even when their latency numbers differ.
 //! * [`run`] — the only wall-clock-touching stage: sender threads
 //!   (`RetryingClient` underneath, so transport faults retry with seeded
 //!   jitter) replay the plan and fill a [`RunReport`].
 //!
-//! Consumers: the `bench_server` binary (CI's `server-load` gate),
-//! `mq loadgen <ADDR>` in the CLI, and the FlakyProxy-under-load suite
-//! in `mq-testkit`.
+//! Consumers: `mq loadgen <ADDR>` in the CLI (CI's `server-load` and
+//! `overload` jobs) and the FlakyProxy-under-load suite in `mq-testkit`.
 
 pub mod driver;
 pub mod plan;

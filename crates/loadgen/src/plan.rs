@@ -313,9 +313,9 @@ impl RequestPlan {
         out
     }
 
-    /// FNV-1a fingerprint of [`encode`](Self::encode) — the value
-    /// `BENCH_server.json` records so two runs can prove they sent the
-    /// same request stream.
+    /// FNV-1a fingerprint of [`encode`](Self::encode) — the value a
+    /// report records so two runs can prove they sent the same request
+    /// stream.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for byte in self.encode() {

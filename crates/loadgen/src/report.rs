@@ -1,4 +1,4 @@
-//! Run results and their `BENCH_server.json` serialization.
+//! Run results and their JSON serialization (`mq loadgen --out`).
 //!
 //! The JSON is hand-assembled (the workspace has no serde); numbers are
 //! emitted with Rust's shortest-roundtrip `f64` formatting, and

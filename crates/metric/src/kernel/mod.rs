@@ -1,5 +1,6 @@
-//! Runtime-dispatched distance kernels: blocked scalar, SSE2, AVX2 and NEON
-//! tiers behind one set of entry points.
+//! Runtime-dispatched distance kernels: a blocked scalar tier and one vector
+//! tier per architecture (AVX2 on x86-64, NEON on aarch64) behind one set of
+//! entry points.
 //!
 //! Every tier computes the *same* IEEE-754 operation sequence — widen each
 //! `f32` lane to `f64`, subtract/multiply/add per lane, reduce through the
@@ -12,10 +13,11 @@
 //!
 //! The tier is chosen once, on first use, from runtime CPU feature
 //! detection, and can be overridden with the `MQ_SIMD` environment
-//! variable (`off|sse2|avx2|neon|auto`) or [`force`]. Requesting a tier
-//! the CPU cannot run falls back to the best detected tier; the scalar
-//! tier is always available. Per-call dispatch costs one relaxed atomic
-//! load; batch loops should hoist [`active`] and call the `*_at` variants.
+//! variable (`off|avx2|neon|auto`). Requesting a tier the CPU cannot run
+//! falls back to the best detected tier; the scalar tier is always
+//! available (and is what x86-64 without AVX2 runs). Per-call dispatch
+//! costs one relaxed atomic load; batch loops should hoist [`active`] and
+//! call the `*_at` variants.
 
 pub(crate) mod scalar;
 
@@ -39,7 +41,7 @@ pub const LANES: usize = 4;
 pub const EARLY_EXIT_SLACK: f64 = 1.0 + 1e-9;
 
 /// Fixed reduction tree over the lane accumulators. Every tier — scalar,
-/// SSE2, AVX2, NEON, full, batched, and early-exit — reduces through this
+/// AVX2, NEON, full, batched, and early-exit — reduces through this
 /// same tree so results stay bit-identical no matter which code path
 /// computed them.
 #[inline]
@@ -55,14 +57,11 @@ pub enum SimdLevel {
     /// Blocked scalar kernels — always available, the bit-identity
     /// reference for every other tier.
     Scalar = 0,
-    /// 128-bit SSE2 kernels (two f64 lanes twice per block). Part of the
-    /// x86-64 baseline, so always available on that architecture.
-    Sse2 = 1,
     /// 256-bit AVX2 kernels (four f64 lanes per block).
-    Avx2 = 2,
+    Avx2 = 1,
     /// 128-bit NEON kernels (two f64 lanes twice per block); the aarch64
     /// baseline.
-    Neon = 3,
+    Neon = 2,
 }
 
 impl SimdLevel {
@@ -70,7 +69,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Neon => "neon",
         }
@@ -82,7 +80,6 @@ impl SimdLevel {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" | "" => Ok(None),
             "off" | "scalar" | "none" => Ok(Some(SimdLevel::Scalar)),
-            "sse2" => Ok(Some(SimdLevel::Sse2)),
             "avx2" => Ok(Some(SimdLevel::Avx2)),
             "neon" => Ok(Some(SimdLevel::Neon)),
             other => Err(other.to_string()),
@@ -94,8 +91,6 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => true, // x86-64 baseline
-            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "aarch64")]
             SimdLevel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
@@ -106,9 +101,8 @@ impl SimdLevel {
 
     fn from_u8(v: u8) -> SimdLevel {
         match v {
-            1 => SimdLevel::Sse2,
-            2 => SimdLevel::Avx2,
-            3 => SimdLevel::Neon,
+            1 => SimdLevel::Avx2,
+            2 => SimdLevel::Neon,
             _ => SimdLevel::Scalar,
         }
     }
@@ -121,7 +115,6 @@ pub fn detected() -> SimdLevel {
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
         }
-        return SimdLevel::Sse2;
     }
     #[cfg(target_arch = "aarch64")]
     {
@@ -163,21 +156,13 @@ pub fn active() -> SimdLevel {
             }
             Err(token) => {
                 eprintln!(
-                    "MQ_SIMD={token}: unrecognized (want off|sse2|avx2|neon|auto), using {}",
+                    "MQ_SIMD={token}: unrecognized (want off|avx2|neon|auto), using {}",
                     detected().name()
                 );
                 detected()
             }
         },
     };
-    ACTIVE.store(level as u8, Ordering::Relaxed);
-    level
-}
-
-/// Forces the dispatch tier (e.g. from a `--simd` CLI flag), clamping an
-/// unsupported request to [`detected`]. Returns the tier actually set.
-pub fn force(level: SimdLevel) -> SimdLevel {
-    let level = if level.supported() { level } else { detected() };
     ACTIVE.store(level as u8, Ordering::Relaxed);
     level
 }
@@ -227,20 +212,26 @@ pub fn cpu_features() -> String {
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch {
-    ($level:expr, $scalar:expr, $sse2:expr, $avx2:expr, $neon:expr) => {{
+    ($level:expr, $scalar:expr, $avx2:expr, $neon:expr) => {{
         match $level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2 presence is verified at runtime; SSE2 is part
-            // of the x86-64 baseline this crate is compiled for.
+            // SAFETY: AVX2 presence is verified at runtime.
             SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => unsafe { $avx2 },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 | SimdLevel::Avx2 => unsafe { $sse2 },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON presence is verified at runtime.
             SimdLevel::Neon if std::arch::is_aarch64_feature_detected!("neon") => unsafe { $neon },
             _ => $scalar,
         }
     }};
+}
+
+/// Both slices cut to the shorter one's length. The scalar tier's `zip`
+/// loops stop there anyway; the vector tiers load through raw pointers and
+/// rely on it, so every `*_at` entry point trims before it dispatches.
+#[inline]
+fn common_prefix<'a, T>(xs: &'a [T], ys: &'a [T]) -> (&'a [T], &'a [T]) {
+    let n = xs.len().min(ys.len());
+    (&xs[..n], &ys[..n])
 }
 
 /// Sum of squared differences at the process-wide tier.
@@ -252,10 +243,10 @@ pub fn l2_sq(xs: &[f32], ys: &[f32]) -> f64 {
 /// Sum of squared differences at an explicit tier.
 #[inline]
 pub fn l2_sq_at(level: SimdLevel, xs: &[f32], ys: &[f32]) -> f64 {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::l2_sq(xs, ys),
-        x86::l2_sq_sse2(xs, ys),
         x86::l2_sq_avx2(xs, ys),
         neon::l2_sq_neon(xs, ys)
     )
@@ -271,10 +262,10 @@ pub fn l2_sq_le(xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
 /// Early-exit sum of squared differences at an explicit tier.
 #[inline]
 pub fn l2_sq_le_at(level: SimdLevel, xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::l2_sq_le(xs, ys, limit),
-        x86::l2_sq_le_sse2(xs, ys, limit),
         x86::l2_sq_le_avx2(xs, ys, limit),
         neon::l2_sq_le_neon(xs, ys, limit)
     )
@@ -289,10 +280,10 @@ pub fn weighted_l2_sq(xs: &[f32], ys: &[f32], ws: &[f64]) -> f64 {
 /// Weighted sum of squared differences at an explicit tier.
 #[inline]
 pub fn weighted_l2_sq_at(level: SimdLevel, xs: &[f32], ys: &[f32], ws: &[f64]) -> f64 {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::weighted_l2_sq(xs, ys, ws),
-        x86::weighted_l2_sq_sse2(xs, ys, ws),
         x86::weighted_l2_sq_avx2(xs, ys, ws),
         neon::weighted_l2_sq_neon(xs, ys, ws)
     )
@@ -307,10 +298,10 @@ pub fn l1(xs: &[f32], ys: &[f32]) -> f64 {
 /// Sum of absolute differences at an explicit tier.
 #[inline]
 pub fn l1_at(level: SimdLevel, xs: &[f32], ys: &[f32]) -> f64 {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::l1(xs, ys),
-        x86::l1_sse2(xs, ys),
         x86::l1_avx2(xs, ys),
         neon::l1_neon(xs, ys)
     )
@@ -325,10 +316,10 @@ pub fn l1_le(xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
 /// Early-exit sum of absolute differences at an explicit tier.
 #[inline]
 pub fn l1_le_at(level: SimdLevel, xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::l1_le(xs, ys, limit),
-        x86::l1_le_sse2(xs, ys, limit),
         x86::l1_le_avx2(xs, ys, limit),
         neon::l1_le_neon(xs, ys, limit)
     )
@@ -344,10 +335,10 @@ pub fn dot(xs: &[f32], ys: &[f32]) -> f64 {
 /// Inner product at an explicit tier.
 #[inline]
 pub fn dot_at(level: SimdLevel, xs: &[f32], ys: &[f32]) -> f64 {
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::dot(xs, ys),
-        x86::dot_sse2(xs, ys),
         x86::dot_avx2(xs, ys),
         neon::dot_neon(xs, ys)
     )
@@ -367,12 +358,10 @@ pub fn hamming(xs: &[u64], ys: &[u64]) -> u32 {
 /// instruction.
 #[inline]
 pub fn hamming_at(level: SimdLevel, xs: &[u64], ys: &[u64]) -> u32 {
-    let n = xs.len().min(ys.len());
-    let (xs, ys) = (&xs[..n], &ys[..n]);
+    let (xs, ys) = common_prefix(xs, ys);
     dispatch!(
         level,
         scalar::hamming(xs, ys),
-        x86::hamming_sse2(xs, ys),
         x86::hamming_avx2(xs, ys),
         neon::hamming_neon(xs, ys)
     )
@@ -393,25 +382,20 @@ mod tests {
     }
 
     fn available_levels() -> Vec<SimdLevel> {
-        [
-            SimdLevel::Scalar,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-            SimdLevel::Neon,
-        ]
-        .into_iter()
-        .filter(|l| l.supported())
-        .collect()
+        [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Neon]
+            .into_iter()
+            .filter(|l| l.supported())
+            .collect()
     }
 
     #[test]
     fn parse_accepts_documented_tokens() {
         assert_eq!(SimdLevel::parse("auto"), Ok(None));
         assert_eq!(SimdLevel::parse("off"), Ok(Some(SimdLevel::Scalar)));
-        assert_eq!(SimdLevel::parse("SSE2"), Ok(Some(SimdLevel::Sse2)));
-        assert_eq!(SimdLevel::parse("avx2"), Ok(Some(SimdLevel::Avx2)));
+        assert_eq!(SimdLevel::parse("AVX2"), Ok(Some(SimdLevel::Avx2)));
         assert_eq!(SimdLevel::parse("neon"), Ok(Some(SimdLevel::Neon)));
         assert!(SimdLevel::parse("avx512").is_err());
+        assert_eq!(SimdLevel::parse("sse2"), Err("sse2".to_string()));
     }
 
     #[test]
@@ -467,6 +451,26 @@ mod tests {
                         "l1_le {level:?} dim={dim} limit={limit}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_lengths_compare_the_common_prefix() {
+        // The vector tiers load through raw pointers: a longer slice must
+        // not carry them past the end of the shorter one.
+        let (long, short) = (pseudo(13, 3), pseudo(6, 71));
+        let (ws, inf) = ([0.5f64; 6], f64::INFINITY);
+        for level in available_levels() {
+            for (a, b) in [(&long, &short), (&short, &long)] {
+                let (pa, pb) = (&a[..6], &b[..6]);
+                assert_eq!(l2_sq_at(level, a, b), scalar::l2_sq(pa, pb), "{level:?}");
+                assert_eq!(l1_at(level, a, b), scalar::l1(pa, pb), "{level:?}");
+                assert_eq!(dot_at(level, a, b), scalar::dot(pa, pb), "{level:?}");
+                let weighted = scalar::weighted_l2_sq(pa, pb, &ws);
+                assert_eq!(weighted_l2_sq_at(level, a, b, &ws), weighted, "{level:?}");
+                assert_eq!(l2_sq_le_at(level, a, b, inf), Some(scalar::l2_sq(pa, pb)));
+                assert_eq!(l1_le_at(level, a, b, inf), Some(scalar::l1(pa, pb)));
             }
         }
     }

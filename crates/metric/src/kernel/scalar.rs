@@ -4,8 +4,10 @@
 //! Each kernel widens `f32` components to `f64`, accumulates into
 //! [`LANES`](super::LANES) independent lanes, reduces through the fixed
 //! [`combine`](super::combine) tree and finishes with a sequential tail —
-//! the exact operation sequence the SSE2/AVX2/NEON tiers replicate with
-//! vector registers.
+//! the exact operation sequence the AVX2 and NEON tiers replicate with
+//! vector registers. It is also what an x86-64 CPU without AVX2 runs: at
+//! that baseline LLVM compiles these four-lane loops to the same
+//! `cvtps2pd/subpd/mulpd/addpd` a hand-written 128-bit tier would use.
 
 use super::{combine, LANES};
 

@@ -1,4 +1,4 @@
-//! SSE2 and AVX2 kernel tiers (x86-64).
+//! The AVX2 kernel tier (x86-64).
 //!
 //! Bit-identity with the scalar tier is load-bearing: every kernel widens
 //! four `f32`s to `f64`, then performs the same subtract / multiply / add
@@ -7,12 +7,22 @@
 //! sequential tail loop. FMA is deliberately never used — the scalar
 //! kernels round after the multiply, and fusing would change the bits.
 //!
-//! The AVX2 tier keeps the four lane accumulators in one `__m256d`; the
-//! SSE2 tier splits them across two `__m128d`s (lanes 0–1 and 2–3), which
-//! preserves the per-lane accumulation order exactly.
+//! The four lane accumulators live in one `__m256d`, so the per-lane
+//! accumulation order is exactly the scalar tier's.
+//!
+//! # Safety
+//!
+//! Every `pub(crate)` kernel here is `#[target_feature(enable = "avx2")]`
+//! and `unsafe` to call, with the same two obligations on its caller: the
+//! CPU supports AVX2, and `ys` is at least as long as `xs`. The `*_at`
+//! entry points in `mod.rs` are the only callers; they trim both slices to
+//! the shorter one and `dispatch!` checks the feature at runtime before
+//! each call. Value intrinsics are safe inside such a function; only the
+//! raw-pointer loads and stores need an `unsafe` block, and each says why
+//! its pointer is in bounds.
 
-#![allow(clippy::missing_safety_doc)] // every fn: caller must ensure the
-                                      // named target feature is available
+#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(clippy::missing_safety_doc)] // one contract for every fn, stated above
 
 use std::arch::x86_64::*;
 
@@ -20,27 +30,18 @@ use super::LANES;
 
 const CHECK_EVERY: u32 = 4;
 
-/// Reduces a 256-bit accumulator through the fixed combine tree.
+/// Reduces a 256-bit accumulator through the fixed combine tree. Safe to
+/// call from the kernels below: they carry the same target feature.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn combine256(acc: __m256d) -> f64 {
+fn combine256(acc: __m256d) -> f64 {
     let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
+    // SAFETY: `lanes` is four f64s, exactly the 32 bytes the store writes.
+    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
-/// Reduces the split 128-bit accumulators (lanes 0–1, lanes 2–3) through
-/// the fixed combine tree.
-#[inline]
-unsafe fn combine128(acc01: __m128d, acc23: __m128d) -> f64 {
-    let mut lo = [0.0f64; 2];
-    let mut hi = [0.0f64; 2];
-    _mm_storeu_pd(lo.as_mut_ptr(), acc01);
-    _mm_storeu_pd(hi.as_mut_ptr(), acc23);
-    (lo[0] + lo[1]) + (hi[0] + hi[1])
-}
-
-/// Scalar tails, shared by both tiers: identical to the `chunks_exact`
+/// Scalar tails: identical to the `chunks_exact`
 /// remainder loops in `scalar.rs`.
 #[inline]
 fn tail_l2(xs: &[f32], ys: &[f32], from: usize) -> f64 {
@@ -80,17 +81,15 @@ fn tail_dot(xs: &[f32], ys: &[f32], from: usize) -> f64 {
     tail
 }
 
-// ---------------------------------------------------------------------------
-// AVX2
-// ---------------------------------------------------------------------------
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn l2_sq_avx2(xs: &[f32], ys: &[f32]) -> f64 {
     let chunks = xs.len() / LANES;
     let mut acc = _mm256_setzero_pd();
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
         let d = _mm256_sub_pd(x, y);
         acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
     }
@@ -103,8 +102,10 @@ pub(crate) unsafe fn l2_sq_le_avx2(xs: &[f32], ys: &[f32], limit: f64) -> Option
     let mut acc = _mm256_setzero_pd();
     let mut until_check = CHECK_EVERY;
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
         let d = _mm256_sub_pd(x, y);
         acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
         until_check -= 1;
@@ -123,9 +124,12 @@ pub(crate) unsafe fn weighted_l2_sq_avx2(xs: &[f32], ys: &[f32], ws: &[f64]) -> 
     let chunks = xs.len().min(ws.len()) / LANES;
     let mut acc = _mm256_setzero_pd();
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
-        let w = _mm256_loadu_pd(ws.as_ptr().add(i * LANES));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
+        // SAFETY: `chunks * LANES <= ws.len()` too, by the `min` above.
+        let w = unsafe { _mm256_loadu_pd(ws.as_ptr().add(i * LANES)) };
         let d = _mm256_sub_pd(x, y);
         // (w · d) · d — the same association order as the scalar kernel.
         acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_mul_pd(w, d), d));
@@ -139,8 +143,10 @@ pub(crate) unsafe fn l1_avx2(xs: &[f32], ys: &[f32]) -> f64 {
     let chunks = xs.len() / LANES;
     let mut acc = _mm256_setzero_pd();
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
         let d = _mm256_sub_pd(x, y);
         acc = _mm256_add_pd(acc, _mm256_andnot_pd(sign, d));
     }
@@ -154,8 +160,10 @@ pub(crate) unsafe fn l1_le_avx2(xs: &[f32], ys: &[f32], limit: f64) -> Option<f6
     let mut acc = _mm256_setzero_pd();
     let mut until_check = CHECK_EVERY;
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
         let d = _mm256_sub_pd(x, y);
         acc = _mm256_add_pd(acc, _mm256_andnot_pd(sign, d));
         until_check -= 1;
@@ -174,8 +182,10 @@ pub(crate) unsafe fn dot_avx2(xs: &[f32], ys: &[f32]) -> f64 {
     let chunks = xs.len() / LANES;
     let mut acc = _mm256_setzero_pd();
     for i in 0..chunks {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(i * LANES)));
-        let y = _mm256_cvtps_pd(_mm_loadu_ps(ys.as_ptr().add(i * LANES)));
+        // SAFETY: `i < chunks` and `chunks * LANES <= xs.len()`: in bounds.
+        let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(xs.as_ptr().add(i * LANES)) });
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(ys.as_ptr().add(i * LANES)) });
         acc = _mm256_add_pd(acc, _mm256_mul_pd(x, y));
     }
     combine256(acc) + tail_dot(xs, ys, chunks * LANES)
@@ -198,8 +208,10 @@ pub(crate) unsafe fn hamming_avx2(xs: &[u64], ys: &[u64]) -> u32 {
     let chunks = xs.len() / WORDS;
     let mut total = _mm256_setzero_si256();
     for i in 0..chunks {
-        let x = _mm256_loadu_si256(xs.as_ptr().add(i * WORDS) as *const __m256i);
-        let y = _mm256_loadu_si256(ys.as_ptr().add(i * WORDS) as *const __m256i);
+        // SAFETY: `i < chunks` and `chunks * WORDS <= xs.len()`: in bounds.
+        let x = unsafe { _mm256_loadu_si256(xs.as_ptr().add(i * WORDS) as *const __m256i) };
+        // SAFETY: likewise, `ys` being at least as long (module contract).
+        let y = unsafe { _mm256_loadu_si256(ys.as_ptr().add(i * WORDS) as *const __m256i) };
         let v = _mm256_xor_si256(x, y);
         let lo = _mm256_and_si256(v, low_mask);
         let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
@@ -207,132 +219,11 @@ pub(crate) unsafe fn hamming_avx2(xs: &[u64], ys: &[u64]) -> u32 {
         total = _mm256_add_epi64(total, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
     }
     let mut lanes = [0u64; WORDS];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, total);
+    // SAFETY: `lanes` is four u64s, exactly the 32 bytes the store writes.
+    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, total) };
     let mut sum = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as u32;
     for i in chunks * WORDS..xs.len() {
         sum += (xs[i] ^ ys[i]).count_ones();
     }
     sum
-}
-
-/// SSE2 has no byte shuffle (`pshufb` is SSSE3), so the classic in-register
-/// popcount is unavailable at this tier; the word-at-a-time scalar loop is
-/// the fastest baseline-safe implementation and trivially the same count.
-pub(crate) unsafe fn hamming_sse2(xs: &[u64], ys: &[u64]) -> u32 {
-    super::scalar::hamming(xs, ys)
-}
-
-// ---------------------------------------------------------------------------
-// SSE2 (x86-64 baseline — no runtime check needed)
-// ---------------------------------------------------------------------------
-
-/// Loads one LANES-sized block as two f64 pairs: lanes 0–1 and 2–3.
-#[inline]
-unsafe fn load_pd_pair(xs: &[f32], at: usize) -> (__m128d, __m128d) {
-    let v = _mm_loadu_ps(xs.as_ptr().add(at));
-    (_mm_cvtps_pd(v), _mm_cvtps_pd(_mm_movehl_ps(v, v)))
-}
-
-pub(crate) unsafe fn l2_sq_sse2(xs: &[f32], ys: &[f32]) -> f64 {
-    let chunks = xs.len() / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        let d01 = _mm_sub_pd(x01, y01);
-        let d23 = _mm_sub_pd(x23, y23);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-    }
-    combine128(acc01, acc23) + tail_l2(xs, ys, chunks * LANES)
-}
-
-pub(crate) unsafe fn l2_sq_le_sse2(xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
-    let chunks = xs.len() / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    let mut until_check = CHECK_EVERY;
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        let d01 = _mm_sub_pd(x01, y01);
-        let d23 = _mm_sub_pd(x23, y23);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-        until_check -= 1;
-        if until_check == 0 {
-            until_check = CHECK_EVERY;
-            if combine128(acc01, acc23) > limit {
-                return None;
-            }
-        }
-    }
-    Some(combine128(acc01, acc23) + tail_l2(xs, ys, chunks * LANES))
-}
-
-pub(crate) unsafe fn weighted_l2_sq_sse2(xs: &[f32], ys: &[f32], ws: &[f64]) -> f64 {
-    let chunks = xs.len().min(ws.len()) / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        let w01 = _mm_loadu_pd(ws.as_ptr().add(i * LANES));
-        let w23 = _mm_loadu_pd(ws.as_ptr().add(i * LANES + 2));
-        let d01 = _mm_sub_pd(x01, y01);
-        let d23 = _mm_sub_pd(x23, y23);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_mul_pd(w01, d01), d01));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_mul_pd(w23, d23), d23));
-    }
-    combine128(acc01, acc23) + tail_weighted(xs, ys, ws, chunks * LANES)
-}
-
-pub(crate) unsafe fn l1_sse2(xs: &[f32], ys: &[f32]) -> f64 {
-    let sign = _mm_set1_pd(-0.0);
-    let chunks = xs.len() / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        acc01 = _mm_add_pd(acc01, _mm_andnot_pd(sign, _mm_sub_pd(x01, y01)));
-        acc23 = _mm_add_pd(acc23, _mm_andnot_pd(sign, _mm_sub_pd(x23, y23)));
-    }
-    combine128(acc01, acc23) + tail_l1(xs, ys, chunks * LANES)
-}
-
-pub(crate) unsafe fn l1_le_sse2(xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
-    let sign = _mm_set1_pd(-0.0);
-    let chunks = xs.len() / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    let mut until_check = CHECK_EVERY;
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        acc01 = _mm_add_pd(acc01, _mm_andnot_pd(sign, _mm_sub_pd(x01, y01)));
-        acc23 = _mm_add_pd(acc23, _mm_andnot_pd(sign, _mm_sub_pd(x23, y23)));
-        until_check -= 1;
-        if until_check == 0 {
-            until_check = CHECK_EVERY;
-            if combine128(acc01, acc23) > limit {
-                return None;
-            }
-        }
-    }
-    Some(combine128(acc01, acc23) + tail_l1(xs, ys, chunks * LANES))
-}
-
-pub(crate) unsafe fn dot_sse2(xs: &[f32], ys: &[f32]) -> f64 {
-    let chunks = xs.len() / LANES;
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for i in 0..chunks {
-        let (x01, x23) = load_pd_pair(xs, i * LANES);
-        let (y01, y23) = load_pd_pair(ys, i * LANES);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(x01, y01));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(x23, y23));
-    }
-    combine128(acc01, acc23) + tail_dot(xs, ys, chunks * LANES)
 }

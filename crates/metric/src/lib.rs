@@ -34,10 +34,10 @@
 //!
 //! All vector distances operate on [`Vector`] (shared `Arc<[f32]>` payloads with
 //! `f64` distance arithmetic). The vector kernels live in [`kernel`] and
-//! dispatch at runtime between blocked scalar and SIMD (SSE2/AVX2/NEON)
-//! tiers that produce bit-identical results; `MQ_SIMD=off|sse2|avx2|neon|auto`
-//! overrides the choice. [`VectorMetric`] names the subset of metrics the
-//! server and CLI can select at runtime.
+//! dispatch at runtime between a blocked scalar tier and one SIMD tier per
+//! architecture (AVX2/NEON) that produce bit-identical results;
+//! `MQ_SIMD=off|avx2|neon|auto` overrides the choice. [`VectorMetric`] names
+//! the subset of metrics the server and CLI can select at runtime.
 
 pub mod cosine;
 pub mod cost;

@@ -22,15 +22,10 @@ use proptest::prelude::*;
 
 /// Every tier this CPU can actually execute (scalar always included).
 fn available_levels() -> Vec<SimdLevel> {
-    [
-        SimdLevel::Scalar,
-        SimdLevel::Sse2,
-        SimdLevel::Avx2,
-        SimdLevel::Neon,
-    ]
-    .into_iter()
-    .filter(|level| level.supported())
-    .collect()
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Neon]
+        .into_iter()
+        .filter(|level| level.supported())
+        .collect()
 }
 
 /// Equal-length component triples (x, y, weight). Lengths 1..=96 sweep

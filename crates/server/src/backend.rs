@@ -7,7 +7,7 @@
 //! durable stores in file mode. Every engine option arrives as the one
 //! [`ServerConfig::engine`] block.
 
-use crate::config::{ExecutionMode, FileIndex, ServerConfig, StoreChoice};
+use crate::config::{ExecutionMode, ServerConfig, StoreChoice};
 use mq_approx::ApproxTier;
 use mq_core::{
     Answer, CandidatePrescreen, EngineObs, EngineOptions, ExecutionStats, QueryEngine, QueryType,
@@ -21,7 +21,6 @@ use mq_storage::{Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
 use mq_store::{
     FilePageStore, PartitionManifest, SegmentMeta, StoreError, SEGMENT_FILE, SEGMENT_HEADER_LEN,
 };
-use mq_vafile::VaPageIndex;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -301,7 +300,7 @@ impl QueryBackend for ClusterBackend {
 /// database and an index-builder callback (invoked once per cluster
 /// server, or once for the single-engine path; ignored by the file-backed
 /// store, which always serves its recovered layout through a sequential
-/// scan or the VA page index).
+/// scan).
 ///
 /// # Errors
 /// Fails only in file-store mode, when the store directory cannot be
@@ -351,15 +350,6 @@ where
             config.metric.name()
         )));
     }
-    // The VA page index prunes with Euclidean lower bounds, like the
-    // trees; any other metric must scan.
-    if config.file_index == FileIndex::VaPage && config.metric != VectorMetric::Euclidean {
-        return Err(StoreError::Format(format!(
-            "--index vafile prunes with Euclidean page bounds; --metric {} \
-             requires --index scan",
-            config.metric.name()
-        )));
-    }
     // File stores keep the binary sketch beside their page files.
     let sidecar = match &config.store {
         StoreChoice::Sim => None,
@@ -385,9 +375,10 @@ where
                             manifest.parts
                         )));
                     }
+                    // Served as recovered, by a scan: a tree would repack.
                     let store = open_or_create_store(dir, db, buffer_fraction)?;
-                    let index = file_store_index(store.database(), config.file_index);
-                    (Box::new(store), index)
+                    let scan = LinearScan::new(store.database().page_count());
+                    (Box::new(store), Box::new(scan))
                 }
             };
             let prescreen = config
@@ -419,7 +410,6 @@ where
                         servers,
                         buffer_fraction,
                         config.metric,
-                        config.file_index,
                     )?,
                     config.engine,
                 ),
@@ -430,19 +420,6 @@ where
             }
             Ok(Box::new(backend))
         }
-    }
-}
-
-/// Builds the access method for a recovered file-store layout: a
-/// sequential scan, or VA-quantized page bounds summarized in place (no
-/// repacking — the recovered layout is served as-is either way).
-fn file_store_index(
-    db: &PagedDatabase<Vector>,
-    choice: FileIndex,
-) -> Box<dyn SimilarityIndex<Vector>> {
-    match choice {
-        FileIndex::Scan => Box::new(LinearScan::new(db.page_count())),
-        FileIndex::VaPage => Box::new(VaPageIndex::build(db, 6)),
     }
 }
 
@@ -504,7 +481,6 @@ fn open_or_create_partition_stores(
     servers: usize,
     buffer_fraction: f64,
     metric: VectorMetric,
-    file_index: FileIndex,
 ) -> Result<Vec<Server<Vector, CountingMetric<VectorMetric>>>, StoreError> {
     let part_dir = |p: usize| dir.join(format!("part-{p}"));
     let mut out = Vec::new();
@@ -549,10 +525,10 @@ fn open_or_create_partition_stores(
                     )));
                 }
             }
-            let index = file_store_index(local, file_index);
+            let scan = LinearScan::new(local.page_count());
             out.push(Server::from_parts(
                 Box::new(store),
-                index,
+                Box::new(scan),
                 CountingMetric::new(metric),
                 manifest.global_ids,
             ));
@@ -579,10 +555,10 @@ fn open_or_create_partition_stores(
                 global_ids: global_ids.clone(),
             }
             .save(&part_dir(p))?;
-            let index = file_store_index(store.database(), file_index);
+            let scan = LinearScan::new(store.database().page_count());
             out.push(Server::from_parts(
                 Box::new(store),
-                index,
+                Box::new(scan),
                 CountingMetric::new(metric),
                 global_ids,
             ));
@@ -901,63 +877,6 @@ mod tests {
             // distance, not a Hamming proxy.
             assert_eq!(a.distance, (a.id.0 as f64 - 60.0).abs());
         }
-    }
-
-    #[test]
-    fn file_store_vafile_index_agrees_with_scan_and_guards_metric() {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-vafile-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, db.layout());
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 19.0 + 0.3]), QueryType::knn(3)))
-            .collect();
-        let oracle = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("sim backend")
-            .execute(queries.clone());
-
-        for (mode, sub) in [
-            (ExecutionMode::Single, "single"),
-            (ExecutionMode::Cluster { servers: 3 }, "cluster"),
-        ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(StoreChoice::File(dir.join(sub)))
-                .with_file_index(FileIndex::VaPage);
-            // Create, then reopen: the VA summary is rebuilt over the
-            // recovered layout both times.
-            for round in ["create", "reopen"] {
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("vafile file backend");
-                let (answers, _) = backend.execute(queries.clone());
-                for (qi, (a, b)) in oracle.0.iter().zip(&answers).enumerate() {
-                    let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
-                    let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
-                    assert_eq!(ia, ib, "{sub} {round}, query {qi}");
-                }
-            }
-        }
-
-        let config = ServerConfig::default()
-            .with_store(StoreChoice::File(dir.join("guard")))
-            .with_file_index(FileIndex::VaPage)
-            .with_metric(VectorMetric::Dot);
-        match build_backend(&db, &config, 0.10, build) {
-            Err(StoreError::Format(msg)) => assert!(msg.contains("Euclidean"), "{msg}"),
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("vafile index + dot metric must be refused"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

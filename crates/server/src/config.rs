@@ -31,32 +31,6 @@ pub enum StoreChoice {
     File(PathBuf),
 }
 
-/// Access method served over a *recovered* file-store page layout.
-///
-/// A durable store's pages must be served exactly as crash recovery left
-/// them, so only indexes that summarize an existing layout qualify — the
-/// tree bulk-loaders would repack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FileIndex {
-    /// Sequential scan in physical page order (every page relevant).
-    #[default]
-    Scan,
-    /// VA-quantized page bounds over the recovered layout
-    /// ([`mq_vafile::VaPageIndex`]): pages served best-first and pruned by
-    /// a true Euclidean lower bound. Euclidean metric only.
-    VaPage,
-}
-
-impl FileIndex {
-    /// The CLI `--index` name this choice answers to.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FileIndex::Scan => "scan",
-            FileIndex::VaPage => "vafile",
-        }
-    }
-}
-
 /// How flushed batches are executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
@@ -100,11 +74,10 @@ pub struct ServerConfig {
     /// default) keeps idle connections open indefinitely.
     pub read_timeout: Option<Duration>,
     /// Page-store backend: in-memory simulation (the default) or the
-    /// durable file store.
+    /// durable file store. A file store's pages are served exactly as
+    /// crash recovery left them, by a sequential scan — the tree
+    /// bulk-loaders would repack them.
     pub store: StoreChoice,
-    /// Access method over a recovered file-store layout (ignored by the
-    /// simulated store, whose index comes from the build callback).
-    pub file_index: FileIndex,
     /// Distance function the engines evaluate (see
     /// [`VectorMetric`] for the names). Non-Euclidean metrics must be
     /// served through a sequential-scan index: tree page bounds are
@@ -139,7 +112,6 @@ impl Default for ServerConfig {
             workers: 1,
             read_timeout: None,
             store: StoreChoice::Sim,
-            file_index: FileIndex::default(),
             metric: VectorMetric::default(),
             approx: None,
             max_queue: 0,
@@ -196,12 +168,6 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the access method over a recovered file-store layout.
-    pub fn with_file_index(mut self, file_index: FileIndex) -> Self {
-        self.file_index = file_index;
-        self
-    }
-
     /// Selects the distance function the engines evaluate.
     pub fn with_metric(mut self, metric: VectorMetric) -> Self {
         self.metric = metric;
@@ -251,13 +217,7 @@ impl ServerConfig {
         };
         let store = match &self.store {
             StoreChoice::Sim => "sim".to_string(),
-            StoreChoice::File(dir) => {
-                format!(
-                    "file:{} file_index={}",
-                    dir.display(),
-                    self.file_index.name()
-                )
-            }
+            StoreChoice::File(dir) => format!("file:{}", dir.display()),
         };
         let approx = match &self.approx {
             Some(tier) => tier.to_string(),
@@ -332,27 +292,40 @@ mod tests {
 
     #[test]
     fn defaults_describe_the_measured_server() {
-        let c = ServerConfig::default();
-        assert_eq!(c.max_batch, 16);
-        assert_eq!(c.max_wait, Duration::from_millis(20));
-        assert_eq!(c.mode, ExecutionMode::Single);
+        // Exhaustive on purpose: a twelfth field stops this compiling.
+        let ServerConfig {
+            max_batch,
+            max_wait,
+            mode,
+            engine,
+            workers,
+            read_timeout,
+            store,
+            metric,
+            approx,
+            max_queue,
+            quota,
+        } = ServerConfig::default();
+        assert_eq!(max_batch, 16);
+        assert_eq!(max_wait, Duration::from_millis(20));
+        assert_eq!(mode, ExecutionMode::Single);
         // The engine block is the paper's configuration plus the server's
         // retry budget — nothing else differs from `EngineOptions::default()`.
         assert_eq!(
-            c.engine,
+            engine,
             EngineOptions {
                 avoidance: true,
                 prefetch_depth: 0,
                 fault_policy: FaultPolicy::new(2),
             }
         );
-        assert_eq!(c.workers, 1);
-        assert_eq!(c.read_timeout, None);
-        assert_eq!(c.store, StoreChoice::Sim);
-        assert_eq!(c.metric, VectorMetric::Euclidean);
-        assert_eq!(c.approx, None);
-        assert_eq!(c.max_queue, 0);
-        assert_eq!(c.quota, None);
+        assert_eq!(workers, 1);
+        assert_eq!(read_timeout, None);
+        assert_eq!(store, StoreChoice::Sim);
+        assert_eq!(metric, VectorMetric::Euclidean);
+        assert_eq!(approx, None);
+        assert_eq!(max_queue, 0);
+        assert_eq!(quota, None);
     }
 
     #[test]
@@ -424,23 +397,15 @@ mod tests {
         let file_line = ServerConfig::default()
             .with_store(StoreChoice::File(PathBuf::from("/data/mq")))
             .describe();
-        assert!(file_line.contains("store=file:/data/mq"), "{file_line}");
+        // A file store has no access-method choice to report: the metric
+        // follows the directory directly.
+        assert!(
+            file_line.contains("store=file:/data/mq metric=euclidean"),
+            "{file_line}"
+        );
         let approx_line = ServerConfig::default()
             .with_approx(Some(ApproxTier::Bq { budget: 64 }))
             .describe();
         assert!(approx_line.contains("approx=bq:64"), "{approx_line}");
-    }
-
-    #[test]
-    fn file_index_defaults_to_scan_and_describes() {
-        let c = ServerConfig::default();
-        assert_eq!(c.file_index, FileIndex::Scan);
-        let line = ServerConfig::default()
-            .with_store(StoreChoice::File(PathBuf::from("/data/mq")))
-            .with_file_index(FileIndex::VaPage)
-            .describe();
-        assert!(line.contains("file_index=vafile"), "{line}");
-        assert_eq!(FileIndex::VaPage.name(), "vafile");
-        assert_eq!(FileIndex::Scan.name(), "scan");
     }
 }

@@ -68,7 +68,7 @@ pub use backend::{
     build_backend, build_backend_with_recorder, ClusterBackend, QueryBackend, SingleEngineBackend,
 };
 pub use client::{Client, ClientError, RemoteAnswers, RetryConfig, RetryingClient};
-pub use config::{ExecutionMode, FileIndex, QuotaConfig, ServerConfig, StoreChoice};
+pub use config::{ExecutionMode, QuotaConfig, ServerConfig, StoreChoice};
 pub use dispatch::{AdmittedQuery, Dispatcher};
 pub use protocol::{
     refusal, CollectionInfo, Message, ProtocolError, ServiceMetrics, DEFAULT_COLLECTION,

@@ -288,12 +288,11 @@ impl CollectionRegistry {
             })?
         };
         // Wire-created collections always serve exact answers through a
-        // scan; approx tiers and special file indexes stay a boot-time
-        // choice of the default collection.
+        // scan; an approx tier stays a boot-time choice of the default
+        // collection.
         let mut config = self.template.clone();
         config.metric = metric;
         config.approx = None;
-        config.file_index = crate::config::FileIndex::Scan;
         let store_dir = match &self.template.store {
             StoreChoice::File(root) => Some(root.join("collections").join(name)),
             StoreChoice::Sim => None,

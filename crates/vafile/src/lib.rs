@@ -29,10 +29,8 @@
 //! multiple-query entry points with the same answer semantics
 //! (equality with Fig. 1 / Definition 4 is covered by the test suite).
 
-mod page_index;
 mod query;
 
-pub use page_index::VaPageIndex;
 pub use query::VaStats;
 
 use mq_metric::{ObjectId, Vector};

@@ -69,8 +69,8 @@ pub use mq_vafile as vafile;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mq_core::{
-        Answer, AnswerList, CostModel, EngineOptions, ExecutionStats, MetricDatabase,
-        MultiQuerySession, QueryEngine, QueryKind, QueryType, StatsProbe,
+        Answer, AnswerList, CostModel, EngineOptions, ExecutionStats, MultiQuerySession,
+        QueryEngine, QueryKind, QueryType, StatsProbe,
     };
     pub use mq_front::FrontServer;
     pub use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};
