@@ -449,7 +449,6 @@ pub fn serve(args: &Args) -> CmdResult {
         "metric",
         "store",
         "max-batch",
-        "max-wait-ms",
         "cluster",
         "prefetch-depth",
         "workers",
@@ -470,7 +469,6 @@ pub fn serve(args: &Args) -> CmdResult {
     check_index_name(&which)?;
     let store = parse_store(args)?;
     let max_batch: usize = args.parse_or("max-batch", 16)?;
-    let max_wait_ms: u64 = args.parse_or("max-wait-ms", 20)?;
     let servers: usize = args.parse_or("cluster", 0)?;
     let workers: usize = args.parse_or("workers", 1)?;
     // 0 = no timeout: idle connections stay open indefinitely.
@@ -482,7 +480,6 @@ pub fn serve(args: &Args) -> CmdResult {
 
     let mut config = ServerConfig::default()
         .with_max_batch(max_batch)
-        .with_max_wait(std::time::Duration::from_millis(max_wait_ms))
         .with_engine(parse_engine_options(args)?)
         .with_workers(workers)
         .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))

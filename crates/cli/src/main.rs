@@ -53,7 +53,7 @@ USAGE:
 
   mq serve <FILE> [--addr 127.0.0.1:7878] [--index scan|xtree|mtree]
                 [--metric euclidean|manhattan|cosine|dot]
-                [--store sim|file:<DIR>] [--max-batch <M>] [--max-wait-ms <MS>]
+                [--store sim|file:<DIR>] [--max-batch <M>]
                 [--cluster <S>] [--prefetch-depth <D>] [--workers <W>]
                 [--retry-budget <R>]
                 [--no-avoidance] [--approx bq:<BUDGET>] [--timeout-ms <MS>]
@@ -61,12 +61,14 @@ USAGE:
                 [--drain-timeout-s <S>] [--log-interval-s <S>]
       Serve the database over TCP, batching concurrent client queries
       into multiple similarity queries (one engine, or a shared-nothing
-      cluster of S servers with --cluster). --store file:<DIR> serves
+      cluster of S servers with --cluster): an idle scheduler takes
+      whatever is queued, up to --max-batch (the paper's m), and runs it
+      at once; nothing waits on a timer. --store file:<DIR> serves
       from a durable page store in DIR (created from <FILE> on first
       start, recovered from segment + WAL afterwards; one store per
       partition under --cluster). --prefetch-depth stages pages ahead
       of evaluation; --workers sets the number of scheduler threads
-      executing flushed batches. --metric selects the distance the engines
+      taking and executing batches. --metric selects the distance the engines
       evaluate (non-Euclidean metrics require --index scan); clients
       receive distances under the server's configured metric — e.g.
       serve an embeddings database with --metric cosine --index scan.

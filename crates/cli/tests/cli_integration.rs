@@ -189,9 +189,13 @@ fn switches_and_retired_options() {
             stderr(&serve)
         );
     }
-    for (option, value) in [("--threads", "2"), ("--leader", "nearest")] {
+    for (option, value) in [
+        ("--threads", "2"),
+        ("--leader", "nearest"),
+        ("--max-wait-ms", "5"),
+    ] {
         let serve = mq(&["serve", db_str, "--addr", "127.0.0.1:0", option, value]);
-        assert!(!serve.status.success());
+        assert_eq!(serve.status.code(), Some(1), "{option}");
         assert!(
             stderr(&serve).contains(&format!("unknown option {option}")),
             "{}",

@@ -13,7 +13,7 @@ use mq_storage::Dataset;
 use std::time::Duration;
 
 mod common;
-use common::backend;
+use common::{backend, wait_until, GatedBackend};
 
 fn dataset(n: usize) -> Dataset<Vector> {
     common::dataset(n, 0x51ed_270b_a2fc_e1f5)
@@ -86,7 +86,6 @@ fn rejected_requests_never_touch_the_engine() {
     // through, the rest are rejected before scheduling.
     let config = ServerConfig::default()
         .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(5))
         .with_quota(Some(QuotaConfig {
             rate: 0.0001,
             burst: 2.0,
@@ -155,13 +154,11 @@ fn rejected_requests_never_touch_the_engine() {
 #[test]
 fn queue_depth_bound_rejects_with_retry_hint_over_the_wire() {
     let ds = dataset(300);
-    // max_queue 1 with a long batch window: the first query parks in the
-    // batch, the second hits the depth bound.
-    let config = ServerConfig::default()
-        .with_max_batch(8)
-        .with_max_wait(Duration::from_secs(1))
-        .with_max_queue(1);
-    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    // max_queue 1 and a backend held at a gate: the first query parks in
+    // its batch, the second hits the depth bound.
+    let config = ServerConfig::default().with_max_batch(8).with_max_queue(1);
+    let (gated, gate) = GatedBackend::new(backend(&ds));
+    let mut server = FrontServer::bind("127.0.0.1:0", gated, &config).expect("bind");
     let addr = server.local_addr();
 
     let q = ds.object(ObjectId(2)).clone();
@@ -173,11 +170,7 @@ fn queue_depth_bound_rejects_with_retry_hint_over_the_wire() {
 
         // Wait until the parked query observably occupies the queue slot,
         // then the very next query must be rejected with a bounded hint.
-        let deadline = std::time::Instant::now() + Duration::from_millis(800);
-        while server.in_flight() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        assert!(server.in_flight() >= 1, "parked query never showed up");
+        wait_until("the parked query is in flight", || server.in_flight() == 1);
 
         let mut c = Client::connect(addr).expect("connect");
         match c.query(&q, &QueryType::knn(2)) {
@@ -186,7 +179,13 @@ fn queue_depth_bound_rejects_with_retry_hint_over_the_wire() {
             }
             other => panic!("expected Overloaded at the depth bound, got {other:?}"),
         }
-        parked.join().expect("parked thread");
+        gate.open();
+        let parked = parked.join().expect("parked thread");
+        assert_eq!(
+            parked.answers.len(),
+            2,
+            "the parked query gets its full answer"
+        );
     });
 
     server.shutdown();

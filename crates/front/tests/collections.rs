@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 mod common;
-use common::{answer_bits as bits, backend, layout};
+use common::{answer_bits as bits, backend, layout, wait_until, GatedBackend};
 
 fn dataset(n: usize, salt: u64) -> Dataset<Vector> {
     common::dataset(n, 0x9e37_79b9_7f4a_7c15 ^ salt)
@@ -23,9 +23,7 @@ fn dataset(n: usize, salt: u64) -> Dataset<Vector> {
 #[test]
 fn create_drop_churn_never_perturbs_in_flight_batches() {
     let ds = dataset(500, 1);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(5));
+    let config = ServerConfig::default().with_max_batch(4);
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
@@ -106,40 +104,35 @@ fn create_drop_churn_never_perturbs_in_flight_batches() {
 
 #[test]
 fn dropping_a_busy_collection_is_a_typed_refusal_not_a_partial_answer() {
-    let ds = dataset(4000, 2);
-    // A wide batch window keeps queries in flight long enough for the
-    // drop to race them deterministically.
-    let config = ServerConfig::default()
-        .with_max_batch(64)
-        .with_max_wait(Duration::from_millis(400));
+    let ds = dataset(300, 2);
+    let config = ServerConfig::default();
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
     // Queries against the *default* collection are what hold it busy;
     // default is additionally protected as undropable, so use a second
-    // collection for the busy-drop race.
+    // collection for the busy-drop race. Its backend holds every batch at
+    // a gate, so a query stays in flight until the test lets it go.
+    let (gated, gate) = GatedBackend::new(backend(&ds));
+    server
+        .registry()
+        .install("busy", gated, &config, None)
+        .expect("install gated collection");
     let mut admin = Client::connect(addr).expect("connect admin");
-    admin
-        .create_collection("busy", 3, "euclidean", "")
-        .expect("create");
 
     std::thread::scope(|scope| {
-        // A query into the empty "busy" collection sits in its batch
-        // window for up to max_wait; the drop below races it.
-        let querier = scope.spawn(|| {
+        let q = ds.object(ObjectId(17)).clone();
+        let querier = scope.spawn(move || {
             let mut client = Client::connect(addr).expect("connect querier");
-            client.query_in("busy", "", &Vector::new(vec![0.0; 3]), &QueryType::knn(1))
+            client.query_in("busy", "", &q, &QueryType::knn(1))
         });
 
         // Wait until the query is observably in flight, so the drop
         // below is guaranteed to hit a busy collection.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut in_flight = false;
-        while std::time::Instant::now() < deadline && !in_flight {
+        wait_until("the query is in flight", || {
             let listed = admin.list_collections().expect("list");
-            in_flight = listed.iter().any(|c| c.name == "busy" && c.in_flight > 0);
-        }
-        assert!(in_flight, "query never showed up as in flight");
+            listed.iter().any(|c| c.name == "busy" && c.in_flight > 0)
+        });
 
         // Dropping a busy collection must be a typed BUSY refusal.
         let err = admin
@@ -152,9 +145,10 @@ fn dropping_a_busy_collection_is_a_typed_refusal_not_a_partial_answer() {
 
         // The in-flight query must complete with a full answer — never a
         // partial one, never a hang.
+        gate.open();
         let reply = querier.join().expect("querier thread");
         let reply = reply.expect("in-flight query must survive the refused drop");
-        assert!(reply.answers.is_empty(), "empty collection answers nothing");
+        assert_eq!(bits(&reply.answers), vec![(17, 0f64.to_bits())]);
 
         // Once the traffic is gone the drop goes through.
         let mut dropped = false;
@@ -192,9 +186,7 @@ fn collections_are_isolated_per_scheduler() {
     // never mix them, so each stays bit-identical to its own oracle.
     let ds_a = dataset(300, 7);
     let ds_b = dataset(300, 8);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(20));
+    let config = ServerConfig::default().with_max_batch(4);
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds_a), &config).expect("bind");
     server
         .registry()

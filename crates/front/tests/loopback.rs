@@ -1,7 +1,7 @@
-//! End-to-end loopback test: an in-process server, N concurrent clients,
-//! answers identical to serial `QueryEngine::similarity_query`, at least
-//! one flushed batch of size > 1, and fewer total page reads than the
-//! per-query sum.
+//! End-to-end loopback test: an in-process server, N concurrent clients
+//! queued behind a held batch, answers identical to serial
+//! `QueryEngine::similarity_query`, at least one batch of size > 1, and
+//! fewer total page reads than the per-query sum.
 
 use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
@@ -9,10 +9,9 @@ use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
 use mq_server::{build_backend, Client, ExecutionMode, ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
-use std::time::Duration;
 
 mod common;
-use common::layout;
+use common::{layout, wait_until, GatedBackend};
 
 const N_CLIENTS: usize = 6;
 
@@ -40,16 +39,17 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
     let db = PagedDatabase::pack(&ds, layout());
     let pages = db.page_count();
     let scan = LinearScan::new(pages);
-    let backend =
-        SingleEngineBackend::new(db, Box::new(scan), 0.05, ServerConfig::default().engine);
+    let (backend, gate) = GatedBackend::new(Box::new(SingleEngineBackend::new(
+        db,
+        Box::new(scan),
+        0.05,
+        ServerConfig::default().engine,
+    )));
 
-    // max_batch = N with a generous deadline: all clients fire at once,
-    // so the first flush should carry the whole wave.
-    let config = ServerConfig::default()
-        .with_max_batch(N_CLIENTS)
-        .with_max_wait(Duration::from_secs(2));
-    let mut server =
-        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+    // All clients fire at once and queue behind the first, held batch;
+    // released, the rest go out together (max_batch = N takes them all).
+    let config = ServerConfig::default().with_max_batch(N_CLIENTS);
+    let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
     let addr = server.local_addr();
 
     let queries = client_queries(&ds);
@@ -63,6 +63,10 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
                 })
             })
             .collect();
+        wait_until("every client is queued", || {
+            server.in_flight() == N_CLIENTS as u64
+        });
+        gate.open();
         handles
             .into_iter()
             .map(|h| h.join().expect("client"))
@@ -127,9 +131,7 @@ fn cluster_mode_agrees_with_single_mode() {
         )
     };
 
-    let single_cfg = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(100));
+    let single_cfg = ServerConfig::default().with_max_batch(4);
     let cluster_cfg = single_cfg
         .clone()
         .with_mode(ExecutionMode::Cluster { servers: 3 });
@@ -161,19 +163,20 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     let ds = dataset(300);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend =
-        SingleEngineBackend::new(db, Box::new(scan), 0.10, ServerConfig::default().engine);
-    // max_batch = 3: one doomed client plus two survivors fill a batch.
-    let config = ServerConfig::default()
-        .with_max_batch(3)
-        .with_max_wait(Duration::from_millis(200));
-    let mut server =
-        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+    let (backend, gate) = GatedBackend::new(Box::new(SingleEngineBackend::new(
+        db,
+        Box::new(scan),
+        0.10,
+        ServerConfig::default().engine,
+    )));
+    // max_batch = 3: room for one doomed client plus two survivors.
+    let config = ServerConfig::default().with_max_batch(3);
+    let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
     let addr = server.local_addr();
 
     // The doomed client: writes a complete, valid Query frame and then
-    // drops the connection before the batch flushes. Its reply has
-    // nowhere to go; the server must shrug, not stall or leak the slot.
+    // drops the connection while its batch is held at the gate. Its reply
+    // has nowhere to go; the server must shrug, not stall or leak the slot.
     {
         use std::io::Write;
         let doomed_query = mq_server::Message::Query {
@@ -184,10 +187,11 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
         };
         let mut raw = std::net::TcpStream::connect(addr).expect("connect doomed");
         raw.write_all(&doomed_query.encode()).expect("write frame");
+        wait_until("the doomed query is in flight", || server.in_flight() == 1);
         // Dropped here — socket closes while the query sits in the batch.
     }
 
-    // Two survivors joining the same batch window must both complete.
+    // Two survivors queued behind the doomed query must both complete.
     let survivors: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|i| {
@@ -200,6 +204,8 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
                 })
             })
             .collect();
+        wait_until("both survivors are queued", || server.in_flight() == 3);
+        gate.open();
         handles
             .into_iter()
             .map(|h| h.join().expect("survivor thread"))
@@ -219,12 +225,7 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     drop(late);
 
     // The doomed query was still *executed* — only its reply was lost.
-    let metrics = server.metrics();
-    assert!(
-        metrics.queries >= 4,
-        "all submitted queries ran, got {}",
-        metrics.queries
-    );
+    assert_eq!(server.metrics().queries, 4, "all submitted queries ran");
 
     server.shutdown();
 }
@@ -236,12 +237,8 @@ fn dimension_mismatch_is_rejected_and_server_keeps_serving() {
     let scan = LinearScan::new(db.page_count());
     let backend =
         SingleEngineBackend::new(db, Box::new(scan), 0.10, ServerConfig::default().engine);
-    let mut server = FrontServer::bind(
-        "127.0.0.1:0",
-        Box::new(backend),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
-    )
-    .expect("bind");
+    let mut server = FrontServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())
+        .expect("bind");
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     // The database is 3-d; a 2-d query must be rejected without reaching

@@ -12,9 +12,9 @@ use mq_obs::{Recorder, Registry};
 use mq_server::{build_backend_with_recorder, Client, ExecutionMode, ServerConfig, StoreChoice};
 use mq_storage::{persist, PageLayout, PagedDatabase, VectorCodec};
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
+use common::{wait_until, Gate, GatedBackend};
 
 /// Saves a fresh database under a unique temp path and loads it back —
 /// the `mq generate` → `mq serve` workflow without the CLI.
@@ -68,10 +68,12 @@ fn sum_with_prefix(samples: &[(String, f64)], prefix: &str) -> f64 {
         .sum()
 }
 
-/// Fires `n` concurrent single-query clients so the scheduler actually
-/// forms multi-query batches (the waiting clients are what the paper's
-/// m-block batches online).
-fn run_queries(addr: std::net::SocketAddr, db: &PagedDatabase<Vector>, n: usize) {
+/// Fires `n` concurrent single-query clients and holds them behind the
+/// first batch until all are queued, so the scheduler actually forms
+/// multi-query batches (the waiting clients are what the paper's m-block
+/// batches online).
+fn run_queries(server: &FrontServer, gate: &Gate, db: &PagedDatabase<Vector>, n: usize) {
+    let addr = server.local_addr();
     std::thread::scope(|scope| {
         for i in 0..n {
             let q = db
@@ -85,15 +87,15 @@ fn run_queries(addr: std::net::SocketAddr, db: &PagedDatabase<Vector>, n: usize)
                 assert_eq!(reply.answers.len(), 5);
             });
         }
+        wait_until("every client is queued", || server.in_flight() == n as u64);
+        gate.open();
     });
 }
 
 #[test]
 fn persisted_database_serves_scrapeable_metrics() {
     let db = persisted_db("single", 600);
-    let mut config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(250));
+    let mut config = ServerConfig::default().with_max_batch(4);
     config.engine.prefetch_depth = 2;
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
@@ -103,10 +105,11 @@ fn persisted_database_serves_scrapeable_metrics() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
+    let (backend, gate) = GatedBackend::new(backend);
     let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
-    run_queries(server.local_addr(), &db, 12);
+    run_queries(&server, &gate, &db, 12);
 
     let text = Client::connect(server.local_addr())
         .expect("connect for scrape")
@@ -175,7 +178,6 @@ fn cluster_mode_scrape_reports_per_partition_counts() {
     let db = persisted_db("cluster", 600);
     let config = ServerConfig::default()
         .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(250))
         .with_mode(ExecutionMode::Cluster { servers: 3 });
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
@@ -185,10 +187,11 @@ fn cluster_mode_scrape_reports_per_partition_counts() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
+    let (backend, gate) = GatedBackend::new(backend);
     let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
-    run_queries(server.local_addr(), &db, 9);
+    run_queries(&server, &gate, &db, 9);
 
     let text = Client::connect(server.local_addr())
         .expect("connect for scrape")
@@ -222,7 +225,6 @@ fn file_store_scrape_reports_store_series() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServerConfig::default()
         .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(250))
         .with_store(StoreChoice::File(dir.clone()));
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
@@ -232,10 +234,11 @@ fn file_store_scrape_reports_store_series() {
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
+    let (backend, gate) = GatedBackend::new(backend);
     let mut server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
         .expect("bind loopback");
 
-    run_queries(server.local_addr(), &db, 4);
+    run_queries(&server, &gate, &db, 4);
 
     let text = Client::connect(server.local_addr())
         .expect("connect for scrape")
@@ -273,17 +276,16 @@ fn file_store_scrape_reports_store_series() {
 #[test]
 fn server_without_recorder_returns_empty_exposition() {
     let db = persisted_db("plain", 200);
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(250));
+    let config = ServerConfig::default().with_max_batch(2);
     let layout = db.layout();
     let backend = mq_server::build_backend(&db, &config, 0.10, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
     .expect("backend");
+    let (backend, gate) = GatedBackend::new(backend);
     let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
-    run_queries(server.local_addr(), &db, 2);
+    run_queries(&server, &gate, &db, 2);
     let text = Client::connect(server.local_addr())
         .expect("connect")
         .metrics()

@@ -17,7 +17,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 mod common;
-use common::{answer_bits, backend, layout};
+use common::{answer_bits, backend, layout, wait_until, GatedBackend};
 
 fn dataset(n: usize) -> Dataset<Vector> {
     common::dataset(n, 0x1234_5678_9abc_def0)
@@ -54,15 +54,9 @@ fn answers_match_serial_oracle_across_config_matrix() {
     };
 
     let matrix = [
-        ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1)),
-        ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(20)),
-        ServerConfig::default()
-            .with_max_batch(8)
-            .with_max_wait(Duration::from_millis(5)),
+        ServerConfig::default().with_max_batch(1),
+        ServerConfig::default().with_max_batch(4),
+        ServerConfig::default().with_max_batch(8),
     ];
 
     for config in &matrix {
@@ -101,10 +95,9 @@ fn answers_match_serial_oracle_across_config_matrix() {
 fn concurrent_clients_on_event_frontend_match_serial_oracle() {
     let ds = dataset(600);
     let qs = queries(&ds, 6);
-    let config = ServerConfig::default()
-        .with_max_batch(qs.len())
-        .with_max_wait(Duration::from_secs(2));
-    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    let config = ServerConfig::default().with_max_batch(qs.len());
+    let (gated, gate) = GatedBackend::new(backend(&ds));
+    let mut server = FrontServer::bind("127.0.0.1:0", gated, &config).expect("bind");
     let addr = server.local_addr();
 
     let replies: Vec<_> = std::thread::scope(|scope| {
@@ -117,6 +110,10 @@ fn concurrent_clients_on_event_frontend_match_serial_oracle() {
                 })
             })
             .collect();
+        wait_until("every client is queued", || {
+            server.in_flight() == qs.len() as u64
+        });
+        gate.open();
         handles
             .into_iter()
             .map(|h| h.join().expect("client"))
@@ -136,8 +133,8 @@ fn concurrent_clients_on_event_frontend_match_serial_oracle() {
             .collect();
         assert_eq!(answer_bits(&reply.answers), want);
     }
-    // All clients fired at once into a full-width batch window: batching
-    // must actually happen on the event frontend too.
+    // All clients queued behind a held batch: batching must actually
+    // happen on the event frontend too.
     assert!(
         replies.iter().any(|r| r.batch_size > 1),
         "no batch formed: sizes {:?}",
@@ -151,13 +148,13 @@ fn concurrent_clients_on_event_frontend_match_serial_oracle() {
 fn pipelined_requests_on_one_connection_answer_in_order() {
     let ds = dataset(400);
     let qs = queries(&ds, 5);
-    let config = ServerConfig::default()
-        .with_max_batch(qs.len())
-        .with_max_wait(Duration::from_millis(50));
-    let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
+    let config = ServerConfig::default().with_max_batch(qs.len());
+    let (gated, gate) = GatedBackend::new(backend(&ds));
+    let mut server = FrontServer::bind("127.0.0.1:0", gated, &config).expect("bind");
 
-    // Write every request before reading any reply: the slot FIFO must
-    // answer them in request order even though they complete as a batch.
+    // Write every request before reading any reply, and hold them behind
+    // the first batch: the slot FIFO must answer them in request order
+    // even though they complete in batches.
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     for (q, t) in &qs {
@@ -170,6 +167,10 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
         .encode();
         raw.write_all(&frame).expect("write frame");
     }
+    wait_until("every request is queued", || {
+        server.in_flight() == qs.len() as u64
+    });
+    gate.open();
 
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
@@ -214,12 +215,8 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
 #[test]
 fn malformed_frame_gets_error_reply_and_close() {
     let ds = dataset(60);
-    let mut server = FrontServer::bind(
-        "127.0.0.1:0",
-        backend(&ds),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
-    )
-    .expect("bind");
+    let mut server =
+        FrontServer::bind("127.0.0.1:0", backend(&ds), &ServerConfig::default()).expect("bind");
 
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -235,12 +232,8 @@ fn malformed_frame_gets_error_reply_and_close() {
 #[test]
 fn old_protocol_version_gets_typed_mismatch_reply() {
     let ds = dataset(60);
-    let mut server = FrontServer::bind(
-        "127.0.0.1:0",
-        backend(&ds),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
-    )
-    .expect("bind");
+    let mut server =
+        FrontServer::bind("127.0.0.1:0", backend(&ds), &ServerConfig::default()).expect("bind");
 
     // Forge a v2 frame: take a valid v3 frame and patch the version word.
     let mut frame = Message::ListCollections.encode().to_vec();
@@ -266,7 +259,7 @@ fn old_protocol_version_gets_typed_mismatch_reply() {
 #[test]
 fn collection_lifecycle_over_event_frontend() {
     let ds = dataset(100);
-    let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
+    let config = ServerConfig::default();
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -288,6 +281,9 @@ fn collection_lifecycle_over_event_frontend() {
         .expect("query empty collection");
     assert!(reply.answers.is_empty());
 
+    // A job retires just after its reply goes out; until then a drop is
+    // refused as busy.
+    wait_until("the query has retired", || server.in_flight() == 0);
     client.drop_collection("scratch").expect("drop");
     let err = client
         .query_in(
@@ -313,12 +309,10 @@ fn quota_rejection_is_typed_overloaded_on_event_frontend() {
     let ds = dataset(100);
     // burst 1, essentially no refill: the second immediate query from the
     // same tenant must be rejected with a typed Overloaded reply.
-    let config = ServerConfig::default()
-        .with_max_wait(Duration::from_millis(1))
-        .with_quota(Some(mq_server::QuotaConfig {
-            rate: 0.0001,
-            burst: 1.0,
-        }));
+    let config = ServerConfig::default().with_quota(Some(mq_server::QuotaConfig {
+        rate: 0.0001,
+        burst: 1.0,
+    }));
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -341,9 +335,7 @@ fn quota_rejection_is_typed_overloaded_on_event_frontend() {
 #[test]
 fn begin_drain_serves_existing_connections_then_drains_clean() {
     let ds = dataset(200);
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(10));
+    let config = ServerConfig::default().with_max_batch(2);
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
 
     let mut established = Client::connect(server.local_addr()).expect("connect before drain");

@@ -35,9 +35,9 @@ impl ServerWindow {
         let (before, after) = (before?, after?);
         let delta = after.delta(before);
         let queries = delta.value("mq_server_queries_total");
-        let batches = delta.value("mq_server_batches_total{reason=\"full\"}")
-            + delta.value("mq_server_batches_total{reason=\"deadline\"}")
-            + delta.value("mq_server_batches_total{reason=\"closed\"}");
+        // One batch-size observation per flushed batch, whatever its flush
+        // reason: no label value to keep in step with the scheduler.
+        let batches = delta.value("mq_server_batch_size_count");
         Some(Self {
             queries,
             batches,
@@ -246,5 +246,33 @@ impl RunReport {
             });
         }
         text
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn server_window_counts_batches_under_every_flush_reason() {
+        let before = Snapshot::from_exposition(
+            "mq_server_queries_total 3\n\
+             mq_server_batches_total{reason=\"full\"} 1\n\
+             mq_server_batch_size_count 1\n",
+        )
+        .unwrap();
+        // `a_reason_nobody_names` stands for any flush reason this code
+        // does not spell out; its batches must count all the same.
+        let after = Snapshot::from_exposition(
+            "mq_server_queries_total 15\n\
+             mq_server_batches_total{reason=\"full\"} 2\n\
+             mq_server_batches_total{reason=\"a_reason_nobody_names\"} 3\n\
+             mq_server_batch_size_count 5\n",
+        )
+        .unwrap();
+        let window = ServerWindow::from_scrapes(Some(&before), Some(&after)).unwrap();
+        assert_eq!(window.queries, 12.0);
+        assert_eq!(window.batches, 4.0);
+        assert_eq!(window.mean_batch_size, 3.0);
     }
 }

@@ -34,11 +34,9 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
     let recorder = Recorder::enabled();
-    // Small batches with a short deadline: many flushes, so the scraped
-    // counters actually move while the run is in flight.
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    // Small batches: many flushes, so the scraped counters actually move
+    // while the run is in flight.
+    let config = ServerConfig::default().with_max_batch(4);
     let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
     let server =
         FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)

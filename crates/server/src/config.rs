@@ -43,19 +43,18 @@ pub enum ExecutionMode {
     },
 }
 
-/// The scheduler's batching knobs.
+/// The server's knobs: batching, execution, storage and admission.
 ///
-/// Requests queue until either `max_batch` of them accumulated or
-/// `max_wait` elapsed since the oldest queued request arrived; the queue
-/// then flushes as one `multiple_similarity_query` batch. A larger
-/// `max_batch` shares more page reads per flush (the paper's m); a larger
-/// `max_wait` trades latency of a lone request for the chance of sharing.
+/// An idle scheduler worker takes whatever requests are queued, up to
+/// `max_batch`, and executes them at once as one
+/// `multiple_similarity_query` batch; requests that arrive meanwhile form
+/// the next batch. Nothing waits on a timer: a lone request runs alone,
+/// and traffic batches exactly as much as it queues. A larger `max_batch`
+/// shares more page reads per batch (the paper's m).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Flush as soon as this many requests are queued.
+    /// Most requests one batch carries (the paper's m).
     pub max_batch: usize,
-    /// Flush at latest this long after the first queued request.
-    pub max_wait: Duration,
     /// Single engine or shared-nothing cluster.
     pub mode: ExecutionMode,
     /// The option block of every engine the server builds (avoidance,
@@ -64,10 +63,10 @@ pub struct ServerConfig {
     /// differs from the engine's in one value: a retry budget of 2 extra
     /// read attempts on a *transient* disk fault before a batch fails.
     pub engine: EngineOptions,
-    /// Scheduler worker threads executing flushed batches. With 1 worker
-    /// (the default) batches execute strictly one after another; more
-    /// workers overlap batch execution with batch collection, at the cost
-    /// of batches competing for cores.
+    /// Scheduler worker threads, each taking and executing batches from
+    /// the one queue. With 1 worker (the default) batches execute strictly
+    /// one after another; more workers execute several batches at once,
+    /// at the cost of smaller batches competing for cores.
     pub workers: usize,
     /// Idle timeout applied to every client connection: one that stays
     /// silent for longer with no reply owed is closed. `None` (the
@@ -103,7 +102,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_wait: Duration::from_millis(20),
             mode: ExecutionMode::Single,
             engine: EngineOptions {
                 fault_policy: FaultPolicy::new(2),
@@ -121,19 +119,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the batch-size flush threshold.
+    /// Sets the most requests one batch carries.
     ///
     /// # Panics
     /// Panics if `max_batch` is zero.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the deadline flush threshold.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -233,12 +225,11 @@ impl ServerConfig {
             None => "off".to_string(),
         };
         format!(
-            "mode={mode} store={store} metric={} approx={approx} max_batch={} max_wait={:.0}ms \
+            "mode={mode} store={store} metric={} approx={approx} max_batch={} \
              workers={} prefetch_depth={} avoidance={} retry_budget={} \
              read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
             self.metric.name(),
             self.max_batch,
-            self.max_wait.as_secs_f64() * 1e3,
             self.workers,
             self.engine.prefetch_depth,
             self.engine.avoidance,
@@ -255,7 +246,6 @@ mod tests {
     fn builder_chains() {
         let c = ServerConfig::default()
             .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(5))
             .with_mode(ExecutionMode::Cluster { servers: 3 })
             .with_engine(EngineOptions {
                 avoidance: false,
@@ -272,7 +262,6 @@ mod tests {
                 burst: 10.0,
             }));
         assert_eq!(c.max_batch, 4);
-        assert_eq!(c.max_wait, Duration::from_millis(5));
         assert_eq!(c.mode, ExecutionMode::Cluster { servers: 3 });
         assert!(!c.engine.avoidance);
         assert_eq!(c.workers, 2);
@@ -292,10 +281,9 @@ mod tests {
 
     #[test]
     fn defaults_describe_the_measured_server() {
-        // Exhaustive on purpose: a twelfth field stops this compiling.
+        // Exhaustive on purpose: an eleventh field stops this compiling.
         let ServerConfig {
             max_batch,
-            max_wait,
             mode,
             engine,
             workers,
@@ -307,7 +295,6 @@ mod tests {
             quota,
         } = ServerConfig::default();
         assert_eq!(max_batch, 16);
-        assert_eq!(max_wait, Duration::from_millis(20));
         assert_eq!(mode, ExecutionMode::Single);
         // The engine block is the paper's configuration plus the server's
         // retry budget — nothing else differs from `EngineOptions::default()`.
@@ -366,7 +353,6 @@ mod tests {
             "metric=euclidean",
             "approx=off",
             "max_batch=16",
-            "max_wait=20ms",
             "workers=2",
             "prefetch_depth=2",
             "avoidance=true",
@@ -382,7 +368,7 @@ mod tests {
         for option in ["prefetch_depth=", "avoidance=", "retry_budget="] {
             assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
         }
-        for retired in ["threads=", "leader="] {
+        for retired in ["threads=", "leader=", "max_wait="] {
             assert!(!line.contains(retired), "{retired} in {line}");
         }
         let admission_line = ServerConfig::default()

@@ -5,7 +5,7 @@
 //! The paper batches m queries that arrive *together* (classification, data
 //! mining, prefetching — §3). This crate supplies the missing online half:
 //! a TCP server whose clients each send ordinary single queries, and whose
-//! [`BatchScheduler`] merges whatever arrived within a short window into
+//! [`BatchScheduler`] merges whatever queued while the last batch ran into
 //! one `multiple_similarity_query` batch. Concurrent traffic then enjoys
 //! the paper's §5.1 page-read sharing and §5.2 distance-calculation
 //! avoidance without any client-side coordination.
@@ -15,8 +15,8 @@
 //! - [`protocol`] — length-prefixed binary frames (requests, answers,
 //!   service counters) in the same `bytes` codec style as
 //!   `mq_storage::persist`.
-//! - [`scheduler`] — the batching scheduler: one queue, a worker pool,
-//!   flush on `max_batch` or `max_wait`.
+//! - [`scheduler`] — the batching scheduler: one queue, a worker pool; an
+//!   idle worker takes whatever is queued, up to `max_batch`.
 //! - [`backend`] — what a flushed batch runs on: a single engine
 //!   (§5.1–5.2) or a shared-nothing cluster (§5.3), over the simulated
 //!   disk or the durable file store.

@@ -2,20 +2,20 @@
 //! multiple similarity queries.
 //!
 //! Requests from any number of connections flow into one queue. A pool of
-//! [`ServerConfig::workers`] worker threads (default 1) collects them and
-//! flushes the queue as `multiple_similarity_query` batches (executed by
-//! a [`QueryBackend`]) once
-//! [`ServerConfig::max_batch`] requests accumulated or
-//! [`ServerConfig::max_wait`] passed since the first queued request — the
-//! server-side analogue of the paper's m-block: concurrent traffic pays one
-//! shared pass instead of m separate ones. With one worker, batches execute
-//! strictly sequentially; with more, batch execution overlaps batch
-//! collection.
+//! [`ServerConfig::workers`] worker threads (default 1) turns it into
+//! `multiple_similarity_query` batches executed by a [`QueryBackend`].
+//! The workers are work-conserving: an idle worker blocks only while the
+//! queue is empty, then takes whatever is queued, up to
+//! [`ServerConfig::max_batch`] (the paper's m), and executes it at once.
+//! Requests that arrive while a batch executes form the next one, as in
+//! group commit, so concurrent traffic shares one pass and a lone request
+//! waits for no one. With one worker, batches execute strictly
+//! sequentially; with more, several execute at once.
 
 use crate::backend::QueryBackend;
 use crate::config::ServerConfig;
 use crate::protocol::ServiceMetrics;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use mq_core::{Answer, ExecutionStats, QueryType};
 use mq_metric::Vector;
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
@@ -82,8 +82,9 @@ impl Drop for Job {
 enum FlushReason {
     /// The batch reached [`ServerConfig::max_batch`] jobs.
     Full,
-    /// [`ServerConfig::max_wait`] passed since the first queued job.
-    Deadline,
+    /// The queue emptied before the batch reached
+    /// [`ServerConfig::max_batch`] jobs.
+    Drained,
     /// The submission queue was closed (shutdown drain).
     Closed,
 }
@@ -94,7 +95,7 @@ struct SchedObs {
     batch_size: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
     flush_full: Arc<Counter>,
-    flush_deadline: Arc<Counter>,
+    flush_drained: Arc<Counter>,
     flush_closed: Arc<Counter>,
     queries: Arc<Counter>,
 }
@@ -123,7 +124,7 @@ impl SchedObs {
                 &DURATION_BOUNDS,
             )?,
             flush_full: flush("full")?,
-            flush_deadline: flush("deadline")?,
+            flush_drained: flush("drained")?,
             flush_closed: flush("closed")?,
             queries: recorder.counter(
                 "mq_server_queries_total",
@@ -143,7 +144,7 @@ impl SchedObs {
         }
         match reason {
             FlushReason::Full => self.flush_full.inc(),
-            FlushReason::Deadline => self.flush_deadline.inc(),
+            FlushReason::Drained => self.flush_drained.inc(),
             FlushReason::Closed => self.flush_closed.inc(),
         }
     }
@@ -183,7 +184,6 @@ impl BatchScheduler {
         let (tx, rx) = channel::unbounded::<Job>();
         let metrics = Arc::new(Mutex::new(ServiceMetrics::default()));
         let max_batch = config.max_batch.max(1);
-        let max_wait = config.max_wait;
         let dims = backend.dimensions();
         let backend: Arc<dyn QueryBackend> = Arc::from(backend);
         let batch_ids = Arc::new(AtomicU64::new(0));
@@ -197,9 +197,7 @@ impl BatchScheduler {
                 let obs = obs.clone();
                 std::thread::Builder::new()
                     .name(format!("mq-scheduler-{w}"))
-                    .spawn(move || {
-                        worker_loop(rx, backend, max_batch, max_wait, metrics, batch_ids, obs)
-                    })
+                    .spawn(move || worker_loop(rx, backend, max_batch, metrics, batch_ids, obs))
                     .expect("spawn scheduler worker")
             })
             .collect();
@@ -279,29 +277,28 @@ fn worker_loop(
     rx: Receiver<Job>,
     backend: Arc<dyn QueryBackend>,
     max_batch: usize,
-    max_wait: std::time::Duration,
     metrics: Arc<Mutex<ServiceMetrics>>,
     batch_ids: Arc<AtomicU64>,
     obs: Option<Arc<SchedObs>>,
 ) {
     loop {
-        // Block until traffic arrives; an empty queue costs nothing.
+        // Block only while the queue is empty; an idle worker costs nothing.
         let first = match rx.recv() {
             Ok(job) => job,
             Err(_) => return,
         };
+        // Take whatever else is queued right now, up to m, and go: no
+        // request waits for companions that have not arrived yet.
         let mut jobs = vec![first];
-        // Collect until the batch is full or the deadline passes.
-        let deadline = Instant::now() + max_wait;
         let mut reason = FlushReason::Full;
         while jobs.len() < max_batch {
-            match rx.recv_deadline(deadline) {
+            match rx.try_recv() {
                 Ok(job) => jobs.push(job),
-                Err(RecvTimeoutError::Timeout) => {
-                    reason = FlushReason::Deadline;
+                Err(TryRecvError::Empty) => {
+                    reason = FlushReason::Drained;
                     break;
                 }
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(TryRecvError::Disconnected) => {
                     reason = FlushReason::Closed;
                     break;
                 }
@@ -359,7 +356,7 @@ mod tests {
     use crate::backend::SingleEngineBackend;
     use mq_index::LinearScan;
     use mq_storage::{Dataset, PageLayout, PagedDatabase};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Condvar};
     use std::time::Duration;
 
     fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
@@ -368,6 +365,78 @@ mod tests {
         let scan = LinearScan::new(db.page_count());
         let options = ServerConfig::default().engine;
         Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, options))
+    }
+
+    /// Holds every `execute` until the test opens it, so a test decides
+    /// which queries queue behind a held batch. Once open it stays open.
+    #[derive(Default)]
+    struct Gate {
+        /// (open, `execute` calls entered so far)
+        state: std::sync::Mutex<(bool, usize)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            self.state.lock().unwrap().0 = true;
+            self.changed.notify_all();
+        }
+
+        /// Blocks until `n` batches have entered `execute`.
+        fn wait_entered(&self, n: usize) {
+            let state = self.state.lock().unwrap();
+            let (_state, waited) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(10), |s| s.1 < n)
+                .unwrap();
+            assert!(!waited.timed_out(), "batch {n} never reached the backend");
+        }
+
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.changed.notify_all();
+            drop(self.changed.wait_while(state, |s| !s.0).unwrap());
+        }
+    }
+
+    /// A real backend behind a [`Gate`].
+    struct GatedBackend {
+        inner: Box<dyn QueryBackend>,
+        gate: Arc<Gate>,
+    }
+
+    impl QueryBackend for GatedBackend {
+        fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
+            self.gate.pass();
+            self.inner.execute(queries)
+        }
+
+        fn dimensions(&self) -> usize {
+            self.inner.dimensions()
+        }
+
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+    }
+
+    /// A scheduler over a gated scan backend, with its recorder.
+    fn gated(n: usize, config: &ServerConfig) -> (BatchScheduler, Arc<Gate>, Recorder) {
+        let gate = Arc::new(Gate::default());
+        let backend = Box::new(GatedBackend {
+            inner: scan_backend(n),
+            gate: Arc::clone(&gate),
+        });
+        let recorder = Recorder::enabled();
+        let scheduler = BatchScheduler::start_with_recorder(backend, config, &recorder);
+        (scheduler, gate, recorder)
+    }
+
+    fn flushes(recorder: &Recorder, reason: &str) -> f64 {
+        recorder
+            .snapshot()
+            .value(&format!("mq_server_batches_total{{reason=\"{reason}\"}}"))
     }
 
     /// Submits one query with a sink that forwards the outcome.
@@ -391,9 +460,7 @@ mod tests {
 
     #[test]
     fn replies_match_submissions() {
-        let config = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(5));
+        let config = ServerConfig::default().with_max_batch(4);
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         let rxs: Vec<_> = (0..8)
             .map(|i| {
@@ -418,9 +485,7 @@ mod tests {
 
     #[test]
     fn in_flight_counts_down_to_zero() {
-        let config = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(2));
+        let config = ServerConfig::default().with_max_batch(4);
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         assert_eq!(scheduler.in_flight(), 0);
         let rxs: Vec<_> = (0..6)
@@ -439,39 +504,67 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flushes_partial_batch() {
-        let config = ServerConfig::default()
-            .with_max_batch(1000)
-            .with_max_wait(Duration::from_millis(10));
-        let scheduler = BatchScheduler::start(scan_backend(50), &config);
+    fn idle_worker_takes_a_lone_query_at_once() {
+        let config = ServerConfig::default().with_max_batch(1000);
+        let recorder = Recorder::enabled();
+        let scheduler = BatchScheduler::start_with_recorder(scan_backend(50), &config, &recorder);
         let rx = submit(&scheduler, Vector::new(vec![7.0]), QueryType::knn(2));
-        let reply = reply(rx).expect("deadline flush");
+        let reply = reply(rx).expect("a lone query runs without companions");
         assert_eq!(reply.batch_size, 1);
         assert_eq!(reply.answers[0].id.0, 7);
+        assert_eq!(flushes(&recorder, "drained"), 1.0);
+        assert_eq!(flushes(&recorder, "full"), 0.0);
     }
 
     #[test]
-    fn full_batch_flushes_before_deadline() {
-        let config = ServerConfig::default()
-            .with_max_batch(3)
-            .with_max_wait(Duration::from_secs(3600));
-        let scheduler = BatchScheduler::start(scan_backend(50), &config);
-        let rxs: Vec<_> = (0..3)
+    fn full_batch_flushes_at_max_batch() {
+        let config = ServerConfig::default().with_max_batch(3);
+        let (scheduler, gate, recorder) = gated(50, &config);
+        let held = submit(&scheduler, Vector::new(vec![9.0]), QueryType::knn(1));
+        gate.wait_entered(1);
+        // Four jobs queue behind the held batch; m = 3 splits them 3 + 1.
+        let rxs: Vec<_> = (0..4)
             .map(|i| submit(&scheduler, Vector::new(vec![i as f32]), QueryType::knn(1)))
             .collect();
-        for rx in rxs {
-            let reply = reply(rx).expect("size-triggered flush despite huge max_wait");
-            assert_eq!(reply.batch_size, 3);
-            assert_eq!(reply.batch_id, 1);
+        gate.open();
+        assert_eq!(reply(held).expect("held batch").batch_size, 1);
+        let sizes: Vec<(u64, u32)> = rxs
+            .into_iter()
+            .map(|rx| {
+                let reply = reply(rx).expect("queued batch");
+                (reply.batch_id, reply.batch_size)
+            })
+            .collect();
+        assert_eq!(sizes, vec![(2, 3), (2, 3), (2, 3), (3, 1)]);
+        assert_eq!(flushes(&recorder, "full"), 1.0);
+        assert_eq!(flushes(&recorder, "drained"), 2.0);
+    }
+
+    #[test]
+    fn arrivals_during_execution_form_the_next_batch() {
+        let config = ServerConfig::default();
+        let (scheduler, gate, recorder) = gated(50, &config);
+        let first = submit(&scheduler, Vector::new(vec![1.0]), QueryType::knn(1));
+        gate.wait_entered(1);
+        let rest: Vec<_> = (2..7)
+            .map(|i| submit(&scheduler, Vector::new(vec![i as f32]), QueryType::knn(1)))
+            .collect();
+        gate.open();
+        let first = reply(first).expect("first batch");
+        assert_eq!((first.batch_id, first.batch_size), (1, 1));
+        assert_eq!(first.answers[0].id.0, 1);
+        for (i, rx) in rest.into_iter().enumerate() {
+            let reply = reply(rx).expect("second batch");
+            assert_eq!((reply.batch_id, reply.batch_size), (2, 5));
+            assert_eq!(reply.answers[0].id.0, i as u32 + 2);
         }
+        // Both batches left because the queue was empty, not on a timer.
+        assert_eq!(flushes(&recorder, "drained"), 2.0);
     }
 
     #[test]
     fn worker_pool_serves_every_client() {
-        let config = ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1))
-            .with_workers(3);
+        let config = ServerConfig::default().with_max_batch(1).with_workers(3);
         let scheduler = BatchScheduler::start(scan_backend(100), &config);
         let rxs: Vec<_> = (0..12)
             .map(|i| {
@@ -522,9 +615,7 @@ mod tests {
 
     #[test]
     fn worker_survives_backend_panic() {
-        let config = ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1));
+        let config = ServerConfig::default().with_max_batch(1);
         let backend = Box::new(FussyBackend {
             inner: scan_backend(30),
         });
@@ -540,14 +631,19 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_flushes_the_collecting_batch() {
-        let config = ServerConfig::default()
-            .with_max_batch(2)
-            .with_max_wait(Duration::from_secs(3600));
-        let scheduler = BatchScheduler::start(scan_backend(20), &config);
-        let rx = submit(&scheduler, Vector::new(vec![3.0]), QueryType::knn(1));
-        drop(scheduler); // closes the queue and joins the worker
-        let reply = reply(rx).expect("a queued job is answered, not lost, at shutdown");
+    fn shutdown_answers_the_queued_jobs() {
+        let config = ServerConfig::default().with_max_batch(2);
+        let (scheduler, gate, _recorder) = gated(20, &config);
+        let held = submit(&scheduler, Vector::new(vec![4.0]), QueryType::knn(1));
+        gate.wait_entered(1);
+        let queued = submit(&scheduler, Vector::new(vec![3.0]), QueryType::knn(1));
+        // Dropping closes the queue and joins the worker, which is held in
+        // `execute`: drop on another thread, then let the worker go.
+        let dropper = std::thread::spawn(move || drop(scheduler));
+        gate.open();
+        dropper.join().expect("scheduler drop");
+        assert_eq!(reply(held).expect("held batch").answers[0].id.0, 4);
+        let reply = reply(queued).expect("a queued job is answered, not lost, at shutdown");
         assert_eq!(reply.answers[0].id.0, 3);
     }
 }

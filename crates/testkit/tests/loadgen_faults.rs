@@ -22,9 +22,7 @@ fn serve() -> FrontServer {
     let ds = Dataset::new(uniform_vectors(500, 3, 0xFAB));
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig::default().with_max_batch(4);
     let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
     FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind server")
 }

@@ -23,9 +23,7 @@ fn start_server() -> FrontServer {
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
     let scan = LinearScan::new(db.page_count());
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig::default().with_max_batch(4);
     let backend = Box::new(SingleEngineBackend::new(
         db,
         Box::new(scan) as Box<dyn SimilarityIndex<Vector>>,

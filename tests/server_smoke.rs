@@ -5,7 +5,6 @@
 //! `crates/server/tests/`.)
 
 use mquery::prelude::*;
-use std::time::Duration;
 
 #[test]
 fn served_answers_match_local_engine() {
@@ -17,7 +16,7 @@ fn served_answers_match_local_engine() {
 
     let db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
+    let config = ServerConfig::default();
     let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, config.engine);
     let mut server =
         FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
