@@ -116,9 +116,9 @@ mod tests {
 
     #[test]
     fn basic_parsing() {
-        let a = parse(&["query", "db.mqdb", "--knn", "10", "--index", "xtree"]).unwrap();
+        let a = parse(&["query", "db", "--knn", "10", "--index", "xtree"]).unwrap();
         assert_eq!(a.command, "query");
-        assert_eq!(a.positional, vec!["db.mqdb"]);
+        assert_eq!(a.positional, vec!["db"]);
         assert_eq!(a.required("knn").unwrap(), "10");
         assert_eq!(a.parse_or("knn", 0usize).unwrap(), 10);
         assert_eq!(a.string_or("index", "scan"), "xtree");
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn switches_take_no_value() {
         // Last argument: nothing to swallow, nothing missing.
-        let a = parse(&["batch", "db.mqdb", "--knn", "3", "--no-avoidance"]).unwrap();
+        let a = parse(&["batch", "db", "--knn", "3", "--no-avoidance"]).unwrap();
         assert!(a.has("no-avoidance"));
         // In the middle: the next option survives.
         let a = parse(&[

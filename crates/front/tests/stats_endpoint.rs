@@ -1,5 +1,5 @@
-//! Persist-then-serve observability test: save a database to disk in the
-//! MQDB format, load and serve it over loopback with a wired recorder,
+//! Persist-then-serve observability test: save a database to disk as a
+//! store directory, load and serve it over loopback with a wired recorder,
 //! push a batch of client queries through, then scrape the metrics
 //! endpoint and check that the exposition parses and carries the series
 //! every layer was supposed to register.
@@ -10,24 +10,25 @@ use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::{Recorder, Registry};
 use mq_server::{build_backend_with_recorder, Client, ExecutionMode, ServerConfig, StoreChoice};
-use mq_storage::{persist, PageLayout, PagedDatabase, VectorCodec};
+use mq_storage::{PageLayout, PagedDatabase, VectorCodec};
+use mq_store::FilePageStore;
 use std::sync::Arc;
 
 mod common;
 use common::{wait_until, Gate, GatedBackend};
 
-/// Saves a fresh database under a unique temp path and loads it back —
-/// the `mq generate` → `mq serve` workflow without the CLI.
+/// Saves a fresh database as a store directory under a unique temp path
+/// and loads it back — the `mq generate` → `mq serve` workflow without
+/// the CLI.
 fn persisted_db(tag: &str, n: usize) -> PagedDatabase<Vector> {
-    let path = std::env::temp_dir().join(format!(
-        "mq-stats-endpoint-{}-{tag}.mqdb",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("mq-stats-endpoint-{}-{tag}-db", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let ds = common::dataset(n, 0x9e37_79b9_7f4a_7c15);
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
-    persist::save(&db, &VectorCodec, &path).expect("save mqdb");
-    let loaded = persist::load(&VectorCodec, &path).expect("load mqdb");
-    let _ = std::fs::remove_file(&path);
+    drop(FilePageStore::create(&dir, db, VectorCodec, 1).expect("save database"));
+    let loaded = mq_store::load(&dir, &VectorCodec).expect("load database");
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(loaded.object_count(), n);
     loaded
 }

@@ -213,7 +213,7 @@ impl Client {
 
     /// Creates a collection. With `source == ""` the collection starts
     /// empty at the declared dimensionality; otherwise `source` is a
-    /// *server-side* `.mqdb` dataset path to load. Returns the server's
+    /// *server-side* database directory to load. Returns the server's
     /// acknowledgement text.
     pub fn create_collection(
         &mut self,

@@ -253,7 +253,7 @@ mod tests {
             })
             .with_workers(2)
             .with_read_timeout(Some(Duration::from_secs(3)))
-            .with_store(StoreChoice::File(PathBuf::from("/tmp/mqdb")))
+            .with_store(StoreChoice::File(PathBuf::from("/tmp/mq-store")))
             .with_metric(VectorMetric::Cosine)
             .with_approx(Some(ApproxTier::Bq { budget: 500 }))
             .with_max_queue(64)
@@ -266,7 +266,7 @@ mod tests {
         assert!(!c.engine.avoidance);
         assert_eq!(c.workers, 2);
         assert_eq!(c.read_timeout, Some(Duration::from_secs(3)));
-        assert_eq!(c.store, StoreChoice::File(PathBuf::from("/tmp/mqdb")));
+        assert_eq!(c.store, StoreChoice::File(PathBuf::from("/tmp/mq-store")));
         assert_eq!(c.metric, VectorMetric::Cosine);
         assert_eq!(c.approx, Some(ApproxTier::Bq { budget: 500 }));
         assert_eq!(c.max_queue, 64);

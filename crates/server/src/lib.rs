@@ -14,7 +14,7 @@
 //!
 //! - [`protocol`] — length-prefixed binary frames (requests, answers,
 //!   service counters) in the same `bytes` codec style as
-//!   `mq_storage::persist`.
+//!   `mq_store`'s segment frames.
 //! - [`scheduler`] — the batching scheduler: one queue, a worker pool; an
 //!   idle worker takes whatever is queued, up to `max_batch`.
 //! - [`backend`] — what a flushed batch runs on: a single engine

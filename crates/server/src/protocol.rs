@@ -8,7 +8,7 @@
 //!
 //! The payload starts with a one-byte message kind followed by the
 //! kind-specific fields, all little-endian (the same `bytes`-based codec
-//! style as `mq_storage::persist`):
+//! style as `mq_store`'s segment frames):
 //!
 //! ```text
 //! 0x01 Query        object(dim:u32, dim × f32), qtype(kind:u8, range:f64, cardinality:u64),
@@ -194,8 +194,8 @@ pub enum Message {
         dim: u32,
         /// Distance metric name.
         metric: String,
-        /// Server-side `.mqdb` file to load the initial objects from
-        /// (empty = start empty).
+        /// Server-side database directory to load the initial objects
+        /// from (empty = start empty).
         source: String,
     },
     /// Drop a named collection. Refused while it has in-flight queries.
@@ -749,7 +749,7 @@ mod tests {
                 name: "embeddings".into(),
                 dim: 32,
                 metric: "cosine".into(),
-                source: "/data/emb.mqdb".into(),
+                source: "/data/emb".into(),
             },
             Message::DropCollection {
                 name: "embeddings".into(),
