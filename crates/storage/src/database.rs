@@ -85,6 +85,30 @@ impl<O: StorageObject> Dataset<O> {
     }
 }
 
+/// Why [`PagedDatabase::to_dataset`] failed: objects were deleted from
+/// the database (only the durable store deletes), and a dataset's ids are
+/// positions `0..n`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeletedIds {
+    /// Deleted ids.
+    pub deleted: usize,
+    /// The id space, deleted ids included.
+    pub id_space: usize,
+}
+
+impl std::fmt::Display for DeletedIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} of {} object ids are deleted, and only the durable store serves deleted ids; \
+             serve the directory with --store file:<DIR>",
+            self.deleted, self.id_space
+        )
+    }
+}
+
+impl std::error::Error for DeletedIds {}
+
 /// A paged database (paper's class `DB`).
 ///
 /// Built once, then read through [`crate::SimulatedDisk`]. Keeps a
@@ -302,14 +326,17 @@ impl<O: StorageObject> PagedDatabase<O> {
     /// Reconstructs the dataset (objects in id order) — e.g. to rebuild an
     /// index over a database loaded from disk.
     ///
-    /// # Panics
-    /// Panics if any object was deleted: a dataset's ids are positions, so
-    /// a tombstoned id space cannot round-trip through it.
-    pub fn to_dataset(&self) -> Dataset<O> {
-        let objects: Vec<O> = (0..self.object_count() as u32)
-            .map(|i| self.object(ObjectId(i)).clone())
+    /// # Errors
+    /// [`DeletedIds`] if any object was deleted: a dataset's ids are
+    /// positions, so a tombstoned id space cannot round-trip through it.
+    pub fn to_dataset(&self) -> Result<Dataset<O>, DeletedIds> {
+        let objects: Option<Vec<O>> = (0..self.object_count() as u32)
+            .map(|i| self.try_object(ObjectId(i)).cloned())
             .collect();
-        Dataset::new(objects)
+        objects.map(Dataset::new).ok_or_else(|| DeletedIds {
+            deleted: self.object_count() - self.live_object_count(),
+            id_space: self.object_count(),
+        })
     }
 
     /// Average page fill (records per page relative to capacity for the
@@ -475,6 +502,23 @@ mod tests {
         for i in 0..db.object_count() as u32 {
             assert_eq!(back.try_locate(ObjectId(i)), db.try_locate(ObjectId(i)));
         }
+    }
+
+    #[test]
+    fn to_dataset_refuses_deleted_ids() {
+        let ds = vecs(6, 2);
+        let mut db = PagedDatabase::pack(&ds, PageLayout::new(72, 16));
+        assert_eq!(db.to_dataset().expect("dense").objects(), ds.objects());
+        db.delete_object(ObjectId(5));
+        let err = db.to_dataset().expect_err("O5 is deleted");
+        assert_eq!(
+            err,
+            DeletedIds {
+                deleted: 1,
+                id_space: 6
+            }
+        );
+        assert!(err.to_string().contains("--store file:"), "{err}");
     }
 
     #[test]
