@@ -14,7 +14,7 @@ use mq_datagen::image_histograms_config;
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{Euclidean, Vector};
 use mq_mining::Dbscan;
-use mq_parallel::{Declustering, SharedNothingCluster};
+use mq_parallel::SharedNothingCluster;
 use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
 use std::hint::black_box;
 
@@ -71,19 +71,20 @@ fn bench_incremental_vs_single_dbscan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_declustering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation-declustering");
+/// The same batch on `s` round-robin servers: `s = 1` is the single
+/// engine, larger `s` splits the data and runs the servers concurrently.
+fn bench_cluster_servers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation-cluster-servers");
     group.sample_size(10);
     let ds = clustered(4_000);
     let objects = ds.objects().to_vec();
     let queries: Vec<(Vector, QueryType)> = (0..64)
         .map(|i| (objects[i * 31].clone(), QueryType::knn(20)))
         .collect();
-    for strategy in [Declustering::RoundRobin, Declustering::Chunk] {
+    for s in [1usize, 2, 4] {
         let cluster = SharedNothingCluster::build(
-            &objects,
-            4,
-            strategy,
+            objects.clone(),
+            s,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -93,11 +94,9 @@ fn bench_declustering(c: &mut Criterion) {
                 (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
             },
         );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{strategy:?}")),
-            &strategy,
-            |b, _| b.iter(|| black_box(cluster.multiple_query(&queries))),
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, _| {
+            b.iter(|| black_box(cluster.multiple_query(&queries)))
+        });
     }
     group.finish();
 }
@@ -122,6 +121,6 @@ criterion_group!(
     bench_buffer_fraction,
     bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,
-    bench_declustering
+    bench_cluster_servers
 );
 criterion_main!(benches);

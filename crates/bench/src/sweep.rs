@@ -12,7 +12,7 @@ use mq_datagen::{classification_query_ids, ExplorationConfig};
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::Vector;
 use mq_mining::exploration_trace;
-use mq_parallel::{Declustering, SharedNothingCluster};
+use mq_parallel::SharedNothingCluster;
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 
 /// The block sizes of the paper's m-sweep figures.
@@ -222,9 +222,8 @@ pub fn parallel_sweep(env: &BenchEnv, ss: &[usize]) -> Vec<ParallelPoint> {
                 let m = PARALLEL_BASE_M * s;
                 let block: Vec<_> = all_queries.iter().take(m).cloned().collect();
                 let cluster = SharedNothingCluster::build(
-                    &db.objects,
+                    db.objects.clone(),
                     s,
-                    Declustering::RoundRobin,
                     mq_metric::Euclidean,
                     0.10,
                     mq_core::EngineOptions::default(),

@@ -450,7 +450,7 @@ fn parse_quota(args: &Args) -> Result<Option<mq_server::QuotaConfig>, Box<dyn st
 pub fn serve(args: &Args) -> CmdResult {
     use mq_front::FrontServer;
     use mq_obs::{Recorder, Registry};
-    use mq_server::{build_backend_with_recorder, ExecutionMode, ServerConfig, StoreChoice};
+    use mq_server::{build_backend_with_recorder, ServerConfig, StoreChoice};
     args.reject_unknown(&[
         "addr",
         "index",
@@ -479,7 +479,10 @@ pub fn serve(args: &Args) -> CmdResult {
     check_index_name(&which)?;
     let store = parse_store(args)?;
     let max_batch: usize = args.parse_or("max-batch", 16)?;
-    let servers: usize = args.parse_or("cluster", 0)?;
+    let servers: usize = args.parse_or("cluster", 1)?;
+    if servers == 0 {
+        return Err("--cluster must be at least 1 (1 is the single engine)".into());
+    }
     let workers: usize = args.parse_or("workers", 1)?;
     // 0 = no timeout: idle connections stay open indefinitely.
     let timeout_ms: u64 = args.parse_or("timeout-ms", 0)?;
@@ -490,6 +493,7 @@ pub fn serve(args: &Args) -> CmdResult {
 
     let mut config = ServerConfig::default()
         .with_max_batch(max_batch)
+        .with_servers(servers)
         .with_engine(parse_engine_options(args)?)
         .with_workers(workers)
         .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))
@@ -498,9 +502,6 @@ pub fn serve(args: &Args) -> CmdResult {
         .with_max_queue(max_queue)
         .with_quota(quota)
         .with_approx(parse_approx(args, metric)?);
-    if servers > 0 {
-        config = config.with_mode(ExecutionMode::Cluster { servers });
-    }
     // The file store serves its recovered page layout as-is, by a
     // sequential scan. The tree bulk-loaders would repack — an explicit
     // request for one is an error, while the implicit default (xtree)
@@ -527,6 +528,12 @@ pub fn serve(args: &Args) -> CmdResult {
     let backend = build_backend_with_recorder(&stored, &config, 0.10, &recorder, move |ds| {
         build_index(ds, layout, &which_owned).expect("index name checked before serving")
     })?;
+    // A file store that already exists is served with the partition
+    // count found on disk, whatever --cluster says.
+    let served = backend.store_dirs().len();
+    if served > 0 {
+        config.servers = served;
+    }
 
     // Latch SIGTERM/Ctrl-C before the listener goes up so a signal at
     // any point takes the graceful-drain path below.
@@ -586,17 +593,9 @@ pub fn serve(args: &Args) -> CmdResult {
         );
     }
     let m = server.metrics();
-    // Per-collection store dirs, collected before the drop releases the
-    // single-writer locks; a file-backed cluster's default collection
-    // registers no dir, so add its part-<i> partitions from the config.
-    let mut dirs = server.registry().store_dirs();
-    if let (StoreChoice::File(root), true) = (&store, servers > 0) {
-        for p in 0..servers {
-            dirs.push(root.join(format!("part-{p}")));
-        }
-        dirs.sort();
-        dirs.dedup();
-    }
+    // The store dirs every collection's backend serves, collected before
+    // the drop releases the single-writer locks.
+    let dirs = server.registry().store_dirs();
     drop(server);
     for dir in &dirs {
         let mut s: mq_store::FilePageStore<Vector, VectorCodec> =

@@ -71,14 +71,16 @@ USAGE:
                 [--max-queue <N>] [--quota <RATE:BURST>]
                 [--drain-timeout-s <S>] [--log-interval-s <S>]
       Serve the database over TCP, batching concurrent client queries
-      into multiple similarity queries (one engine, or a shared-nothing
-      cluster of S servers with --cluster): an idle scheduler takes
+      into multiple similarity queries run on a shared-nothing cluster
+      of S servers (--cluster, default 1: the single engine; the data is
+      declustered round-robin and the answers merged): an idle scheduler takes
       whatever is queued, up to --max-batch (the paper's m), and runs it
       at once; nothing waits on a timer. --store file:<DIR> serves
       from a durable page store in DIR (created from the database on
       first start, recovered from segment + WAL afterwards; DIR may be
-      the database directory itself; one store per
-      partition under --cluster). --prefetch-depth stages pages ahead
+      the database directory itself; DIR/part-<i> per server when S > 1;
+      an existing store keeps the partition count found on disk, which
+      the config: line reports). --prefetch-depth stages pages ahead
       of evaluation; --workers sets the number of scheduler threads
       taking and executing batches. --metric selects the distance the engines
       evaluate (non-Euclidean metrics require --index scan); clients
@@ -95,7 +97,7 @@ USAGE:
       both reject with a typed Overloaded{retry_after_ms} reply instead
       of queueing unboundedly. SIGTERM or Ctrl-C drains gracefully: stop
       accepting, answer every in-flight query (up to --drain-timeout-s),
-      checkpoint file-backed stores, exit 0.
+      checkpoint every store directory served, exit 0.
 
   mq collection create --name <NAME> (--dim <D> | --source <DIR>)
                 [--metric euclidean|manhattan|cosine|dot] [--addr <ADDR>]

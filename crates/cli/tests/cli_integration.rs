@@ -337,3 +337,119 @@ fn switches_and_retired_options() {
     );
     std::fs::remove_dir_all(&db).ok();
 }
+
+/// Runs `mq serve` until it is listening, sends it SIGTERM, and returns
+/// everything it printed through the graceful drain.
+fn serve_then_sigterm(args: &[&str]) -> Output {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mq"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to launch mq binary");
+    let mut lines = BufReader::new(child.stdout.take().unwrap());
+    let mut printed = String::new();
+    loop {
+        let mut line = String::new();
+        if lines.read_line(&mut line).unwrap() == 0 {
+            break; // exited before listening
+        }
+        printed.push_str(&line);
+        if line.starts_with("mq-server listening") {
+            let pid = child.id().to_string();
+            let kill = Command::new("kill").args(["-TERM", &pid]).status();
+            assert!(kill.expect("run kill").success());
+            break;
+        }
+    }
+    lines.read_to_string(&mut printed).unwrap();
+    let mut stderr = Vec::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_end(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    Output {
+        status,
+        stdout: printed.into_bytes(),
+        stderr,
+    }
+}
+
+#[test]
+fn drain_checkpoints_every_store_the_backend_serves() {
+    let db = tmpdir("drain-db");
+    let db_str = db.to_str().unwrap();
+    assert!(mq(&["generate", "--n", "600", "--out", db_str])
+        .status
+        .success());
+    let checkpointed = |out: &Output| -> Vec<String> {
+        stdout(out)
+            .lines()
+            .filter(|l| l.starts_with("checkpointed "))
+            .map(str::to_string)
+            .collect()
+    };
+    let serve = |store: &Path, extra: &[&str]| {
+        let store_arg = format!("file:{}", store.display());
+        let base = [
+            "serve",
+            db_str,
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            &store_arg,
+        ];
+        let out = serve_then_sigterm(&[&base[..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{extra:?}: {stderr}");
+        out
+    };
+
+    // One server: the store is the directory itself.
+    let single = tmpdir("drain-single");
+    let out = serve(&single, &[]);
+    assert_eq!(
+        checkpointed(&out),
+        vec![format!("checkpointed {}", single.display())]
+    );
+    assert!(
+        stdout(&out).contains("config: servers=1 "),
+        "{}",
+        stdout(&out)
+    );
+
+    // A 3-partition store keeps its three partitions whatever --cluster
+    // says on restart, and every one of them is checkpointed at drain.
+    let cluster = tmpdir("drain-cluster");
+    let parts: Vec<String> = (0..3)
+        .map(|p| {
+            format!(
+                "checkpointed {}",
+                cluster.join(format!("part-{p}")).display()
+            )
+        })
+        .collect();
+    for servers in ["3", "2", "4", "1"] {
+        let out = serve(&cluster, &["--cluster", servers]);
+        assert_eq!(checkpointed(&out), parts, "--cluster {servers}");
+        assert!(
+            stdout(&out).contains("config: servers=3 "),
+            "--cluster {servers}: {}",
+            stdout(&out)
+        );
+    }
+
+    let zero = mq(&["serve", db_str, "--addr", "127.0.0.1:0", "--cluster", "0"]);
+    assert_eq!(zero.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&zero.stderr);
+    assert!(stderr.contains("--cluster must be at least 1"), "{stderr}");
+    assert!(!stdout(&zero).contains("listening"));
+    for dir in [&db, &single, &cluster] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

@@ -116,7 +116,7 @@ fn dropping_a_busy_collection_is_a_typed_refusal_not_a_partial_answer() {
     let (gated, gate) = GatedBackend::new(backend(&ds));
     server
         .registry()
-        .install("busy", gated, &config, None)
+        .install("busy", gated, &config)
         .expect("install gated collection");
     let mut admin = Client::connect(addr).expect("connect admin");
 
@@ -190,7 +190,7 @@ fn collections_are_isolated_per_scheduler() {
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds_a), &config).expect("bind");
     server
         .registry()
-        .install("b", backend(&ds_b), &config, None)
+        .install("b", backend(&ds_b), &config)
         .expect("install second collection");
     let addr = server.local_addr();
 

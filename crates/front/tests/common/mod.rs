@@ -3,9 +3,9 @@
 #![allow(dead_code)]
 
 use mq_core::{Answer, ExecutionStats, QueryType};
-use mq_index::LinearScan;
+use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::Vector;
-use mq_server::{QueryBackend, ServerConfig, SingleEngineBackend};
+use mq_server::{build_backend, QueryBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -31,17 +31,21 @@ pub fn layout() -> PageLayout {
     PageLayout::new(512, 16)
 }
 
-/// A linear-scan single-engine backend over `ds` with the server's default
-/// engine options.
-pub fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
+/// A linear-scan backend over `ds` with the server's default config and
+/// a page buffer of `buffer_fraction` of the pages.
+pub fn scan_backend(ds: &Dataset<Vector>, buffer_fraction: f64) -> Box<dyn QueryBackend> {
     let db = PagedDatabase::pack(ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(
-        db,
-        Box::new(scan),
-        0.05,
-        ServerConfig::default().engine,
-    ))
+    build_backend(&db, &ServerConfig::default(), buffer_fraction, |part| {
+        let db = PagedDatabase::pack(part, layout());
+        let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+        (scan, db)
+    })
+    .expect("the simulated store cannot fail to build")
+}
+
+/// [`scan_backend`] with a 5% buffer.
+pub fn backend(ds: &Dataset<Vector>) -> Box<dyn QueryBackend> {
+    scan_backend(ds, 0.05)
 }
 
 /// Holds every `execute` of a [`GatedBackend`] until the test opens it, so

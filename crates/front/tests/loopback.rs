@@ -7,11 +7,11 @@ use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_server::{build_backend, Client, ExecutionMode, ServerConfig, SingleEngineBackend};
+use mq_server::{build_backend, Client, ServerConfig};
 use mq_storage::{Dataset, PagedDatabase, SimulatedDisk};
 
 mod common;
-use common::{layout, wait_until, GatedBackend};
+use common::{layout, scan_backend, wait_until, GatedBackend};
 
 const N_CLIENTS: usize = 6;
 
@@ -36,15 +36,7 @@ fn client_queries(ds: &Dataset<Vector>) -> Vec<(Vector, QueryType)> {
 #[test]
 fn concurrent_clients_get_serial_answers_with_shared_reads() {
     let ds = dataset(600);
-    let db = PagedDatabase::pack(&ds, layout());
-    let pages = db.page_count();
-    let scan = LinearScan::new(pages);
-    let (backend, gate) = GatedBackend::new(Box::new(SingleEngineBackend::new(
-        db,
-        Box::new(scan),
-        0.05,
-        ServerConfig::default().engine,
-    )));
+    let (backend, gate) = GatedBackend::new(scan_backend(&ds, 0.05));
 
     // All clients fire at once and queue behind the first, held batch;
     // released, the rest go out together (max_batch = N takes them all).
@@ -132,9 +124,7 @@ fn cluster_mode_agrees_with_single_mode() {
     };
 
     let single_cfg = ServerConfig::default().with_max_batch(4);
-    let cluster_cfg = single_cfg
-        .clone()
-        .with_mode(ExecutionMode::Cluster { servers: 3 });
+    let cluster_cfg = single_cfg.clone().with_servers(3);
 
     let single_backend = build_backend(&db, &single_cfg, 0.10, build_index).expect("backend");
     let cluster_backend = build_backend(&db, &cluster_cfg, 0.10, build_index).expect("backend");
@@ -161,14 +151,7 @@ fn cluster_mode_agrees_with_single_mode() {
 #[test]
 fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     let ds = dataset(300);
-    let db = PagedDatabase::pack(&ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    let (backend, gate) = GatedBackend::new(Box::new(SingleEngineBackend::new(
-        db,
-        Box::new(scan),
-        0.10,
-        ServerConfig::default().engine,
-    )));
+    let (backend, gate) = GatedBackend::new(scan_backend(&ds, 0.10));
     // max_batch = 3: room for one doomed client plus two survivors.
     let config = ServerConfig::default().with_max_batch(3);
     let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
@@ -233,12 +216,9 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
 #[test]
 fn dimension_mismatch_is_rejected_and_server_keeps_serving() {
     let ds = dataset(80);
-    let db = PagedDatabase::pack(&ds, layout());
-    let scan = LinearScan::new(db.page_count());
-    let backend =
-        SingleEngineBackend::new(db, Box::new(scan), 0.10, ServerConfig::default().engine);
-    let mut server = FrontServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())
-        .expect("bind");
+    let backend = scan_backend(&ds, 0.10);
+    let mut server =
+        FrontServer::bind("127.0.0.1:0", backend, &ServerConfig::default()).expect("bind");
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     // The database is 3-d; a 2-d query must be rejected without reaching

@@ -9,7 +9,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::{Recorder, Registry};
-use mq_server::{build_backend_with_recorder, Client, ExecutionMode, ServerConfig, StoreChoice};
+use mq_server::{build_backend_with_recorder, Client, ServerConfig, StoreChoice};
 use mq_storage::{PageLayout, PagedDatabase, VectorCodec};
 use mq_store::FilePageStore;
 use std::sync::Arc;
@@ -177,9 +177,7 @@ fn persisted_database_serves_scrapeable_metrics() {
 #[test]
 fn cluster_mode_scrape_reports_per_partition_counts() {
     let db = persisted_db("cluster", 600);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_mode(ExecutionMode::Cluster { servers: 3 });
+    let config = ServerConfig::default().with_max_batch(4).with_servers(3);
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();

@@ -8,10 +8,11 @@
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
 use mq_front::FrontServer;
-use mq_index::LinearScan;
+use mq_index::{LinearScan, SimilarityIndex};
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
+use mq_metric::Vector;
 use mq_obs::{Recorder, Snapshot};
-use mq_server::{Client, ServerConfig, SingleEngineBackend};
+use mq_server::{build_backend, Client, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -32,15 +33,18 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
     let vectors = uniform_vectors(400, 3, 0xC0FFEE);
     let ds = Dataset::new(vectors.clone());
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
-    let scan = LinearScan::new(db.page_count());
     let recorder = Recorder::enabled();
     // Small batches: many flushes, so the scraped counters actually move
     // while the run is in flight.
     let config = ServerConfig::default().with_max_batch(4);
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
-    let server =
-        FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
-            .expect("bind loopback server");
+    let backend = build_backend(&db, &config, 0.0, |part| {
+        let db = PagedDatabase::pack(part, PageLayout::new(512, 16));
+        let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+        (scan, db)
+    })
+    .expect("sim backend");
+    let server = FrontServer::bind_with_recorder("127.0.0.1:0", backend, &config, &recorder)
+        .expect("bind loopback server");
     let addr = server.local_addr().to_string();
 
     let spec = WorkloadSpec {

@@ -2,16 +2,17 @@
 //! queries (§5.3).
 
 use crate::merge::merge_answers;
-use crate::partition::Declustering;
+use crate::partition::round_robin;
 use crate::server::Server;
 use mq_core::{
-    Answer, CandidatePrescreen, EngineError, EngineOptions, ExecutionStats, QueryEngine, QueryType,
-    StatsProbe,
+    Answer, CandidatePrescreen, EngineError, EngineObs, EngineOptions, ExecutionStats, QueryEngine,
+    QueryType, StatsProbe,
 };
 use mq_index::SimilarityIndex;
-use mq_metric::Metric;
+use mq_metric::{Metric, ObjectId};
 use mq_obs::{Counter, Recorder};
 use mq_storage::{Dataset, PagedDatabase, StorageObject};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,14 +128,17 @@ impl ClusterObs {
 }
 
 /// A cluster of `s` shared-nothing servers over one logical database.
+/// With `s = 1` it is the single engine of §5.1–5.2: one server, run on
+/// the calling thread.
 pub struct SharedNothingCluster<O, M> {
     servers: Vec<Server<O, M>>,
     /// The option block of every server's engine.
     options: EngineOptions,
-    /// Observability handle threaded into every server's engine and disk;
-    /// disabled by default.
-    recorder: Recorder,
-    /// Per-partition instruments, present iff `recorder` is enabled.
+    /// Engine instruments shared by every server's per-batch engine;
+    /// present iff an enabled recorder is attached.
+    engine_obs: Option<Arc<EngineObs>>,
+    /// Per-partition instruments, present iff an enabled recorder is
+    /// attached.
     obs: Option<ClusterObs>,
     /// One approximate candidate tier per server (see
     /// [`with_prescreens`](Self::with_prescreens)); empty = exact cluster.
@@ -146,14 +150,13 @@ where
     O: StorageObject,
     M: Metric<O> + Clone + 'static,
 {
-    /// Declusters `objects` over `s` servers and builds each server's
-    /// local index with `build_index` (invoked once per server). Every
-    /// server's engine runs `options`; answers and counters are identical
-    /// for every prefetch depth.
+    /// Declusters `objects` round-robin over `s` servers and builds each
+    /// server's local index with `build_index` (invoked once per server).
+    /// Every server's engine runs `options`; answers and counters are
+    /// identical for every prefetch depth.
     pub fn build<F>(
-        objects: &[O],
+        objects: Vec<O>,
         s: usize,
-        strategy: Declustering,
         metric: M,
         buffer_fraction: f64,
         options: EngineOptions,
@@ -162,10 +165,19 @@ where
     where
         F: Fn(&Dataset<O>) -> (Box<dyn SimilarityIndex<O>>, PagedDatabase<O>),
     {
-        let parts = strategy.partition(objects.len(), s);
-        let servers = parts
-            .iter()
-            .map(|part| Server::build(objects, part, metric.clone(), buffer_fraction, &build_index))
+        let ids = round_robin((0..objects.len() as u32).map(ObjectId).collect(), s);
+        let servers = round_robin(objects, s)
+            .into_iter()
+            .zip(ids)
+            .map(|(local, global_ids)| {
+                Server::build(
+                    local,
+                    global_ids,
+                    metric.clone(),
+                    buffer_fraction,
+                    &build_index,
+                )
+            })
             .collect();
         Self::from_servers(servers, options)
     }
@@ -177,7 +189,7 @@ where
         Self {
             servers,
             options,
-            recorder: Recorder::disabled(),
+            engine_obs: None,
             obs: None,
             prescreens: Vec::new(),
         }
@@ -209,12 +221,13 @@ where
         self.prescreens.iter().map(|p| p.name()).collect()
     }
 
-    /// Attaches an observability [`Recorder`] to the whole cluster:
-    /// per-partition query/distance/read/failure counters and every server
-    /// disk's buffer and fault counters. A disabled recorder detaches
-    /// everything.
+    /// Attaches an observability [`Recorder`] to the whole cluster: one
+    /// engine instrument bundle shared by every server's engine,
+    /// per-partition query/distance/read/failure counters, and every
+    /// server disk's buffer and fault counters. A disabled recorder
+    /// detaches everything.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.recorder = recorder.clone();
+        self.engine_obs = EngineObs::new(recorder);
         self.obs = ClusterObs::new(recorder, self.servers.len());
         for server in &self.servers {
             server.disk().attach_recorder(recorder);
@@ -237,9 +250,8 @@ where
         &self.servers
     }
 
-    /// Runs one multiple similarity query on every server in parallel
-    /// (scoped OS threads) and merges the per-server answers into global
-    /// answers, in query order.
+    /// Runs one multiple similarity query on every server in parallel and
+    /// merges the per-server answers into global answers, in query order.
     ///
     /// # Panics
     /// Panics if any partition fails (a server thread panics or its engine
@@ -258,31 +270,32 @@ where
     }
 
     /// Fault-tolerant [`multiple_query`](Self::multiple_query): every server
-    /// runs in parallel; a server whose engine errors (past the cluster's
-    /// fault policy) or whose thread panics becomes an explicitly recorded
-    /// *missing partition* instead of poisoning the whole run. Answers are
-    /// merged over the reachable servers only.
+    /// runs in parallel — server 0 on the calling thread, the others on
+    /// scoped threads, so a one-server cluster spawns nothing. A server
+    /// whose engine errors (past the cluster's fault policy) or panics
+    /// becomes an explicitly recorded *missing partition* instead of
+    /// poisoning the whole run. Answers are merged over the reachable
+    /// servers only.
     pub fn multiple_query_degraded(&self, queries: &[(O, QueryType)]) -> DegradedAnswers {
         let started = Instant::now();
+        let run = |si: usize| {
+            let server = &self.servers[si];
+            let prescreen = self.prescreens.get(si).map(|p| &**p);
+            run_on_server(server, queries, self.options, &self.engine_obs, prescreen)
+        };
         let per_server: Vec<ServerRun> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .servers
-                .iter()
-                .enumerate()
-                .map(|(si, server)| {
-                    let prescreen = self.prescreens.get(si).cloned();
-                    let recorder = &self.recorder;
-                    scope.spawn(move || {
-                        run_on_server(server, queries, self.options, recorder, prescreen)
-                    })
-                })
+            let spawned: Vec<_> = (1..self.servers.len())
+                .map(|si| scope.spawn(move || run(si)))
                 .collect();
-            handles
+            let inline =
+                (!self.servers.is_empty()).then(|| catch_unwind(AssertUnwindSafe(|| run(0))));
+            inline
                 .into_iter()
-                .map(|h| match h.join() {
+                .chain(spawned.into_iter().map(|h| h.join()))
+                .map(|outcome| match outcome {
                     Ok(Ok(result)) => Ok(result),
                     Ok(Err(e)) => Err(format!("engine error: {e}")),
-                    Err(_) => Err("server thread panicked".to_string()),
+                    Err(_) => Err("server panicked".to_string()),
                 })
                 .collect()
         });
@@ -320,14 +333,16 @@ where
         };
 
         // Merge per query across the servers that responded.
-        let answers = (0..queries.len())
-            .map(|qi| {
-                let lists: Vec<Vec<Answer>> = per_server
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok())
-                    .map(|(a, _)| a[qi].clone())
-                    .collect();
-                merge_answers(&queries[qi].1, lists)
+        let mut reachable: Vec<_> = per_server
+            .into_iter()
+            .filter_map(|r| r.ok())
+            .map(|(a, _)| a.into_iter())
+            .collect();
+        let answers = queries
+            .iter()
+            .map(|(_, qtype)| {
+                let lists = reachable.iter_mut().filter_map(Iterator::next).collect();
+                merge_answers(qtype, lists)
             })
             .collect();
         DegradedAnswers {
@@ -346,17 +361,16 @@ fn run_on_server<O, M>(
     server: &Server<O, M>,
     queries: &[(O, QueryType)],
     options: EngineOptions,
-    recorder: &Recorder,
-    prescreen: Option<Arc<dyn CandidatePrescreen<O>>>,
+    obs: &Option<Arc<EngineObs>>,
+    prescreen: Option<&dyn CandidatePrescreen<O>>,
 ) -> Result<(Vec<Vec<Answer>>, ExecutionStats), EngineError>
 where
     O: StorageObject,
     M: Metric<O> + Clone,
 {
-    let prescreen = prescreen.as_deref();
     let mut engine = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
         .with_options(options)
-        .with_recorder(recorder);
+        .with_obs(obs.clone());
     if let Some(p) = prescreen {
         engine = engine.with_prescreen(p);
     }
@@ -466,9 +480,8 @@ mod tests {
         let reference = sequential_answers(&objects, &queries);
         for s in [1, 2, 4, 7] {
             let cluster = SharedNothingCluster::build(
-                &objects,
+                objects.clone(),
                 s,
-                Declustering::RoundRobin,
                 Euclidean,
                 0.1,
                 EngineOptions::default(),
@@ -494,9 +507,8 @@ mod tests {
             .collect();
         let reference = sequential_answers(&objects, &queries);
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             4,
-            Declustering::Hash,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -519,9 +531,8 @@ mod tests {
             .collect();
         let run = |s: usize| {
             let cluster = SharedNothingCluster::build(
-                &objects,
+                objects.clone(),
                 s,
-                Declustering::RoundRobin,
                 Euclidean,
                 0.1,
                 EngineOptions::default(),
@@ -544,45 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn declustering_strategies_agree_on_results() {
-        let objects = random_points(300, 3, 211);
-        let queries: Vec<(Vector, QueryType)> = objects
-            .iter()
-            .step_by(53)
-            .take(5)
-            .map(|v| (v.clone(), QueryType::knn(4)))
-            .collect();
-        let reference = sequential_answers(&objects, &queries);
-        for strategy in [
-            Declustering::RoundRobin,
-            Declustering::Hash,
-            Declustering::Chunk,
-        ] {
-            let cluster = SharedNothingCluster::build(
-                &objects,
-                3,
-                strategy,
-                Euclidean,
-                0.1,
-                EngineOptions::default(),
-                scan_builder(),
-            );
-            let (answers, _) = cluster.multiple_query(&queries);
-            for (got, want) in answers.iter().zip(&reference) {
-                let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
-                assert_eq!(&ids, want, "{strategy:?}");
-            }
-        }
-    }
-
-    #[test]
     fn stats_total_and_max() {
         let objects = random_points(200, 3, 213);
         let queries: Vec<(Vector, QueryType)> = vec![(objects[0].clone(), QueryType::knn(3))];
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             2,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -617,9 +595,8 @@ mod tests {
             .collect();
         let reference = sequential_answers(&objects, &queries);
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             3,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions {
@@ -650,9 +627,8 @@ mod tests {
             .map(|v| (v.clone(), QueryType::knn(4)))
             .collect();
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             3,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -679,7 +655,8 @@ mod tests {
         assert!(degraded.stats.per_server[0].io.logical_reads > 0);
         // No degraded answer comes from the dead partition, and at every
         // rank the degraded neighbor is no nearer than the full one.
-        let dead: Vec<ObjectId> = Declustering::RoundRobin.partition(objects.len(), 3)[1].clone();
+        let ids = (0..objects.len() as u32).map(ObjectId).collect();
+        let dead: Vec<ObjectId> = round_robin(ids, 3).swap_remove(1);
         for (got, full) in degraded.answers.iter().zip(&healthy.answers) {
             for a in got {
                 assert!(!dead.contains(&a.id), "answer from a dead partition");
@@ -696,9 +673,8 @@ mod tests {
         let objects = random_points(120, 3, 231);
         let queries: Vec<(Vector, QueryType)> = vec![(objects[0].clone(), QueryType::knn(3))];
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             2,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -724,9 +700,8 @@ mod tests {
             .map(|v| (v.clone(), QueryType::knn(4)))
             .collect();
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             2,
-            Declustering::Hash,
             Euclidean,
             0.1,
             EngineOptions {
@@ -769,9 +744,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let recorder = Recorder::new(Arc::clone(&registry));
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             3,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions::default(),
@@ -829,9 +803,8 @@ mod tests {
             .collect();
         let build = || {
             SharedNothingCluster::build(
-                &objects,
+                objects.clone(),
                 3,
-                Declustering::Hash,
                 Euclidean,
                 0.1,
                 EngineOptions::default(),
@@ -853,9 +826,8 @@ mod tests {
     fn empty_query_batch() {
         let objects = random_points(50, 3, 217);
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             2,
-            Declustering::RoundRobin,
             Euclidean,
             0.1,
             EngineOptions::default(),

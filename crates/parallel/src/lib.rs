@@ -11,10 +11,12 @@
 //! block, which can push the speed-up *beyond* `s` (super-linear) when the
 //! per-query work shrinks with larger batches.
 //!
-//! * [`partition`] — declustering strategies (round-robin, hash, chunk);
+//! * [`partition`] — round-robin declustering;
 //! * [`server`] — one server: its partition, disk, index and id mapping;
-//! * [`cluster`] — [`cluster::SharedNothingCluster`]: scoped-thread
-//!   execution of one multiple query on all servers, answer merging, and
+//! * [`cluster`] — [`cluster::SharedNothingCluster`]: execution of one
+//!   multiple query on all servers (the first on the calling thread, the
+//!   rest on scoped threads, so `s = 1` is the plain single engine of
+//!   §5.1–5.2), answer merging, and
 //!   per-server statistics (the simulated wall-clock cost of a parallel
 //!   run is the **maximum** over the servers' costs).
 
@@ -24,5 +26,5 @@ pub mod partition;
 pub mod server;
 
 pub use cluster::{ClusterStats, DegradedAnswers, SharedNothingCluster};
-pub use partition::Declustering;
+pub use partition::round_robin;
 pub use server::Server;

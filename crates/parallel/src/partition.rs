@@ -1,108 +1,55 @@
-//! Data declustering strategies (§7 names declustering as the knob to
-//! explore for parallel query processing).
+//! Data declustering: how objects are assigned to servers.
 
-use mq_metric::ObjectId;
-
-/// How objects are assigned to servers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Declustering {
-    /// Object `i` goes to server `i mod s` — spreads any workload evenly
-    /// and is the strategy assumed by §5.3 (every server produces ~`1/s`
-    /// of each answer set).
-    RoundRobin,
-    /// Object `i` goes to server `hash(i) mod s` — like round-robin but
-    /// robust against periodic patterns in object order.
-    Hash,
-    /// Objects are split into `s` contiguous runs — preserves any physical
-    /// clustering of the load (the *bad* strategy for similarity queries:
-    /// whole answer neighborhoods land on one server).
-    Chunk,
-}
-
-impl Declustering {
-    /// Assigns each of `n` objects to one of `s` servers; returns per-server
-    /// lists of global object ids (in ascending order per server).
-    ///
-    /// # Panics
-    /// Panics if `s` is zero.
-    pub fn partition(&self, n: usize, s: usize) -> Vec<Vec<ObjectId>> {
-        assert!(s > 0, "need at least one server");
-        let mut parts: Vec<Vec<ObjectId>> = vec![Vec::with_capacity(n / s + 1); s];
-        match self {
-            Declustering::RoundRobin => {
-                for i in 0..n {
-                    parts[i % s].push(ObjectId(i as u32));
-                }
-            }
-            Declustering::Hash => {
-                for i in 0..n {
-                    // Fibonacci hashing of the id.
-                    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    parts[(h % s as u64) as usize].push(ObjectId(i as u32));
-                }
-            }
-            Declustering::Chunk => {
-                let per = n.div_ceil(s);
-                for i in 0..n {
-                    parts[(i / per.max(1)).min(s - 1)].push(ObjectId(i as u32));
-                }
-            }
-        }
-        parts
+/// Round-robin declustering (§5.3): item `i` goes to server `i mod s`,
+/// so every server holds ~`1/s` of the database and produces ~`1/s` of
+/// each answer set. Returns the per-server lists, each in input order.
+/// Items are moved, never cloned; one server takes the input as is.
+///
+/// # Panics
+/// Panics if `s` is zero.
+pub fn round_robin<T>(items: Vec<T>, s: usize) -> Vec<Vec<T>> {
+    assert!(s > 0, "need at least one server");
+    if s == 1 {
+        return vec![items];
     }
+    let mut parts: Vec<Vec<T>> = (0..s)
+        .map(|_| Vec::with_capacity(items.len() / s + 1))
+        .collect();
+    for (i, item) in items.into_iter().enumerate() {
+        parts[i % s].push(item);
+    }
+    parts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check_complete(parts: &[Vec<ObjectId>], n: usize) {
-        let mut all: Vec<ObjectId> = parts.iter().flatten().copied().collect();
+    fn check_complete(parts: &[Vec<usize>], n: usize) {
+        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
         all.sort_unstable();
-        assert_eq!(all, (0..n as u32).map(ObjectId).collect::<Vec<_>>());
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
     fn round_robin_is_balanced_and_complete() {
-        let parts = Declustering::RoundRobin.partition(103, 4);
+        let parts = round_robin((0..103).collect(), 4);
         check_complete(&parts, 103);
+        assert_eq!(parts[1][..3], [1, 5, 9]);
         let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
     #[test]
-    fn hash_is_roughly_balanced_and_complete() {
-        let parts = Declustering::Hash.partition(1000, 8);
-        check_complete(&parts, 1000);
-        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-        assert!(sizes.iter().all(|&c| c > 60 && c < 190), "sizes {sizes:?}");
-    }
-
-    #[test]
-    fn chunk_preserves_contiguity() {
-        let parts = Declustering::Chunk.partition(10, 3);
-        check_complete(&parts, 10);
-        assert_eq!(parts[0], (0..4u32).map(ObjectId).collect::<Vec<_>>());
-        assert_eq!(parts[1], (4..8u32).map(ObjectId).collect::<Vec<_>>());
-        assert_eq!(parts[2], (8..10u32).map(ObjectId).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn single_server_gets_everything() {
-        for strategy in [
-            Declustering::RoundRobin,
-            Declustering::Hash,
-            Declustering::Chunk,
-        ] {
-            let parts = strategy.partition(17, 1);
-            assert_eq!(parts.len(), 1);
-            check_complete(&parts, 17);
-        }
+        let parts = round_robin((0..17).collect(), 1);
+        assert_eq!(parts.len(), 1);
+        check_complete(&parts, 17);
     }
 
     #[test]
     fn more_servers_than_objects() {
-        let parts = Declustering::RoundRobin.partition(2, 5);
+        let parts = round_robin((0..2).collect(), 5);
         check_complete(&parts, 2);
         assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 3);
     }
@@ -110,6 +57,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
-        let _ = Declustering::RoundRobin.partition(10, 0);
+        let _ = round_robin(vec![0; 10], 0);
     }
 }

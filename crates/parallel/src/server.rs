@@ -17,13 +17,17 @@ pub struct Server<O, M> {
 }
 
 impl<O: StorageObject, M: Metric<O>> Server<O, M> {
-    /// Builds a server for the objects in `part` (global ids), using
-    /// `build_index` to construct its local access method and database
-    /// layout, with a local LRU buffer of `buffer_fraction` of its pages.
-    /// The server's distance calculations are counted on a private counter.
+    /// Builds a server for its partition's `objects`, the object with
+    /// local id `j` having global id `global_ids[j]`, using `build_index`
+    /// to construct its local access method and database layout, with a
+    /// local LRU buffer of `buffer_fraction` of its pages. The server's
+    /// distance calculations are counted on a private counter.
+    ///
+    /// # Panics
+    /// Panics if `objects` and `global_ids` differ in length.
     pub fn build<F>(
-        objects: &[O],
-        part: &[ObjectId],
+        objects: Vec<O>,
+        global_ids: Vec<ObjectId>,
         metric: M,
         buffer_fraction: f64,
         build_index: F,
@@ -31,15 +35,18 @@ impl<O: StorageObject, M: Metric<O>> Server<O, M> {
     where
         F: FnOnce(&Dataset<O>) -> (Box<dyn SimilarityIndex<O>>, PagedDatabase<O>),
     {
-        let local: Vec<O> = part.iter().map(|id| objects[id.index()].clone()).collect();
-        let dataset = Dataset::new(local);
-        let (index, db) = build_index(&dataset);
+        assert_eq!(
+            objects.len(),
+            global_ids.len(),
+            "every local id needs a global mapping"
+        );
+        let (index, db) = build_index(&Dataset::new(objects));
         let disk = SimulatedDisk::new(db, buffer_fraction);
         Self {
             disk: Box::new(disk),
             index,
             metric: CountingMetric::new(metric),
-            global_ids: part.to_vec(),
+            global_ids,
         }
     }
 

@@ -1,27 +1,24 @@
-//! Batch execution backends: what a flushed batch runs on.
+//! Batch execution: what a flushed batch runs on.
 //!
 //! A [`QueryBackend`] evaluates one batch as a multiple similarity query.
-//! [`SingleEngineBackend`] is one engine over one page store (§5.1–5.2),
-//! [`ClusterBackend`] a shared-nothing cluster (§5.3); [`build_backend`]
-//! picks and wires one from a [`ServerConfig`], opening or creating the
-//! durable stores in file mode. Every engine option arrives as the one
-//! [`ServerConfig::engine`] block.
+//! [`EngineBackend`] is the one product implementation: a §5.3
+//! shared-nothing cluster of `s` engines whose answers are merged, where
+//! `s = 1` (the default) is the single engine of §5.1–5.2.
+//! [`build_backend`] wires one from a [`ServerConfig`], opening or
+//! creating the durable stores in file mode. Every engine option arrives
+//! as the one [`ServerConfig::engine`] block.
 
-use crate::config::{ExecutionMode, ServerConfig, StoreChoice};
-use mq_approx::ApproxTier;
-use mq_core::{
-    Answer, CandidatePrescreen, EngineObs, EngineOptions, ExecutionStats, QueryEngine, QueryType,
-    StatsProbe,
-};
+use crate::config::{ServerConfig, StoreChoice};
+use mq_core::{Answer, CandidatePrescreen, ExecutionStats, QueryType};
 use mq_index::{LinearScan, SimilarityIndex};
-use mq_metric::{CountingMetric, Metric, ObjectId, Vector, VectorMetric};
+use mq_metric::{Metric, ObjectId, Vector, VectorMetric};
 use mq_obs::Recorder;
-use mq_parallel::{Declustering, Server, SharedNothingCluster};
-use mq_storage::{Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
+use mq_parallel::{round_robin, Server, SharedNothingCluster};
+use mq_storage::{Dataset, PageStore, PagedDatabase, VectorCodec};
 use mq_store::{
     FilePageStore, PartitionManifest, SegmentMeta, StoreError, SEGMENT_FILE, SEGMENT_HEADER_LEN,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Executes one flushed batch. Implementations own their storage and
@@ -44,87 +41,27 @@ pub trait QueryBackend: Send + Sync + 'static {
         0
     }
 
+    /// The durable store directories this backend serves, one per
+    /// partition — what a graceful shutdown checkpoints. Empty for
+    /// in-memory backends.
+    fn store_dirs(&self) -> Vec<PathBuf> {
+        Vec::new()
+    }
+
     /// One-line description for logs.
     fn describe(&self) -> String;
 }
 
-/// Single-engine backend: one page store (simulated or file-backed), one
-/// access method, §5.1–5.2 batched execution.
-pub struct SingleEngineBackend {
-    disk: Box<dyn PageStore<Vector>>,
-    index: Box<dyn SimilarityIndex<Vector>>,
-    metric: CountingMetric<VectorMetric>,
-    options: EngineOptions,
+/// The query backend: a §5.3 shared-nothing cluster of engines, each over
+/// its own page store (simulated or file-backed) and access method. Every
+/// batch runs on all servers and their answers are merged; one server —
+/// the default — is the single engine of §5.1–5.2, evaluated on the
+/// calling thread.
+pub struct EngineBackend {
+    cluster: SharedNothingCluster<Vector, VectorMetric>,
     dims: usize,
-    /// Engine instruments shared by the short-lived engine of every batch.
-    obs: Option<Arc<EngineObs>>,
-    /// Optional approximate candidate tier restricting every batch's
-    /// sessions before the exact re-rank.
-    prescreen: Option<Arc<dyn CandidatePrescreen<Vector>>>,
-}
-
-impl SingleEngineBackend {
-    /// Wraps a database and its index. `buffer_fraction` sizes the page
-    /// buffer as in [`SimulatedDisk::new`]; `options` configures the
-    /// engine of every batch.
-    pub fn new(
-        db: PagedDatabase<Vector>,
-        index: Box<dyn SimilarityIndex<Vector>>,
-        buffer_fraction: f64,
-        options: EngineOptions,
-    ) -> Self {
-        let disk = Box::new(SimulatedDisk::new(db, buffer_fraction));
-        Self::from_store(disk, index, options)
-    }
-
-    /// Wraps an already-built page store (any backend) and its index. This
-    /// is how the durable `mq-store` backend joins the scheduler: the
-    /// caller opens or creates the [`FilePageStore`] and hands it over
-    /// boxed.
-    pub fn from_store(
-        disk: Box<dyn PageStore<Vector>>,
-        index: Box<dyn SimilarityIndex<Vector>>,
-        options: EngineOptions,
-    ) -> Self {
-        let dims = dims_of(disk.database());
-        Self {
-            disk,
-            index,
-            metric: CountingMetric::new(VectorMetric::default()),
-            options,
-            dims,
-            obs: None,
-            prescreen: None,
-        }
-    }
-
-    /// Attaches an observability [`Recorder`]: engine counters and stage
-    /// spans and the disk's buffer/prefetch/fault counters.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.obs = EngineObs::new(recorder);
-        self.disk.attach_recorder(recorder);
-        self
-    }
-
-    /// Selects the distance function. Non-Euclidean metrics must be paired
-    /// with a sequential-scan index (see [`ServerConfig::metric`]).
-    pub fn with_metric(mut self, metric: VectorMetric) -> Self {
-        self.metric = CountingMetric::new(metric);
-        self
-    }
-
-    /// Installs an approximate candidate tier: every batch's session is
-    /// restricted to the tier's per-query candidates before the exact
-    /// re-rank (see [`mq_core::CandidatePrescreen`]).
-    pub fn with_prescreen(mut self, prescreen: Arc<dyn CandidatePrescreen<Vector>>) -> Self {
-        self.prescreen = Some(prescreen);
-        self
-    }
-
-    /// The backend's page store (fault-plan installation in tests).
-    pub fn disk(&self) -> &dyn PageStore<Vector> {
-        &*self.disk
-    }
+    /// Each server's store directory, in server order (file stores only).
+    store_dirs: Vec<PathBuf>,
 }
 
 /// Dimensionality of the first live vector, or 0 when the database holds
@@ -135,132 +72,11 @@ fn dims_of(db: &PagedDatabase<Vector>) -> usize {
         .map_or(0, |v| v.dim())
 }
 
-impl QueryBackend for SingleEngineBackend {
-    fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
-        let mut engine = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone())
-            .with_options(self.options)
-            .with_obs(self.obs.clone());
-        if let Some(prescreen) = &self.prescreen {
-            engine = engine.with_prescreen(&**prescreen);
-        }
-        let probe = StatsProbe::start(&*self.disk, self.metric.counter(), Default::default());
-        let mut session = engine.new_session(queries);
-        engine.run_to_completion(&mut session);
-        let stats = probe.finish(&*self.disk, session.avoidance_stats());
-        (session.into_answers(), stats)
-    }
-
-    fn dimensions(&self) -> usize {
-        self.dims
-    }
-
-    fn object_count(&self) -> u64 {
-        self.disk.database().object_count() as u64
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "single engine, {} pages, avoidance {}, approx {}",
-            self.disk.database().page_count(),
-            if self.options.avoidance { "on" } else { "off" },
-            self.prescreen.as_deref().map_or("off", |p| p.name()),
-        )
-    }
-}
-
-/// Cluster backend: a §5.3 shared-nothing cluster evaluates every batch in
-/// parallel across its servers.
-pub struct ClusterBackend {
-    cluster: SharedNothingCluster<Vector, CountingMetric<VectorMetric>>,
-    dims: usize,
-}
-
-impl ClusterBackend {
-    /// Declusters `objects` round-robin over `servers` local engines,
-    /// building each server's index with `build_index`, evaluating
-    /// `metric` and running `options` on every server.
-    pub fn build<F>(
-        objects: &[Vector],
-        servers: usize,
-        buffer_fraction: f64,
-        options: EngineOptions,
-        metric: VectorMetric,
-        build_index: F,
-    ) -> Self
-    where
-        F: Fn(&Dataset<Vector>) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-    {
-        let cluster = SharedNothingCluster::build(
-            objects,
-            servers,
-            Declustering::RoundRobin,
-            CountingMetric::new(metric),
-            buffer_fraction,
-            options,
-            build_index,
-        );
-        Self {
-            cluster,
-            dims: objects.first().map_or(0, |v| v.dim()),
-        }
-    }
-
-    /// Assembles the backend from already-built servers (any page-store
-    /// backend). This is how durable per-partition `mq-store` stores join
-    /// the cluster path.
-    pub fn from_servers(
-        servers: Vec<Server<Vector, CountingMetric<VectorMetric>>>,
-        options: EngineOptions,
-    ) -> Self {
-        let dims = servers
-            .iter()
-            .map(|s| dims_of(s.disk().database()))
-            .find(|&d| d > 0)
-            .unwrap_or(0);
-        Self {
-            cluster: SharedNothingCluster::from_servers(servers, options),
-            dims,
-        }
-    }
-
-    /// Attaches an observability [`Recorder`] to the whole cluster —
-    /// per-partition counters and every server disk.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.cluster = self.cluster.with_recorder(recorder);
-        self
-    }
-
-    /// Installs the approximate candidate tier on every partition: one
-    /// prescreen per server, built over that server's partition-local id
-    /// space. With `sidecar_root` set (file-store clusters), each
-    /// partition's binary sketch is loaded from — or rebuilt into —
-    /// `<root>/part-<i>/sketch.mqbq`.
-    pub fn with_approx(mut self, tier: ApproxTier, sidecar_root: Option<&Path>) -> Self {
-        let prescreens: Vec<Arc<dyn CandidatePrescreen<Vector>>> = self
-            .cluster
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(p, s)| {
-                let sidecar = sidecar_root.map(|root| root.join(format!("part-{p}")));
-                tier.prescreen(s.disk().database(), sidecar.as_deref())
-            })
-            .collect();
-        self.cluster = self.cluster.with_prescreens(prescreens);
-        self
-    }
-
-    /// The underlying cluster (fault-plan installation in tests).
-    pub fn cluster(&self) -> &SharedNothingCluster<Vector, CountingMetric<VectorMetric>> {
-        &self.cluster
-    }
-}
-
-impl QueryBackend for ClusterBackend {
+impl QueryBackend for EngineBackend {
     fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
         let (answers, cluster_stats) = self.cluster.multiple_query(&queries);
         // Sum of per-server work; elapsed is the parallel wall-clock, not
-        // the sum — that is the whole point of the cluster path.
+        // the sum.
         let mut stats = cluster_stats.total();
         stats.elapsed = cluster_stats.elapsed;
         (answers, stats)
@@ -278,9 +94,19 @@ impl QueryBackend for ClusterBackend {
             .sum()
     }
 
+    fn store_dirs(&self) -> Vec<PathBuf> {
+        self.store_dirs.clone()
+    }
+
     fn describe(&self) -> String {
+        let pages: usize = self
+            .cluster
+            .servers()
+            .iter()
+            .map(|s| s.disk().database().page_count())
+            .sum();
         format!(
-            "shared-nothing cluster of {} servers, avoidance {}, approx {}",
+            "{} engine(s), {pages} pages, avoidance {}, approx {}",
             self.cluster.server_count(),
             if self.cluster.options().avoidance {
                 "on"
@@ -296,11 +122,10 @@ impl QueryBackend for ClusterBackend {
     }
 }
 
-/// Builds the backend selected by `config.mode` and `config.store` from a
-/// database and an index-builder callback (invoked once per cluster
-/// server, or once for the single-engine path; ignored by the file-backed
-/// store, which always serves its recovered layout through a sequential
-/// scan).
+/// Builds the backend for `config` from a database and an index-builder
+/// callback (invoked once per server of the simulated store; ignored by
+/// the file-backed store, which always serves its recovered layout
+/// through a sequential scan).
 ///
 /// # Errors
 /// Fails when a file store's directory cannot be created, opened, or
@@ -326,7 +151,7 @@ where
 
 /// [`build_backend`] with an observability [`Recorder`] threaded through
 /// the backend (engine counters, disk counters, store durability
-/// counters, and — in cluster mode — per-partition counters).
+/// counters, and per-partition counters).
 ///
 /// # Errors
 /// Fails when a file store's directory cannot be created, opened, or
@@ -352,80 +177,56 @@ where
             config.metric.name()
         )));
     }
-    // File stores keep the binary sketch beside their page files.
-    let sidecar = match &config.store {
-        StoreChoice::Sim => None,
-        StoreChoice::File(dir) => Some(dir.as_path()),
+    let (cluster, store_dirs) = match &config.store {
+        StoreChoice::Sim => (
+            SharedNothingCluster::build(
+                db.to_dataset()?.into_objects(),
+                config.servers,
+                config.metric,
+                buffer_fraction,
+                config.engine,
+                build_index,
+            ),
+            Vec::new(),
+        ),
+        StoreChoice::File(dir) => {
+            let (servers, dirs) =
+                open_or_create_stores(dir, db, config.servers, buffer_fraction, config.metric)?;
+            (
+                SharedNothingCluster::from_servers(servers, config.engine),
+                dirs,
+            )
+        }
     };
-    match config.mode {
-        ExecutionMode::Single => {
-            let (disk, index): (Box<dyn PageStore<Vector>>, _) = match sidecar {
-                None => {
-                    let (index, db) = build_index(&db.to_dataset()?);
-                    (Box::new(SimulatedDisk::new(db, buffer_fraction)), index)
-                }
-                Some(dir) => {
-                    // A partition of a clustered store must not be served
-                    // alone: its answers would carry partition-local ids.
-                    if let Some(manifest) = PartitionManifest::load(dir)? {
-                        return Err(StoreError::Format(format!(
-                            "{} is partition {} of a {}-way cluster store; serve its parent \
-                             directory with --cluster {} instead",
-                            dir.display(),
-                            manifest.partition,
-                            manifest.parts,
-                            manifest.parts
-                        )));
-                    }
-                    // Served as recovered, by a scan: a tree would repack.
-                    let store = open_or_create_store(dir, db, buffer_fraction)?;
-                    let scan = LinearScan::new(store.database().page_count());
-                    (Box::new(store), Box::new(scan))
-                }
-            };
-            let prescreen = config
-                .approx
-                .map(|tier| tier.prescreen(disk.database(), sidecar));
-            let mut backend = SingleEngineBackend::from_store(disk, index, config.engine)
-                .with_metric(config.metric)
-                .with_recorder(recorder);
-            if let Some(p) = prescreen {
-                backend = backend.with_prescreen(p);
-            }
-            Ok(Box::new(backend))
-        }
-        ExecutionMode::Cluster { servers } => {
-            let servers = servers.max(1);
-            let backend = match sidecar {
-                None => ClusterBackend::build(
-                    db.to_dataset()?.objects(),
-                    servers,
-                    buffer_fraction,
-                    config.engine,
-                    config.metric,
-                    build_index,
-                ),
-                Some(dir) => ClusterBackend::from_servers(
-                    open_or_create_partition_stores(
-                        dir,
-                        db,
-                        servers,
-                        buffer_fraction,
-                        config.metric,
-                    )?,
-                    config.engine,
-                ),
-            };
-            let mut backend = backend.with_recorder(recorder);
-            if let Some(tier) = config.approx {
-                backend = backend.with_approx(tier, sidecar);
-            }
-            Ok(Box::new(backend))
-        }
+    let mut cluster = cluster.with_recorder(recorder);
+    if let Some(tier) = config.approx {
+        // One prescreen per server, over its partition-local id space; a
+        // file store's binary sketch lives beside its page files.
+        let prescreens: Vec<Arc<dyn CandidatePrescreen<Vector>>> = cluster
+            .servers()
+            .iter()
+            .enumerate()
+            .map(|(p, s)| {
+                tier.prescreen(s.disk().database(), store_dirs.get(p).map(PathBuf::as_path))
+            })
+            .collect();
+        cluster = cluster.with_prescreens(prescreens);
     }
+    let dims = cluster
+        .servers()
+        .iter()
+        .map(|s| dims_of(s.disk().database()))
+        .find(|&d| d > 0)
+        .unwrap_or(0);
+    Ok(Box::new(EngineBackend {
+        cluster,
+        dims,
+        store_dirs,
+    }))
 }
 
-/// Buffer capacity matching [`SimulatedDisk::new`]'s fraction sizing.
+/// Buffer capacity matching [`mq_storage::SimulatedDisk::new`]'s fraction
+/// sizing.
 fn buffer_pages(page_count: usize, fraction: f64) -> usize {
     ((page_count as f64 * fraction).ceil() as usize).max(1)
 }
@@ -460,15 +261,32 @@ fn open_or_create_store(
     }
 }
 
-/// Builds one durable store per cluster partition under
-/// `dir/part-<i>/`.
+/// One server of the backend's cluster.
+type VectorServer = Server<Vector, VectorMetric>;
+
+/// One server over a durable store, served as recovered by a scan (a tree
+/// would repack the pages).
+fn file_server(
+    store: FilePageStore<Vector, VectorCodec>,
+    metric: VectorMetric,
+    global_ids: Vec<ObjectId>,
+) -> VectorServer {
+    let scan = LinearScan::new(store.database().page_count());
+    Server::from_parts(Box::new(store), Box::new(scan), metric, global_ids)
+}
+
+/// Opens or creates the durable stores under `dir`, returning one server
+/// per store and the store directories, in server order.
 ///
-/// When `dir/part-0/` already holds a segment, every existing partition is
-/// reopened (their count wins over `servers` so a recovered cluster keeps
-/// its declustering). Otherwise `db` is declustered round-robin — object
-/// `i` to partition `i % servers` — exactly like
-/// [`Declustering::RoundRobin`], so answers stay bit-identical to the
-/// simulated cluster.
+/// The layout on disk wins over `servers`, so a recovered store keeps its
+/// declustering:
+/// - `dir` holding a segment is one server over `dir` itself, with
+///   identity global ids. A `part-<i>` directory of a clustered store is
+///   refused here: its answers would carry partition-local ids.
+/// - `dir/part-0/` holding a segment reopens every `part-<i>`.
+/// - Otherwise the store is created from `db`: in `dir` itself for one
+///   server, else declustered by [`round_robin`] into `dir/part-<i>/`, so
+///   answers stay bit-identical to the simulated cluster.
 ///
 /// Each partition directory carries a [`PartitionManifest`] recording the
 /// partition count, its index, and the **explicit** local→global id
@@ -477,16 +295,38 @@ fn open_or_create_store(
 /// partition mutated behind the cluster's back (offline `mq insert` on a
 /// single `part-<i>/`), a missing manifest, or a duplicated global id is
 /// a typed error rather than silently mis-addressed answers.
-fn open_or_create_partition_stores(
+fn open_or_create_stores(
     dir: &Path,
     db: &PagedDatabase<Vector>,
     servers: usize,
     buffer_fraction: f64,
     metric: VectorMetric,
-) -> Result<Vec<Server<Vector, CountingMetric<VectorMetric>>>, StoreError> {
+) -> Result<(Vec<VectorServer>, Vec<PathBuf>), StoreError> {
     let part_dir = |p: usize| dir.join(format!("part-{p}"));
+    let partitioned = part_dir(0).join(SEGMENT_FILE).exists();
+    if dir.join(SEGMENT_FILE).exists() || (servers == 1 && !partitioned) {
+        if let Some(manifest) = PartitionManifest::load(dir)? {
+            return Err(StoreError::Format(format!(
+                "{} is partition {} of a {}-way cluster store; serve its parent \
+                 directory with --cluster {} instead",
+                dir.display(),
+                manifest.partition,
+                manifest.parts,
+                manifest.parts
+            )));
+        }
+        let store = open_or_create_store(dir, db, buffer_fraction)?;
+        let ids = (0..store.database().object_count() as u32)
+            .map(ObjectId)
+            .collect();
+        return Ok((
+            vec![file_server(store, metric, ids)],
+            vec![dir.to_path_buf()],
+        ));
+    }
     let mut out = Vec::new();
-    if part_dir(0).join(SEGMENT_FILE).exists() {
+    let mut dirs = Vec::new();
+    if partitioned {
         let mut parts = 0;
         while part_dir(parts).join(SEGMENT_FILE).exists() {
             parts += 1;
@@ -527,27 +367,14 @@ fn open_or_create_partition_stores(
                     )));
                 }
             }
-            let scan = LinearScan::new(local.page_count());
-            out.push(Server::from_parts(
-                Box::new(store),
-                Box::new(scan),
-                CountingMetric::new(metric),
-                manifest.global_ids,
-            ));
+            out.push(file_server(store, metric, manifest.global_ids));
+            dirs.push(pdir);
         }
     } else {
-        let ds = db.to_dataset()?;
-        for p in 0..servers {
-            let local: Vec<Vector> = ds
-                .objects()
-                .iter()
-                .skip(p)
-                .step_by(servers)
-                .cloned()
-                .collect();
-            let global_ids: Vec<ObjectId> = (0..local.len())
-                .map(|j| ObjectId((j * servers + p) as u32))
-                .collect();
+        let objects = db.to_dataset()?.into_objects();
+        let ids = round_robin((0..objects.len() as u32).map(ObjectId).collect(), servers);
+        let parts = round_robin(objects, servers).into_iter().zip(ids);
+        for (p, (local, global_ids)) in parts.enumerate() {
             let part_db = PagedDatabase::pack(&Dataset::new(local), db.layout());
             let pages = buffer_pages(part_db.page_count(), buffer_fraction);
             let store = FilePageStore::create(part_dir(p), part_db, VectorCodec, pages)?;
@@ -557,35 +384,48 @@ fn open_or_create_partition_stores(
                 global_ids: global_ids.clone(),
             }
             .save(&part_dir(p))?;
-            let scan = LinearScan::new(store.database().page_count());
-            out.push(Server::from_parts(
-                Box::new(store),
-                Box::new(scan),
-                CountingMetric::new(metric),
-                global_ids,
-            ));
+            out.push(file_server(store, metric, global_ids));
+            dirs.push(part_dir(p));
         }
     }
-    Ok(out)
+    Ok((out, dirs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_backend;
-    use mq_storage::PageLayout;
+    use mq_approx::ApproxTier;
+    use mq_core::{EngineOptions, QueryEngine, StatsProbe};
+    use mq_index::PagePlan;
+    use mq_metric::CountingMetric;
+    use mq_storage::{PageId, PageLayout, SimulatedDisk};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn line_db(n: usize) -> PagedDatabase<Vector> {
         let ds = Dataset::new((0..n).map(|i| Vector::new(vec![i as f32])).collect());
         PagedDatabase::pack(&ds, PageLayout::new(256, 16))
     }
 
-    fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
-        let db = line_db(n);
-        let scan = LinearScan::new(db.page_count());
-        let options = EngineOptions::default();
-        Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, options))
+    fn scan_index(
+        ds: &Dataset<Vector>,
+    ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>) {
+        let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
+        (Box::new(LinearScan::new(db.page_count())), db)
+    }
+
+    fn scan_backend(n: usize, config: &ServerConfig) -> Box<dyn QueryBackend> {
+        build_backend(&line_db(n), config, 0.10, scan_index).expect("sim backend")
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "mq-backend-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     #[test]
@@ -593,14 +433,12 @@ mod tests {
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 13.0 + 0.2]), QueryType::knn(3)))
             .collect();
-        let plain = scan_backend(120).execute(queries.clone());
-        let db = line_db(120);
-        let scan = LinearScan::new(db.page_count());
-        let options = EngineOptions {
+        let plain = scan_backend(120, &ServerConfig::default()).execute(queries.clone());
+        let config = ServerConfig::default().with_engine(EngineOptions {
             prefetch_depth: 2,
             ..EngineOptions::default()
-        };
-        let pipelined = SingleEngineBackend::new(db, Box::new(scan), 0.10, options);
+        });
+        let pipelined = scan_backend(120, &config);
         // Two batches through the same backend: the prefetch pins of one
         // batch are released before the next.
         for round in 0..2 {
@@ -614,27 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn cluster_backend_agrees_with_single() {
-        let db = line_db(120);
+    fn three_servers_agree_with_one() {
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
             .collect();
-        let single = scan_backend(120).execute(queries.clone());
-        let cluster = ClusterBackend::build(
-            db.to_dataset().unwrap().objects(),
-            3,
-            0.10,
-            EngineOptions::default(),
-            VectorMetric::Euclidean,
-            |ds| {
-                let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-                (
-                    Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                    db,
-                )
-            },
-        );
-        let clustered = cluster.execute(queries);
+        let single = scan_backend(120, &ServerConfig::default()).execute(queries.clone());
+        let clustered =
+            scan_backend(120, &ServerConfig::default().with_servers(3)).execute(queries);
         for (a, b) in single.0.iter().zip(&clustered.0) {
             let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
             let ib: Vec<u32> = b.iter().map(|x| x.id.0).collect();
@@ -642,15 +466,139 @@ mod tests {
         }
     }
 
+    /// One server evaluates on the calling thread: an index wrapper
+    /// records the thread of every `plan`.
+    #[test]
+    fn one_server_evaluates_on_the_calling_thread() {
+        struct Recording {
+            scan: LinearScan,
+            threads: Arc<Mutex<Vec<ThreadId>>>,
+        }
+        impl SimilarityIndex<Vector> for Recording {
+            fn plan<'a>(&'a self, query: &'a Vector) -> Box<dyn PagePlan + 'a> {
+                self.threads
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id());
+                self.scan.plan(query)
+            }
+            fn page_mindist(&self, query: &Vector, page: PageId) -> f64 {
+                self.scan.page_mindist(query, page)
+            }
+            fn page_count(&self) -> usize {
+                SimilarityIndex::<Vector>::page_count(&self.scan)
+            }
+            fn name(&self) -> &str {
+                "recording-scan"
+            }
+        }
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let backend = build_backend(&line_db(120), &ServerConfig::default(), 0.10, |ds| {
+            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
+            let index = Recording {
+                scan: LinearScan::new(db.page_count()),
+                threads: Arc::clone(&threads),
+            };
+            (Box::new(index) as Box<dyn SimilarityIndex<Vector>>, db)
+        })
+        .expect("sim backend");
+        let queries = (0..4)
+            .map(|i| (Vector::new(vec![i as f32 * 11.0]), QueryType::knn(2)))
+            .collect();
+        backend.execute(queries);
+        let seen = threads.lock().unwrap().clone();
+        assert!(!seen.is_empty(), "the engine never planned");
+        assert!(
+            seen.iter().all(|&t| t == std::thread::current().id()),
+            "a one-server backend must not leave the calling thread"
+        );
+    }
+
+    /// One server is the plain engine: its answers and every counter but
+    /// the wall-clock equal a serial `QueryEngine` run over the same
+    /// pages, on the simulated disk and on the file store.
+    #[test]
+    fn one_server_equals_a_serial_engine_over_sim_and_file_stores() {
+        let db = line_db(300);
+        let queries: Vec<(Vector, QueryType)> = (0..8)
+            .map(|i| {
+                let q = Vector::new(vec![i as f32 * 37.0 + 0.3]);
+                let t = if i % 2 == 0 {
+                    QueryType::knn(4)
+                } else {
+                    QueryType::range(6.0)
+                };
+                (q, t)
+            })
+            .collect();
+        let serial = |disk: &dyn PageStore<Vector>| {
+            let scan = LinearScan::new(disk.database().page_count());
+            let metric = CountingMetric::new(VectorMetric::Euclidean);
+            let engine = QueryEngine::new(disk, &scan, metric.clone())
+                .with_options(ServerConfig::default().engine);
+            let probe = StatsProbe::start(disk, metric.counter(), Default::default());
+            let mut session = engine.new_session(queries.clone());
+            engine.run_to_completion(&mut session);
+            let stats = probe.finish(disk, session.avoidance_stats());
+            (session.into_answers(), stats)
+        };
+        let dir = temp_dir("serial");
+        let serial_file = FilePageStore::create(
+            dir.join("serial"),
+            db.clone(),
+            VectorCodec,
+            buffer_pages(db.page_count(), 0.10),
+        )
+        .expect("serial file store");
+        let file_config = ServerConfig::default().with_store(StoreChoice::File(dir.join("served")));
+        for (label, config, want) in [
+            (
+                "sim",
+                ServerConfig::default(),
+                serial(&SimulatedDisk::new(db.clone(), 0.10)),
+            ),
+            ("file", file_config, serial(&serial_file)),
+        ] {
+            let backend = build_backend(&db, &config, 0.10, scan_index).expect("backend");
+            let (answers, stats) = backend.execute(queries.clone());
+            assert_eq!(answers, want.0, "{label}: answers");
+            assert_eq!(stats.io, want.1.io, "{label}: io");
+            assert_eq!(stats.avoidance, want.1.avoidance, "{label}: avoidance");
+            assert_eq!(stats.dist_calcs, want.1.dist_calcs, "{label}: dist_calcs");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn backend_reports_the_store_directories_it_serves() {
+        let dir = temp_dir("dirs");
+        let db = line_db(120);
+        let build = |servers: usize, sub: &str| {
+            let config = ServerConfig::default()
+                .with_servers(servers)
+                .with_store(StoreChoice::File(dir.join(sub)));
+            build_backend(&db, &config, 0.10, scan_index).expect("file backend")
+        };
+        assert!(scan_backend(120, &ServerConfig::default())
+            .store_dirs()
+            .is_empty());
+        // One server is the directory itself.
+        assert_eq!(build(1, "one").store_dirs(), vec![dir.join("one")]);
+        // A created cluster is one part-<i> per server …
+        let parts: Vec<PathBuf> = (0..3)
+            .map(|p| dir.join("three").join(format!("part-{p}")))
+            .collect();
+        assert_eq!(build(3, "three").store_dirs(), parts);
+        // … and the layout on disk wins over the configured count.
+        assert_eq!(build(2, "three").store_dirs(), parts);
+        assert_eq!(build(1, "three").store_dirs(), parts);
+        assert_eq!(build(4, "one").store_dirs(), vec![dir.join("one")]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn file_store_backends_agree_with_sim_and_survive_restart() {
-        use crate::config::StoreChoice;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-store-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir = temp_dir("store");
         let db = line_db(120);
         let build = |ds: &Dataset<Vector>| {
             let db = PagedDatabase::pack(ds, db.layout());
@@ -666,12 +614,9 @@ mod tests {
             .expect("sim backend")
             .execute(queries.clone());
 
-        for (mode, sub) in [
-            (ExecutionMode::Single, "single"),
-            (ExecutionMode::Cluster { servers: 3 }, "cluster"),
-        ] {
+        for (servers, sub) in [(1, "single"), (3, "cluster")] {
             let config = ServerConfig::default()
-                .with_mode(mode)
+                .with_servers(servers)
                 .with_store(StoreChoice::File(dir.join(sub)));
             // First build creates the store, second reopens it from disk.
             for round in ["create", "reopen"] {
@@ -690,14 +635,8 @@ mod tests {
 
     #[test]
     fn cluster_reopen_validates_partition_manifests() {
-        use crate::config::StoreChoice;
         use mq_store::PARTITION_MANIFEST_FILE;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let root = std::env::temp_dir().join(format!(
-            "mq-sched-manifest-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let root = temp_dir("manifest");
         let db = line_db(120);
         let build = |ds: &Dataset<Vector>| {
             let db = PagedDatabase::pack(ds, db.layout());
@@ -708,7 +647,7 @@ mod tests {
         };
         let cluster_config = |dir: &std::path::Path| {
             ServerConfig::default()
-                .with_mode(ExecutionMode::Cluster { servers: 3 })
+                .with_servers(3)
                 .with_store(StoreChoice::File(dir.to_path_buf()))
         };
 
@@ -780,13 +719,8 @@ mod tests {
     }
 
     #[test]
-    fn approx_tier_with_full_budget_agrees_with_exact_in_every_mode() {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mq-sched-approx-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+    fn approx_tier_with_full_budget_agrees_with_exact_for_every_server_count() {
+        let dir = temp_dir("approx");
         let db = line_db(120);
         let build = |ds: &Dataset<Vector>| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
@@ -803,28 +737,24 @@ mod tests {
             .execute(queries.clone());
 
         // A budget covering the whole collection must reproduce the exact
-        // answers bit-for-bit in every mode × store combination.
+        // answers bit-for-bit for every server count × store combination.
         let tier = ApproxTier::Bq { budget: 120 };
-        for (mode, store, label) in [
-            (ExecutionMode::Single, StoreChoice::Sim, "single/sim"),
+        for (servers, store, label) in [
+            (1, StoreChoice::Sim, "single/sim"),
+            (3, StoreChoice::Sim, "cluster/sim"),
             (
-                ExecutionMode::Cluster { servers: 3 },
-                StoreChoice::Sim,
-                "cluster/sim",
-            ),
-            (
-                ExecutionMode::Single,
+                1,
                 StoreChoice::File(dir.join(format!("single-{tier}"))),
                 "single/file",
             ),
             (
-                ExecutionMode::Cluster { servers: 3 },
+                3,
                 StoreChoice::File(dir.join(format!("cluster-{tier}"))),
                 "cluster/file",
             ),
         ] {
             let config = ServerConfig::default()
-                .with_mode(mode)
+                .with_servers(servers)
                 .with_store(store)
                 .with_approx(Some(tier));
             let backend = build_backend(&db, &config, 0.10, build).expect("approx backend builds");

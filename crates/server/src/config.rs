@@ -1,5 +1,5 @@
-//! Server configuration: batching knobs, execution mode, and admission
-//! limits.
+//! Server configuration: batching knobs, server count, storage, and
+//! admission limits.
 
 use mq_approx::ApproxTier;
 use mq_core::{EngineOptions, FaultPolicy};
@@ -24,23 +24,12 @@ pub enum StoreChoice {
     /// The in-memory simulated disk (the paper's metered model).
     #[default]
     Sim,
-    /// The durable `mq-store` file backend rooted at this directory (one
-    /// per-partition subdirectory in cluster mode). If the directory
-    /// already holds a store it is opened (running crash recovery);
-    /// otherwise it is created from the loaded database.
+    /// The durable `mq-store` file backend rooted at this directory: the
+    /// directory itself for one server, one `part-<i>` subdirectory per
+    /// server otherwise. If the directory already holds a store it is
+    /// opened (running crash recovery) with the partition count found on
+    /// disk; otherwise it is created from the loaded database.
     File(PathBuf),
-}
-
-/// How flushed batches are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// One engine on one simulated disk (§5.1–5.2).
-    Single,
-    /// A shared-nothing cluster of `servers` declustered engines (§5.3).
-    Cluster {
-        /// Number of cluster servers.
-        servers: usize,
-    },
 }
 
 /// The server's knobs: batching, execution, storage and admission.
@@ -55,8 +44,10 @@ pub enum ExecutionMode {
 pub struct ServerConfig {
     /// Most requests one batch carries (the paper's m).
     pub max_batch: usize,
-    /// Single engine or shared-nothing cluster.
-    pub mode: ExecutionMode,
+    /// Shared-nothing servers the database is declustered over (§5.3's
+    /// s). Every batch runs on all of them and their answers are merged;
+    /// 1 (the default) is the single engine of §5.1–5.2.
+    pub servers: usize,
     /// The option block of every engine the server builds (avoidance,
     /// prefetch depth, fault policy) — declared once, in
     /// [`EngineOptions`]. The server default
@@ -102,7 +93,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            mode: ExecutionMode::Single,
+            servers: 1,
             engine: EngineOptions {
                 fault_policy: FaultPolicy::new(2),
                 ..EngineOptions::default()
@@ -129,9 +120,13 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+    /// Sets the number of shared-nothing servers.
+    ///
+    /// # Panics
+    /// Panics if `servers` is zero.
+    pub fn with_servers(mut self, servers: usize) -> Self {
+        assert!(servers > 0, "servers must be positive");
+        self.servers = servers;
         self
     }
 
@@ -199,10 +194,6 @@ impl ServerConfig {
 
     /// One-line summary of every resolved knob, for startup logs.
     pub fn describe(&self) -> String {
-        let mode = match self.mode {
-            ExecutionMode::Single => "single".to_string(),
-            ExecutionMode::Cluster { servers } => format!("cluster({servers})"),
-        };
         let read_timeout = match self.read_timeout {
             Some(t) => format!("{:.1}s", t.as_secs_f64()),
             None => "none".to_string(),
@@ -225,9 +216,10 @@ impl ServerConfig {
             None => "off".to_string(),
         };
         format!(
-            "mode={mode} store={store} metric={} approx={approx} max_batch={} \
+            "servers={} store={store} metric={} approx={approx} max_batch={} \
              workers={} prefetch_depth={} avoidance={} retry_budget={} \
              read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
+            self.servers,
             self.metric.name(),
             self.max_batch,
             self.workers,
@@ -246,7 +238,7 @@ mod tests {
     fn builder_chains() {
         let c = ServerConfig::default()
             .with_max_batch(4)
-            .with_mode(ExecutionMode::Cluster { servers: 3 })
+            .with_servers(3)
             .with_engine(EngineOptions {
                 avoidance: false,
                 ..EngineOptions::default()
@@ -262,7 +254,7 @@ mod tests {
                 burst: 10.0,
             }));
         assert_eq!(c.max_batch, 4);
-        assert_eq!(c.mode, ExecutionMode::Cluster { servers: 3 });
+        assert_eq!(c.servers, 3);
         assert!(!c.engine.avoidance);
         assert_eq!(c.workers, 2);
         assert_eq!(c.read_timeout, Some(Duration::from_secs(3)));
@@ -284,7 +276,7 @@ mod tests {
         // Exhaustive on purpose: an eleventh field stops this compiling.
         let ServerConfig {
             max_batch,
-            mode,
+            servers,
             engine,
             workers,
             read_timeout,
@@ -295,7 +287,7 @@ mod tests {
             quota,
         } = ServerConfig::default();
         assert_eq!(max_batch, 16);
-        assert_eq!(mode, ExecutionMode::Single);
+        assert_eq!(servers, 1);
         // The engine block is the paper's configuration plus the server's
         // retry budget — nothing else differs from `EngineOptions::default()`.
         assert_eq!(
@@ -313,6 +305,12 @@ mod tests {
         assert_eq!(approx, None);
         assert_eq!(max_queue, 0);
         assert_eq!(quota, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "servers must be positive")]
+    fn zero_servers_rejected() {
+        let _ = ServerConfig::default().with_servers(0);
     }
 
     #[test]
@@ -338,7 +336,7 @@ mod tests {
     #[test]
     fn describe_names_every_knob() {
         let line = ServerConfig::default()
-            .with_mode(ExecutionMode::Cluster { servers: 3 })
+            .with_servers(3)
             .with_engine(EngineOptions {
                 prefetch_depth: 2,
                 fault_policy: FaultPolicy::new(5),
@@ -348,7 +346,7 @@ mod tests {
             .describe();
         assert!(!line.contains('\n'));
         for needle in [
-            "mode=cluster(3)",
+            "servers=3",
             "store=sim",
             "metric=euclidean",
             "approx=off",
@@ -368,7 +366,7 @@ mod tests {
         for option in ["prefetch_depth=", "avoidance=", "retry_budget="] {
             assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
         }
-        for retired in ["threads=", "leader=", "max_wait="] {
+        for retired in ["threads=", "leader=", "max_wait=", "mode="] {
             assert!(!line.contains(retired), "{retired} in {line}");
         }
         let admission_line = ServerConfig::default()

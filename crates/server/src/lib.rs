@@ -17,9 +17,9 @@
 //!   `mq_store`'s segment frames.
 //! - [`scheduler`] — the batching scheduler: one queue, a worker pool; an
 //!   idle worker takes whatever is queued, up to `max_batch`.
-//! - [`backend`] — what a flushed batch runs on: a single engine
-//!   (§5.1–5.2) or a shared-nothing cluster (§5.3), over the simulated
-//!   disk or the durable file store.
+//! - [`backend`] — what a flushed batch runs on: a shared-nothing cluster
+//!   of `s` engines (§5.3), one by default (the single engine of
+//!   §5.1–5.2), over the simulated disk or the durable file store.
 //! - [`registry`] — named collections, each owning its own scheduler,
 //!   metric, index and (optionally durable) store.
 //! - [`admission`] — bounded queue depth and per-tenant token buckets
@@ -31,21 +31,25 @@
 //! - [`config`] — the tuning knobs.
 //!
 //! ```
-//! use mq_server::{BatchScheduler, ServerConfig, SingleEngineBackend};
+//! use mq_server::{build_backend, BatchScheduler, ServerConfig};
 //! use mq_core::QueryType;
-//! use mq_index::LinearScan;
+//! use mq_index::{LinearScan, SimilarityIndex};
 //! use mq_metric::Vector;
 //! use mq_storage::{Dataset, PagedDatabase};
 //!
 //! let ds = Dataset::new((0..1000).map(|i| Vector::new(vec![i as f32])).collect());
 //! let db = PagedDatabase::pack(&ds, Default::default());
-//! let scan = LinearScan::new(db.page_count());
+//! // One server by default; `with_servers(s)` declusters over s (§5.3).
 //! let config = ServerConfig::default();
-//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, config.engine);
+//! let backend = build_backend(&db, &config, 0.10, |part| {
+//!     let db = PagedDatabase::pack(part, Default::default());
+//!     let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+//!     (scan, db)
+//! })?;
 //!
-//! // `mq_front::FrontServer::bind(addr, Box::new(backend), &config)` puts
-//! // this scheduler behind a TCP listener; in process it is driven directly.
-//! let scheduler = BatchScheduler::start(Box::new(backend), &config);
+//! // `mq_front::FrontServer::bind(addr, backend, &config)` puts this
+//! // scheduler behind a TCP listener; in process it is driven directly.
+//! let scheduler = BatchScheduler::start(backend, &config);
 //! let (tx, rx) = std::sync::mpsc::channel();
 //! scheduler.submit_with(Vector::new(vec![42.0]), QueryType::knn(3), move |reply| {
 //!     let _ = tx.send(reply);
@@ -64,11 +68,9 @@ pub mod registry;
 pub mod scheduler;
 
 pub use admission::AdmissionController;
-pub use backend::{
-    build_backend, build_backend_with_recorder, ClusterBackend, QueryBackend, SingleEngineBackend,
-};
+pub use backend::{build_backend, build_backend_with_recorder, EngineBackend, QueryBackend};
 pub use client::{Client, ClientError, RemoteAnswers, RetryConfig, RetryingClient};
-pub use config::{ExecutionMode, QuotaConfig, ServerConfig, StoreChoice};
+pub use config::{QuotaConfig, ServerConfig, StoreChoice};
 pub use dispatch::{AdmittedQuery, Dispatcher};
 pub use protocol::{
     refusal, CollectionInfo, Message, ProtocolError, ServiceMetrics, DEFAULT_COLLECTION,

@@ -2,7 +2,7 @@
 //!
 //! A [`Collection`] owns everything one dataset needs to serve queries —
 //! its dimensionality, metric, index, engine backend and (for durable
-//! collections) its store directory — plus its *own* [`BatchScheduler`],
+//! collections) its store directories — plus its *own* [`BatchScheduler`],
 //! so batching never mixes queries against different datasets: the
 //! paper's page-read sharing only helps queries that read the *same*
 //! pages. The [`CollectionRegistry`] maps wire names to collections and
@@ -17,7 +17,7 @@
 //! labeled `mq_front_collection_queries_total{collection=…}` counter.
 
 use crate::backend::{build_backend_with_recorder, QueryBackend};
-use crate::config::{ExecutionMode, ServerConfig, StoreChoice};
+use crate::config::{ServerConfig, StoreChoice};
 use crate::protocol::{refusal, CollectionInfo, ServiceMetrics, DEFAULT_COLLECTION};
 use crate::scheduler::BatchScheduler;
 use mq_core::{Answer, ExecutionStats, QueryType};
@@ -53,13 +53,13 @@ impl QueryBackend for EmptyBackend {
 }
 
 /// One named dataset being served: scheduler, static description, and the
-/// store directory to checkpoint at drain time (durable collections).
+/// store directories to checkpoint at drain time (durable collections).
 pub struct Collection {
     name: String,
     scheduler: BatchScheduler,
     metric: &'static str,
     objects: u64,
-    store_dir: Option<PathBuf>,
+    store_dirs: Vec<PathBuf>,
     /// Labeled per-collection admitted-query counter (None with a
     /// disabled recorder).
     queries: Option<Arc<Counter>>,
@@ -69,11 +69,11 @@ impl Collection {
     fn start(
         name: &str,
         backend: Box<dyn QueryBackend>,
-        objects: u64,
         config: &ServerConfig,
         recorder: &Recorder,
-        store_dir: Option<PathBuf>,
     ) -> Self {
+        let objects = backend.object_count();
+        let store_dirs = backend.store_dirs();
         let queries = recorder.counter(
             "mq_front_collection_queries_total",
             "Queries admitted and scheduled, per collection.",
@@ -84,7 +84,7 @@ impl Collection {
             scheduler: BatchScheduler::start_with_recorder(backend, config, recorder),
             metric: metric_static_name(config.metric),
             objects,
-            store_dir,
+            store_dirs,
             queries,
         }
     }
@@ -102,11 +102,6 @@ impl Collection {
     /// Dimensionality queries must match (0 = unknown/empty).
     pub fn dimensions(&self) -> usize {
         self.scheduler.dimensions()
-    }
-
-    /// The store directory to checkpoint at drain, if file-backed.
-    pub fn store_dir(&self) -> Option<&PathBuf> {
-        self.store_dir.as_ref()
     }
 
     /// Counts one admitted query on the per-collection series.
@@ -166,34 +161,20 @@ fn validate_name(name: &str) -> Result<(), String> {
 pub struct CollectionRegistry {
     collections: RwLock<HashMap<String, Arc<Collection>>>,
     /// Template config for wire-created collections (batching knobs,
-    /// store root); metric/mode/approx are overridden per collection.
+    /// store root); metric/approx are overridden per collection.
     template: ServerConfig,
     recorder: Recorder,
 }
 
 impl CollectionRegistry {
     /// Builds a registry serving `default_backend` as the
-    /// [`DEFAULT_COLLECTION`]; `default_store_dir` is its checkpoint
-    /// target when file-backed (the store root itself, for back-compat
-    /// with single-collection deployments).
+    /// [`DEFAULT_COLLECTION`].
     pub fn new(
         default_backend: Box<dyn QueryBackend>,
         config: &ServerConfig,
         recorder: &Recorder,
     ) -> Self {
-        let default_store_dir = match (&config.mode, &config.store) {
-            (ExecutionMode::Single, StoreChoice::File(dir)) => Some(dir.clone()),
-            _ => None,
-        };
-        let objects = default_backend.object_count();
-        let default = Collection::start(
-            DEFAULT_COLLECTION,
-            default_backend,
-            objects,
-            config,
-            recorder,
-            default_store_dir,
-        );
+        let default = Collection::start(DEFAULT_COLLECTION, default_backend, config, recorder);
         let mut collections = HashMap::new();
         collections.insert(DEFAULT_COLLECTION.to_string(), Arc::new(default));
         Self {
@@ -221,18 +202,9 @@ impl CollectionRegistry {
         name: &str,
         backend: Box<dyn QueryBackend>,
         config: &ServerConfig,
-        store_dir: Option<PathBuf>,
     ) -> Result<(), (u16, String)> {
         validate_name(name).map_err(|detail| (refusal::BAD_COLLECTION_SPEC, detail))?;
-        let objects = backend.object_count();
-        let collection = Arc::new(Collection::start(
-            name,
-            backend,
-            objects,
-            config,
-            &self.recorder,
-            store_dir,
-        ));
+        let collection = Arc::new(Collection::start(name, backend, config, &self.recorder));
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err((
@@ -266,12 +238,12 @@ impl CollectionRegistry {
                 format!("collection {name:?} already exists"),
             ));
         }
-        if matches!(self.template.mode, ExecutionMode::Cluster { .. }) {
+        if self.template.servers > 1 {
             // A wire-created collection would need its own declustering
             // and per-partition stores; refuse rather than half-support.
             return Err((
                 refusal::UNSUPPORTED,
-                "collection management is not supported in cluster mode".into(),
+                "collection management is not supported with more than one server".into(),
             ));
         }
         let metric = if metric.is_empty() {
@@ -293,10 +265,6 @@ impl CollectionRegistry {
         let mut config = self.template.clone();
         config.metric = metric;
         config.approx = None;
-        let store_dir = match &self.template.store {
-            StoreChoice::File(root) => Some(root.join("collections").join(name)),
-            StoreChoice::Sim => None,
-        };
 
         let collection = if source.is_empty() {
             if dim == 0 {
@@ -309,10 +277,8 @@ impl CollectionRegistry {
             Collection::start(
                 name,
                 Box::new(EmptyBackend { dims: dim as usize }),
-                0,
                 &config,
                 &self.recorder,
-                None,
             )
         } else {
             let db: PagedDatabase<Vector> = mq_store::load(source, &VectorCodec).map_err(|e| {
@@ -321,10 +287,9 @@ impl CollectionRegistry {
                     format!("cannot load dataset {source:?}: {e}"),
                 )
             })?;
-            config.store = match store_dir.clone() {
-                Some(dir) => StoreChoice::File(dir),
-                None => StoreChoice::Sim,
-            };
+            if let StoreChoice::File(root) = &self.template.store {
+                config.store = StoreChoice::File(root.join("collections").join(name));
+            }
             let backend = build_backend_with_recorder(&db, &config, 0.10, &self.recorder, |ds| {
                 let db = PagedDatabase::pack(ds, Default::default());
                 let index: Box<dyn mq_index::SimilarityIndex<Vector>> =
@@ -337,7 +302,6 @@ impl CollectionRegistry {
                     format!("cannot build collection from {source:?}: {e}"),
                 )
             })?;
-            let objects = backend.object_count();
             if dim != 0 && backend.dimensions() != 0 && backend.dimensions() != dim as usize {
                 return Err((
                     refusal::BAD_COLLECTION_SPEC,
@@ -347,7 +311,7 @@ impl CollectionRegistry {
                     ),
                 ));
             }
-            Collection::start(name, backend, objects, &config, &self.recorder, store_dir)
+            Collection::start(name, backend, &config, &self.recorder)
         };
         let detail = format!(
             "collection {name:?} created ({} objects, {} dims, metric {})",
@@ -453,7 +417,7 @@ impl CollectionRegistry {
             .collections
             .read()
             .values()
-            .filter_map(|c| c.store_dir.clone())
+            .flat_map(|c| c.store_dirs.clone())
             .collect();
         dirs.sort();
         dirs
@@ -554,7 +518,7 @@ mod tests {
 
     #[test]
     fn cluster_mode_refuses_collection_management() {
-        let config = ServerConfig::default().with_mode(ExecutionMode::Cluster { servers: 2 });
+        let config = ServerConfig::default().with_servers(2);
         let r = CollectionRegistry::new(
             Box::new(EmptyBackend { dims: 3 }),
             &config,

@@ -353,8 +353,8 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SingleEngineBackend;
-    use mq_index::LinearScan;
+    use crate::backend::build_backend;
+    use mq_index::{LinearScan, SimilarityIndex};
     use mq_storage::{Dataset, PageLayout, PagedDatabase};
     use std::sync::{mpsc, Condvar};
     use std::time::Duration;
@@ -362,9 +362,12 @@ mod tests {
     fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
         let ds = Dataset::new((0..n).map(|i| Vector::new(vec![i as f32])).collect());
         let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
-        let scan = LinearScan::new(db.page_count());
-        let options = ServerConfig::default().engine;
-        Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, options))
+        build_backend(&db, &ServerConfig::default(), 0.10, |ds| {
+            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
+            let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+            (scan, db)
+        })
+        .expect("sim backend")
     }
 
     /// Holds every `execute` until the test opens it, so a test decides

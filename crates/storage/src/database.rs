@@ -66,6 +66,11 @@ impl<O: StorageObject> Dataset<O> {
         &self.objects
     }
 
+    /// All objects in id order, by value.
+    pub fn into_objects(self) -> Vec<O> {
+        self.objects
+    }
+
     /// Iterates `(ObjectId, &O)`.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &O)> {
         self.objects

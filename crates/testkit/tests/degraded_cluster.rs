@@ -4,11 +4,12 @@
 
 use mq_core::{EngineOptions, FaultPolicy, QueryEngine, QueryType};
 use mq_datagen::uniform_vectors;
-use mq_index::{LinearScan, SimilarityIndex};
+use mq_index::{LinearScan, PagePlan, SimilarityIndex};
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_parallel::{Declustering, SharedNothingCluster};
-use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
+use mq_parallel::{round_robin, SharedNothingCluster};
+use mq_storage::{Dataset, PageId, PageLayout, PagedDatabase, SimulatedDisk};
 use mq_testkit::scenario;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SERVERS: usize = 3;
 
@@ -29,9 +30,8 @@ fn build_cluster(
     options: EngineOptions,
 ) -> SharedNothingCluster<Vector, Euclidean> {
     SharedNothingCluster::build(
-        objects,
+        objects.to_vec(),
         SERVERS,
-        Declustering::RoundRobin,
         Euclidean,
         0.1,
         options,
@@ -70,7 +70,7 @@ fn surviving_reference(
     dead_server: usize,
     queries: &[(Vector, QueryType)],
 ) -> Vec<Vec<(ObjectId, f64)>> {
-    let parts = Declustering::RoundRobin.partition(objects.len(), SERVERS);
+    let parts = round_robin((0..objects.len() as u32).map(ObjectId).collect(), SERVERS);
     let mut global_ids: Vec<ObjectId> = Vec::new();
     for (si, part) in parts.iter().enumerate() {
         if si != dead_server {
@@ -178,5 +178,87 @@ fn degraded_mode_holds_across_engine_configs() {
             let got_pairs: Vec<(ObjectId, f64)> = got.iter().map(|a| (a.id, a.distance)).collect();
             assert_eq!(&got_pairs, want, "depth {depth}");
         }
+    }
+}
+
+/// A linear scan that panics when asked to plan: stands in for any bug
+/// that unwinds inside one partition's engine.
+struct PanickingScan(LinearScan);
+
+impl SimilarityIndex<Vector> for PanickingScan {
+    fn plan<'a>(&'a self, _query: &'a Vector) -> Box<dyn PagePlan + 'a> {
+        panic!("injected partition bug");
+    }
+
+    fn page_mindist(&self, query: &Vector, page: PageId) -> f64 {
+        self.0.page_mindist(query, page)
+    }
+
+    fn page_count(&self) -> usize {
+        SimilarityIndex::<Vector>::page_count(&self.0)
+    }
+
+    fn name(&self) -> &str {
+        "panicking-scan"
+    }
+}
+
+#[test]
+fn dead_inline_partition_is_marked_and_survivors_answer_exactly() {
+    // Partition 0 runs on the calling thread; losing its disk must be
+    // reported exactly like losing a spawned partition.
+    let (objects, queries) = workload(23);
+    let cluster = build_cluster(&objects, retrying(2));
+    cluster.servers()[0]
+        .disk()
+        .set_fault_plan(Some(scenario::loss_plan(23, 0)));
+    let degraded = cluster.multiple_query_degraded(&queries);
+    assert_eq!(degraded.missing_partitions, vec![0]);
+    assert!(
+        degraded.failure_reasons[0].contains("unavailable"),
+        "{}",
+        degraded.failure_reasons[0]
+    );
+    let reference = surviving_reference(&objects, 0, &queries);
+    for (got, want) in degraded.answers.iter().zip(&reference) {
+        let got_pairs: Vec<(ObjectId, f64)> = got.iter().map(|a| (a.id, a.distance)).collect();
+        assert_eq!(&got_pairs, want);
+    }
+}
+
+#[test]
+fn panicking_inline_partition_is_a_missing_partition_not_a_crash() {
+    let (objects, queries) = workload(29);
+    let built = AtomicUsize::new(0);
+    let cluster = SharedNothingCluster::build(
+        objects.clone(),
+        SERVERS,
+        Euclidean,
+        0.1,
+        retrying(2),
+        |ds: &Dataset<Vector>| {
+            let db = PagedDatabase::pack(ds, layout());
+            let scan = LinearScan::new(db.page_count());
+            // The first server built is partition 0, the inline one.
+            let index: Box<dyn SimilarityIndex<Vector>> =
+                if built.fetch_add(1, Ordering::Relaxed) == 0 {
+                    Box::new(PanickingScan(scan))
+                } else {
+                    Box::new(scan)
+                };
+            (index, db)
+        },
+    );
+    let degraded = cluster.multiple_query_degraded(&queries);
+    assert_eq!(degraded.missing_partitions, vec![0]);
+    assert!(
+        degraded.failure_reasons[0].contains("panicked"),
+        "{}",
+        degraded.failure_reasons[0]
+    );
+    let reference = surviving_reference(&objects, 0, &queries);
+    for (got, want) in degraded.answers.iter().zip(&reference) {
+        let got_pairs: Vec<(ObjectId, f64)> = got.iter().map(|a| (a.id, a.distance)).collect();
+        assert_eq!(&got_pairs, want);
     }
 }

@@ -8,9 +8,10 @@
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
 use mq_front::FrontServer;
-use mq_index::LinearScan;
+use mq_index::{LinearScan, SimilarityIndex};
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
-use mq_server::{ServerConfig, SingleEngineBackend};
+use mq_metric::Vector;
+use mq_server::{build_backend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::{ConnFault, FlakyProxy};
 use std::time::Duration;
@@ -21,10 +22,14 @@ const SPIKE: Duration = Duration::from_millis(150);
 fn serve() -> FrontServer {
     let ds = Dataset::new(uniform_vectors(500, 3, 0xFAB));
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
-    let scan = LinearScan::new(db.page_count());
     let config = ServerConfig::default().with_max_batch(4);
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, config.engine);
-    FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind server")
+    let backend = build_backend(&db, &config, 0.0, |part| {
+        let db = PagedDatabase::pack(part, PageLayout::new(512, 16));
+        let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+        (scan, db)
+    })
+    .expect("sim backend");
+    FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind server")
 }
 
 fn spec() -> WorkloadSpec {

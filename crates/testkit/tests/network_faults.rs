@@ -11,8 +11,7 @@ use mq_front::FrontServer;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::Vector;
 use mq_server::{
-    Client, ClientError, ProtocolError, RetryConfig, RetryingClient, ServerConfig,
-    SingleEngineBackend,
+    build_backend, Client, ClientError, ProtocolError, RetryConfig, RetryingClient, ServerConfig,
 };
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::FlakyProxy;
@@ -22,14 +21,13 @@ fn start_server() -> FrontServer {
     let objects = uniform_vectors(200, 3, 77);
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
-    let scan = LinearScan::new(db.page_count());
     let config = ServerConfig::default().with_max_batch(4);
-    let backend = Box::new(SingleEngineBackend::new(
-        db,
-        Box::new(scan) as Box<dyn SimilarityIndex<Vector>>,
-        0.10,
-        config.engine,
-    ));
+    let backend = build_backend(&db, &config, 0.10, |part| {
+        let db = PagedDatabase::pack(part, PageLayout::new(256, 16));
+        let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+        (scan, db)
+    })
+    .expect("sim backend");
     FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind server")
 }
 

@@ -8,7 +8,7 @@
 
 use mquery::core::{CostModel, StatsProbe};
 use mquery::datagen::{classification_query_ids, tycho_like};
-use mquery::parallel::{Declustering, SharedNothingCluster};
+use mquery::parallel::SharedNothingCluster;
 use mquery::prelude::*;
 
 const N: usize = 40_000;
@@ -52,9 +52,8 @@ fn main() {
             .map(|id| (objects[id.index()].clone(), QueryType::knn(10)))
             .collect();
         let cluster = SharedNothingCluster::build(
-            &objects,
+            objects.clone(),
             s,
-            Declustering::RoundRobin,
             Euclidean,
             0.10,
             EngineOptions::default(),

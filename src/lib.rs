@@ -77,7 +77,7 @@ pub mod prelude {
     pub use mq_metric::{
         CountingMetric, DistanceCounter, EditDistance, Euclidean, Metric, ObjectId, Symbols, Vector,
     };
-    pub use mq_server::{Client, ExecutionMode, ServerConfig, SingleEngineBackend};
+    pub use mq_server::{build_backend, Client, ServerConfig};
     pub use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
     pub use mq_vafile::{VaConfig, VaFile, VaStats};
 }

@@ -1,8 +1,7 @@
 //! Property-based tests: the shared-nothing cluster produces exactly the
-//! sequential answers for any server count, declustering strategy, and
-//! query mix.
+//! sequential answers for any server count and query mix.
 
-use mquery::parallel::{Declustering, SharedNothingCluster};
+use mquery::parallel::SharedNothingCluster;
 use mquery::prelude::*;
 use proptest::prelude::*;
 
@@ -11,14 +10,6 @@ fn arb_points(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Vector>> {
         prop::collection::vec(-50.0f32..50.0, dim).prop_map(Vector::new),
         8..max_n,
     )
-}
-
-fn arb_strategy() -> impl Strategy<Value = Declustering> {
-    prop_oneof![
-        Just(Declustering::RoundRobin),
-        Just(Declustering::Hash),
-        Just(Declustering::Chunk),
-    ]
 }
 
 fn arb_qtype() -> impl Strategy<Value = QueryType> {
@@ -36,7 +27,6 @@ proptest! {
     fn parallel_answers_equal_sequential_answers(
         data in arb_points(140, 3),
         s in 1usize..6,
-        strategy in arb_strategy(),
         picks in prop::collection::vec((0usize..1000, arb_qtype()), 1..7),
         avoidance in any::<bool>(),
     ) {
@@ -58,9 +48,8 @@ proptest! {
 
         // Parallel cluster over the scan.
         let cluster = SharedNothingCluster::build(
-            &data,
+            data.clone(),
             s,
-            strategy,
             Euclidean,
             0.2,
             EngineOptions {
@@ -101,9 +90,8 @@ proptest! {
             .map(|i| (data[i % data.len()].clone(), QueryType::knn(3)))
             .collect();
         let cluster = SharedNothingCluster::build(
-            &data,
+            data.clone(),
             s,
-            Declustering::RoundRobin,
             Euclidean,
             0.2,
             EngineOptions {

@@ -15,11 +15,14 @@ fn served_answers_match_local_engine() {
     );
 
     let db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
-    let scan = LinearScan::new(db.page_count());
     let config = ServerConfig::default();
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, config.engine);
-    let mut server =
-        FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
+    let backend = build_backend(&db, &config, 0.10, |part| {
+        let db = PagedDatabase::pack(part, PageLayout::new(512, 16));
+        let scan: Box<dyn SimilarityIndex<Vector>> = Box::new(LinearScan::new(db.page_count()));
+        (scan, db)
+    })
+    .expect("sim backend");
+    let mut server = FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind loopback");
 
     let local_db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let local_scan = LinearScan::new(local_db.page_count());
