@@ -44,7 +44,7 @@ use mq_storage::{
 };
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 
@@ -484,6 +484,10 @@ where
 }
 
 /// Writes a complete segment file (header + every frame) and `fsync`s it.
+///
+/// Frames stream through a fixed-size buffer: the segment is never held in
+/// memory whole, so a checkpoint's footprint does not grow with the page
+/// count (or jump when the segment crosses a power of two).
 fn write_segment<O: StorageObject, C: ObjectCodec<O>>(
     path: &Path,
     meta: &SegmentMeta,
@@ -491,17 +495,18 @@ fn write_segment<O: StorageObject, C: ObjectCodec<O>>(
     codec: &C,
     counters: &StoreCounters,
 ) -> Result<File, StoreError> {
-    let mut file = OpenOptions::new()
+    let file = OpenOptions::new()
         .read(true)
         .write(true)
         .create(true)
         .truncate(true)
         .open(path)?;
-    let mut bytes = meta.encode_header();
+    let mut out = BufWriter::with_capacity(1 << 16, file);
+    out.write_all(&meta.encode_header())?;
     for pid in db.page_ids() {
-        bytes.extend(encode_frame(meta, pid, db.page(pid).records(), codec)?);
+        out.write_all(&encode_frame(meta, pid, db.page(pid).records(), codec)?)?;
     }
-    file.write_all(&bytes)?;
+    let file = out.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     counters.count_fsync();
     Ok(file)
