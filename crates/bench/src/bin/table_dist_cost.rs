@@ -79,7 +79,9 @@ fn main() {
     ]);
     table.print();
     println!(
-        "\nThe modeled costs in all figure binaries use the paper's constants, so\n\
-         crossovers and speed-up shapes are comparable with the 1999 evaluation."
+        "\nThe modeled costs in all figure binaries use the paper's constants, and\n\
+         their engines price a distance at the paper ratio when choosing which\n\
+         avoidance pivots pay, so crossovers and speed-up shapes are comparable\n\
+         with the 1999 evaluation."
     );
 }

@@ -6,7 +6,7 @@
 //! these sweeps.
 
 use crate::run::{run_blocked, run_singles};
-use crate::setup::{BenchDb, BenchEnv, Method};
+use crate::setup::{BenchDb, BenchEnv, Method, PaperPriced};
 use mq_core::{CostModel, ExecutionStats, QueryType};
 use mq_datagen::{classification_query_ids, ExplorationConfig};
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
@@ -224,7 +224,7 @@ pub fn parallel_sweep(env: &BenchEnv, ss: &[usize]) -> Vec<ParallelPoint> {
                 let cluster = SharedNothingCluster::build(
                     db.objects.clone(),
                     s,
-                    mq_metric::Euclidean,
+                    PaperPriced,
                     0.10,
                     mq_core::EngineOptions::default(),
                     index_builder(rig.method),

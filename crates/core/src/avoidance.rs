@@ -11,8 +11,13 @@
 //!   (the pivot is close to `O` but far from `Qi`).
 //!
 //! Every lemma evaluation is one *distance comparison* — the cheap operation
-//! the paper's CPU cost formula charges at `time(comparison)`, 52–155×
-//! cheaper than a distance calculation (§6.2).
+//! the paper's CPU cost formula charges at `time(comparison)`. On the
+//! paper's 1999 machine a comparison was 52–155× cheaper than a distance
+//! calculation (§6.2); on current hardware the gap is an order of magnitude
+//! smaller (a 20-d Euclidean distance costs about six sweep visits), so the
+//! engine tries a pivot only while it pays at the metric's
+//! [`distance_price`](mq_metric::Metric::distance_price) — see
+//! [`crate::multiple`].
 //!
 //! **Deviation from the paper:** the paper states both lemmas with `≥` in
 //! the premise, which only proves `dist(Qi, O) ≥ QueryDist(Qi)` — but an
@@ -131,8 +136,10 @@ impl QueryDistanceMatrix {
     ///
     /// This is Fig. 5 for one object, and the reference: page evaluation
     /// runs the same comparisons for a page of objects at a time (the
-    /// avoidance sweep in [`crate::multiple`]) and a property test holds
-    /// the two to equal verdicts and counters.
+    /// avoidance sweep in [`crate::multiple`]) over the pivots that pay,
+    /// and a property test holds it to equal verdicts and counters on
+    /// exactly those pivots, and to removing only what this removes over
+    /// all of them.
     #[inline]
     pub fn try_avoid(
         &self,

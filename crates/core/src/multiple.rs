@@ -27,13 +27,50 @@
 //! each earlier active query, in active order, it loads `dist(Qi, Qp)` and
 //! `dist(Qi, Qp) + QueryDist(Qi)` once and sweeps the records still alive,
 //! dropping those either lemma excludes, without a data-dependent branch.
-//! Fig. 5 does the same comparisons object by object
-//! ([`QueryDistanceMatrix::try_avoid`], kept as the reference): a record
-//! meets its known pivots in the same order and leaves at the same
-//! comparison, so verdicts and [`AvoidanceStats`] are equal, not merely
-//! close — what differs is that a comparison costs a load, an add and two
-//! compares on a contiguous column, which is the cost §5.2 assumes when it
-//! trades distance calculations for comparisons.
+//!
+//! # Cost-aware avoidance: which pivots pay
+//!
+//! §5.2 trades a distance calculation for comparisons because §6.2 priced a
+//! comparison 52–155× below a distance. On current hardware one sweep
+//! *visit* (a record tested against one pivot) costs about a sixth of a
+//! 20-d distance, and on near-uniform data most pivots remove too little to
+//! pay for their pass. So the sweep consults a pivot *rank* — the pivot's
+//! position in the page's active order — only while, by the session's own
+//! record, that rank pays:
+//!
+//! * **Ledger.** Each session keeps, per rank, the survivors the sweep
+//!   visited and the records it removed (`RankLedger`), weighted by
+//!   recency: each evaluated page ages what it holds by 15/16 and adds the
+//!   page's counts. It is a pure function of the session's page sequence —
+//!   as deterministic, and as independent of the prefetch depth, as the
+//!   page sequence itself.
+//! * **Price.** [`Metric::distance_price`] prices one distance in visits,
+//!   for the query's payload; it is taken once per query at admission.
+//! * **Rule.** On a page of `n` records, query `i` consults rank `r` iff
+//!   `removed_r × price_i ≥ visited_r`: the rank removed at least one
+//!   record per `price_i` visits. A rank with less than one page of history
+//!   — fewer visits than the page's `n` distances cost, `n × price_i` — is
+//!   always consulted. So a rank that was cut comes back: its visits age
+//!   while it is not consulted, until it has less than a page of history
+//!   again, and its fresh counts then outweigh the old. Verdicts rest on
+//!   the last ~16 pages because k-NN bounds tighten over a session, and
+//!   with them what a pivot removes.
+//!
+//! History is counted in the price's currency because visits on one page
+//! are not independent samples: on clustered data a pivot removes nothing
+//! on most pages and a great deal on a few. With history counted in records
+//! instead, a 40-query edit-distance session on an M-tree (17 pages) cut
+//! ranks on their first page and computed 25 % more distances than with
+//! every rank; counted in distances it computes 2 % more.
+//!
+//! The gate only ever *skips* a pivot, so a record it keeps is one more
+//! distance calculation and nothing else: answers, the demanded page
+//! sequence and [`IoStats`](mq_storage::IoStats) are those of the ungated
+//! sweep. On the ranks it consults, the sweep makes exactly Fig. 5's
+//! comparisons ([`QueryDistanceMatrix::try_avoid`], kept as the reference)
+//! in Fig. 5's order, and every record it removes Fig. 5 removes too; a
+//! metric priced at `f64::INFINITY` never cuts a rank and reproduces Fig. 5's
+//! verdicts and [`AvoidanceStats`] exactly.
 //!
 //! Two facts about the evaluation that callers and tests rely on:
 //!
@@ -244,9 +281,14 @@ pub struct MultiQuerySession<O> {
     /// per-query state so that page evaluation can borrow the objects (and
     /// `qq`) immutably while the merge mutates answer lists.
     pub(crate) objects: Vec<O>,
+    /// [`Metric::distance_price`] of each query object, indexed like
+    /// `objects`.
+    pub(crate) prices: Vec<f64>,
     pub(crate) states: Vec<QueryState>,
     pub(crate) qq: QueryDistanceMatrix,
     pub(crate) avoidance_stats: AvoidanceStats,
+    /// What each pivot rank has removed so far: the avoidance gate.
+    pub(crate) ledger: RankLedger,
     pub(crate) page_count: usize,
     /// The approximate tier's candidate union, when the engine has a
     /// prescreen attached. `None` means the exact engine — the step loop
@@ -259,9 +301,11 @@ impl<O> MultiQuerySession<O> {
     pub(crate) fn with_page_count(page_count: usize) -> Self {
         Self {
             objects: Vec::new(),
+            prices: Vec::new(),
             states: Vec::new(),
             qq: QueryDistanceMatrix::new(),
             avoidance_stats: AvoidanceStats::default(),
+            ledger: RankLedger::default(),
             page_count,
             restriction: None,
             approx_stats: ApproxStats::default(),
@@ -453,10 +497,11 @@ pub(crate) fn notify_delete<O: StorageObject>(
     invalidated
 }
 
-/// Admits one more query into the session: allocates its state and extends
-/// the `QObjDists` matrix (costing `current_m` distance calculations —
-/// §5.2's initialization overhead, charged through `metric`).
-pub(crate) fn admit<O, M: Metric<O>>(
+/// Admits one more query into the session: allocates its state, prices its
+/// distances, and extends the `QObjDists` matrix (costing `current_m`
+/// distance calculations — §5.2's initialization overhead, charged through
+/// `metric`).
+pub(crate) fn admit<O: StorageObject, M: Metric<O>>(
     session: &mut MultiQuerySession<O>,
     metric: &M,
     object: O,
@@ -464,6 +509,9 @@ pub(crate) fn admit<O, M: Metric<O>>(
 ) -> usize {
     session.qq.admit(metric, session.objects.iter(), &object);
     let answers = AnswerList::new(&qtype);
+    session
+        .prices
+        .push(metric.distance_price(object.payload_bytes()));
     session.objects.push(object);
     session.states.push(QueryState {
         qtype,
@@ -483,23 +531,79 @@ struct PageOutcome {
     candidates: Vec<Vec<Answer>>,
 }
 
+/// Per pivot rank — a pivot's position in a page's active order — the
+/// survivors the avoidance sweep visited and the records it removed. A
+/// page's evaluation tallies its own counts in one; a session's ledger holds
+/// them weighted by recency and decides which ranks the sweep consults (see
+/// the module docs).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct RankLedger {
+    visited: Vec<f64>,
+    removed: Vec<f64>,
+}
+
+impl RankLedger {
+    /// How much of what the ledger held survives each further page: its
+    /// counts weigh the last ~16 pages. k-NN bounds tighten over a session,
+    /// and with them what a pivot removes, so old evidence must fade; and a
+    /// rank that was cut loses its history and is consulted again.
+    const KEEP: f64 = 15.0 / 16.0;
+
+    /// Zeroes the counts and sizes them for `ranks` ranks: a page's tally,
+    /// reused from page to page.
+    fn reset(&mut self, ranks: usize) {
+        self.visited.clear();
+        self.visited.resize(ranks, 0.0);
+        self.removed.clear();
+        self.removed.resize(ranks, 0.0);
+    }
+
+    /// Whether a query priced `price` consults `rank` on the session's next
+    /// page, of `n` records: iff `removed × price ≥ visited` — the rank pays
+    /// — or `n × price ≥ visited` — the rank has spent less than one page of
+    /// distances on visits, too little history to judge it by. A rank the
+    /// ledger has no entry for is always consulted.
+    fn consults(&self, rank: usize, n: usize, price: f64) -> bool {
+        match self.visited.get(rank) {
+            Some(&visited) => self.removed[rank].max(n.max(1) as f64) * price >= visited,
+            None => true,
+        }
+    }
+
+    /// Ages the ledger by one page and adds that page's counts.
+    fn add(&mut self, page: &RankLedger) {
+        if page.visited.len() > self.visited.len() {
+            self.visited.resize(page.visited.len(), 0.0);
+            self.removed.resize(page.removed.len(), 0.0);
+        }
+        for count in self.visited.iter_mut().chain(&mut self.removed) {
+            *count *= Self::KEEP;
+        }
+        for (r, (&v, &x)) in page.visited.iter().zip(&page.removed).enumerate() {
+            self.visited[r] += v;
+            self.removed[r] += x;
+        }
+    }
+}
+
 /// The avoidance sweep: §5.2's Lemma 1 / Lemma 2 filter for one query
-/// against a whole page, pivot-major.
+/// against a whole page, pivot-major, over the pivot ranks `consult`
+/// accepts.
 ///
 /// `survivors` holds page-local record indices; on return it holds those
 /// whose distance to query `i` could not be proven larger than `bound`, in
 /// their original order. `pivots` are the earlier active queries in active
 /// order and `columns[pj * n + oi]` is the distance of record `oi` to
 /// `pivots[pj]` (`NaN` = never computed, so that pivot is unknown for that
-/// record).
+/// record). Each consulted rank's visits and removals are added to `ranks`.
 ///
 /// Per surviving record this evaluates exactly the two comparisons of
-/// [`QueryDistanceMatrix::try_avoid`], in the same pivot order, and a
-/// record leaves the list at the first comparison that fires — so every
-/// verdict and every [`AvoidanceStats`] counter equals the object-major
-/// early-exit loop of Fig. 5 (see the module docs). The inner loop has no
-/// data-dependent branch: a `NaN` distance fails both comparisons and
-/// counts no try.
+/// [`QueryDistanceMatrix::try_avoid`] for each consulted pivot, in pivot
+/// order, and a record leaves the list at the first comparison that fires —
+/// so verdicts and [`AvoidanceStats`] equal Fig. 5's early-exit loop over
+/// the consulted pivots, and equal Fig. 5 itself when every rank is
+/// consulted. The inner loop has no data-dependent branch: a `NaN` distance
+/// fails both comparisons and counts no try.
 #[allow(clippy::too_many_arguments)]
 fn avoidance_sweep(
     qq: &QueryDistanceMatrix,
@@ -508,8 +612,10 @@ fn avoidance_sweep(
     columns: &[f64],
     n: usize,
     bound: f64,
+    consult: impl Fn(usize) -> bool,
     survivors: &mut Vec<u32>,
     stats: &mut AvoidanceStats,
+    ranks: &mut RankLedger,
 ) {
     // An infinite query distance (k-NN before k answers) can never be
     // exceeded: no lemma can fire and, as in `try_avoid`, none is tried.
@@ -519,6 +625,9 @@ fn avoidance_sweep(
     for (pj, &p) in pivots.iter().enumerate() {
         if survivors.is_empty() {
             break;
+        }
+        if !consult(pj) {
+            continue;
         }
         let column = &columns[pj * n..(pj + 1) * n];
         let d_ij = qq.get(i, p);
@@ -537,8 +646,11 @@ fn avoidance_sweep(
             survivors[kept] = oi;
             kept += usize::from(!(lemma1 | lemma2));
         }
+        let removed = (survivors.len() - kept) as u64;
         stats.tries += tries;
-        stats.avoided += (survivors.len() - kept) as u64;
+        stats.avoided += removed;
+        ranks.visited[pj] += survivors.len() as f64;
+        ranks.removed[pj] += removed as f64;
         survivors.truncate(kept);
     }
 }
@@ -560,7 +672,8 @@ fn eligible_records(
 ///
 /// Query-major: for each active query the page's records are first
 /// filtered by [`avoidance_sweep`] (using pivot distances of *earlier*
-/// active queries, recorded in a page-local column-major matrix), then the
+/// active queries, recorded in a page-local column-major matrix, over the
+/// ranks the session's `ledger` says pay at the query's price), then the
 /// surviving distances are computed with the batch kernel and land in the
 /// query's own column. The last active query skips pivot recording
 /// entirely and uses the early-exit bounded kernel, since no later query
@@ -575,7 +688,10 @@ fn eligible_records(
 fn evaluate_page<O, M>(
     records: &[(ObjectId, O)],
     queries: &[O],
+    prices: &[f64],
     qq: &QueryDistanceMatrix,
+    ledger: &RankLedger,
+    ranks: &mut RankLedger,
     metric: &M,
     active: &[usize],
     qd: &[f64],
@@ -590,6 +706,7 @@ where
     let m = active.len();
     let mut stats = AvoidanceStats::default();
     let mut approx = ApproxStats::default();
+    ranks.reset(m - 1);
     let mut candidates: Vec<Vec<Answer>> = std::iter::repeat_with(Vec::new).take(m).collect();
     let eligible = eligible_records(records.iter().map(|r| r.0), filter);
     // Each skipped record counts once per page evaluation, not once per
@@ -612,6 +729,7 @@ where
             // A record that leaves the list has dist(Qi, O) > QueryDist(Qi)
             // proven — it cannot answer Qi now or later (the query distance
             // only shrinks).
+            let price = prices[i];
             avoidance_sweep(
                 qq,
                 i,
@@ -619,8 +737,10 @@ where
                 &dists,
                 n,
                 bound,
+                |rank| ledger.consults(rank, n, price),
                 &mut survivors,
                 &mut stats,
+                ranks,
             );
         }
         stats.computed += survivors.len() as u64;
@@ -756,19 +876,22 @@ where
     let avoidance_before = session.avoidance_stats;
     let approx_before = session.approx_stats;
 
-    // Split the session so page evaluation can hold `objects`, `qq` and
-    // the candidate restriction immutably while the merge below mutates
-    // `states` / `avoidance_stats` / `approx_stats`.
+    // Split the session so page evaluation can hold `objects`, `prices`,
+    // `qq` and the candidate restriction immutably while the merge below
+    // mutates `states` / `avoidance_stats` / `ledger` / `approx_stats`.
     let MultiQuerySession {
         objects,
+        prices,
         states,
         qq,
         avoidance_stats,
+        ledger,
         restriction,
         approx_stats,
         ..
     } = &mut *session;
     let objects: &[O] = objects.as_slice();
+    let prices: &[f64] = prices.as_slice();
     let qq: &QueryDistanceMatrix = &*qq;
     let filter: Option<&CandidateRestriction> = restriction.as_ref();
 
@@ -781,6 +904,8 @@ where
     // why the snapshot changes nothing).
     let mut active: Vec<usize> = Vec::new();
     let mut qd_snapshot: Vec<f64> = Vec::new();
+    // The page's per-rank tally, added to the session's ledger at the merge.
+    let mut page_ranks = RankLedger::default();
 
     // The lookahead window over the head's page plan: front = the page to
     // demand next; everything behind it is staged on the disk
@@ -864,7 +989,10 @@ where
         let outcome = evaluate_page(
             records,
             objects,
+            prices,
             qq,
+            ledger,
+            &mut page_ranks,
             metric,
             &active,
             &qd_snapshot,
@@ -874,6 +1002,7 @@ where
         drop(eval_span);
         let merge_span = obs.map(|o| o.merge_seconds.start_timer());
         merge_outcome(states, avoidance_stats, approx_stats, &active, outcome);
+        ledger.add(&page_ranks);
         drop(merge_span);
         for &i in &active {
             states[i].processed.insert(page_id);
@@ -909,7 +1038,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_storage::PageId;
+    use crate::QueryEngine;
+    use mq_index::LinearScan;
+    use mq_metric::{Euclidean, Vector};
+    use mq_storage::{Dataset, PageId, PageLayout, SimulatedDisk};
 
     #[test]
     fn pageset_basics() {
@@ -938,16 +1070,138 @@ mod tests {
             assert!(!s.contains(PageId(i)));
         }
     }
-}
 
+    #[test]
+    fn consults_follows_the_rule() {
+        let mut ledger = RankLedger {
+            // Rank 0 removed a quarter of 800 visits, rank 1 nothing of 800,
+            // rank 2 nothing of 10; rank 3 has no entry.
+            visited: vec![800.0, 800.0, 10.0],
+            removed: vec![200.0, 0.0, 0.0],
+        };
+        // On a page of 20 records: rank 0 pays at a price of 4, rank 1's
+        // history is one page of distances at a price of 40, rank 2's at
+        // half a visit; rank 3 is always consulted.
+        let lowest = |ledger: &RankLedger, rank: usize| {
+            [0.0, 0.5, 4.0, 19.0, 40.0, f64::INFINITY]
+                .into_iter()
+                .find(|&price| ledger.consults(rank, 20, price))
+        };
+        let prices: Vec<_> = (0..4).map(|r| lowest(&ledger, r)).collect();
+        assert_eq!(prices, [Some(4.0), Some(40.0), Some(0.5), Some(0.0)]);
+        // Pages that do not consult rank 1 age it: its history halves in
+        // about 11 pages, after which a price of 20 consults it again.
+        let mut page = RankLedger::default();
+        page.reset(2);
+        page.visited[0] = 100.0;
+        for _ in 0..11 {
+            ledger.add(&page);
+        }
+        assert_eq!(ledger.visited.len(), 3);
+        assert!(ledger.consults(1, 20, 20.0));
+        assert!(!ledger.consults(0, 20, 4.0), "rank 0 stopped removing");
+    }
+
+    /// Euclidean at a price of its own.
+    struct Priced(f64);
+
+    impl Metric<Vector> for Priced {
+        fn distance(&self, a: &Vector, b: &Vector) -> f64 {
+            Euclidean.distance(a, b)
+        }
+
+        fn distance_batch(&self, query: &Vector, objects: &[&Vector], out: &mut [f64]) {
+            Euclidean.distance_batch(query, objects, out)
+        }
+
+        fn distance_le(&self, a: &Vector, b: &Vector, bound: f64) -> Option<f64> {
+            Euclidean.distance_le(a, b, bound)
+        }
+
+        fn distance_price(&self, _payload_bytes: usize) -> f64 {
+            self.0
+        }
+    }
+
+    /// 2 000 points on `[0, 1000)`, 20 records to a page (100 pages), and
+    /// five range queries at the same spot: for the later four, rank 0
+    /// removes the 60 % of each page outside the radius, and ranks 1–3 —
+    /// whose known distances are exactly the records rank 0 kept — remove
+    /// nothing.
+    fn rank_one_is_useless() -> (SimulatedDisk<Vector>, LinearScan, Vec<(Vector, QueryType)>) {
+        let points: Vec<Vector> = (0..2000)
+            .map(|i| Vector::new(vec![(i * 7919 % 2000) as f32 / 2.0]))
+            .collect();
+        let db = PagedDatabase::pack(&Dataset::new(points), PageLayout::new(400, 16));
+        let scan = LinearScan::new(db.page_count());
+        let queries = vec![(Vector::new(vec![500.0]), QueryType::range(200.0)); 5];
+        (SimulatedDisk::new(db, 0.1), scan, queries)
+    }
+
+    /// Fig. 5 on a scan of range queries, object by object: every query is
+    /// active on every page, in admission order, and a query's distance to
+    /// a record is a later query's pivot iff it was computed.
+    fn fig5(disk: &SimulatedDisk<Vector>, queries: &[(Vector, QueryType)]) -> AvoidanceStats {
+        let mut qq = QueryDistanceMatrix::new();
+        for (j, (q, _)) in queries.iter().enumerate() {
+            qq.admit(&Euclidean, queries[..j].iter().map(|(q, _)| q), q);
+        }
+        let mut stats = AvoidanceStats::default();
+        let db = disk.database();
+        for page in db.page_ids() {
+            for (_, object) in db.page(page).iter() {
+                let mut known = Vec::new();
+                for (i, (q, t)) in queries.iter().enumerate() {
+                    if qq.try_avoid(i, &known, t.range, &mut stats) {
+                        continue;
+                    }
+                    stats.computed += 1;
+                    known.push((i, Euclidean.distance(object, q)));
+                }
+            }
+        }
+        stats
+    }
+
+    fn run(metric: Priced) -> (AvoidanceStats, Vec<Vec<Answer>>) {
+        let (disk, scan, queries) = rank_one_is_useless();
+        let engine = QueryEngine::new(&disk, &scan, metric);
+        let mut session = engine.new_session(queries);
+        engine.run_to_completion(&mut session);
+        (session.avoidance_stats(), session.into_answers())
+    }
+
+    #[test]
+    fn infinite_price_is_fig5_bit_for_bit() {
+        let (disk, _, queries) = rank_one_is_useless();
+        assert_eq!(run(Priced(f64::INFINITY)).0, fig5(&disk, &queries));
+    }
+
+    #[test]
+    fn a_rank_that_removes_nothing_is_skipped() {
+        let (disk, _, queries) = rank_one_is_useless();
+        let reference = fig5(&disk, &queries);
+        let (gated, answers) = run(Priced(Euclidean.distance_price(4)));
+        // Ranks 1–3 removed nothing, so cutting them computes no extra
+        // distance and loses no avoidance; it only saves their comparisons.
+        assert_eq!(gated.avoided, reference.avoided);
+        assert_eq!(gated.computed, reference.computed);
+        assert!(
+            gated.tries < reference.tries,
+            "gated {gated:?} vs Fig. 5 {reference:?}"
+        );
+        assert_eq!(answers, run(Priced(f64::INFINITY)).1);
+    }
+}
 #[cfg(test)]
 mod proptests {
     use super::*;
     use mq_metric::{Euclidean, Vector};
     use proptest::prelude::*;
 
-    /// Fig. 5's loop, one object at a time: gather the object's known pivot
-    /// distances in pivot order and ask [`QueryDistanceMatrix::try_avoid`].
+    /// Fig. 5's loop, one object at a time, over the pivot ranks `consult`
+    /// accepts: gather the object's known distances to those pivots in
+    /// pivot order and ask [`QueryDistanceMatrix::try_avoid`].
     #[allow(clippy::too_many_arguments)]
     fn object_major(
         qq: &QueryDistanceMatrix,
@@ -957,6 +1211,7 @@ mod proptests {
         records: &[ObjectId],
         bound: f64,
         filter: Option<&CandidateRestriction>,
+        consult: impl Fn(usize) -> bool,
         stats: &mut AvoidanceStats,
     ) -> Vec<u32> {
         let n = records.len();
@@ -969,7 +1224,7 @@ mod proptests {
             known.clear();
             for (pj, &p) in pivots.iter().enumerate() {
                 let d = columns[pj * n + oi];
-                if !d.is_nan() {
+                if consult(pj) && !d.is_nan() {
                     known.push((p, d));
                 }
             }
@@ -986,15 +1241,30 @@ mod proptests {
         (0u32..=16).prop_map(|h| f64::from(h) / 2.0)
     }
 
+    /// A ledger a session could hold: up to 8 ranks, each with fewer or
+    /// more visits than a page of up to 24 records, and removals no more
+    /// than visits.
+    fn ledgers() -> impl Strategy<Value = RankLedger> {
+        prop::collection::vec((0u32..64, 0u32..=100), 0..=8).prop_map(|ranks| RankLedger {
+            visited: ranks.iter().map(|&(v, _)| f64::from(v)).collect(),
+            removed: ranks
+                .iter()
+                .map(|&(v, pct)| f64::from(v) * f64::from(pct) / 100.0)
+                .collect(),
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The pivot-major sweep and the object-major reference agree on
-        /// every survivor list and every counter — for every later query of
-        /// a page, over pivot columns with holes, with bounds that include
-        /// `0`, `∞` and exact ties, with and without a candidate filter.
+        /// The gated sweep, for every later query of a page — over pivot
+        /// columns with holes, bounds that include `0`, `∞` and exact ties,
+        /// with and without a candidate filter, under any ledger and price:
+        /// on the ranks it consulted it is Fig. 5 restricted to exactly those
+        /// pivots; everything it removes Fig. 5 over all pivots removes too;
+        /// and at an infinite price it consults every rank, so it is Fig. 5.
         #[test]
-        fn sweep_equals_object_major_reference(
+        fn gated_sweep_is_fig5_on_the_ranks_it_consults(
             m in 1usize..=9,
             positions in prop::collection::vec(halves(), 9),
             order in prop::collection::vec(any::<u64>(), 9),
@@ -1005,7 +1275,11 @@ mod proptests {
             n in 0usize..=24,
             filtered in any::<bool>(),
             admitted in prop::collection::vec(any::<bool>(), 24),
+            ledger in ledgers(),
+            price in prop_oneof![
+                Just(f64::INFINITY), Just(0.0), (1u32..=32).prop_map(f64::from)],
         ) {
+            let price: f64 = price;
             let positions = &positions[..m];
             // The active order is any order: the leader comes first whatever
             // its admission index.
@@ -1027,22 +1301,48 @@ mod proptests {
                 restriction
             });
             let columns = &cells[..n * (m - 1)];
+            let consult = |rank: usize| ledger.consults(rank, n, price);
+            if price.is_infinite() {
+                prop_assert!((0..m - 1).all(consult), "an infinite price cut a rank");
+            }
 
             for (qi, &i) in active.iter().enumerate() {
+                let pivots = &active[..qi];
+                let eligible = eligible_records(records.iter().copied(), filter.as_ref());
+                let mut survivors = eligible.clone();
+                let mut stats = AvoidanceStats::default();
+                let mut ranks = RankLedger::default();
+                ranks.reset(m - 1);
+                avoidance_sweep(
+                    &qq, i, pivots, columns, n, bounds[qi], consult,
+                    &mut survivors, &mut stats, &mut ranks,
+                );
+
                 let mut expected_stats = AvoidanceStats::default();
                 let expected = object_major(
-                    &qq, i, &active[..qi], columns, &records, bounds[qi],
-                    filter.as_ref(), &mut expected_stats,
+                    &qq, i, pivots, columns, &records, bounds[qi], filter.as_ref(),
+                    consult, &mut expected_stats,
                 );
-
-                let mut stats = AvoidanceStats::default();
-                let mut survivors = eligible_records(records.iter().copied(), filter.as_ref());
-                avoidance_sweep(
-                    &qq, i, &active[..qi], columns, n, bounds[qi], &mut survivors, &mut stats,
-                );
-
                 prop_assert_eq!(&survivors, &expected, "survivors of active[{}]", qi);
                 prop_assert_eq!(stats, expected_stats, "stats of active[{}]", qi);
+                prop_assert_eq!(ranks.removed.iter().sum::<f64>(), stats.avoided as f64);
+                for (r, (&removed, &visited)) in ranks.removed.iter().zip(&ranks.visited).enumerate() {
+                    prop_assert!(removed <= visited);
+                    prop_assert!(visited == 0.0 || (r < qi && consult(r)), "rank {} visited", r);
+                }
+
+                let mut all_stats = AvoidanceStats::default();
+                let kept_by_all = object_major(
+                    &qq, i, pivots, columns, &records, bounds[qi], filter.as_ref(),
+                    |_| true, &mut all_stats,
+                );
+                for oi in eligible.iter().filter(|oi| !survivors.contains(oi)) {
+                    prop_assert!(!kept_by_all.contains(oi), "record {} removed unsoundly", oi);
+                }
+                if price.is_infinite() {
+                    prop_assert_eq!(&survivors, &kept_by_all);
+                    prop_assert_eq!(stats, all_stats);
+                }
             }
         }
     }

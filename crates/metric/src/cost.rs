@@ -13,6 +13,45 @@
 //!
 //! For other dimensionalities the model interpolates linearly:
 //! `t_dist(d) = base + per_dim · d`, fitted through the paper's two points.
+//!
+//! # The price the engine acts on
+//!
+//! The query engine does not only report these ratios; it acts on the
+//! current machine's. Its avoidance sweep (§5.2, `mq_core::multiple`) tests
+//! one pivot against a page's surviving records at a time — one *visit*
+//! per record — and consults a pivot only while the records it removes pay
+//! for its visits. A distance's price in visits comes from
+//! [`Metric::distance_price`](crate::Metric::distance_price), whose default
+//! is [`linear_distance_price`], fitted on a 2-core x86-64 (AVX2) host:
+//!
+//! | operation | ns |
+//! |---|---|
+//! | one sweep visit (load, add, two compares, compaction store) | 1.6 |
+//! | Euclidean distance at 4 / 20 / 64 / 256 dims, batch kernel plus the page evaluation's gather and scatter, over records in shuffled heap order | 6.5 / 9.5 / 18.3 / 60.5 |
+//!
+//! Distance time is close to linear in the payload, `5.2 ns + 0.054 ns`
+//! per byte, which in visits is [`PRICE_BASE_VISITS`] +
+//! [`PRICE_VISITS_PER_BYTE`] per byte: about 6 visits for a 20-d vector
+//! and 12 for a 64-d one — where §6.2 had 52 and 155 comparisons. A visit
+//! evaluates zero lemmas (pivot distance unknown), one (Lemma 1 fires) or
+//! two; on the benchmark's mining workloads it averaged 1.18–1.26, so on the
+//! paper's machine a distance costs about
+//! [`CpuCostModel::dist_to_comparison_ratio`] visits.
+
+/// Sweep visits one distance calculation costs regardless of its payload
+/// (call, gather, scatter, answer check), on the host documented above.
+pub const PRICE_BASE_VISITS: f64 = 3.25;
+
+/// Additional sweep visits per payload byte of the query object, on the host
+/// documented above.
+pub const PRICE_VISITS_PER_BYTE: f64 = 0.034;
+
+/// The default price of one distance calculation in avoidance-sweep visits,
+/// for a query object of `payload_bytes` bytes: linear in the payload, with
+/// the constants fitted in the module docs.
+pub fn linear_distance_price(payload_bytes: usize) -> f64 {
+    PRICE_BASE_VISITS + PRICE_VISITS_PER_BYTE * payload_bytes as f64
+}
 
 /// CPU cost model: converts operation counts into modeled seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,6 +124,13 @@ mod tests {
         // Paper §6.2: "52 times" at 20-d and "155" at 64-d.
         assert!((m.dist_to_comparison_ratio(20) - 52.4).abs() < 0.5);
         assert!((m.dist_to_comparison_ratio(64) - 154.9).abs() < 0.5);
+    }
+
+    #[test]
+    fn prices_grow_with_the_payload() {
+        // 20-d and 64-d f32 vectors: about 6 and 12 visits.
+        assert!((linear_distance_price(80) - 5.97).abs() < 0.01);
+        assert!((linear_distance_price(256) - 11.95).abs() < 0.01);
     }
 
     #[test]

@@ -119,6 +119,10 @@ impl<O: ?Sized, M: Metric<O>> Metric<O> for CountingMetric<M> {
     fn nonnegative(&self) -> bool {
         self.inner.nonnegative()
     }
+
+    fn distance_price(&self, payload_bytes: usize) -> f64 {
+        self.inner.distance_price(payload_bytes)
+    }
 }
 
 #[cfg(test)]
@@ -179,5 +183,14 @@ mod tests {
         let b = Vector::new(vec![4.0, 5.0, 6.0]);
         assert_eq!(plain.distance(&a, &b), counted.distance(&a, &b));
         assert_eq!(counted.name(), "euclidean");
+    }
+
+    #[test]
+    fn forwards_the_price() {
+        let counted = CountingMetric::new(crate::EditDistance);
+        assert_eq!(
+            Metric::<crate::Symbols>::distance_price(&counted, 40),
+            Metric::<crate::Symbols>::distance_price(&crate::EditDistance, 40)
+        );
     }
 }

@@ -82,6 +82,21 @@ pub trait Metric<O: ?Sized>: Send + Sync {
     fn nonnegative(&self) -> bool {
         true
     }
+
+    /// The price of one distance calculation in avoidance-sweep visits, for
+    /// a query object of `payload_bytes` bytes: how many records the §5.2
+    /// sweep can test against one pivot in the time one distance takes. The
+    /// engine consults a pivot only while it removes at least one record per
+    /// `price` visits, so a dearer metric keeps more pivots.
+    ///
+    /// Defaults to [`linear_distance_price`](crate::cost::linear_distance_price),
+    /// fitted on vector kernels. Override it only where the cost grows faster
+    /// than the payload ([`EditDistance`](crate::EditDistance),
+    /// [`QuadraticForm`](crate::QuadraticForm)). The price changes which
+    /// distances are computed, never an answer.
+    fn distance_price(&self, payload_bytes: usize) -> f64 {
+        crate::cost::linear_distance_price(payload_bytes)
+    }
 }
 
 impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
@@ -110,6 +125,10 @@ impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
 
     fn nonnegative(&self) -> bool {
         (**self).nonnegative()
+    }
+
+    fn distance_price(&self, payload_bytes: usize) -> f64 {
+        (**self).distance_price(payload_bytes)
     }
 }
 
@@ -140,6 +159,10 @@ impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for std::sync::Arc<M> {
     fn nonnegative(&self) -> bool {
         (**self).nonnegative()
     }
+
+    fn distance_price(&self, payload_bytes: usize) -> f64 {
+        (**self).distance_price(payload_bytes)
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +192,29 @@ mod tests {
         fn distance(&self, a: &Vector, b: &Vector) -> f64 {
             Euclidean.distance(a, b)
         }
+    }
+
+    /// A metric with a price of its own, to check that wrappers forward it.
+    struct Dear;
+
+    impl Metric<Vector> for Dear {
+        fn distance(&self, a: &Vector, b: &Vector) -> f64 {
+            Euclidean.distance(a, b)
+        }
+
+        fn distance_price(&self, _payload_bytes: usize) -> f64 {
+            1e3
+        }
+    }
+
+    #[test]
+    fn price_defaults_to_linear_and_forwards() {
+        assert_eq!(
+            PairwiseOnly.distance_price(80),
+            crate::cost::linear_distance_price(80)
+        );
+        assert_eq!(<&Dear as Metric<Vector>>::distance_price(&&Dear, 80), 1e3);
+        assert_eq!(Arc::new(Dear).distance_price(80), 1e3);
     }
 
     #[test]

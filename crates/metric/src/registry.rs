@@ -96,6 +96,10 @@ impl Metric<Vector> for VectorMetric {
     fn nonnegative(&self) -> bool {
         forward!(self, m, m.nonnegative())
     }
+
+    fn distance_price(&self, payload_bytes: usize) -> f64 {
+        forward!(self, m, m.distance_price(payload_bytes))
+    }
 }
 
 #[cfg(test)]
@@ -141,5 +145,8 @@ mod tests {
         assert!(VectorMetric::Cosine.supports_triangle_avoidance());
         assert!(!VectorMetric::Dot.supports_triangle_avoidance());
         assert!(!VectorMetric::Dot.nonnegative());
+        for metric in [VectorMetric::Euclidean, VectorMetric::Cosine] {
+            assert_eq!(metric.distance_price(256), Euclidean.distance_price(256));
+        }
     }
 }

@@ -176,3 +176,66 @@ fn cost_model_is_monotone() {
     c.io.physical_reads = 10;
     assert!(model.total_seconds(&c) > model.total_seconds(&a));
 }
+
+/// Edit distance priced at `∞`: a session over it consults every pivot
+/// rank, as Fig. 5 does.
+struct Unpriced;
+
+impl Metric<Symbols> for Unpriced {
+    fn distance(&self, a: &Symbols, b: &Symbols) -> f64 {
+        EditDistance.distance(a, b)
+    }
+
+    fn distance_price(&self, _payload_bytes: usize) -> f64 {
+        f64::INFINITY
+    }
+}
+
+/// One 40-query k-NN session over `web_sessions`' edit distances and
+/// M-tree: its answers, object distances and logical page reads.
+fn edit_session<M: Metric<Symbols>>(
+    disk: &SimulatedDisk<Symbols>,
+    tree: &MTree<Symbols, EditDistance>,
+    queries: &[(Symbols, QueryType)],
+    metric: M,
+) -> (Vec<Vec<Answer>>, u64, u64) {
+    disk.cold_restart();
+    let engine = QueryEngine::new(disk, tree, metric);
+    let mut session = engine.new_session(queries.to_vec());
+    engine.run_to_completion(&mut session);
+    let computed = session.avoidance_stats().computed;
+    (session.into_answers(), computed, disk.stats().logical_reads)
+}
+
+/// Cost-aware avoidance keeps a dear metric's pivots: over edit distances
+/// on an M-tree (the `web_sessions` example's shape) the gated session
+/// computes at most 5 % more distances than the same session priced at `∞`,
+/// with the same answers and page reads.
+#[test]
+fn dear_metrics_keep_their_avoidance() {
+    use mquery::datagen::sessions::{web_sessions, SessionConfig};
+    let cfg = SessionConfig {
+        num_trails: 12,
+        ..Default::default()
+    };
+    let (sessions, _) = web_sessions(4_000, cfg, 21);
+    let (tree, db) = MTree::insert_load(
+        &Dataset::new(sessions.clone()),
+        EditDistance,
+        MTreeConfig::default(),
+    );
+    let disk = SimulatedDisk::new(db, 0.10);
+    let queries: Vec<(Symbols, QueryType)> = (0..40)
+        .map(|i| (sessions[i * 97].clone(), QueryType::knn(6)))
+        .collect();
+
+    let (gated_answers, gated, gated_reads) = edit_session(&disk, &tree, &queries, EditDistance);
+    let (answers, ungated, reads) = edit_session(&disk, &tree, &queries, Unpriced);
+    assert_eq!(gated_answers, answers);
+    assert_eq!(gated_reads, reads);
+    assert!(gated >= ungated, "the gate only removes avoidance");
+    assert!(
+        gated * 100 <= ungated * 105,
+        "gated {gated} vs ungated {ungated} edit distances"
+    );
+}
