@@ -18,7 +18,9 @@
 //! computes the surviving distances with the metric's batch kernel
 //! ([`Metric::distance_batch`]) — or, for the last active query, whose
 //! distances are never needed as pivots, with the early-exit bounded kernel
-//! ([`Metric::distance_le`]).
+//! ([`Metric::distance_le`]). When that query is the page's only one, its
+//! loop hints each survivor's payload into cache `LOOK_AHEAD` survivors
+//! ahead.
 //!
 //! The page's computed distances — the pivots of the queries that follow —
 //! are stored column-major: `dists[qi * n + oi]`, one contiguous column of
@@ -117,6 +119,7 @@ use crate::engine::EngineOptions;
 use crate::fault::{self, EngineError};
 use crate::obs::EngineObs;
 use crate::query::QueryType;
+use crate::single::LOOK_AHEAD;
 use mq_index::SimilarityIndex;
 use mq_metric::{Metric, ObjectId};
 use mq_storage::{PageId, PageStore, PagedDatabase, StorageObject};
@@ -745,7 +748,15 @@ where
         }
         stats.computed += survivors.len() as u64;
         if qi + 1 == m {
-            for &oi in &survivors {
+            // The payloads are cold only when this query is the page's
+            // first (m = 1, the open-loop serving case): any earlier query
+            // has no pivots, so its batch kernel read every eligible record
+            // and a hint would only cost instructions.
+            let cold = m == 1;
+            for (k, &oi) in survivors.iter().enumerate() {
+                if let Some(&ahead) = survivors.get(k + LOOK_AHEAD).filter(|_| cold) {
+                    records[ahead as usize].1.prefetch_payload();
+                }
                 let (id, object) = &records[oi as usize];
                 if let Some(distance) = metric.distance_le(object, query, bound) {
                     candidates[qi].push(Answer { id: *id, distance });
@@ -1191,6 +1202,58 @@ mod tests {
             "gated {gated:?} vs Fig. 5 {reference:?}"
         );
         assert_eq!(answers, run(Priced(f64::INFINITY)).1);
+    }
+
+    /// Every answer of `qtype` for `query`, by brute force, in list order.
+    fn oracle(points: &[Vector], query: &Vector, qtype: &QueryType) -> Vec<(ObjectId, u64)> {
+        let mut all: Vec<(f64, ObjectId)> = (0..points.len() as u32)
+            .map(|i| (Euclidean.distance(&points[i as usize], query), ObjectId(i)))
+            .filter(|&(d, _)| d <= qtype.range)
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(qtype.cardinality);
+        all.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+    }
+
+    fn bits(answers: &[Answer]) -> Vec<(ObjectId, u64)> {
+        answers
+            .iter()
+            .map(|a| (a.id, a.distance.to_bits()))
+            .collect()
+    }
+
+    /// Pages of 1, `LOOK_AHEAD` and `LOOK_AHEAD + 1` records: a look-ahead
+    /// that never reaches a record of its page, and one that reaches only
+    /// the last from the first. The single-query loop and the last active
+    /// query's loop of 1- and 2-query sessions answer like a brute-force
+    /// scan, bit for bit.
+    #[test]
+    fn look_ahead_tails_answer_like_brute_force() {
+        let points: Vec<Vector> = (0..100u32)
+            .map(|i| Vector::new(vec![(i * 37 % 100) as f32 / 3.0, (i % 7) as f32]))
+            .collect();
+        let queries = [Vector::new(vec![10.0, 3.0]), Vector::new(vec![25.5, 1.0])];
+        for per_page in [1, LOOK_AHEAD, LOOK_AHEAD + 1] {
+            // A 2-d record is 8 payload bytes plus an 8-byte header.
+            let layout = PageLayout::new(16 * per_page, 8);
+            let db = PagedDatabase::pack(&Dataset::new(points.clone()), layout);
+            assert_eq!(db.page(PageId(0)).len(), per_page);
+            let scan = LinearScan::new(db.page_count());
+            let disk = SimulatedDisk::new(db, 0.1);
+            let engine = QueryEngine::new(&disk, &scan, Euclidean);
+            for qtype in [QueryType::knn(7), QueryType::range(6.0)] {
+                let expected: Vec<_> = queries.iter().map(|q| oracle(&points, q, &qtype)).collect();
+                let single = engine.similarity_query(&queries[0], &qtype);
+                assert_eq!(bits(single.as_slice()), expected[0], "{per_page}/page");
+                for m in [1, 2] {
+                    let block = queries[..m].iter().map(|q| (q.clone(), qtype));
+                    let mut session = engine.new_session(block);
+                    engine.run_to_completion(&mut session);
+                    let got: Vec<_> = session.into_answers().iter().map(|a| bits(a)).collect();
+                    assert_eq!(got, expected[..m], "{per_page}/page, m = {m}");
+                }
+            }
+        }
     }
 }
 #[cfg(test)]

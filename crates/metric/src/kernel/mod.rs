@@ -367,9 +367,59 @@ pub fn hamming_at(level: SimdLevel, xs: &[u64], ys: &[u64]) -> u32 {
     )
 }
 
+/// Hints the CPU to pull every cache line `xs` touches into L1, one hint
+/// per 64-byte line. A hint changes no value and never faults; on
+/// architectures without one wired up this is a no-op.
+///
+/// Scan loops call it a few records ahead of the one they compute, so a
+/// payload that lives wherever its allocator put it is in cache by the time
+/// its distance starts.
+#[inline]
+pub fn prefetch_lines(xs: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const CACHE_LINE: usize = 64;
+        let lead = xs.as_ptr().addr() % CACHE_LINE;
+        let first = xs.as_ptr().cast::<i8>().wrapping_sub(lead);
+        for off in (0..lead + std::mem::size_of_val(xs)).step_by(CACHE_LINE) {
+            // SAFETY: a prefetch is a hint: it never dereferences its
+            // address in the program's sense and never faults, whatever
+            // the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(off)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = xs;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prefetch_lines_takes_every_edge_shape() {
+        // 64-byte aligned storage, so the boundary cases below are exact.
+        #[repr(align(64))]
+        struct Lines([f32; 64]);
+        let lines = Lines([1.0; 64]);
+        let xs = &lines.0[..];
+        assert_eq!(xs.as_ptr().addr() % 64, 0);
+        prefetch_lines(&[]);
+        prefetch_lines(&xs[..0]);
+        prefetch_lines(&xs[..1]);
+        prefetch_lines(&xs[63..]);
+        // An odd offset: the slice starts mid-line and straddles three.
+        prefetch_lines(&xs[3..40]);
+        // Ends exactly on a line boundary.
+        prefetch_lines(&xs[..16]);
+        prefetch_lines(&xs[16..48]);
+        // Lengths that are not a multiple of one line's 16 floats.
+        for len in [5, 17, 20, 33, 63] {
+            prefetch_lines(&xs[1..=len]);
+        }
+        prefetch_lines(xs);
+    }
 
     fn pseudo(dim: usize, seed: u32) -> Vec<f32> {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! # mq-metric — metric distance functions for similarity search
 //!
 //! This crate implements the metric layer of the ICDE 2000 paper

@@ -4,7 +4,7 @@
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 type LabelSet = Vec<(String, String)>;
 type DerivedFn = Arc<dyn Fn() -> f64 + Send + Sync>;
@@ -79,6 +79,15 @@ impl Registry {
         Self::default()
     }
 
+    /// The family map, locked. Every critical section leaves the map
+    /// consistent — a kind conflict panics before anything is inserted, and
+    /// a panicking derived gauge only interrupts a read — so a lock one of
+    /// them poisoned is taken over rather than turning every later
+    /// registration, render and snapshot into a panic.
+    fn families(&self) -> MutexGuard<'_, BTreeMap<String, Family>> {
+        self.families.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn register<T>(
         &self,
         name: &str,
@@ -97,7 +106,7 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         owned.sort();
-        let mut families = self.families.lock().unwrap();
+        let mut families = self.families();
         let instrument = make();
         let kind = instrument.kind();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -179,7 +188,7 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         owned.sort();
-        let mut families = self.families.lock().unwrap();
+        let mut families = self.families();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind: MetricKind::Gauge,
             help: help.to_string(),
@@ -199,7 +208,7 @@ impl Registry {
     /// format (`# HELP`/`# TYPE` comments, one sample per line, histograms
     /// as cumulative `_bucket{le=...}` series plus `_sum` and `_count`).
     pub fn render(&self) -> String {
-        let families = self.families.lock().unwrap();
+        let families = self.families();
         let mut out = String::new();
         for (name, family) in families.iter() {
             let _ = writeln!(out, "# HELP {name} {}", family.help.replace('\n', " "));
@@ -221,7 +230,7 @@ impl Registry {
     /// exactly like the exposition lines (`name{label="v"}`). Histograms
     /// flatten to their `_bucket`/`_sum`/`_count` samples.
     pub fn snapshot(&self) -> Snapshot {
-        let families = self.families.lock().unwrap();
+        let families = self.families();
         let mut samples = BTreeMap::new();
         for (name, family) in families.iter() {
             for (labels, instrument) in &family.series {
@@ -437,6 +446,23 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("mq_test_total", "help", &[]);
         let _ = r.gauge("mq_test_total", "help", &[]);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_registry_serving() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let r = Registry::new();
+        r.counter("mq_test_total", "help", &[]).inc();
+        let conflict = catch_unwind(AssertUnwindSafe(|| r.gauge("mq_test_total", "help", &[])));
+        assert!(conflict.is_err(), "a kind conflict still panics");
+        r.derived_gauge("mq_ratio", "help", &[], || panic!("derived gauge failed"));
+        assert!(catch_unwind(AssertUnwindSafe(|| r.render())).is_err());
+        r.derived_gauge("mq_ratio", "help", &[], || 0.5);
+        r.counter("mq_test_total", "help", &[]).inc();
+        let text = r.render();
+        assert!(text.contains("mq_test_total 2"), "{text}");
+        assert!(text.contains("mq_ratio 0.5"), "{text}");
+        assert_eq!(r.snapshot().value("mq_test_total"), 2.0);
     }
 
     #[test]
