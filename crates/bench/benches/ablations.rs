@@ -6,11 +6,13 @@
 //!   incremental scheme wins when query objects arrive dynamically
 //!   (ExploreNeighborhoods); compare DBSCAN under both;
 //! * **declustering strategy** — round-robin vs. chunk partitioning for
-//!   the parallel engine (the §7 future-work knob).
+//!   the parallel engine (the §7 future-work knob);
+//! * **avoidance** — one block of k-NN queries with the §5.2 triangle
+//!   inequality avoidance on and off.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mq_core::{EngineOptions, QueryEngine, QueryType};
-use mq_datagen::image_histograms_config;
+use mq_datagen::{classification_query_ids, image_histograms_config};
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{Euclidean, Vector};
 use mq_mining::Dbscan;
@@ -116,8 +118,36 @@ fn bench_bulk_load_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_avoidance_ablation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("avoidance-ablation");
+    group.sample_size(10);
+    // Clustered 64-d data: the avoidance sweet spot (§6.2).
+    let ds = Dataset::new(image_histograms_config(6_000, 64, 80, 0.004, 3));
+    let db = PagedDatabase::pack(&ds, Default::default());
+    let scan = LinearScan::new(db.page_count());
+    let disk = SimulatedDisk::new(db, 0.1);
+    let queries: Vec<(Vector, QueryType)> = classification_query_ids(ds.len(), 64, 7)
+        .into_iter()
+        .map(|id| (ds.object(id).clone(), QueryType::knn(20)))
+        .collect();
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("with-avoidance", |b| {
+        let engine = QueryEngine::new(&disk, &scan, Euclidean);
+        b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
+    });
+    group.bench_function("without-avoidance", |b| {
+        let engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+            avoidance: false,
+            ..EngineOptions::default()
+        });
+        b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_avoidance_ablation,
     bench_buffer_fraction,
     bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,

@@ -44,12 +44,11 @@ pub use poll::{PollEvent, Poller, WAKER_TOKEN};
 use mq_obs::Recorder;
 use mq_server::protocol::{Message, ProtocolError, VERSION};
 use mq_server::{CollectionRegistry, Dispatcher, QueryBackend, ServerConfig, ServiceMetrics};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Token of the listening socket in the poller.
@@ -71,6 +70,15 @@ type Slot = Arc<Mutex<Option<Vec<u8>>>>;
 /// Tokens whose connections have newly filled slots, pushed by worker
 /// sinks, drained by the poll thread after a wake.
 type DirtyList = Arc<Mutex<Vec<u64>>>;
+
+/// One of the crate's locks, locked: a [`Slot`], the [`DirtyList`], or
+/// the non-Linux poller's registry and wake flag. Each critical section is
+/// one assignment, `take`, `push`, map update or scan, so a holder that
+/// panicked leaves a usable value behind and the next caller takes the
+/// lock over.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Conn {
     stream: TcpStream,
@@ -330,7 +338,7 @@ impl EventLoop {
             }
 
             // Worker sinks filled reply slots since the last pass.
-            let dirty: Vec<u64> = std::mem::take(&mut *self.dirty.lock());
+            let dirty: Vec<u64> = std::mem::take(&mut *lock(&self.dirty));
             for token in dirty {
                 self.flush(token);
             }
@@ -492,8 +500,7 @@ impl EventLoop {
                         admitted.object,
                         admitted.qtype,
                         move |reply| {
-                            *s.lock() =
-                                Some(Message::encode(&Dispatcher::reply_for(reply)).to_vec());
+                            *lock(&s) = Some(Dispatcher::reply_for(reply).encode());
                         },
                     );
                     return;
@@ -505,9 +512,8 @@ impl EventLoop {
                     admitted.object,
                     admitted.qtype,
                     move |reply| {
-                        *slot.lock() =
-                            Some(Message::encode(&Dispatcher::reply_for(reply)).to_vec());
-                        dirty.lock().push(token);
+                        *lock(&slot) = Some(Dispatcher::reply_for(reply).encode());
+                        lock(&dirty).push(token);
                         poller.wake();
                     },
                 );
@@ -517,7 +523,7 @@ impl EventLoop {
 
     /// Queues an already-computed reply and flushes what it can.
     fn enqueue_reply(&mut self, token: u64, reply: Message) {
-        let bytes = Message::encode(&reply).to_vec();
+        let bytes = reply.encode();
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.pending.push_back(Arc::new(Mutex::new(Some(bytes))));
         }
@@ -533,7 +539,7 @@ impl EventLoop {
         // Promote consecutively-filled slots from the front; a still-empty
         // slot blocks everything behind it to preserve reply order.
         while let Some(slot) = conn.pending.front() {
-            let Some(bytes) = slot.lock().take() else {
+            let Some(bytes) = lock(slot).take() else {
                 break;
             };
             conn.outbox.extend_from_slice(&bytes);

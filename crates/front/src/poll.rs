@@ -195,9 +195,10 @@ mod imp {
 #[cfg(not(target_os = "linux"))]
 mod imp {
     use super::{PollEvent, WAKER_TOKEN};
-    use parking_lot::{Condvar, Mutex};
+    use crate::lock;
     use std::collections::HashMap;
     use std::io;
+    use std::sync::{Condvar, Mutex, PoisonError};
     use std::time::Duration;
 
     #[cfg(unix)]
@@ -224,7 +225,7 @@ mod imp {
         }
 
         pub fn register(&self, fd: RawFd, token: u64, _want_write: bool) -> io::Result<()> {
-            self.registered.lock().insert(fd, token);
+            lock(&self.registered).insert(fd, token);
             Ok(())
         }
 
@@ -238,19 +239,23 @@ mod imp {
         }
 
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().remove(&fd);
+            lock(&self.registered).remove(&fd);
             Ok(())
         }
 
         pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
             out.clear();
             {
-                let mut woken = self.woken.lock();
+                let mut woken = lock(&self.woken);
                 if !*woken {
                     // Cap the sleep so spurious-readiness polls stay
                     // responsive even under a long caller timeout.
                     let nap = timeout.min(Duration::from_millis(5));
-                    self.cond.wait_for(&mut woken, nap);
+                    woken = self
+                        .cond
+                        .wait_timeout(woken, nap)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
                 if *woken {
                     *woken = false;
@@ -262,7 +267,7 @@ mod imp {
                     });
                 }
             }
-            for (_, &token) in self.registered.lock().iter() {
+            for (_, &token) in lock(&self.registered).iter() {
                 out.push(PollEvent {
                     token,
                     readable: true,
@@ -274,7 +279,7 @@ mod imp {
         }
 
         pub fn wake(&self) {
-            *self.woken.lock() = true;
+            *lock(&self.woken) = true;
             self.cond.notify_all();
         }
     }

@@ -266,11 +266,7 @@ where
                         idx
                     }
                 };
-                while !session.is_complete(idx) {
-                    if self.engine.multiple_query_step(session).is_none() {
-                        break;
-                    }
-                }
+                self.engine.complete_query(session, idx);
                 session.answers(idx).ids().collect()
             }
         }

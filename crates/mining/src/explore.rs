@@ -150,14 +150,10 @@ where
 
         // Complete the head query (trailing queries advance as a side
         // effect of the shared page reads).
+        // Pending queries admitted before the head complete first; their
+        // completed answers stay buffered for their own turn.
         let head_idx = admitted[&head];
-        while !session.is_complete(head_idx) {
-            // Pending queries admitted before the head complete first;
-            // their completed answers stay buffered for their own turn.
-            if engine.multiple_query_step(&mut session).is_none() {
-                break;
-            }
-        }
+        engine.complete_query(&mut session, head_idx);
         control.pop_front();
 
         let answers: Vec<Answer> = session.answers(head_idx).as_slice().to_vec();

@@ -95,11 +95,7 @@ where
     for _ in 0..max_steps {
         let obj = engine.disk().database().object(current).clone();
         let idx = engine.push_query(&mut session, obj, qtype);
-        while !session.is_complete(idx) {
-            if engine.multiple_query_step(&mut session).is_none() {
-                break;
-            }
-        }
+        engine.complete_query(&mut session, idx);
         let next = session
             .answers(idx)
             .as_slice()

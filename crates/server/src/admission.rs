@@ -21,8 +21,8 @@
 //! property the admission-determinism suite pins.
 
 use crate::config::QuotaConfig;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Fallback queue-full retry hint when the scheduler has no queue-wait
@@ -56,6 +56,13 @@ impl AdmissionController {
         }
     }
 
+    /// The token buckets, locked. A critical section updates one bucket's
+    /// two plain fields, so a holder that panicked leaves every bucket
+    /// usable and the next caller takes the lock over.
+    fn buckets(&self) -> MutexGuard<'_, HashMap<String, Bucket>> {
+        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether any limit is configured at all (lets callers skip the
     /// bookkeeping entirely in the common unbounded case).
     pub fn is_enabled(&self) -> bool {
@@ -87,7 +94,7 @@ impl AdmissionController {
         let Some(quota) = self.quota else {
             return Ok(());
         };
-        let mut buckets = self.buckets.lock();
+        let mut buckets = self.buckets();
         let bucket = bucket_entry(&mut buckets, tenant, quota, now);
         // Refill for the time elapsed since this tenant's last decision;
         // a non-monotone `now` (clock skew between connections) refills
@@ -226,5 +233,23 @@ mod tests {
         // An earlier timestamp from another connection must not mint
         // tokens (elapsed saturates to zero).
         assert!(c.admit("a", 0, Duration::from_secs(5), None).is_err());
+    }
+
+    #[test]
+    fn a_panic_under_the_bucket_lock_leaves_admission_serving() {
+        let c = AdmissionController::new(0, quota(10.0, 2.0));
+        assert_eq!(c.admit("a", 0, Duration::ZERO, None), Ok(()));
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = c.buckets.lock();
+                panic!("bucket holder panics");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(c.buckets.is_poisoned());
+        // The bucket kept its state: one token left, then empty.
+        assert_eq!(c.admit("a", 0, Duration::ZERO, None), Ok(()));
+        assert_eq!(c.admit("a", 0, Duration::ZERO, None), Err(100));
     }
 }

@@ -13,7 +13,7 @@
 //! Layers:
 //!
 //! - [`protocol`] — length-prefixed binary frames (requests, answers,
-//!   service counters) in the same `bytes` codec style as
+//!   service counters) in the same little-endian codec style as
 //!   `mq_store`'s segment frames.
 //! - [`scheduler`] — the batching scheduler: one queue, a worker pool; an
 //!   idle worker takes whatever is queued, up to `max_batch`.

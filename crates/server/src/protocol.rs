@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The payload starts with a one-byte message kind followed by the
-//! kind-specific fields, all little-endian (the same `bytes`-based codec
-//! style as `mq_store`'s segment frames):
+//! kind-specific fields, all little-endian (the same codec style as
+//! `mq_store`'s segment frames):
 //!
 //! ```text
 //! 0x01 Query        object(dim:u32, dim × f32), qtype(kind:u8, range:f64, cardinality:u64),
@@ -34,10 +34,9 @@
 //! version 2), the distance-calculation count, the three avoidance
 //! counters, and the elapsed time in nanoseconds — twelve `u64`s.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mq_core::{Answer, AvoidanceStats, ExecutionStats, QueryKind, QueryType};
 use mq_metric::{ObjectId, Vector};
-use mq_storage::IoStats;
+use mq_storage::{IoStats, ReadLe, Truncated};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -254,68 +253,74 @@ pub enum Message {
     Error(String),
 }
 
-fn put_str16(buf: &mut BytesMut, s: &str) {
+impl From<Truncated> for ProtocolError {
+    fn from(_: Truncated) -> Self {
+        ProtocolError::Truncated
+    }
+}
+
+fn put_str16(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "str16 field too long");
-    buf.put_u16_le(s.len().min(u16::MAX as usize) as u16);
-    buf.put_slice(&s.as_bytes()[..s.len().min(u16::MAX as usize)]);
+    let s = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
+    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    buf.extend_from_slice(s);
 }
 
-fn get_str16(buf: &mut Bytes) -> Result<String, ProtocolError> {
-    need(buf, 2)?;
-    let len = buf.get_u16_le() as usize;
-    need(buf, len)?;
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| ProtocolError::Malformed("non-utf8 string field".into()))
+/// A UTF-8 field of `len` bytes.
+fn get_utf8(buf: &mut &[u8], len: usize, what: &str) -> Result<String, ProtocolError> {
+    std::str::from_utf8(buf.read_bytes(len)?)
+        .map(str::to_owned)
+        .map_err(|_| ProtocolError::Malformed(format!("non-utf8 {what}")))
 }
 
-fn put_qtype(buf: &mut BytesMut, t: &QueryType) {
-    buf.put_u8(match t.kind {
+fn get_str16(buf: &mut &[u8]) -> Result<String, ProtocolError> {
+    let len = buf.read_u16()? as usize;
+    get_utf8(buf, len, "string field")
+}
+
+fn put_qtype(buf: &mut Vec<u8>, t: &QueryType) {
+    buf.push(match t.kind {
         QueryKind::Range => 0,
         QueryKind::KNearestNeighbor => 1,
         QueryKind::BoundedKNearestNeighbor => 2,
     });
-    buf.put_f64_le(t.range);
-    buf.put_u64_le(if t.cardinality == usize::MAX {
+    buf.extend_from_slice(&t.range.to_le_bytes());
+    let cardinality = if t.cardinality == usize::MAX {
         u64::MAX
     } else {
         t.cardinality as u64
-    });
+    };
+    buf.extend_from_slice(&cardinality.to_le_bytes());
 }
 
-fn put_stats(buf: &mut BytesMut, s: &ExecutionStats) {
-    buf.put_u64_le(s.io.logical_reads);
-    buf.put_u64_le(s.io.buffer_hits);
-    buf.put_u64_le(s.io.physical_reads);
-    buf.put_u64_le(s.io.random_reads);
-    buf.put_u64_le(s.io.sequential_reads);
-    buf.put_u64_le(s.io.prefetch_reads);
-    buf.put_u64_le(s.io.prefetched_hits);
-    buf.put_u64_le(s.dist_calcs);
-    buf.put_u64_le(s.avoidance.tries);
-    buf.put_u64_le(s.avoidance.avoided);
-    buf.put_u64_le(s.avoidance.computed);
-    buf.put_u64_le(s.elapsed.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), ProtocolError> {
-    if buf.remaining() < n {
-        Err(ProtocolError::Truncated)
-    } else {
-        Ok(())
+fn put_stats(buf: &mut Vec<u8>, s: &ExecutionStats) {
+    let elapsed = s.elapsed.as_nanos().min(u64::MAX as u128) as u64;
+    for v in [
+        s.io.logical_reads,
+        s.io.buffer_hits,
+        s.io.physical_reads,
+        s.io.random_reads,
+        s.io.sequential_reads,
+        s.io.prefetch_reads,
+        s.io.prefetched_hits,
+        s.dist_calcs,
+        s.avoidance.tries,
+        s.avoidance.avoided,
+        s.avoidance.computed,
+        elapsed,
+    ] {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-fn get_vector(buf: &mut Bytes) -> Result<Vector, ProtocolError> {
-    need(buf, 4)?;
-    let dim = buf.get_u32_le() as usize;
+fn get_vector(buf: &mut &[u8]) -> Result<Vector, ProtocolError> {
+    let dim = buf.read_u32()? as usize;
     if dim == 0 {
         return Err(ProtocolError::Malformed("zero-dimensional vector".into()));
     }
-    need(buf, dim * 4)?;
+    let mut body = buf.read_bytes(dim * 4)?;
     let mut components = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let c = buf.get_f32_le();
+    while let Ok(c) = body.read_f32() {
         if !c.is_finite() {
             return Err(ProtocolError::Malformed("non-finite component".into()));
         }
@@ -324,11 +329,10 @@ fn get_vector(buf: &mut Bytes) -> Result<Vector, ProtocolError> {
     Ok(Vector::new(components))
 }
 
-fn get_qtype(buf: &mut Bytes) -> Result<QueryType, ProtocolError> {
-    need(buf, 1 + 8 + 8)?;
-    let kind = buf.get_u8();
-    let range = buf.get_f64_le();
-    let cardinality = buf.get_u64_le();
+fn get_qtype(buf: &mut &[u8]) -> Result<QueryType, ProtocolError> {
+    let kind = buf.read_u8()?;
+    let range = buf.read_f64()?;
+    let cardinality = buf.read_u64()?;
     let cardinality = if cardinality == u64::MAX {
         usize::MAX
     } else {
@@ -361,32 +365,54 @@ fn get_qtype(buf: &mut Bytes) -> Result<QueryType, ProtocolError> {
     })
 }
 
-fn get_stats(buf: &mut Bytes) -> Result<ExecutionStats, ProtocolError> {
-    need(buf, 12 * 8)?;
+fn get_stats(buf: &mut &[u8]) -> Result<ExecutionStats, ProtocolError> {
     Ok(ExecutionStats {
         io: IoStats {
-            logical_reads: buf.get_u64_le(),
-            buffer_hits: buf.get_u64_le(),
-            physical_reads: buf.get_u64_le(),
-            random_reads: buf.get_u64_le(),
-            sequential_reads: buf.get_u64_le(),
-            prefetch_reads: buf.get_u64_le(),
-            prefetched_hits: buf.get_u64_le(),
+            logical_reads: buf.read_u64()?,
+            buffer_hits: buf.read_u64()?,
+            physical_reads: buf.read_u64()?,
+            random_reads: buf.read_u64()?,
+            sequential_reads: buf.read_u64()?,
+            prefetch_reads: buf.read_u64()?,
+            prefetched_hits: buf.read_u64()?,
         },
-        dist_calcs: buf.get_u64_le(),
+        dist_calcs: buf.read_u64()?,
         avoidance: AvoidanceStats {
-            tries: buf.get_u64_le(),
-            avoided: buf.get_u64_le(),
-            computed: buf.get_u64_le(),
+            tries: buf.read_u64()?,
+            avoided: buf.read_u64()?,
+            computed: buf.read_u64()?,
         },
-        elapsed: Duration::from_nanos(buf.get_u64_le()),
+        elapsed: Duration::from_nanos(buf.read_u64()?),
     })
+}
+
+/// Validates a frame header (magic, version, size limit) and returns the
+/// length of the payload that follows it.
+fn payload_len(mut header: &[u8]) -> Result<usize, ProtocolError> {
+    let magic = header.read_chunk()?;
+    if &magic != MAGIC {
+        return Err(ProtocolError::BadMagic(magic));
+    }
+    let version = header.read_u16()?;
+    if version != VERSION {
+        return Err(ProtocolError::BadVersion(version));
+    }
+    let len = header.read_u32()? as usize;
+    if len > MAX_PAYLOAD {
+        return Err(ProtocolError::Malformed(format!(
+            "payload of {len} bytes exceeds limit"
+        )));
+    }
+    Ok(len)
 }
 
 impl Message {
     /// Encodes this message as one complete frame (header + payload).
-    pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(MAGIC);
+        frame.extend_from_slice(&VERSION.to_le_bytes());
+        frame.extend_from_slice(&[0; 4]); // payload_len, filled in below
         match self {
             Message::Query {
                 object,
@@ -394,22 +420,22 @@ impl Message {
                 collection,
                 tenant,
             } => {
-                payload.put_u8(KIND_QUERY);
-                payload.put_u32_le(object.dim() as u32);
+                frame.push(KIND_QUERY);
+                frame.extend_from_slice(&(object.dim() as u32).to_le_bytes());
                 for &c in object.components() {
-                    payload.put_f32_le(c);
+                    frame.extend_from_slice(&c.to_le_bytes());
                 }
-                put_qtype(&mut payload, qtype);
-                put_str16(&mut payload, collection);
-                put_str16(&mut payload, tenant);
+                put_qtype(&mut frame, qtype);
+                put_str16(&mut frame, collection);
+                put_str16(&mut frame, tenant);
             }
             Message::Stats { collection } => {
-                payload.put_u8(KIND_STATS);
-                put_str16(&mut payload, collection);
+                frame.push(KIND_STATS);
+                put_str16(&mut frame, collection);
             }
             Message::MetricsRequest { collection } => {
-                payload.put_u8(KIND_METRICS);
-                put_str16(&mut payload, collection);
+                frame.push(KIND_METRICS);
+                put_str16(&mut frame, collection);
             }
             Message::CreateCollection {
                 name,
@@ -417,50 +443,50 @@ impl Message {
                 metric,
                 source,
             } => {
-                payload.put_u8(KIND_CREATE_COLLECTION);
-                put_str16(&mut payload, name);
-                payload.put_u32_le(*dim);
-                put_str16(&mut payload, metric);
-                put_str16(&mut payload, source);
+                frame.push(KIND_CREATE_COLLECTION);
+                put_str16(&mut frame, name);
+                frame.extend_from_slice(&dim.to_le_bytes());
+                put_str16(&mut frame, metric);
+                put_str16(&mut frame, source);
             }
             Message::DropCollection { name } => {
-                payload.put_u8(KIND_DROP_COLLECTION);
-                put_str16(&mut payload, name);
+                frame.push(KIND_DROP_COLLECTION);
+                put_str16(&mut frame, name);
             }
-            Message::ListCollections => payload.put_u8(KIND_LIST_COLLECTIONS),
+            Message::ListCollections => frame.push(KIND_LIST_COLLECTIONS),
             Message::CollectionList(infos) => {
-                payload.put_u8(KIND_COLLECTION_LIST);
-                payload.put_u32_le(infos.len() as u32);
+                frame.push(KIND_COLLECTION_LIST);
+                frame.extend_from_slice(&(infos.len() as u32).to_le_bytes());
                 for info in infos {
-                    put_str16(&mut payload, &info.name);
-                    payload.put_u32_le(info.dim);
-                    put_str16(&mut payload, &info.metric);
-                    payload.put_u64_le(info.objects);
-                    payload.put_u64_le(info.in_flight);
+                    put_str16(&mut frame, &info.name);
+                    frame.extend_from_slice(&info.dim.to_le_bytes());
+                    put_str16(&mut frame, &info.metric);
+                    frame.extend_from_slice(&info.objects.to_le_bytes());
+                    frame.extend_from_slice(&info.in_flight.to_le_bytes());
                 }
             }
             Message::Ack(text) => {
-                payload.put_u8(KIND_ACK);
-                put_str16(&mut payload, text);
+                frame.push(KIND_ACK);
+                put_str16(&mut frame, text);
             }
             Message::Refused { code, detail } => {
-                payload.put_u8(KIND_REFUSED);
-                payload.put_u16_le(*code);
-                put_str16(&mut payload, detail);
+                frame.push(KIND_REFUSED);
+                frame.extend_from_slice(&code.to_le_bytes());
+                put_str16(&mut frame, detail);
             }
             Message::Overloaded { retry_after_ms } => {
-                payload.put_u8(KIND_OVERLOADED);
-                payload.put_u64_le(*retry_after_ms);
+                frame.push(KIND_OVERLOADED);
+                frame.extend_from_slice(&retry_after_ms.to_le_bytes());
             }
             Message::VersionMismatch { server, client } => {
-                payload.put_u8(KIND_VERSION_MISMATCH);
-                payload.put_u16_le(*server);
-                payload.put_u16_le(*client);
+                frame.push(KIND_VERSION_MISMATCH);
+                frame.extend_from_slice(&server.to_le_bytes());
+                frame.extend_from_slice(&client.to_le_bytes());
             }
             Message::MetricsReply(text) => {
-                payload.put_u8(KIND_METRICS_REPLY);
-                payload.put_u32_le(text.len() as u32);
-                payload.put_slice(text.as_bytes());
+                frame.push(KIND_METRICS_REPLY);
+                frame.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                frame.extend_from_slice(text.as_bytes());
             }
             Message::Answers {
                 batch_id,
@@ -468,35 +494,32 @@ impl Message {
                 stats,
                 answers,
             } => {
-                payload.put_u8(KIND_ANSWERS);
-                payload.put_u64_le(*batch_id);
-                payload.put_u32_le(*batch_size);
-                put_stats(&mut payload, stats);
-                payload.put_u32_le(answers.len() as u32);
+                frame.push(KIND_ANSWERS);
+                frame.extend_from_slice(&batch_id.to_le_bytes());
+                frame.extend_from_slice(&batch_size.to_le_bytes());
+                put_stats(&mut frame, stats);
+                frame.extend_from_slice(&(answers.len() as u32).to_le_bytes());
                 for a in answers {
-                    payload.put_u32_le(a.id.0);
-                    payload.put_f64_le(a.distance);
+                    frame.extend_from_slice(&a.id.0.to_le_bytes());
+                    frame.extend_from_slice(&a.distance.to_le_bytes());
                 }
             }
             Message::StatsReply(m) => {
-                payload.put_u8(KIND_STATS_REPLY);
-                payload.put_u64_le(m.queries);
-                payload.put_u64_le(m.batches);
-                payload.put_u32_le(m.max_batch_size);
-                put_stats(&mut payload, &m.totals);
+                frame.push(KIND_STATS_REPLY);
+                frame.extend_from_slice(&m.queries.to_le_bytes());
+                frame.extend_from_slice(&m.batches.to_le_bytes());
+                frame.extend_from_slice(&m.max_batch_size.to_le_bytes());
+                put_stats(&mut frame, &m.totals);
             }
             Message::Error(msg) => {
-                payload.put_u8(KIND_ERROR);
-                payload.put_u32_le(msg.len() as u32);
-                payload.put_slice(msg.as_bytes());
+                frame.push(KIND_ERROR);
+                frame.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+                frame.extend_from_slice(msg.as_bytes());
             }
         }
-        let mut frame = BytesMut::new();
-        frame.put_slice(MAGIC);
-        frame.put_u16_le(VERSION);
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_slice(&payload);
-        frame.freeze()
+        let payload_len = (frame.len() - HEADER_LEN) as u32;
+        frame[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        frame
     }
 
     /// Decodes one frame from the front of `bytes`; returns the message
@@ -513,39 +536,20 @@ impl Message {
             }
             return Err(ProtocolError::Truncated);
         }
-        let mut buf = Bytes::from(bytes[..HEADER_LEN].to_vec());
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(ProtocolError::BadMagic(magic));
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(ProtocolError::BadVersion(version));
-        }
-        let len = buf.get_u32_le() as usize;
-        if len > MAX_PAYLOAD {
-            return Err(ProtocolError::Malformed(format!(
-                "payload of {len} bytes exceeds limit"
-            )));
-        }
-        if bytes.len() < HEADER_LEN + len {
-            return Err(ProtocolError::Truncated);
-        }
-        let mut payload = Bytes::from(bytes[HEADER_LEN..HEADER_LEN + len].to_vec());
+        let len = payload_len(bytes)?;
+        let mut payload = (&bytes[HEADER_LEN..]).read_bytes(len)?;
         let msg = Self::decode_payload(&mut payload)?;
-        if payload.has_remaining() {
+        if !payload.is_empty() {
             return Err(ProtocolError::Malformed(format!(
                 "{} trailing bytes after message",
-                payload.remaining()
+                payload.len()
             )));
         }
         Ok((msg, HEADER_LEN + len))
     }
 
-    fn decode_payload(buf: &mut Bytes) -> Result<Message, ProtocolError> {
-        need(buf, 1)?;
-        match buf.get_u8() {
+    fn decode_payload(buf: &mut &[u8]) -> Result<Message, ProtocolError> {
+        match buf.read_u8()? {
             KIND_QUERY => {
                 let object = get_vector(buf)?;
                 let qtype = get_qtype(buf)?;
@@ -566,8 +570,7 @@ impl Message {
             }),
             KIND_CREATE_COLLECTION => {
                 let name = get_str16(buf)?;
-                need(buf, 4)?;
-                let dim = buf.get_u32_le();
+                let dim = buf.read_u32()?;
                 let metric = get_str16(buf)?;
                 let source = get_str16(buf)?;
                 Ok(Message::CreateCollection {
@@ -582,76 +585,55 @@ impl Message {
             }),
             KIND_LIST_COLLECTIONS => Ok(Message::ListCollections),
             KIND_COLLECTION_LIST => {
-                need(buf, 4)?;
-                let count = buf.get_u32_le() as usize;
+                let count = buf.read_u32()? as usize;
                 // Each entry is at least 2+4+2+8+8 bytes; bound the
                 // allocation by what the buffer can actually hold.
-                if count > buf.remaining() / 24 {
+                if count > buf.len() / 24 {
                     return Err(ProtocolError::Truncated);
                 }
                 let mut infos = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let name = get_str16(buf)?;
-                    need(buf, 4)?;
-                    let dim = buf.get_u32_le();
-                    let metric = get_str16(buf)?;
-                    need(buf, 16)?;
-                    let objects = buf.get_u64_le();
-                    let in_flight = buf.get_u64_le();
                     infos.push(CollectionInfo {
-                        name,
-                        dim,
-                        metric,
-                        objects,
-                        in_flight,
+                        name: get_str16(buf)?,
+                        dim: buf.read_u32()?,
+                        metric: get_str16(buf)?,
+                        objects: buf.read_u64()?,
+                        in_flight: buf.read_u64()?,
                     });
                 }
                 Ok(Message::CollectionList(infos))
             }
             KIND_ACK => Ok(Message::Ack(get_str16(buf)?)),
             KIND_REFUSED => {
-                need(buf, 2)?;
-                let code = buf.get_u16_le();
+                let code = buf.read_u16()?;
                 let detail = get_str16(buf)?;
                 Ok(Message::Refused { code, detail })
             }
-            KIND_OVERLOADED => {
-                need(buf, 8)?;
-                Ok(Message::Overloaded {
-                    retry_after_ms: buf.get_u64_le(),
-                })
-            }
+            KIND_OVERLOADED => Ok(Message::Overloaded {
+                retry_after_ms: buf.read_u64()?,
+            }),
             KIND_VERSION_MISMATCH => {
-                need(buf, 4)?;
-                let server = buf.get_u16_le();
-                let client = buf.get_u16_le();
+                let server = buf.read_u16()?;
+                let client = buf.read_u16()?;
                 Ok(Message::VersionMismatch { server, client })
             }
             KIND_METRICS_REPLY => {
-                need(buf, 4)?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len)?;
-                let mut raw = vec![0u8; len];
-                buf.copy_to_slice(&mut raw);
-                let text = String::from_utf8(raw)
-                    .map_err(|_| ProtocolError::Malformed("non-utf8 metrics text".into()))?;
-                Ok(Message::MetricsReply(text))
+                let len = buf.read_u32()? as usize;
+                Ok(Message::MetricsReply(get_utf8(buf, len, "metrics text")?))
             }
             KIND_ANSWERS => {
-                need(buf, 8 + 4)?;
-                let batch_id = buf.get_u64_le();
-                let batch_size = buf.get_u32_le();
+                let batch_id = buf.read_u64()?;
+                let batch_size = buf.read_u32()?;
                 let stats = get_stats(buf)?;
-                need(buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                need(buf, count * 12)?;
-                let answers = (0..count)
-                    .map(|_| {
-                        let id = ObjectId(buf.get_u32_le());
-                        let distance = buf.get_f64_le();
-                        Answer { id, distance }
-                    })
-                    .collect();
+                let count = buf.read_u32()? as usize;
+                let mut body = buf.read_bytes(count * 12)?;
+                let mut answers = Vec::with_capacity(count);
+                for _ in 0..count {
+                    answers.push(Answer {
+                        id: ObjectId(body.read_u32()?),
+                        distance: body.read_f64()?,
+                    });
+                }
                 Ok(Message::Answers {
                     batch_id,
                     batch_size,
@@ -660,10 +642,9 @@ impl Message {
                 })
             }
             KIND_STATS_REPLY => {
-                need(buf, 8 + 8 + 4)?;
-                let queries = buf.get_u64_le();
-                let batches = buf.get_u64_le();
-                let max_batch_size = buf.get_u32_le();
+                let queries = buf.read_u64()?;
+                let batches = buf.read_u64()?;
+                let max_batch_size = buf.read_u32()?;
                 let totals = get_stats(buf)?;
                 Ok(Message::StatsReply(ServiceMetrics {
                     queries,
@@ -673,14 +654,8 @@ impl Message {
                 }))
             }
             KIND_ERROR => {
-                need(buf, 4)?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len)?;
-                let mut raw = vec![0u8; len];
-                buf.copy_to_slice(&mut raw);
-                let msg = String::from_utf8(raw)
-                    .map_err(|_| ProtocolError::Malformed("non-utf8 error text".into()))?;
-                Ok(Message::Error(msg))
+                let len = buf.read_u32()? as usize;
+                Ok(Message::Error(get_utf8(buf, len, "error text")?))
             }
             other => Err(ProtocolError::UnknownKind(other)),
         }
@@ -698,26 +673,10 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtocolEr
 /// frame arrived; a connection closed between frames surfaces as
 /// `Io(UnexpectedEof)`.
 pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let mut buf = Bytes::from(header.to_vec());
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(ProtocolError::BadVersion(version));
-    }
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::Malformed(format!(
-            "payload of {len} bytes exceeds limit"
-        )));
-    }
-    let mut frame = vec![0u8; HEADER_LEN + len];
-    frame[..HEADER_LEN].copy_from_slice(&header);
+    let mut frame = vec![0u8; HEADER_LEN];
+    r.read_exact(&mut frame)?;
+    let len = payload_len(&frame)?;
+    frame.resize(HEADER_LEN + len, 0);
     r.read_exact(&mut frame[HEADER_LEN..])?;
     let (msg, used) = Message::decode(&frame)?;
     debug_assert_eq!(used, frame.len());

@@ -25,10 +25,9 @@ use mq_index::LinearScan;
 use mq_metric::{Metric, Vector, VectorMetric};
 use mq_obs::{Counter, Recorder};
 use mq_storage::{PagedDatabase, VectorCodec};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A backend with no objects: every query answers with an empty list.
 /// Wire-created collections start here until they are created from a
@@ -184,6 +183,22 @@ impl CollectionRegistry {
         }
     }
 
+    /// The collection map, read-locked. Writers check first and then make
+    /// one insert or remove, so a holder that panicked leaves the map
+    /// whole and the next caller takes the lock over.
+    fn collections(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<Collection>>> {
+        self.collections
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The collection map, write-locked; see [`collections`](Self::collections).
+    fn collections_mut(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<Collection>>> {
+        self.collections
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolves a wire collection name ("" = the default collection).
     pub fn get(&self, name: &str) -> Option<Arc<Collection>> {
         let name = if name.is_empty() {
@@ -191,7 +206,7 @@ impl CollectionRegistry {
         } else {
             name
         };
-        self.collections.read().get(name).cloned()
+        self.collections().get(name).cloned()
     }
 
     /// Installs an already-built backend as a named collection — the
@@ -205,7 +220,7 @@ impl CollectionRegistry {
     ) -> Result<(), (u16, String)> {
         validate_name(name).map_err(|detail| (refusal::BAD_COLLECTION_SPEC, detail))?;
         let collection = Arc::new(Collection::start(name, backend, config, &self.recorder));
-        let mut map = self.collections.write();
+        let mut map = self.collections_mut();
         if map.contains_key(name) {
             return Err((
                 refusal::COLLECTION_EXISTS,
@@ -232,7 +247,7 @@ impl CollectionRegistry {
         source: &str,
     ) -> Result<String, (u16, String)> {
         validate_name(name).map_err(|detail| (refusal::BAD_COLLECTION_SPEC, detail))?;
-        if self.collections.read().contains_key(name) {
+        if self.collections().contains_key(name) {
             return Err((
                 refusal::COLLECTION_EXISTS,
                 format!("collection {name:?} already exists"),
@@ -319,7 +334,7 @@ impl CollectionRegistry {
             collection.dimensions(),
             metric.name(),
         );
-        let mut map = self.collections.write();
+        let mut map = self.collections_mut();
         if map.contains_key(name) {
             // Lost a create/create race while building; the other one won.
             return Err((
@@ -343,7 +358,7 @@ impl CollectionRegistry {
                 "the default collection cannot be dropped".into(),
             ));
         }
-        let mut map = self.collections.write();
+        let mut map = self.collections_mut();
         let Some(collection) = map.get(name) else {
             return Err((
                 refusal::UNKNOWN_COLLECTION,
@@ -368,7 +383,7 @@ impl CollectionRegistry {
     /// collection first) so the listing is deterministic.
     pub fn list(&self) -> Vec<CollectionInfo> {
         let mut infos: Vec<CollectionInfo> =
-            self.collections.read().values().map(|c| c.info()).collect();
+            self.collections().values().map(|c| c.info()).collect();
         infos.sort_by(|a, b| {
             (a.name != DEFAULT_COLLECTION, &a.name).cmp(&(b.name != DEFAULT_COLLECTION, &b.name))
         });
@@ -390,8 +405,7 @@ impl CollectionRegistry {
 
     /// Queries in flight across every collection.
     pub fn total_in_flight(&self) -> u64 {
-        self.collections
-            .read()
+        self.collections()
             .values()
             .map(|c| c.scheduler.in_flight())
             .sum()
@@ -414,8 +428,7 @@ impl CollectionRegistry {
     /// graceful shutdown checkpoints after the registry is dropped.
     pub fn store_dirs(&self) -> Vec<PathBuf> {
         let mut dirs: Vec<PathBuf> = self
-            .collections
-            .read()
+            .collections()
             .values()
             .flat_map(|c| c.store_dirs.clone())
             .collect();
@@ -545,5 +558,24 @@ mod tests {
         );
         let reply = rx.recv().expect("sink fired").expect("reply");
         assert!(reply.answers.is_empty());
+    }
+
+    #[test]
+    fn a_panic_under_the_collection_lock_leaves_the_registry_serving() {
+        let r = registry();
+        r.create("emb", 8, "cosine", "").expect("create");
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = r.collections.write();
+                panic!("collection map holder panics");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(r.collections.is_poisoned());
+        let names: Vec<String> = r.list().into_iter().map(|i| i.name).collect();
+        assert_eq!(names, [DEFAULT_COLLECTION, "emb"]);
+        r.drop_collection("emb").expect("drop");
+        assert_eq!(r.list().len(), 1);
     }
 }

@@ -15,13 +15,12 @@
 use crate::backend::QueryBackend;
 use crate::config::ServerConfig;
 use crate::protocol::ServiceMetrics;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use mq_core::{Answer, ExecutionStats, QueryType};
 use mq_metric::Vector;
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The answers of one request plus its batch's shared statistics.
@@ -181,7 +180,8 @@ impl BatchScheduler {
         config: &ServerConfig,
         recorder: &Recorder,
     ) -> Self {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let metrics = Arc::new(Mutex::new(ServiceMetrics::default()));
         let max_batch = config.max_batch.max(1);
         let dims = backend.dimensions();
@@ -190,7 +190,7 @@ impl BatchScheduler {
         let obs = SchedObs::new(recorder);
         let workers = (0..config.workers.max(1))
             .map(|w| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let backend = Arc::clone(&backend);
                 let metrics = Arc::clone(&metrics);
                 let batch_ids = Arc::clone(&batch_ids);
@@ -258,14 +258,14 @@ impl BatchScheduler {
 
     /// A snapshot of the aggregate counters.
     pub fn metrics(&self) -> ServiceMetrics {
-        *self.metrics.lock()
+        *lock_metrics(&self.metrics)
     }
 }
 
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
         // Closing the queue lets the workers drain pending jobs and exit.
-        let (closed_tx, _) = channel::bounded(1);
+        let (closed_tx, _) = mpsc::channel();
         let _ = std::mem::replace(&mut self.tx, closed_tx);
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -273,8 +273,21 @@ impl Drop for BatchScheduler {
     }
 }
 
+/// The aggregate counters, locked. A critical section is a copy or four
+/// counter updates, so a holder that panicked leaves valid counters behind
+/// and the next caller takes the lock over.
+fn lock_metrics(metrics: &Mutex<ServiceMetrics>) -> MutexGuard<'_, ServiceMetrics> {
+    metrics.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The shared end of the job queue, locked. Only `recv` and `try_recv` run
+/// under it, which leave the receiver whole even if its holder panicked.
+fn lock_queue(rx: &Mutex<Receiver<Job>>) -> MutexGuard<'_, Receiver<Job>> {
+    rx.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn worker_loop(
-    rx: Receiver<Job>,
+    rx: Arc<Mutex<Receiver<Job>>>,
     backend: Arc<dyn QueryBackend>,
     max_batch: usize,
     metrics: Arc<Mutex<ServiceMetrics>>,
@@ -282,8 +295,12 @@ fn worker_loop(
     obs: Option<Arc<SchedObs>>,
 ) {
     loop {
+        // One worker at a time holds the receiver, across its blocking
+        // `recv` and the drain that follows, and releases it before it
+        // executes the batch.
+        let rx_guard = lock_queue(&rx);
         // Block only while the queue is empty; an idle worker costs nothing.
-        let first = match rx.recv() {
+        let first = match rx_guard.recv() {
             Ok(job) => job,
             Err(_) => return,
         };
@@ -292,7 +309,7 @@ fn worker_loop(
         let mut jobs = vec![first];
         let mut reason = FlushReason::Full;
         while jobs.len() < max_batch {
-            match rx.try_recv() {
+            match rx_guard.try_recv() {
                 Ok(job) => jobs.push(job),
                 Err(TryRecvError::Empty) => {
                     reason = FlushReason::Drained;
@@ -304,6 +321,7 @@ fn worker_loop(
                 }
             }
         }
+        drop(rx_guard);
         if let Some(obs) = &obs {
             obs.record_flush(&jobs, reason);
         }
@@ -332,7 +350,7 @@ fn worker_loop(
         debug_assert_eq!(answers.len(), jobs.len());
 
         {
-            let mut m = metrics.lock();
+            let mut m = lock_metrics(&metrics);
             m.queries += batch_size as u64;
             m.batches += 1;
             m.max_batch_size = m.max_batch_size.max(batch_size);
@@ -648,5 +666,26 @@ mod tests {
         assert_eq!(reply(held).expect("held batch").answers[0].id.0, 4);
         let reply = reply(queued).expect("a queued job is answered, not lost, at shutdown");
         assert_eq!(reply.answers[0].id.0, 3);
+    }
+
+    #[test]
+    fn a_panic_under_the_metrics_lock_leaves_the_scheduler_serving() {
+        let scheduler = BatchScheduler::start(scan_backend(64), &ServerConfig::default());
+        let metrics = Arc::clone(&scheduler.metrics);
+        let holder = std::thread::spawn(move || {
+            let _held = metrics.lock();
+            panic!("metrics holder panics");
+        });
+        assert!(holder.join().is_err());
+        assert!(scheduler.metrics.is_poisoned());
+        assert_eq!(scheduler.metrics().queries, 0);
+        let answered = reply(submit(
+            &scheduler,
+            Vector::new(vec![3.0]),
+            QueryType::knn(2),
+        ))
+        .expect("the batch still executes");
+        assert_eq!(answered.answers.len(), 2);
+        assert_eq!(scheduler.metrics().queries, 1);
     }
 }

@@ -6,9 +6,8 @@ use crate::fault::{page_checksum, DiskError, FaultDecision, FaultPlan, FaultStat
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
 use mq_obs::{Counter, Recorder};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The paper's buffer sizing: 10 % of the data pages (§6).
 pub const PAPER_BUFFER_FRACTION: f64 = 0.10;
@@ -138,6 +137,13 @@ impl<O: StorageObject> SimulatedDisk<O> {
         }
     }
 
+    /// The disk state, locked. Its critical sections only do counter and
+    /// buffer bookkeeping, so a holder that panicked leaves at worst one
+    /// miscounted read behind, and the next caller takes the lock over.
+    fn state(&self) -> MutexGuard<'_, DiskState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attaches an observability [`Recorder`]: buffer hits/misses (labelled
     /// `policy="lru"`, the paper's §6 replacement policy), prefetch traffic,
     /// and injected fault retries are mirrored into the recorder's registry
@@ -146,7 +152,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// `mq_storage_buffer_hit_ratio` and `mq_storage_prefetch_hit_ratio`
     /// are computed from the mirrored counters at scrape time.
     pub fn attach_recorder(&self, recorder: &Recorder) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let Some(registry) = recorder.registry() else {
             st.obs = None;
             return;
@@ -211,7 +217,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// [`FaultStats`] — so a freshly installed plan always replays the same
     /// schedule for the same access sequence.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.fault_plan = plan;
         st.fault_stats = FaultStats::default();
         st.fault_attempts.clear();
@@ -221,17 +227,17 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     /// The active fault schedule, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.state.lock().fault_plan
+        self.state().fault_plan
     }
 
     /// Snapshot of the injected-fault counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.state.lock().fault_stats
+        self.state().fault_stats
     }
 
     /// Whether the simulated device has died (`kill_after` fired).
     pub fn is_killed(&self) -> bool {
-        self.state.lock().killed
+        self.state().killed
     }
 
     /// The precomputed checksum of a page (diagnostic; testkit use).
@@ -241,14 +247,14 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     /// Number of currently resident buffer pages (diagnostic).
     pub fn buffer_len(&self) -> usize {
-        self.state.lock().buffer.len()
+        self.state().buffer.len()
     }
 
     /// Number of distinct currently pinned pages (diagnostic). Zero
     /// whenever no read is in flight — a nonzero value between steps is a
     /// pin leak.
     pub fn pinned_pages(&self) -> usize {
-        self.state.lock().buffer.pinned_len()
+        self.state().buffer.pinned_len()
     }
 
     /// The underlying database.
@@ -288,12 +294,12 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// decide when a demand read will actually touch the platter (and so
     /// when to verify the on-disk frame's checksum).
     pub fn is_resident(&self, id: PageId) -> bool {
-        self.state.lock().buffer.contains(id)
+        self.state().buffer.contains(id)
     }
 
     /// Buffer capacity in pages.
     pub fn buffer_capacity(&self) -> usize {
-        self.state.lock().buffer.capacity()
+        self.state().buffer.capacity()
     }
 
     /// Reads a page, updating buffer state and I/O counters.
@@ -340,7 +346,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     fn try_read_page_impl(&self, id: PageId, pin: bool) -> Result<&Page<O>, DiskError> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state();
             if st.killed {
                 st.fault_stats.unavailable_reads += 1;
                 if let Some(obs) = &st.obs {
@@ -408,7 +414,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// failure the page is simply not staged — a later demand read performs
     /// (and re-rolls) its own physical read.
     pub fn try_prefetch(&self, id: PageId) -> Result<(), DiskError> {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if st.killed {
             st.fault_stats.unavailable_reads += 1;
             if let Some(obs) = &st.obs {
@@ -481,7 +487,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     /// Releases one pin taken by [`read_page_pinned`](Self::read_page_pinned).
     pub fn unpin_page(&self, id: PageId) {
-        self.state.lock().buffer.unpin(id);
+        self.state().buffer.unpin(id);
     }
 
     /// Releases the pins of all staged pages that were never demanded
@@ -489,7 +495,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// Their physical reads remain accounted — the prefetcher did issue
     /// them — but no logical read is ever recorded for them.
     pub fn drop_prefetch_pins(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let staged: Vec<PageId> = st.prefetched.iter().copied().collect();
         st.prefetched.clear();
         for id in staged {
@@ -513,13 +519,13 @@ impl<O: StorageObject> SimulatedDisk<O> {
 
     /// Snapshot of the I/O counters.
     pub fn stats(&self) -> IoStats {
-        self.state.lock().stats
+        self.state().stats
     }
 
     /// Resets the I/O and fault counters (keeps the buffer contents and the
     /// fault plan's attempt/kill state — counters are a view, not a device).
     pub fn reset_stats(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.stats = IoStats::default();
         st.fault_stats = FaultStats::default();
         st.last_physical = None;
@@ -529,7 +535,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// device: fault attempt counters and the kill switch start over (the
     /// installed fault plan, if any, stays).
     pub fn cold_restart(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.buffer.clear();
         st.stats = IoStats::default();
         st.fault_stats = FaultStats::default();
@@ -957,5 +963,24 @@ mod tests {
         assert!(d.try_read_page(PageId(0)).is_err(), "schedule replays");
         d.set_fault_plan(None);
         assert!(d.try_read_page(PageId(0)).is_ok());
+    }
+
+    #[test]
+    fn a_panic_under_the_state_lock_leaves_the_disk_serving() {
+        let d = disk(30, 2);
+        d.read_page(PageId(0));
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = d.state.lock();
+                panic!("disk state holder panics");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(d.state.is_poisoned());
+        assert_eq!(d.stats().logical_reads, 1);
+        d.read_page(PageId(0));
+        let s = d.stats();
+        assert_eq!((s.logical_reads, s.buffer_hits), (2, 1));
     }
 }

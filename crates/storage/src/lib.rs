@@ -43,7 +43,7 @@ pub mod stats;
 pub mod store;
 
 pub use buffer::LruBuffer;
-pub use codec::{ObjectCodec, SymbolsCodec, VectorCodec};
+pub use codec::{ObjectCodec, ReadLe, SymbolsCodec, Truncated, VectorCodec};
 pub use database::{Dataset, DeletedIds, PagedDatabase, StorageObject};
 pub use disk::SimulatedDisk;
 pub use fault::{page_checksum, DiskError, FaultPlan, FaultStats};

@@ -85,6 +85,15 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
+/// A fixed-width field that runs past the end of its buffer. The decoders
+/// check every variable length up front with their own message, so this
+/// only names a header shorter than its declared layout.
+impl From<mq_storage::Truncated> for StoreError {
+    fn from(e: mq_storage::Truncated) -> Self {
+        StoreError::Format(format!("truncated field: {e}"))
+    }
+}
+
 /// A database with deleted ids where a dense one is needed (a simulated
 /// disk rebuilding its layout) is a directory this reader cannot serve.
 impl From<mq_storage::DeletedIds> for StoreError {

@@ -32,21 +32,20 @@
 use crate::error::StoreError;
 use crate::format::{
     decode_frame, decode_wal, encode_frame, encode_wal_record, SegmentMeta, WalRecord,
-    FRAME_PREFIX_LEN, OP_DELETE, OP_INSERT, RECORD_HEADER_LEN, VERSION, WAL_HEADER_LEN, WAL_MAGIC,
+    FRAME_PREFIX_LEN, OP_DELETE, OP_INSERT, VERSION, WAL_HEADER_LEN, WAL_MAGIC,
 };
 use crate::obs::{StoreCounters, StoreObs, StoreStats};
-use bytes::{Buf, BytesMut};
 use mq_metric::ObjectId;
 use mq_obs::Recorder;
 use mq_storage::{
     DiskError, FaultPlan, FaultStats, IoStats, ObjectCodec, Page, PageId, PageLayout, PageStore,
-    PagedDatabase, SimulatedDisk, StorageObject,
+    PagedDatabase, ReadLe, SimulatedDisk, StorageObject,
 };
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Segment file name inside the store directory.
 pub const SEGMENT_FILE: &str = "segment.mqsg";
@@ -209,7 +208,7 @@ where
             let page = db.page(pid);
             capacity = capacity.max(page.len() as u32);
             for (_, object) in page.records() {
-                let mut body = BytesMut::new();
+                let mut body = Vec::new();
                 codec.encode(object, &mut body);
                 max_rec = max_rec.max(body.len() as u32);
             }
@@ -308,7 +307,7 @@ where
     /// `QueryEngine::notify_insert`, which keeps Definition 4's partial
     /// answers valid without restarting the batch.
     pub fn insert(&mut self, object: O) -> Result<ObjectId, StoreError> {
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         self.codec.encode(&object, &mut body);
         if body.len() > self.meta.max_rec as usize {
             return Err(StoreError::Oversized {
@@ -425,37 +424,37 @@ where
     /// expectation. Called on every would-be buffer miss.
     fn verify_frame(&self, id: PageId) -> Result<(), DiskError> {
         let expected = self.inner.checksum(id);
+        let corrupt = |actual| DiskError::CorruptPage {
+            page: id,
+            attempt: 0,
+            expected,
+            actual,
+        };
         let mut frame = vec![0u8; self.meta.frame_bytes as usize];
         if self
             .segment
             .read_exact_at(&mut frame, self.meta.frame_offset(id))
             .is_err()
         {
-            return Err(DiskError::CorruptPage {
-                page: id,
-                attempt: 0,
-                expected,
-                actual: 0,
-            });
+            return Err(corrupt(0));
         }
-        let mut buf = &frame[..];
-        let rec_count = buf.get_u32_le() as usize;
-        let stored = buf.get_u64_le();
+        let mut buf = frame.as_slice();
+        let (Ok(rec_count), Ok(stored)) = (buf.read_u32(), buf.read_u64()) else {
+            return Err(corrupt(0));
+        };
+        let rec_count = rec_count as usize;
         let mut ids = Vec::with_capacity(rec_count.min(self.meta.capacity as usize));
         let mut intact = rec_count <= self.meta.capacity as usize;
         if intact {
             for _ in 0..rec_count {
-                if buf.remaining() < RECORD_HEADER_LEN {
+                let (Ok(oid), Ok(len)) = (buf.read_u32(), buf.read_u32()) else {
+                    intact = false;
+                    break;
+                };
+                if buf.read_bytes(len as usize).is_err() {
                     intact = false;
                     break;
                 }
-                let oid = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    intact = false;
-                    break;
-                }
-                buf.advance(len);
                 ids.push(oid);
             }
         }
@@ -465,19 +464,21 @@ where
             !stored // parse failure: force a mismatch
         };
         if !intact || actual != stored || actual != expected {
-            return Err(DiskError::CorruptPage {
-                page: id,
-                attempt: 0,
-                expected,
-                actual,
-            });
+            return Err(corrupt(actual));
         }
         Ok(())
     }
 
+    /// The attached observability handles, locked. Critical sections only
+    /// swap the handles or mirror counters into them, so a holder that
+    /// panicked leaves a usable value and the next caller takes it over.
+    fn obs(&self) -> MutexGuard<'_, Option<StoreObs>> {
+        self.obs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Mirrors the atomic counters into the attached registry, if any.
     fn sync_obs(&self) {
-        if let Some(obs) = self.obs.lock().as_ref() {
+        if let Some(obs) = self.obs().as_ref() {
             obs.sync(&self.counters);
         }
     }
@@ -743,7 +744,7 @@ where
 
     fn attach_recorder(&self, recorder: &Recorder) {
         self.inner.attach_recorder(recorder);
-        let mut obs = self.obs.lock();
+        let mut obs = self.obs();
         match recorder.registry() {
             Some(registry) => {
                 let store_obs = StoreObs::register(registry);

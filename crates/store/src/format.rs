@@ -41,9 +41,8 @@
 //! contract.
 
 use crate::error::StoreError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mq_metric::ObjectId;
-use mq_storage::{page_checksum, ObjectCodec, PageId, StorageObject};
+use mq_storage::{page_checksum, ObjectCodec, PageId, ReadLe, StorageObject};
 
 /// Segment magic.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"MQSG";
@@ -98,16 +97,16 @@ impl SegmentMeta {
     /// Serializes the 36-byte segment header.
     pub fn encode_header(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-        buf.put_slice(SEGMENT_MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u16_le(0); // header_crc, filled in below
-        buf.put_u32_le(self.block_bytes);
-        buf.put_u32_le(self.record_header_bytes);
-        buf.put_u32_le(self.frame_bytes);
-        buf.put_u32_le(self.page_count);
-        buf.put_u32_le(self.id_space);
-        buf.put_u32_le(self.max_rec);
-        buf.put_u32_le(self.capacity);
+        buf.extend_from_slice(SEGMENT_MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes()); // header_crc, filled in below
+        buf.extend_from_slice(&self.block_bytes.to_le_bytes());
+        buf.extend_from_slice(&self.record_header_bytes.to_le_bytes());
+        buf.extend_from_slice(&self.frame_bytes.to_le_bytes());
+        buf.extend_from_slice(&self.page_count.to_le_bytes());
+        buf.extend_from_slice(&self.id_space.to_le_bytes());
+        buf.extend_from_slice(&self.max_rec.to_le_bytes());
+        buf.extend_from_slice(&self.capacity.to_le_bytes());
         debug_assert_eq!(buf.len() as u64, SEGMENT_HEADER_LEN);
         let crc = header_crc(&buf);
         buf[HEADER_CRC_AT].copy_from_slice(&crc.to_le_bytes());
@@ -120,19 +119,17 @@ impl SegmentMeta {
             return Err(StoreError::Format("segment header truncated".into()));
         }
         let header = &bytes[..SEGMENT_HEADER_LEN as usize];
-        let mut buf = Bytes::copy_from_slice(header);
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != SEGMENT_MAGIC {
+        let mut buf = header;
+        if &buf.read_chunk()? != SEGMENT_MAGIC {
             return Err(StoreError::Format("not an mq-store segment file".into()));
         }
-        let version = buf.get_u16_le();
+        let version = buf.read_u16()?;
         if version != VERSION {
             return Err(StoreError::Format(format!(
                 "unsupported segment version {version}"
             )));
         }
-        let stored_crc = buf.get_u16_le();
+        let stored_crc = buf.read_u16()?;
         let computed_crc = header_crc(header);
         if stored_crc != computed_crc {
             return Err(StoreError::Format(format!(
@@ -141,13 +138,13 @@ impl SegmentMeta {
             )));
         }
         let meta = SegmentMeta {
-            block_bytes: buf.get_u32_le(),
-            record_header_bytes: buf.get_u32_le(),
-            frame_bytes: buf.get_u32_le(),
-            page_count: buf.get_u32_le(),
-            id_space: buf.get_u32_le(),
-            max_rec: buf.get_u32_le(),
-            capacity: buf.get_u32_le(),
+            block_bytes: buf.read_u32()?,
+            record_header_bytes: buf.read_u32()?,
+            frame_bytes: buf.read_u32()?,
+            page_count: buf.read_u32()?,
+            id_space: buf.read_u32()?,
+            max_rec: buf.read_u32()?,
+            capacity: buf.read_u32()?,
         };
         if meta.block_bytes == 0 {
             return Err(StoreError::Format("zero block size".into()));
@@ -178,13 +175,11 @@ pub fn encode_frame<O: StorageObject, C: ObjectCodec<O>>(
         meta.capacity
     );
     let mut buf = Vec::with_capacity(meta.frame_bytes as usize);
-    buf.put_u32_le(records.len() as u32);
-    buf.put_u64_le(page_checksum(
-        page,
-        records.iter().map(|r| r.0.index() as u32),
-    ));
+    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    let checksum = page_checksum(page, records.iter().map(|r| r.0.index() as u32));
+    buf.extend_from_slice(&checksum.to_le_bytes());
     for (oid, object) in records {
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         codec.encode(object, &mut payload);
         if payload.len() > meta.max_rec as usize {
             return Err(StoreError::Oversized {
@@ -192,9 +187,9 @@ pub fn encode_frame<O: StorageObject, C: ObjectCodec<O>>(
                 max: meta.max_rec as usize,
             });
         }
-        buf.put_u32_le(oid.index() as u32);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(payload.as_slice());
+        buf.extend_from_slice(&(oid.index() as u32).to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(payload.as_slice());
     }
     buf.resize(meta.frame_bytes as usize, 0);
     Ok(buf)
@@ -209,55 +204,40 @@ pub fn decode_frame<O: StorageObject, C: ObjectCodec<O>>(
     frame: &[u8],
     codec: &C,
 ) -> Result<Vec<(ObjectId, O)>, StoreError> {
-    if frame.len() < FRAME_PREFIX_LEN {
-        return Err(StoreError::Corrupt {
-            page: page.0,
-            detail: "frame truncated".into(),
-        });
-    }
-    let mut buf = Bytes::copy_from_slice(frame);
-    let rec_count = buf.get_u32_le();
-    let stored = buf.get_u64_le();
+    let corrupt = |detail: String| StoreError::Corrupt {
+        page: page.0,
+        detail,
+    };
+    let mut buf = frame;
+    let (Ok(rec_count), Ok(stored)) = (buf.read_u32(), buf.read_u64()) else {
+        return Err(corrupt("frame truncated".into()));
+    };
     if rec_count > meta.capacity {
-        return Err(StoreError::Corrupt {
-            page: page.0,
-            detail: format!(
-                "record count {rec_count} exceeds capacity {}",
-                meta.capacity
-            ),
-        });
+        return Err(corrupt(format!(
+            "record count {rec_count} exceeds capacity {}",
+            meta.capacity
+        )));
     }
     let mut records = Vec::with_capacity(rec_count as usize);
     for _ in 0..rec_count {
-        if buf.remaining() < RECORD_HEADER_LEN {
-            return Err(StoreError::Corrupt {
-                page: page.0,
-                detail: "record header truncated".into(),
-            });
-        }
-        let oid = ObjectId(buf.get_u32_le());
-        let len = buf.get_u32_le() as usize;
-        if len > meta.max_rec as usize || buf.remaining() < len {
-            return Err(StoreError::Corrupt {
-                page: page.0,
-                detail: format!("record payload of {len} B overruns frame"),
-            });
-        }
-        let mut payload = buf.split_to(len);
+        let (Ok(oid), Ok(len)) = (buf.read_u32(), buf.read_u32()) else {
+            return Err(corrupt("record header truncated".into()));
+        };
+        let len = len as usize;
+        let mut payload = match buf.read_bytes(len) {
+            Ok(payload) if len <= meta.max_rec as usize => payload,
+            _ => return Err(corrupt(format!("record payload of {len} B overruns frame"))),
+        };
         let object = codec
             .decode(&mut payload)
-            .map_err(|e| StoreError::Corrupt {
-                page: page.0,
-                detail: format!("record decode failed: {e}"),
-            })?;
-        records.push((oid, object));
+            .map_err(|e| corrupt(format!("record decode failed: {e}")))?;
+        records.push((ObjectId(oid), object));
     }
     let computed = page_checksum(page, records.iter().map(|r| r.0.index() as u32));
     if computed != stored {
-        return Err(StoreError::Corrupt {
-            page: page.0,
-            detail: format!("checksum mismatch: stored {stored:#x}, computed {computed:#x}"),
-        });
+        return Err(corrupt(format!(
+            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+        )));
     }
     Ok(records)
 }
@@ -330,23 +310,23 @@ pub fn encode_wal_record<O: StorageObject, C: ObjectCodec<O>>(
     codec: &C,
 ) -> Vec<u8> {
     let mut payload = Vec::new();
-    payload.put_u8(record.op);
-    payload.put_u32_le(record.oid.index() as u32);
-    payload.put_u32_le(record.page.0);
-    payload.put_u32_le(record.page_count_after);
-    payload.put_u32_le(record.id_space_after);
-    payload.put_u32_le(record.records.len() as u32);
+    payload.push(record.op);
+    payload.extend_from_slice(&(record.oid.index() as u32).to_le_bytes());
+    payload.extend_from_slice(&record.page.0.to_le_bytes());
+    payload.extend_from_slice(&record.page_count_after.to_le_bytes());
+    payload.extend_from_slice(&record.id_space_after.to_le_bytes());
+    payload.extend_from_slice(&(record.records.len() as u32).to_le_bytes());
     for (oid, object) in &record.records {
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         codec.encode(object, &mut body);
-        payload.put_u32_le(oid.index() as u32);
-        payload.put_u32_le(body.len() as u32);
-        payload.put_slice(body.as_slice());
+        payload.extend_from_slice(&(oid.index() as u32).to_le_bytes());
+        payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        payload.extend_from_slice(body.as_slice());
     }
     let mut out = Vec::with_capacity(12 + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.put_u64_le(fnv1a64(&payload));
-    out.put_slice(&payload);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
     out
 }
 
@@ -368,24 +348,24 @@ pub fn decode_wal<O: StorageObject, C: ObjectCodec<O>>(
     codec: &C,
 ) -> Result<WalReplay<O>, StoreError> {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    while body.len() - offset >= 12 {
-        let mut prefix = &body[offset..offset + 12];
-        let len = prefix.get_u32_le() as usize;
-        let crc = prefix.get_u64_le();
-        if body.len() - offset - 12 < len {
+    let mut rest = body;
+    loop {
+        let mut record = rest;
+        let (Ok(len), Ok(crc)) = (record.read_u32(), record.read_u64()) else {
+            break; // torn: the length prefix itself is short
+        };
+        let Ok(payload) = record.read_bytes(len as usize) else {
             break; // torn: length prefix outruns the file
-        }
-        let payload = &body[offset + 12..offset + 12 + len];
+        };
         if fnv1a64(payload) != crc {
             break; // torn: the append itself was interrupted
         }
         records.push(decode_wal_payload(payload, codec)?);
-        offset += 12 + len;
+        rest = record;
     }
     Ok(WalReplay {
         records,
-        torn_tail_bytes: body.len() - offset,
+        torn_tail_bytes: rest.len(),
     })
 }
 
@@ -393,36 +373,31 @@ fn decode_wal_payload<O: StorageObject, C: ObjectCodec<O>>(
     payload: &[u8],
     codec: &C,
 ) -> Result<WalRecord<O>, StoreError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    if buf.remaining() < 21 {
+    let mut buf = payload;
+    if buf.len() < 21 {
         return Err(StoreError::Format("WAL record payload truncated".into()));
     }
-    let op = buf.get_u8();
+    let op = buf.read_u8()?;
     if op != OP_INSERT && op != OP_DELETE {
         return Err(StoreError::Format(format!("unknown WAL opcode {op}")));
     }
-    let oid = ObjectId(buf.get_u32_le());
-    let page = PageId(buf.get_u32_le());
-    let page_count_after = buf.get_u32_le();
-    let id_space_after = buf.get_u32_le();
-    let rec_count = buf.get_u32_le() as usize;
+    let oid = ObjectId(buf.read_u32()?);
+    let page = PageId(buf.read_u32()?);
+    let page_count_after = buf.read_u32()?;
+    let id_space_after = buf.read_u32()?;
+    let rec_count = buf.read_u32()? as usize;
     let mut records = Vec::with_capacity(rec_count.min(1024));
     for _ in 0..rec_count {
-        if buf.remaining() < RECORD_HEADER_LEN {
+        let (Ok(roid), Ok(len)) = (buf.read_u32(), buf.read_u32()) else {
             return Err(StoreError::Format("WAL post-image truncated".into()));
-        }
-        let roid = ObjectId(buf.get_u32_le());
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return Err(StoreError::Format(
-                "WAL post-image payload truncated".into(),
-            ));
-        }
-        let mut body = buf.split_to(len);
+        };
+        let mut body = buf
+            .read_bytes(len as usize)
+            .map_err(|_| StoreError::Format("WAL post-image payload truncated".into()))?;
         let object = codec
             .decode(&mut body)
             .map_err(|e| StoreError::Format(format!("WAL record decode failed: {e}")))?;
-        records.push((roid, object));
+        records.push((ObjectId(roid), object));
     }
     Ok(WalRecord {
         op,

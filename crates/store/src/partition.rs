@@ -27,8 +27,8 @@
 
 use crate::error::StoreError;
 use crate::format::{fnv1a64, VERSION};
-use bytes::{Buf, BufMut};
 use mq_metric::ObjectId;
+use mq_storage::ReadLe;
 use std::io::Write;
 use std::path::Path;
 
@@ -54,17 +54,17 @@ impl PartitionManifest {
     /// Serializes the manifest, trailing checksum included.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(20 + self.global_ids.len() * 4 + 8);
-        buf.put_slice(PARTITION_MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u16_le(0);
-        buf.put_u32_le(self.parts);
-        buf.put_u32_le(self.partition);
-        buf.put_u32_le(self.global_ids.len() as u32);
+        buf.extend_from_slice(PARTITION_MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&self.parts.to_le_bytes());
+        buf.extend_from_slice(&self.partition.to_le_bytes());
+        buf.extend_from_slice(&(self.global_ids.len() as u32).to_le_bytes());
         for gid in &self.global_ids {
-            buf.put_u32_le(gid.index() as u32);
+            buf.extend_from_slice(&(gid.index() as u32).to_le_bytes());
         }
         let crc = fnv1a64(&buf);
-        buf.put_u64_le(crc);
+        buf.extend_from_slice(&crc.to_le_bytes());
         buf
     }
 
@@ -74,41 +74,40 @@ impl PartitionManifest {
         if bytes.len() < 28 {
             return Err(StoreError::Format("partition manifest truncated".into()));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-        if fnv1a64(body) != stored {
+        let (body, mut tail) = bytes.split_at(bytes.len() - 8);
+        if fnv1a64(body) != tail.read_u64()? {
             return Err(StoreError::Format(
                 "partition manifest checksum mismatch".into(),
             ));
         }
         let mut buf = body;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != PARTITION_MAGIC {
+        if &buf.read_chunk()? != PARTITION_MAGIC {
             return Err(StoreError::Format("not a partition manifest".into()));
         }
-        let version = buf.get_u16_le();
+        let version = buf.read_u16()?;
         if version != VERSION {
             return Err(StoreError::Format(format!(
                 "unsupported partition manifest version {version}"
             )));
         }
-        let _pad = buf.get_u16_le();
-        let parts = buf.get_u32_le();
-        let partition = buf.get_u32_le();
-        let count = buf.get_u32_le() as usize;
+        let _pad = buf.read_u16()?;
+        let parts = buf.read_u32()?;
+        let partition = buf.read_u32()?;
+        let count = buf.read_u32()? as usize;
         if partition >= parts {
             return Err(StoreError::Format(format!(
                 "partition {partition} outside its own partition count {parts}"
             )));
         }
-        if buf.remaining() != count * 4 {
+        if buf.len() != count * 4 {
             return Err(StoreError::Format(format!(
                 "partition manifest declares {count} ids but carries {} bytes of them",
-                buf.remaining()
+                buf.len()
             )));
         }
-        let global_ids = (0..count).map(|_| ObjectId(buf.get_u32_le())).collect();
+        let global_ids = std::iter::from_fn(|| buf.read_u32().ok())
+            .map(ObjectId)
+            .collect();
         Ok(Self {
             parts,
             partition,
