@@ -41,10 +41,16 @@ pub struct AvoidanceStats {
     /// Distance calculations actually performed on database objects
     /// (`not_avoided`).
     pub computed: u64,
+    /// Distances taken from `QObjDists` instead of computed: a record that
+    /// is itself an admitted query (admitted by id) already has its distance
+    /// to every other query in the matrix. `avoided + computed + reused`
+    /// is the number of candidate (query, record) pairs.
+    pub reused: u64,
 }
 
 impl AvoidanceStats {
-    /// Fraction of candidate distance calculations avoided.
+    /// Fraction of the candidate distance calculations not taken from
+    /// `QObjDists` that were avoided.
     pub fn avoidance_ratio(&self) -> f64 {
         let total = self.avoided + self.computed;
         if total == 0 {
@@ -63,6 +69,7 @@ impl std::ops::Add for AvoidanceStats {
             tries: self.tries + rhs.tries,
             avoided: self.avoided + rhs.avoided,
             computed: self.computed + rhs.computed,
+            reused: self.reused + rhs.reused,
         }
     }
 }
@@ -272,16 +279,19 @@ mod tests {
             tries: 10,
             avoided: 4,
             computed: 6,
+            reused: 3,
         };
         let b = AvoidanceStats {
             tries: 2,
             avoided: 1,
             computed: 1,
+            reused: 1,
         };
         let s = a + b;
         assert_eq!(s.tries, 12);
         assert_eq!(s.avoided, 5);
         assert_eq!(s.computed, 7);
+        assert_eq!(s.reused, 4);
         assert!((a.avoidance_ratio() - 0.4).abs() < 1e-12);
         assert_eq!(AvoidanceStats::default().avoidance_ratio(), 0.0);
         let mut acc = a;

@@ -218,7 +218,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     ) -> MultiQuerySession<O> {
         let mut session = MultiQuerySession::with_page_count(self.disk.database().page_count());
         for (object, qtype) in queries {
-            let qi = multiple::admit(&mut session, &self.metric, object, qtype);
+            let qi = multiple::admit(&mut session, &self.metric, object, None, qtype);
             self.apply_prescreen(&mut session, qi);
         }
         session
@@ -234,7 +234,28 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         object: O,
         qtype: QueryType,
     ) -> usize {
-        let qi = multiple::admit(session, &self.metric, object, qtype);
+        let qi = multiple::admit(session, &self.metric, object, None, qtype);
+        self.apply_prescreen(session, qi);
+        qi
+    }
+
+    /// [`push_query`](Self::push_query) for an object stored in the
+    /// database, admitted by its id: the engine fetches the object itself,
+    /// and every page that holds its record takes that record's distance to
+    /// each active query from `QObjDists` instead of computing it. Answers
+    /// are bit-identical to admitting the object by value. Returns the new
+    /// query's index.
+    ///
+    /// # Panics
+    /// Panics if `id` is deleted or out of range.
+    pub fn push_stored_query(
+        &self,
+        session: &mut MultiQuerySession<O>,
+        id: ObjectId,
+        qtype: QueryType,
+    ) -> usize {
+        let object = self.disk.database().object(id).clone();
+        let qi = multiple::admit(session, &self.metric, object, Some(id), qtype);
         self.apply_prescreen(session, qi);
         qi
     }
@@ -626,6 +647,28 @@ mod tests {
         let got: Vec<ObjectId> = session.answers(1).ids().collect();
         let want: Vec<ObjectId> = expected.ids().collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn stored_queries_answer_like_objects_even_when_repeated() {
+        let ds = Dataset::new(random_points(300, 4, 151));
+        let db = PagedDatabase::pack(&ds, layout());
+        let scan = LinearScan::new(db.page_count());
+        let disk = SimulatedDisk::with_buffer_pages(db, 4);
+        let engine = QueryEngine::new(&disk, &scan, Euclidean);
+        // Id 7 twice, and a radius every record is inside: each query
+        // answers with record 7 once, not once per admission.
+        let ids = [7, 8, 7, 120].map(ObjectId);
+        let qtype = QueryType::range(1000.0);
+        let mut by_id = engine.new_session(Vec::new());
+        for id in ids {
+            engine.push_stored_query(&mut by_id, id, qtype);
+        }
+        engine.run_to_completion(&mut by_id);
+        assert!(by_id.avoidance_stats().reused > 0);
+        let by_value =
+            engine.multiple_similarity_query(ids.map(|id| (ds.object(id).clone(), qtype)).to_vec());
+        assert_eq!(by_id.into_answers(), by_value);
     }
 
     #[test]

@@ -30,6 +30,19 @@
 //! `dist(Qi, Qp) + QueryDist(Qi)` once and sweeps the records still alive,
 //! dropping those either lemma excludes, without a data-dependent branch.
 //!
+//! # Records that are queries
+//!
+//! A query admitted by database id
+//! ([`QueryEngine::push_stored_query`](crate::QueryEngine::push_stored_query))
+//! is also a record on some page. At each page read, `step` looks up which
+//! admitted ids live on the page (`PagedDatabase::try_locate`, so online
+//! inserts, deletes and checkpoints cannot make it stale). Those records
+//! skip the sweep and the kernel for every active query: their distance to
+//! query `i` is `qq.get(i, j)`, counted as [`AvoidanceStats::reused`]. It
+//! has the kernel's bits because [`Metric`] requires bitwise symmetry. A
+//! query's own record is the exception: the matrix has no diagonal, so it
+//! is evaluated like any record.
+//!
 //! # Cost-aware avoidance: which pivots pay
 //!
 //! §5.2 trades a distance calculation for comparisons because §6.2 priced a
@@ -84,8 +97,9 @@
 //!   sequence and I/O counts are unchanged. (This also hoists the repeated
 //!   `query_dist` match out of the inner loop.)
 //! * **Merges are ordered.** A page's candidate answers are inserted per
-//!   active query in record order, after the whole page has been
-//!   evaluated, so the insert sequence is a function of the page alone.
+//!   active query, after the whole page has been evaluated: the evaluated
+//!   records in record order, then the reused ones in slot order. So the
+//!   insert sequence is a function of the page alone.
 //!
 //! # Pipelined prefetch
 //!
@@ -277,13 +291,18 @@ impl CandidateRestriction {
 /// Sessions are created by
 /// [`QueryEngine::new_session`](crate::QueryEngine::new_session); new query
 /// objects can be admitted at any time with
-/// [`QueryEngine::push_query`](crate::QueryEngine::push_query) (the dynamic
-/// behaviour of `ExploreNeighborhoodsMultiple`, §5.1).
+/// [`QueryEngine::push_query`](crate::QueryEngine::push_query), or by
+/// database id with
+/// [`QueryEngine::push_stored_query`](crate::QueryEngine::push_stored_query)
+/// (the dynamic behaviour of `ExploreNeighborhoodsMultiple`, §5.1).
 pub struct MultiQuerySession<O> {
     /// Query objects, indexed like `states`. Kept apart from the mutable
     /// per-query state so that page evaluation can borrow the objects (and
     /// `qq`) immutably while the merge mutates answer lists.
     pub(crate) objects: Vec<O>,
+    /// The database id of each query object admitted by id, indexed like
+    /// `objects` (`None` for an object admitted by value).
+    pub(crate) ids: Vec<Option<ObjectId>>,
     /// [`Metric::distance_price`] of each query object, indexed like
     /// `objects`.
     pub(crate) prices: Vec<f64>,
@@ -304,6 +323,7 @@ impl<O> MultiQuerySession<O> {
     pub(crate) fn with_page_count(page_count: usize) -> Self {
         Self {
             objects: Vec::new(),
+            ids: Vec::new(),
             prices: Vec::new(),
             states: Vec::new(),
             qq: QueryDistanceMatrix::new(),
@@ -503,11 +523,12 @@ pub(crate) fn notify_delete<O: StorageObject>(
 /// Admits one more query into the session: allocates its state, prices its
 /// distances, and extends the `QObjDists` matrix (costing `current_m`
 /// distance calculations — §5.2's initialization overhead, charged through
-/// `metric`).
+/// `metric`). `id` is the object's database id when it was admitted by id.
 pub(crate) fn admit<O: StorageObject, M: Metric<O>>(
     session: &mut MultiQuerySession<O>,
     metric: &M,
     object: O,
+    id: Option<ObjectId>,
     qtype: QueryType,
 ) -> usize {
     session.qq.admit(metric, session.objects.iter(), &object);
@@ -516,6 +537,7 @@ pub(crate) fn admit<O: StorageObject, M: Metric<O>>(
         .prices
         .push(metric.distance_price(object.payload_bytes()));
     session.objects.push(object);
+    session.ids.push(id);
     session.states.push(QueryState {
         qtype,
         answers,
@@ -682,6 +704,15 @@ fn eligible_records(
 /// entirely and uses the early-exit bounded kernel, since no later query
 /// will consult its distances.
 ///
+/// `residents` are the `(slot, query)` pairs of admitted queries whose
+/// records lie on the page and pass the `filter`, sorted (so two queries
+/// admitted with the same id share one record, reused once). No query
+/// sweeps or computes such a record: its distance to every active query but
+/// its own is `qq`'s, taken as the kernel would have returned it (metrics
+/// are bitwise symmetric) and counted as `reused`. Its own query evaluates
+/// it like any other record, because `qq` has no diagonal (a signed score
+/// such as `DotProduct` is not `0` at distance zero).
+///
 /// With a candidate `filter` (the approximate tier), non-candidate records
 /// are dropped before any avoidance or distance work — for *every* active
 /// query. A `filter` that contains every record is a no-op: the survivor
@@ -690,6 +721,7 @@ fn eligible_records(
 #[allow(clippy::too_many_arguments)]
 fn evaluate_page<O, M>(
     records: &[(ObjectId, O)],
+    residents: &[(u32, usize)],
     queries: &[O],
     prices: &[f64],
     qq: &QueryDistanceMatrix,
@@ -711,16 +743,21 @@ where
     let mut approx = ApproxStats::default();
     ranks.reset(m - 1);
     let mut candidates: Vec<Vec<Answer>> = std::iter::repeat_with(Vec::new).take(m).collect();
-    let eligible = eligible_records(records.iter().map(|r| r.0), filter);
+    let mut eligible = eligible_records(records.iter().map(|r| r.0), filter);
     // Each skipped record counts once per page evaluation, not once per
     // active query.
     approx.objects_skipped = (n - eligible.len()) as u64;
+    eligible.retain(|oi| {
+        residents
+            .binary_search_by_key(oi, |&(slot, _)| slot)
+            .is_err()
+    });
     // dists[qi * n + oi] = computed distance of records[oi] to query
     // active[qi]; NaN = avoided / not computed. This is the paper's
     // per-object `AvoidingDists` for the whole page, one contiguous column
     // per pivot. The last active query is nobody's pivot and has no column.
     let mut dists = vec![f64::NAN; n * (m - 1)];
-    let mut survivors: Vec<u32> = Vec::with_capacity(eligible.len());
+    let mut survivors: Vec<u32> = Vec::with_capacity(eligible.len() + 1);
     let mut batch: Vec<&O> = Vec::new();
     let mut out: Vec<f64> = Vec::new();
 
@@ -728,6 +765,13 @@ where
         let query = &queries[i];
         survivors.clear();
         survivors.extend_from_slice(&eligible);
+        let own = residents
+            .iter()
+            .find(|&&(_, j)| j == i)
+            .map(|&(slot, _)| slot);
+        if let Some(slot) = own {
+            survivors.insert(survivors.partition_point(|&oi| oi < slot), slot);
+        }
         if avoidance {
             // A record that leaves the list has dist(Qi, O) > QueryDist(Qi)
             // proven — it cannot answer Qi now or later (the query distance
@@ -777,6 +821,19 @@ where
                         distance,
                     });
                 }
+            }
+        }
+        for (k, &(slot, j)) in residents.iter().enumerate() {
+            if Some(slot) == own || (k > 0 && residents[k - 1].0 == slot) {
+                continue;
+            }
+            stats.reused += 1;
+            let distance = qq.get(i, j);
+            if distance <= bound {
+                candidates[qi].push(Answer {
+                    id: records[slot as usize].0,
+                    distance,
+                });
             }
         }
     }
@@ -892,6 +949,7 @@ where
     // mutates `states` / `avoidance_stats` / `ledger` / `approx_stats`.
     let MultiQuerySession {
         objects,
+        ids,
         prices,
         states,
         qq,
@@ -915,6 +973,13 @@ where
     // why the snapshot changes nothing).
     let mut active: Vec<usize> = Vec::new();
     let mut qd_snapshot: Vec<f64> = Vec::new();
+    // The pending trailing queries of a page, their query distances and
+    // objects, and their lower bounds to the page.
+    let mut trailing: Vec<(usize, f64)> = Vec::new();
+    let mut trailing_objects: Vec<&O> = Vec::new();
+    let mut trailing_lbs: Vec<f64> = Vec::new();
+    // The page's `(slot, query)` pairs of admitted queries stored on it.
+    let mut residents: Vec<(u32, usize)> = Vec::new();
     // The page's per-rank tally, added to the session's ledger at the merge.
     let mut page_ranks = RankLedger::default();
 
@@ -971,20 +1036,40 @@ where
         // Which pending queries is this page relevant for? (§5.1: "we
         // also collect answers for the Qi if the pages loaded for Q1
         // are also relevant for Qi".)
+        trailing.clear();
+        trailing.extend(
+            states
+                .iter()
+                .enumerate()
+                .filter(|&(i, st)| i != head && !st.completed && !st.processed.contains(page_id))
+                .map(|(i, st)| (i, st.answers.query_dist(&st.qtype))),
+        );
+        trailing_objects.clear();
+        trailing_objects.extend(trailing.iter().map(|&(i, _)| &objects[i]));
+        trailing_lbs.clear();
+        trailing_lbs.resize(trailing.len(), 0.0);
+        index.page_mindists(&trailing_objects, page_id, &mut trailing_lbs);
         active.clear();
         qd_snapshot.clear();
         active.push(head);
         qd_snapshot.push(head_dist);
-        for (i, st) in states.iter().enumerate() {
-            if i == head || st.completed || st.processed.contains(page_id) {
-                continue;
-            }
-            let qd = st.answers.query_dist(&st.qtype);
-            if index.page_mindist(&objects[i], page_id) <= plan_bound(qd) {
+        for (&(i, qd), &lb) in trailing.iter().zip(&trailing_lbs) {
+            if lb <= plan_bound(qd) {
                 active.push(i);
                 qd_snapshot.push(qd);
             }
         }
+        // Which admitted queries are stored on this page? Looked up at every
+        // read, so no online insert, delete or checkpoint can make it stale;
+        // a record outside the candidate restriction is skipped like any.
+        let db = disk.database();
+        residents.clear();
+        residents.extend(ids.iter().enumerate().filter_map(|(j, &id)| {
+            let id = id.filter(|&id| filter.is_none_or(|f| f.contains_object(id)))?;
+            let (page, slot) = db.try_locate(id)?;
+            (page == page_id).then_some((slot, j))
+        }));
+        residents.sort_unstable();
 
         let fetch_span = obs.map(|o| o.fetch_seconds.start_timer());
         let records =
@@ -999,6 +1084,7 @@ where
         let eval_span = obs.map(|o| o.eval_seconds.start_timer());
         let outcome = evaluate_page(
             records,
+            &residents,
             objects,
             prices,
             qq,
@@ -1029,6 +1115,7 @@ where
         o.dist_avoided.add(after.avoided - avoidance_before.avoided);
         o.dist_performed
             .add(after.computed - avoidance_before.computed);
+        o.dist_reused.add(after.reused - avoidance_before.reused);
         let approx_after = session.approx_stats;
         o.approx
             .pages_skipped

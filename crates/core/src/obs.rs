@@ -2,9 +2,10 @@
 //!
 //! [`EngineObs`] is a bundle of pre-registered instruments mirroring what
 //! [`ExecutionStats`](crate::ExecutionStats) reports at the end of a run —
-//! steps, performed vs. avoided distance calculations (`C_cpu`), per-query
-//! completion latency — plus stage-level span histograms for the four
-//! phases of a [`multiple_query_step`](crate::QueryEngine::multiple_query_step):
+//! steps, performed vs. avoided vs. reused distance calculations
+//! (`C_cpu`), per-query completion latency — plus stage-level span
+//! histograms for the four phases of a
+//! [`multiple_query_step`](crate::QueryEngine::multiple_query_step):
 //! leader *step* wall-clock, *page_fetch*, *kernel_eval*, and *merge*.
 //!
 //! The bundle is built once per engine from a [`Recorder`]
@@ -28,6 +29,9 @@ pub struct EngineObs {
     pub(crate) dist_performed: Arc<Counter>,
     /// `mq_core_distance_calculations_total{outcome="avoided"}`.
     pub(crate) dist_avoided: Arc<Counter>,
+    /// `mq_core_distance_calculations_total{outcome="reused"}` — distances
+    /// taken from `QObjDists` because the record is an admitted query.
+    pub(crate) dist_reused: Arc<Counter>,
     /// `mq_core_avoidance_tries_total` — §5.2 lemma applications.
     pub(crate) avoid_tries: Arc<Counter>,
     /// `mq_core_query_completion_seconds` — wall-clock of the completing
@@ -85,8 +89,9 @@ impl EngineObs {
         let dist = |outcome: &str| {
             registry.counter(
                 "mq_core_distance_calculations_total",
-                "Distance calculations by outcome: performed, or proven \
-                 unnecessary by triangle-inequality avoidance (§5.2)",
+                "Distance calculations by outcome: performed, proven \
+                 unnecessary by triangle-inequality avoidance (§5.2), or \
+                 reused from the inter-query distance matrix",
                 &[("outcome", outcome)],
             )
         };
@@ -119,6 +124,7 @@ impl EngineObs {
             ),
             dist_performed: dist("performed"),
             dist_avoided: dist("avoided"),
+            dist_reused: dist("reused"),
             avoid_tries: registry.counter(
                 "mq_core_avoidance_tries_total",
                 "Triangle-inequality avoidance attempts (§5.2 lemma applications)",

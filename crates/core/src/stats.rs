@@ -222,6 +222,7 @@ impl StatsProbe {
                 tries: avoidance_now.tries - self.avoid0.tries,
                 avoided: avoidance_now.avoided - self.avoid0.avoided,
                 computed: avoidance_now.computed - self.avoid0.computed,
+                reused: avoidance_now.reused - self.avoid0.reused,
             },
             elapsed: self.started.elapsed(),
         }
@@ -249,6 +250,7 @@ mod tests {
                 tries: 500_000,
                 avoided: 400_000,
                 computed: 600_000,
+                ..Default::default()
             },
             elapsed: Duration::from_millis(5),
         };
@@ -271,6 +273,7 @@ mod tests {
                 tries: 200,
                 avoided: 100,
                 computed: 900,
+                ..Default::default()
             },
             elapsed: Duration::from_secs(2),
         };
@@ -302,6 +305,7 @@ mod tests {
                 tries: 500,
                 avoided: 400,
                 computed: 600,
+                ..Default::default()
             },
             elapsed: Duration::from_micros(789),
         };
@@ -353,6 +357,7 @@ mod tests {
                 tries: 500,
                 avoided: 400,
                 computed: 600,
+                ..Default::default()
             },
             elapsed: Duration::from_micros(789),
         };

@@ -153,18 +153,14 @@ impl Mbr {
     /// MINDIST: the minimum Euclidean distance from point `q` to any point
     /// of the MBR (zero if `q` is inside). The exact lower bound used by
     /// the Hjaltason–Samet best-first traversal.
+    ///
+    /// The squared gaps are summed in dimension order; the X-tree's batched
+    /// lower bounds sum in the same order and return the same bits.
     pub fn mindist(&self, q: &Vector) -> f64 {
         debug_assert_eq!(q.dim(), self.dim());
         let mut acc = 0.0f64;
-        for (i, &c) in q.components().iter().enumerate() {
-            let c = c as f64;
-            let d = if c < self.lo[i] {
-                self.lo[i] - c
-            } else if c > self.hi[i] {
-                c - self.hi[i]
-            } else {
-                0.0
-            };
+        for ((&lo, &hi), &c) in self.lo.iter().zip(&*self.hi).zip(q.components()) {
+            let d = axis_gap(lo, hi, f64::from(c));
             acc += d * d;
         }
         acc.sqrt()
@@ -200,6 +196,14 @@ impl Mbr {
     }
 }
 
+/// The distance from coordinate `c` to the interval `[lo, hi]` (zero
+/// inside), without a branch: the two differences are never both positive,
+/// and both are non-positive exactly when `c` is inside.
+#[inline]
+pub(crate) fn axis_gap(lo: f64, hi: f64, c: f64) -> f64 {
+    (lo - c).max(c - hi).max(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +237,45 @@ mod tests {
         assert!((mbr.mindist(&v(&[0.5, 3.0])) - 2.0).abs() < 1e-12);
         // Inside: zero.
         assert_eq!(mbr.mindist(&v(&[0.5, 0.5])), 0.0);
+    }
+
+    /// The three-way branch `mindist` used before it became branch-free.
+    fn branchy_mindist(mbr: &Mbr, q: &Vector) -> f64 {
+        let mut acc = 0.0f64;
+        for (i, &c) in q.components().iter().enumerate() {
+            let c = c as f64;
+            let d = if c < mbr.lo[i] {
+                mbr.lo[i] - c
+            } else if c > mbr.hi[i] {
+                c - mbr.hi[i]
+            } else {
+                0.0
+            };
+            acc += d * d;
+        }
+        acc.sqrt()
+    }
+
+    #[test]
+    fn mindist_matches_the_branchy_formula_bit_for_bit() {
+        let mbr = Mbr::from_bounds(vec![-1.5, 0.0, 2.25], vec![0.5, 0.0, 7.0]);
+        let points = [
+            [-1.5, 0.0, 2.25],   // c == lo in every dimension
+            [0.5, 0.0, 7.0],     // c == hi in every dimension
+            [-0.25, 0.0, 3.0],   // inside
+            [-9.0, 3.5, 100.0],  // outside: below, above, above
+            [4.0, -0.125, -2.0], // outside: above, below, below
+            [0.5, -1e-30, 2.25], // on faces, one coordinate just outside
+        ];
+        for p in points {
+            let q = v(&p);
+            assert_eq!(
+                mbr.mindist(&q).to_bits(),
+                branchy_mindist(&mbr, &q).to_bits(),
+                "{p:?}"
+            );
+        }
+        assert_eq!(mbr.mindist(&v(&[-1.5, 0.0, 2.25])).to_bits(), 0);
     }
 
     #[test]

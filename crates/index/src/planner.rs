@@ -41,6 +41,20 @@ pub trait SimilarityIndex<O>: Send + Sync {
     /// query.
     fn page_mindist(&self, query: &O, page: PageId) -> f64;
 
+    /// [`page_mindist`](Self::page_mindist) of a batch of queries against
+    /// one page: writes `page_mindist(queries[k], page)` into `out[k]`, bit
+    /// for bit. The default loops `page_mindist`; an index that can share
+    /// work across the queries overrides it.
+    ///
+    /// # Panics
+    /// Panics if `queries.len() != out.len()`.
+    fn page_mindists(&self, queries: &[&O], page: PageId, out: &mut [f64]) {
+        assert_eq!(queries.len(), out.len(), "one lower bound per query");
+        for (query, lb) in queries.iter().zip(out) {
+            *lb = self.page_mindist(query, page);
+        }
+    }
+
     /// Number of data pages the index covers.
     fn page_count(&self) -> usize;
 
@@ -55,6 +69,10 @@ impl<O, I: SimilarityIndex<O> + ?Sized> SimilarityIndex<O> for &I {
 
     fn page_mindist(&self, query: &O, page: PageId) -> f64 {
         (**self).page_mindist(query, page)
+    }
+
+    fn page_mindists(&self, queries: &[&O], page: PageId, out: &mut [f64]) {
+        (**self).page_mindists(queries, page, out)
     }
 
     fn page_count(&self) -> usize {

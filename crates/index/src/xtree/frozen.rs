@@ -2,7 +2,7 @@
 
 use super::build::Builder;
 use super::{bulk, XTreeConfig};
-use crate::bbox::Mbr;
+use crate::bbox::{axis_gap, Mbr};
 use crate::planner::{PagePlan, SimilarityIndex};
 use crate::util::MinHeap;
 use mq_metric::{ObjectId, Vector};
@@ -17,24 +17,79 @@ pub(super) enum Target {
     Page(PageId),
 }
 
+/// Lower bounds computed per pass: one independent accumulator per MBR (of
+/// a directory node's children) or per query (against one leaf), so the
+/// sums do not wait on each other and vectorize, while each keeps
+/// [`Mbr::mindist`]'s summation order and bits.
+const LANES: usize = 8;
+
+/// A frozen directory node: its children's targets, and their MBRs stored
+/// column-major so that one pass computes every child's MINDIST.
+#[derive(Debug)]
+struct DirNode {
+    targets: Vec<Target>,
+    /// Children rounded up to a multiple of [`LANES`].
+    stride: usize,
+    /// `lo[d * stride + k]` and `hi[d * stride + k]` bound child `k` in
+    /// dimension `d`; the padding children are the point `0`.
+    lo: Box<[f64]>,
+    hi: Box<[f64]>,
+}
+
+impl DirNode {
+    fn new(children: Vec<(Mbr, Target)>) -> Self {
+        let dim = children.first().map_or(0, |(mbr, _)| mbr.dim());
+        let stride = children.len().next_multiple_of(LANES);
+        let mut lo = vec![0.0; dim * stride];
+        let mut hi = vec![0.0; dim * stride];
+        for (k, (mbr, _)) in children.iter().enumerate() {
+            for d in 0..dim {
+                lo[d * stride + k] = mbr.lo()[d];
+                hi[d * stride + k] = mbr.hi()[d];
+            }
+        }
+        Self {
+            targets: children.into_iter().map(|(_, target)| target).collect(),
+            stride,
+            lo: lo.into(),
+            hi: hi.into(),
+        }
+    }
+
+    /// Every child's MINDIST to `query`, in child order, bit for bit
+    /// [`Mbr::mindist`]'s: replaces `out`.
+    fn mindists(&self, query: &[f32], out: &mut Vec<f64>) {
+        out.clear();
+        for k in (0..self.stride).step_by(LANES) {
+            let mut acc = [0.0f64; LANES];
+            for (d, &c) in query.iter().enumerate() {
+                let at = d * self.stride + k;
+                let (lo, hi) = (&self.lo[at..at + LANES], &self.hi[at..at + LANES]);
+                for l in 0..LANES {
+                    let gap = axis_gap(lo[l], hi[l], f64::from(c));
+                    acc[l] += gap * gap;
+                }
+            }
+            out.extend(acc.iter().map(|a| a.sqrt()));
+        }
+        out.truncate(self.targets.len());
+    }
+}
+
 /// Arena of frozen directory nodes.
 #[derive(Debug, Default)]
 pub(super) struct FrozenNodes {
-    dirs: Vec<Vec<(Mbr, Target)>>,
+    dirs: Vec<DirNode>,
 }
 
 impl FrozenNodes {
     pub(super) fn push_dir(&mut self, children: Vec<(Mbr, Target)>) -> u32 {
-        self.dirs.push(children);
+        self.dirs.push(DirNode::new(children));
         (self.dirs.len() - 1) as u32
     }
 
     pub(super) fn dir_count(&self) -> usize {
         self.dirs.len()
-    }
-
-    fn children(&self, idx: u32) -> &[(Mbr, Target)] {
-        &self.dirs[idx as usize]
     }
 }
 
@@ -167,6 +222,8 @@ struct XTreePlan<'a> {
     tree: &'a XTree,
     query: &'a Vector,
     frontier: MinHeap<Target>,
+    /// The children's lower bounds of the node being expanded.
+    bounds: Vec<f64>,
 }
 
 impl PagePlan for XTreePlan<'_> {
@@ -183,10 +240,11 @@ impl PagePlan for XTreePlan<'_> {
             match target {
                 Target::Page(page) => return Some((page, lb)),
                 Target::Dir(idx) => {
-                    for (mbr, child) in self.tree.nodes.children(idx) {
-                        let child_lb = mbr.mindist(self.query);
+                    let node = &self.tree.nodes.dirs[idx as usize];
+                    node.mindists(self.query.components(), &mut self.bounds);
+                    for (&child_lb, &child) in self.bounds.iter().zip(&node.targets) {
                         if child_lb <= query_dist {
-                            self.frontier.push(child_lb, *child);
+                            self.frontier.push(child_lb, child);
                         }
                     }
                 }
@@ -219,11 +277,36 @@ impl SimilarityIndex<Vector> for XTree {
             tree: self,
             query,
             frontier,
+            bounds: Vec::new(),
         })
     }
 
     fn page_mindist(&self, query: &Vector, page: PageId) -> f64 {
         self.leaf_mbrs[page.index()].mindist(query)
+    }
+
+    /// [`LANES`] queries per pass against the leaf MBR, each summed in
+    /// dimension order: the bits of `page_mindist`.
+    fn page_mindists(&self, queries: &[&Vector], page: PageId, out: &mut [f64]) {
+        assert_eq!(queries.len(), out.len(), "one lower bound per query");
+        let mbr = &self.leaf_mbrs[page.index()];
+        let dim = mbr.dim();
+        for (batch, lbs) in queries.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            debug_assert!(batch.iter().all(|q| q.dim() == dim));
+            // A short batch repeats its last query; those lanes are dropped.
+            let rows: [&[f32]; LANES] =
+                std::array::from_fn(|l| &batch[l.min(batch.len() - 1)].components()[..dim]);
+            let mut acc = [0.0f64; LANES];
+            for (d, (&lo, &hi)) in mbr.lo().iter().zip(mbr.hi()).enumerate() {
+                for l in 0..LANES {
+                    let gap = axis_gap(lo, hi, f64::from(rows[l][d]));
+                    acc[l] += gap * gap;
+                }
+            }
+            for (lb, a) in lbs.iter_mut().zip(&acc) {
+                *lb = a.sqrt();
+            }
+        }
     }
 
     fn page_count(&self) -> usize {
@@ -341,7 +424,7 @@ mod tests {
         let mut count = 0;
         while let Some((pid, lb)) = plan.next(f64::INFINITY) {
             assert!(lb >= last - 1e-12, "mindist order violated");
-            assert!((tree.page_mindist(&q, pid) - lb).abs() < 1e-12);
+            assert_eq!(tree.page_mindist(&q, pid).to_bits(), lb.to_bits());
             last = lb;
             count += 1;
         }

@@ -9,8 +9,20 @@
 /// multiple similarity queries (paper §5.2); an implementation violating the
 /// axioms silently produces *incorrect query answers*, not just slow ones.
 ///
+/// Symmetry must hold **bit for bit**: `distance(a, b)` and `distance(b, a)`
+/// return the same `f64` bits, and so do [`distance_batch`] and
+/// [`distance_le`] in either orientation. The engine takes one orientation
+/// for the other: a session's `QObjDists` holds `distance(newer, older)`,
+/// and a page record that is itself an admitted query takes its distance to
+/// every other query from there instead of computing
+/// `distance_batch(query, record)`.
+///
 /// Use [`crate::validation::check_metric_axioms`] in tests to validate a new
-/// implementation on a sample.
+/// implementation on a sample (it checks symmetry only to within a
+/// tolerance).
+///
+/// [`distance_batch`]: Metric::distance_batch
+/// [`distance_le`]: Metric::distance_le
 pub trait Metric<O: ?Sized>: Send + Sync {
     /// Computes the distance between two objects. Must be non-negative and
     /// finite for all valid objects.

@@ -15,8 +15,8 @@ use mq_metric::kernel::{
     dot_at, hamming_at, l1_at, l1_le_at, l2_sq_at, l2_sq_le_at, weighted_l2_sq_at, SimdLevel,
 };
 use mq_metric::{
-    Cosine, DotProduct, Euclidean, Manhattan, Metric, Minkowski, Vector, VectorMetric,
-    WeightedEuclidean,
+    Chebyshev, Cosine, DotProduct, EditDistance, Euclidean, Hamming, Jaccard, Manhattan, Metric,
+    Minkowski, QuadraticForm, SymbolSet, Symbols, Vector, VectorMetric, WeightedEuclidean,
 };
 use proptest::prelude::*;
 
@@ -201,6 +201,85 @@ proptest! {
                 prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
             }
         }
+    }
+}
+
+/// `Metric`'s bitwise-symmetry contract for one pair: `distance` in both
+/// orientations, and `distance_batch` and `distance_le` (at the distance
+/// itself, one ulp below it, and `∞`) in both orientations, all return the
+/// same bits.
+fn check_bitwise_symmetry<O, M: Metric<O> + ?Sized>(metric: &M, a: &O, b: &O) {
+    let d = metric.distance(a, b);
+    let name = metric.name();
+    prop_assert_eq!(
+        metric.distance(b, a).to_bits(),
+        d.to_bits(),
+        "{} distance",
+        name
+    );
+    let below = f64::from_bits(if d > 0.0 {
+        d.to_bits() - 1
+    } else {
+        d.to_bits() + 1
+    });
+    for (x, y) in [(a, b), (b, a)] {
+        let mut out = [f64::NAN];
+        metric.distance_batch(x, &[y], &mut out);
+        prop_assert_eq!(out[0].to_bits(), d.to_bits(), "{} distance_batch", name);
+        for bound in [d, f64::INFINITY] {
+            prop_assert_eq!(
+                metric.distance_le(x, y, bound).map(f64::to_bits),
+                Some(d.to_bits()),
+                "{} distance_le",
+                name
+            );
+        }
+        if d != 0.0 && d.is_finite() {
+            prop_assert_eq!(metric.distance_le(x, y, below), None, "{} below", name);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every shipped metric is symmetric bit for bit, through all three
+    /// entry points — the engine takes a record's distance to a query from
+    /// `QObjDists`, which holds the other orientation. CI runs it under
+    /// `MQ_SIMD=off` and under native dispatch.
+    #[test]
+    fn every_shipped_metric_is_bitwise_symmetric(
+        t in triples(),
+        xs in prop::collection::vec(0u32..6, 0..=24),
+        ys in prop::collection::vec(0u32..6, 0..=24),
+    ) {
+        let (us, vs, ws) = unzip3(&t);
+        let dim = us.len();
+        let (a, b) = (Vector::new(us), Vector::new(vs));
+        let vector_metrics: Vec<Box<dyn Metric<Vector>>> = vec![
+            Box::new(Euclidean),
+            Box::new(WeightedEuclidean::new(ws)),
+            Box::new(Manhattan),
+            Box::new(Chebyshev),
+            Box::new(Minkowski::new(1.0)),
+            Box::new(Minkowski::new(1.5)),
+            Box::new(Minkowski::new(2.0)),
+            Box::new(Minkowski::new(3.0)),
+            Box::new(Cosine),
+            Box::new(DotProduct),
+            Box::new(QuadraticForm::histogram_similarity(dim, 2.0)),
+            Box::new(VectorMetric::Euclidean),
+            Box::new(VectorMetric::Manhattan),
+            Box::new(VectorMetric::Cosine),
+            Box::new(VectorMetric::Dot),
+        ];
+        for metric in &vector_metrics {
+            check_bitwise_symmetry(&**metric, &a, &b);
+        }
+        let (p, q) = (Symbols::new(xs.clone()), Symbols::new(ys.clone()));
+        check_bitwise_symmetry(&EditDistance, &p, &q);
+        check_bitwise_symmetry(&Hamming, &p, &q);
+        check_bitwise_symmetry(&Jaccard, &SymbolSet::new(xs), &SymbolSet::new(ys));
     }
 }
 

@@ -70,11 +70,12 @@ where
     let qtype = QueryType::knn(k + 1);
     let mut out = Vec::with_capacity(query_ids.len());
     for block in query_ids.chunks(batch_size) {
-        let queries: Vec<(O, QueryType)> = block
-            .iter()
-            .map(|&id| (engine.disk().database().object(id).clone(), qtype))
-            .collect();
-        let answers = engine.multiple_similarity_query(queries);
+        let mut session = engine.new_session(Vec::new());
+        for &id in block {
+            engine.push_stored_query(&mut session, id, qtype);
+        }
+        engine.run_to_completion(&mut session);
+        let answers = session.into_answers();
         for (&id, a) in block.iter().zip(&answers) {
             out.push(majority_class(id, a, labels, k));
         }

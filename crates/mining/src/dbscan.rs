@@ -238,8 +238,7 @@ where
         };
         for &id in seeds.iter().take(batch) {
             if !self.admitted.contains_key(&id) {
-                let obj = self.engine.disk().database().object(id).clone();
-                let idx = self.engine.push_query(session, obj, self.qtype);
+                let idx = self.engine.push_stored_query(session, id, self.qtype);
                 self.admitted.insert(id, idx);
             }
         }
@@ -260,8 +259,7 @@ where
                 let idx = match self.admitted.get(&object) {
                     Some(&idx) => idx,
                     None => {
-                        let obj = self.engine.disk().database().object(object).clone();
-                        let idx = self.engine.push_query(session, obj, self.qtype);
+                        let idx = self.engine.push_stored_query(session, object, self.qtype);
                         self.admitted.insert(object, idx);
                         idx
                     }

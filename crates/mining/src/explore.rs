@@ -140,12 +140,9 @@ where
             admitted.clear();
         }
         for &id in control.iter().take(batch_size) {
-            admitted.entry(id).or_insert_with(|| {
-                let qtype = task.sim_type(id);
-                let obj = engine.disk().database().object(id).clone();
-
-                engine.push_query(&mut session, obj, qtype)
-            });
+            admitted
+                .entry(id)
+                .or_insert_with(|| engine.push_stored_query(&mut session, id, task.sim_type(id)));
         }
 
         // Complete the head query (trailing queries advance as a side

@@ -45,11 +45,12 @@ where
     let mut pairs = Vec::new();
     let ids: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
     for block in ids.chunks(batch_size) {
-        let queries: Vec<(O, QueryType)> = block
-            .iter()
-            .map(|&id| (engine.disk().database().object(id).clone(), qtype))
-            .collect();
-        let answers = engine.multiple_similarity_query(queries);
+        let mut session = engine.new_session(Vec::new());
+        for &id in block {
+            engine.push_stored_query(&mut session, id, qtype);
+        }
+        engine.run_to_completion(&mut session);
+        let answers = session.into_answers();
         for (&qid, list) in block.iter().zip(&answers) {
             for a in list {
                 if a.id > qid {

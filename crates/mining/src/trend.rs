@@ -93,8 +93,7 @@ where
 
     let mut current = start;
     for _ in 0..max_steps {
-        let obj = engine.disk().database().object(current).clone();
-        let idx = engine.push_query(&mut session, obj, qtype);
+        let idx = engine.push_stored_query(&mut session, current, qtype);
         engine.complete_query(&mut session, idx);
         let next = session
             .answers(idx)

@@ -381,6 +381,9 @@ fn get_stats(buf: &mut &[u8]) -> Result<ExecutionStats, ProtocolError> {
             tries: buf.read_u64()?,
             avoided: buf.read_u64()?,
             computed: buf.read_u64()?,
+            // Served queries are admitted as objects, never by id, so
+            // their sessions take no distance from `QObjDists`.
+            reused: 0,
         },
         elapsed: Duration::from_nanos(buf.read_u64()?),
     })

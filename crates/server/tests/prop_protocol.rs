@@ -47,6 +47,7 @@ fn arb_stats() -> impl Strategy<Value = ExecutionStats> {
                     tries: tr,
                     avoided: av,
                     computed: co,
+                    reused: 0,
                 },
                 elapsed: Duration::from_nanos(ns),
             },

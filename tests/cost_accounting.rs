@@ -1,8 +1,10 @@
 //! Integration tests of the §5 cost equations: the counters the benchmark
 //! harness reports must obey the paper's formulas exactly.
 
-use mquery::core::StatsProbe;
+use mq_store::FilePageStore;
+use mquery::core::{CandidatePrescreen, StatsProbe};
 use mquery::prelude::*;
+use mquery::storage::{PageStore, VectorCodec};
 
 fn points(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut x = seed.max(1);
@@ -81,9 +83,18 @@ fn xtree_io_equals_union_of_relevant_pages() {
     );
 }
 
+/// Every answer's id and distance bits, per query.
+fn bits(answers: &[Vec<Answer>]) -> Vec<Vec<(ObjectId, u64)>> {
+    answers
+        .iter()
+        .map(|list| list.iter().map(|a| (a.id, a.distance.to_bits())).collect())
+        .collect()
+}
+
 /// §5.2 CPU formula: the total distance calculations of a session equal
 /// the `m(m−1)/2` matrix initialization plus the `not_avoided` object
-/// distances; candidate pairs split exactly into avoided + computed.
+/// distances; candidate pairs split exactly into avoided + computed, plus
+/// the distances reused from `QObjDists` when the queries are admitted by id.
 #[test]
 fn cpu_counters_obey_the_formula() {
     let data = points(700, 4, 5);
@@ -93,11 +104,13 @@ fn cpu_counters_obey_the_formula() {
     let disk = SimulatedDisk::with_buffer_pages(db, 1);
     let metric = CountingMetric::new(Euclidean);
     let counter = metric.counter().clone();
-    let engine = QueryEngine::new(&disk, &scan, metric);
+    let engine = QueryEngine::new(&disk, &scan, &metric);
 
     let m = 9usize;
-    let queries: Vec<(Vector, QueryType)> = (0..m)
-        .map(|i| (data[i * 11].clone(), QueryType::range(5.0)))
+    let ids: Vec<ObjectId> = (0..m).map(|i| ObjectId(i as u32 * 11)).collect();
+    let queries: Vec<(Vector, QueryType)> = ids
+        .iter()
+        .map(|&id| (data[id.index()].clone(), QueryType::range(5.0)))
         .collect();
 
     counter.reset();
@@ -128,6 +141,191 @@ fn cpu_counters_obey_the_formula() {
     // Each try is at most two comparisons per known pivot; tries only
     // happen when a finite query distance exists.
     assert!(stats.tries > 0);
+    assert_eq!(stats.reused, 0, "objects admitted by value have no record");
+    let by_object = bits(&session.into_answers());
+
+    // The same queries admitted by id: on the scan every page is evaluated
+    // for every query, so each query takes its distance to the other m − 1
+    // query records from `QObjDists` — at every prefetch depth alike.
+    let mut runs = Vec::new();
+    for prefetch_depth in [0, 2] {
+        let engine = QueryEngine::new(&disk, &scan, &metric).with_options(EngineOptions {
+            prefetch_depth,
+            ..Default::default()
+        });
+        counter.reset();
+        let mut session = engine.new_session(Vec::new());
+        for &id in &ids {
+            engine.push_stored_query(&mut session, id, QueryType::range(5.0));
+        }
+        engine.run_to_completion(&mut session);
+        let stats = session.avoidance_stats();
+        assert_eq!(stats.reused, (m * (m - 1)) as u64, "depth {prefetch_depth}");
+        assert_eq!(
+            stats.avoided + stats.computed + stats.reused,
+            n * m as u64,
+            "candidates = n x m on the scan"
+        );
+        assert_eq!(counter.get(), after_init + stats.computed);
+        let answers = bits(&session.into_answers());
+        assert_eq!(answers, by_object, "depth {prefetch_depth}");
+        runs.push(stats);
+    }
+    assert_eq!(
+        runs[0], runs[1],
+        "counters do not depend on the prefetch depth"
+    );
+}
+
+/// A fresh, empty directory for one store.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mquery-cost-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Six range queries over [`grid_store`], the same objects admitted by id
+/// and by value: `(ids, session by id, session by value)`. Neighbouring
+/// queries' records lie within each other's radius, some on one page.
+fn twin_sessions(
+    engine: &QueryEngine<'_, Vector, Euclidean>,
+) -> (
+    Vec<ObjectId>,
+    MultiQuerySession<Vector>,
+    MultiQuerySession<Vector>,
+) {
+    let ids: Vec<ObjectId> = [40, 41, 42, 43, 150, 151].map(ObjectId).to_vec();
+    let qtype = QueryType::range(2.5);
+    let mut by_id = engine.new_session(Vec::new());
+    for &id in &ids {
+        engine.push_stored_query(&mut by_id, id, qtype);
+    }
+    let db = engine.disk().database();
+    let by_value = engine.new_session(ids.iter().map(|&id| (db.object(id).clone(), qtype)));
+    (ids, by_id, by_value)
+}
+
+/// 300 points of a 20 × 15 grid, 5 to a page, in a fresh file store.
+fn grid_store(tag: &str) -> FilePageStore<Vector, VectorCodec> {
+    let grid: Vec<Vector> = (0..300)
+        .map(|i| Vector::new(vec![(i % 20) as f32, (i / 20) as f32]))
+        .collect();
+    let db = PagedDatabase::pack(&Dataset::new(grid), PageLayout::new(128, 16));
+    FilePageStore::create(temp_dir(tag), db, VectorCodec, 4).expect("create")
+}
+
+/// Finishes both sessions and checks they answer alike, bit for bit, and
+/// that the one admitted by id reused distances.
+fn finish_alike<S: PageStore<Vector>>(
+    store: &S,
+    mut by_id: MultiQuerySession<Vector>,
+    mut by_value: MultiQuerySession<Vector>,
+) -> Vec<Vec<Answer>> {
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(store, &scan, Euclidean);
+    engine.run_to_completion(&mut by_id);
+    engine.run_to_completion(&mut by_value);
+    assert!(by_id.avoidance_stats().reused > 0);
+    let answers = by_id.into_answers();
+    assert_eq!(bits(&answers), bits(&by_value.into_answers()));
+    answers
+}
+
+/// A query admitted by id whose record is deleted mid-session: its own
+/// record and every later slot of its page move, and both sessions still
+/// answer alike.
+#[test]
+fn id_admission_survives_a_deleted_query_record() {
+    let mut store = grid_store("delete");
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(&store, &scan, Euclidean);
+    let (ids, mut by_id, mut by_value) = twin_sessions(&engine);
+    engine.complete_query(&mut by_id, 0);
+    engine.complete_query(&mut by_value, 0);
+    drop(engine);
+
+    let victim = ids[1];
+    store.delete(victim).expect("delete");
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(&store, &scan, Euclidean);
+    assert_eq!(
+        engine.notify_delete(&mut by_id, victim),
+        engine.notify_delete(&mut by_value, victim)
+    );
+    drop(engine);
+    let answers = finish_alike(&store, by_id, by_value);
+    assert!(answers.iter().flatten().all(|a| a.id != victim));
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
+/// An online insert mid-session, then the inserted object admitted by id
+/// into the same sessions: both answer alike.
+#[test]
+fn id_admission_survives_an_online_insert() {
+    let mut store = grid_store("insert");
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(&store, &scan, Euclidean);
+    let (_, mut by_id, mut by_value) = twin_sessions(&engine);
+    engine.complete_query(&mut by_id, 0);
+    engine.complete_query(&mut by_value, 0);
+    drop(engine);
+
+    let new_id = store.insert(Vector::new(vec![19.5, 14.5])).expect("insert");
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(&store, &scan, Euclidean);
+    engine.notify_insert(&mut by_id, new_id);
+    engine.notify_insert(&mut by_value, new_id);
+    let qtype = QueryType::range(2.5);
+    engine.push_stored_query(&mut by_id, new_id, qtype);
+    let object = store.database().object(new_id).clone();
+    engine.push_query(&mut by_value, object, qtype);
+    drop(engine);
+    let answers = finish_alike(&store, by_id, by_value);
+    assert!(answers[6]
+        .iter()
+        .any(|a| a.id == new_id && a.distance == 0.0));
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
+/// Every object but one: a prescreen that never emits `excluded`.
+struct AllBut {
+    objects: u32,
+    excluded: ObjectId,
+}
+
+impl CandidatePrescreen<Vector> for AllBut {
+    fn candidates(&self, _query: &Vector) -> Vec<ObjectId> {
+        (0..self.objects)
+            .map(ObjectId)
+            .filter(|&id| id != self.excluded)
+            .collect()
+    }
+
+    fn name(&self) -> &str {
+        "all-but-one"
+    }
+}
+
+/// An approximate-tier restriction that excludes a query's record: no
+/// query answers with it, in either session, and both answer alike.
+#[test]
+fn id_admission_respects_the_candidate_restriction() {
+    let store = grid_store("restrict");
+    let excluded = ObjectId(42);
+    let prescreen = AllBut {
+        objects: store.database().object_count() as u32,
+        excluded,
+    };
+    let scan = LinearScan::new(store.database().page_count());
+    let engine = QueryEngine::new(&store, &scan, Euclidean).with_prescreen(&prescreen);
+    let (ids, by_id, by_value) = twin_sessions(&engine);
+    assert!(ids.contains(&excluded) && by_id.is_restricted());
+    drop(engine);
+    // The restriction lives in the sessions, whatever engine steps them.
+    let answers = finish_alike(&store, by_id, by_value);
+    assert!(answers.iter().flatten().all(|a| a.id != excluded));
+    assert!(!answers[0].is_empty());
+    std::fs::remove_dir_all(store.dir()).ok();
 }
 
 /// The probe's deltas are exact: two identical runs yield identical

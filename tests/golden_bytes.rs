@@ -68,6 +68,7 @@ fn stats() -> ExecutionStats {
             tries: 9,
             avoided: 10,
             computed: 11,
+            reused: 0,
         },
         elapsed: Duration::from_nanos(12),
     }

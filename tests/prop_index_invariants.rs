@@ -43,17 +43,72 @@ proptest! {
         }
 
         // The full plan enumerates every page once, in non-decreasing
-        // lower-bound order.
+        // lower-bound order, each with `page_mindist`'s bits.
         let q = data[0].clone();
         let mut plan = tree.plan(&q);
         let mut seen = std::collections::HashSet::new();
         let mut last = 0.0f64;
         while let Some((pid, lb)) = plan.next(f64::INFINITY) {
             prop_assert!(lb >= last - 1e-9, "plan order violated");
+            prop_assert_eq!(lb.to_bits(), tree.page_mindist(&q, pid).to_bits());
             last = lb;
             prop_assert!(seen.insert(pid), "page yielded twice");
         }
         prop_assert_eq!(seen.len(), tree.page_count());
+    }
+
+    /// The X-tree's batched `page_mindists` and its plans' lower bounds have
+    /// `page_mindist`'s bits, for every batch size around its 8-query passes
+    /// and for dimensions below, within and above one block of 8, on both
+    /// construction paths. Half the queries are stored points, which sit on
+    /// their leaf's faces.
+    #[test]
+    fn batched_lower_bounds_equal_page_mindist_bitwise(
+        dim_pick in 0usize..5,
+        seed in any::<u64>(),
+        bulk in any::<bool>(),
+    ) {
+        let dim = [1, 7, 20, 64, 65][dim_pick];
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 40) as f32 / (1u64 << 24) as f32 * 100.0 - 50.0
+        };
+        let data: Vec<Vector> = (0..300)
+            .map(|_| Vector::new((0..dim).map(|_| next()).collect::<Vec<_>>()))
+            .collect();
+        let queries: Vec<Vector> = (0..17)
+            .map(|k| if k % 2 == 0 {
+                data[k * 13].clone()
+            } else {
+                Vector::new((0..dim).map(|_| 1.5 * next()).collect::<Vec<_>>())
+            })
+            .collect();
+        let ds = Dataset::new(data);
+        let cfg = XTreeConfig { layout: PageLayout::new(512, 16), ..Default::default() };
+        let (tree, db) = if bulk {
+            XTree::bulk_load(&ds, cfg)
+        } else {
+            XTree::insert_load(&ds, cfg)
+        };
+        let refs: Vec<&Vector> = queries.iter().collect();
+        for pid in db.page_ids() {
+            let want: Vec<u64> = queries.iter().map(|q| tree.page_mindist(q, pid).to_bits()).collect();
+            for count in 0..=17 {
+                let mut out = vec![f64::NAN; count];
+                tree.page_mindists(&refs[..count], pid, &mut out);
+                let got: Vec<u64> = out.iter().map(|lb| lb.to_bits()).collect();
+                prop_assert_eq!(&got[..], &want[..count], "dim {}, {} queries", dim, count);
+            }
+        }
+        for q in &queries {
+            let mut plan = tree.plan(q);
+            while let Some((pid, lb)) = plan.next(f64::INFINITY) {
+                prop_assert_eq!(lb.to_bits(), tree.page_mindist(q, pid).to_bits(), "dim {}", dim);
+            }
+        }
     }
 
     /// M-tree covering radii are sound and page lower bounds never exceed
