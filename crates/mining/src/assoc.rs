@@ -11,6 +11,7 @@
 //! `support  = |{a : type(a)=A ∧ ∃ b∈N(a): type(b)=B}| / |DB|` and
 //! `confidence = … / |{a : type(a)=A}|`.
 
+use crate::explore::query_blocks;
 use mq_core::{QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId};
 use mq_storage::StorageObject;
@@ -60,27 +61,18 @@ where
     }
 
     let ids: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
-    for block in ids.chunks(batch_size) {
-        let queries: Vec<(O, QueryType)> = block
-            .iter()
-            .map(|&id| (engine.disk().database().object(id).clone(), qtype))
-            .collect();
-        let answers = engine.multiple_similarity_query(queries);
-        for (&a_id, a_answers) in block.iter().zip(&answers) {
-            let a_type = types[a_id.index()];
-            let mut seen = vec![false; num_types];
-            for ans in a_answers {
-                if ans.id != a_id {
-                    seen[types[ans.id.index()]] = true;
-                }
-            }
-            for (b_type, &present) in seen.iter().enumerate() {
-                if present {
-                    supported[a_type][b_type] += 1;
-                }
+    query_blocks(engine, &ids, qtype, Some(batch_size), |a_id, a_answers| {
+        let a_type = types[a_id.index()];
+        let mut seen = vec![false; num_types];
+        for ans in a_answers.iter().filter(|ans| ans.id != a_id) {
+            seen[types[ans.id.index()]] = true;
+        }
+        for (b_type, &present) in seen.iter().enumerate() {
+            if present {
+                supported[a_type][b_type] += 1;
             }
         }
-    }
+    });
 
     let mut rules = Vec::new();
     for a in 0..num_types {

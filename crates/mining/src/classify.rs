@@ -6,6 +6,7 @@
 //! with an empty `filter` (no new query objects are generated), i.e. the
 //! *independent*-queries extreme of the paper's evaluation.
 
+use crate::explore::query_blocks;
 use mq_core::{Answer, QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId};
 use mq_storage::StorageObject;
@@ -41,16 +42,7 @@ where
     O: StorageObject,
     M: Metric<O>,
 {
-    // k + 1 neighbors so the self-match can be discarded.
-    let qtype = QueryType::knn(k + 1);
-    query_ids
-        .iter()
-        .map(|&id| {
-            let obj = engine.disk().database().object(id).clone();
-            let answers = engine.similarity_query(&obj, &qtype);
-            majority_class(id, answers.as_slice(), labels, k)
-        })
-        .collect()
+    classify(engine, labels, query_ids, k, None)
 }
 
 /// Classifies `query_ids` with multiple k-NN queries in blocks of
@@ -66,20 +58,26 @@ where
     O: StorageObject,
     M: Metric<O>,
 {
-    assert!(batch_size > 0, "batch size must be positive");
+    classify(engine, labels, query_ids, k, Some(batch_size))
+}
+
+fn classify<O, M>(
+    engine: &QueryEngine<'_, O, M>,
+    labels: &[usize],
+    query_ids: &[ObjectId],
+    k: usize,
+    batch: Option<usize>,
+) -> Vec<usize>
+where
+    O: StorageObject,
+    M: Metric<O>,
+{
+    // k + 1 neighbors so the self-match can be discarded.
     let qtype = QueryType::knn(k + 1);
     let mut out = Vec::with_capacity(query_ids.len());
-    for block in query_ids.chunks(batch_size) {
-        let mut session = engine.new_session(Vec::new());
-        for &id in block {
-            engine.push_stored_query(&mut session, id, qtype);
-        }
-        engine.run_to_completion(&mut session);
-        let answers = session.into_answers();
-        for (&id, a) in block.iter().zip(&answers) {
-            out.push(majority_class(id, a, labels, k));
-        }
-    }
+    query_blocks(engine, query_ids, qtype, batch, |id, answers| {
+        out.push(majority_class(id, answers, labels, k));
+    });
     out
 }
 

@@ -9,17 +9,22 @@
 //! everything else is noise.
 //!
 //! Both execution modes produce the **same clustering** (cluster ids are
-//! assigned in discovery order, which both modes share):
+//! assigned in discovery order, which both modes share). Each cluster is
+//! grown by one run of an `ExploreNeighborhoods` driver from its start
+//! object; `filter` labels the answers and passes the unclassified ones on
+//! as seeds:
 //!
-//! * [`Dbscan::run_single`] — one range query at a time (Fig. 2 behaviour);
-//! * [`Dbscan::run_multiple`] — seed-list objects are batched into one
-//!   multiple similarity query session (Fig. 3 behaviour), sharing page
-//!   reads and triangle-inequality pivots across the cluster frontier.
+//! * [`Dbscan::run_single`] — the single-query driver
+//!   ([`explore_neighborhoods`], Fig. 2);
+//! * [`Dbscan::run_multiple`] — the multiple-query driver
+//!   ([`explore_neighborhoods_multiple`], Fig. 3): the seed list is admitted
+//!   into one session per start object, sharing page reads and
+//!   triangle-inequality pivots across the cluster frontier.
 
-use mq_core::{MultiQuerySession, QueryEngine, QueryType};
+use crate::explore::{explore_neighborhoods, explore_neighborhoods_multiple, NeighborhoodTask};
+use mq_core::{Answer, QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId};
 use mq_storage::StorageObject;
-use std::collections::{HashMap, VecDeque};
 
 /// Cluster assignment of one object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +117,8 @@ impl Dbscan {
     }
 
     /// Runs DBSCAN with multiple similarity queries: the expansion seed
-    /// list is kept admitted (up to `batch_size` lookahead) in one session.
+    /// list is kept admitted (up to `batch_size` lookahead) in one session
+    /// per start object.
     pub fn run_multiple<O, M>(
         &self,
         engine: &QueryEngine<'_, O, M>,
@@ -132,65 +138,29 @@ impl Dbscan {
         M: Metric<O>,
     {
         let n = engine.disk().database().object_count();
-        let mut state = vec![State::Unclassified; n];
-        let mut clusters = 0u32;
+        let mut task = Expansion {
+            qtype: QueryType::range(self.eps),
+            min_pts: self.min_pts,
+            state: vec![State::Unclassified; n],
+            clusters: 0,
+            cluster: None,
+        };
         let mut queries = 0usize;
-        let qtype = QueryType::range(self.eps);
-
-        // Per-cluster expansion uses one fresh session (the seed lists of
-        // one cluster are exactly the "dynamically added query objects" of
-        // §5.1).
-        for start in 0..n as u32 {
-            if state[start as usize] != State::Unclassified {
+        for start in (0..n as u32).map(ObjectId) {
+            if task.state[start.index()] != State::Unclassified {
                 continue;
             }
-            let mut runner = SeedRunner::new(engine, qtype, batch);
-            let neighbors = runner.query(ObjectId(start), &mut queries);
-            if neighbors.len() < self.min_pts {
-                state[start as usize] = State::Noise;
-                continue;
-            }
-            // New cluster: expand from the seed set.
-            let cluster = clusters;
-            clusters += 1;
-            state[start as usize] = State::Cluster(cluster);
-            let mut seeds: VecDeque<ObjectId> = VecDeque::new();
-            for id in &neighbors {
-                match state[id.index()] {
-                    State::Unclassified => {
-                        state[id.index()] = State::Cluster(cluster);
-                        seeds.push_back(*id);
-                        runner.prefetch(&seeds);
-                    }
-                    State::Noise => {
-                        // Border object adopted by the cluster.
-                        state[id.index()] = State::Cluster(cluster);
-                    }
-                    State::Cluster(_) => {}
+            task.cluster = None;
+            queries += match batch {
+                None => explore_neighborhoods(engine, &[start], &mut task),
+                Some(m) => {
+                    explore_neighborhoods_multiple(engine, &[start], &mut task, m, usize::MAX)
                 }
-            }
-            while let Some(seed) = seeds.pop_front() {
-                let neighbors = runner.query(seed, &mut queries);
-                if neighbors.len() < self.min_pts {
-                    continue; // border object: no further expansion
-                }
-                for id in &neighbors {
-                    match state[id.index()] {
-                        State::Unclassified => {
-                            state[id.index()] = State::Cluster(cluster);
-                            seeds.push_back(*id);
-                            runner.prefetch(&seeds);
-                        }
-                        State::Noise => {
-                            state[id.index()] = State::Cluster(cluster);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
+            };
         }
 
-        let labels = state
+        let labels = task
+            .state
             .into_iter()
             .map(|s| match s {
                 State::Noise => Label::Noise,
@@ -200,74 +170,54 @@ impl Dbscan {
             .collect();
         DbscanResult {
             labels,
-            clusters,
+            clusters: task.clusters,
             queries,
         }
     }
 }
 
-/// Issues the per-seed range queries, in either mode.
-struct SeedRunner<'e, 'a, O, M> {
-    engine: &'e QueryEngine<'a, O, M>,
+/// One start object's expansion as an `ExploreNeighborhoods` task: the
+/// head is the start object while `cluster` is `None`, a seed of the open
+/// cluster afterwards.
+struct Expansion {
     qtype: QueryType,
-    batch: Option<usize>,
-    session: Option<MultiQuerySession<O>>,
-    admitted: HashMap<ObjectId, usize>,
+    min_pts: usize,
+    state: Vec<State>,
+    clusters: u32,
+    cluster: Option<u32>,
 }
 
-impl<'e, 'a, O, M> SeedRunner<'e, 'a, O, M>
-where
-    O: StorageObject,
-    M: Metric<O>,
-{
-    fn new(engine: &'e QueryEngine<'a, O, M>, qtype: QueryType, batch: Option<usize>) -> Self {
-        let session = batch.map(|_| engine.new_session(Vec::new()));
-        Self {
-            engine,
-            qtype,
-            batch,
-            session,
-            admitted: HashMap::new(),
-        }
+impl NeighborhoodTask for Expansion {
+    fn sim_type(&mut self, _object: ObjectId) -> QueryType {
+        self.qtype
     }
 
-    /// Hints upcoming seed queries to the engine (multiple mode only).
-    fn prefetch(&mut self, seeds: &VecDeque<ObjectId>) {
-        let (Some(batch), Some(session)) = (self.batch, self.session.as_mut()) else {
-            return;
-        };
-        for &id in seeds.iter().take(batch) {
-            if !self.admitted.contains_key(&id) {
-                let idx = self.engine.push_stored_query(session, id, self.qtype);
-                self.admitted.insert(id, idx);
-            }
-        }
-    }
+    fn proc_2(&mut self, _object: ObjectId, _answers: &[Answer]) {}
 
-    /// The ε-neighborhood of `object` (complete).
-    fn query(&mut self, object: ObjectId, queries: &mut usize) -> Vec<ObjectId> {
-        *queries += 1;
-        match self.session.as_mut() {
-            None => {
-                let obj = self.engine.disk().database().object(object).clone();
-                self.engine
-                    .similarity_query(&obj, &self.qtype)
-                    .ids()
-                    .collect()
+    fn filter(&mut self, object: ObjectId, answers: &[Answer]) -> Vec<ObjectId> {
+        if answers.len() < self.min_pts {
+            // A start object is noise (until a cluster adopts it); a seed is
+            // a border object and expands no further.
+            if self.cluster.is_none() {
+                self.state[object.index()] = State::Noise;
             }
-            Some(session) => {
-                let idx = match self.admitted.get(&object) {
-                    Some(&idx) => idx,
-                    None => {
-                        let idx = self.engine.push_stored_query(session, object, self.qtype);
-                        self.admitted.insert(object, idx);
-                        idx
-                    }
-                };
-                self.engine.complete_query(session, idx);
-                session.answers(idx).ids().collect()
-            }
+            return Vec::new();
         }
+        let cluster = *self.cluster.get_or_insert_with(|| {
+            self.clusters += 1;
+            self.clusters - 1
+        });
+        self.state[object.index()] = State::Cluster(cluster);
+        let mut seeds = Vec::new();
+        for a in answers {
+            match self.state[a.id.index()] {
+                State::Unclassified => seeds.push(a.id),
+                State::Noise => {} // border object adopted by the cluster
+                State::Cluster(_) => continue,
+            }
+            self.state[a.id.index()] = State::Cluster(cluster);
+        }
+        seeds
     }
 }
 

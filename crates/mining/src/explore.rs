@@ -12,15 +12,21 @@
 //!     ControlList := (ControlList ∪ filter(Answers, …)) − {Object};
 //! ```
 //!
-//! The multiple-query form differs only in selecting a *set* of objects and
-//! calling `multiple_similarity_query`; per loop iteration it still
-//! processes only the first object and its (complete) answers. Both drivers
-//! here therefore observe **identical** `proc_1`/`proc_2`/`filter` call
+//! The multiple-query form differs only in selecting a *set* of objects: it
+//! admits them by id into one multiple-query session
+//! ([`QueryEngine::push_stored_query`]) and completes the first with
+//! [`QueryEngine::complete_query`]; per loop iteration it still processes
+//! only the first object and its (complete) answers. Both drivers here
+//! therefore observe **identical** `proc_1`/`proc_2`/`filter` call
 //! sequences — property-tested in the integration suite.
 //!
 //! Termination: the drivers never re-enqueue an object that was ever on the
 //! control list (the minimal `filter` guarantee the paper requires); the
 //! task's [`NeighborhoodTask::filter`] can restrict further.
+//!
+//! [`query_blocks`] is the degenerate scheme whose `filter` returns nothing:
+//! the start objects are the only query objects, so their queries are
+//! independent and run in blocks of `m`.
 
 use mq_core::{Answer, QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId};
@@ -37,7 +43,10 @@ pub trait NeighborhoodTask {
         !control.is_empty()
     }
 
-    /// `SimType` for a given query object (may vary per object).
+    /// `SimType` for a given query object (may vary per object, but must
+    /// depend on the object alone: the multiple-query driver asks at
+    /// admission, before that object's `proc_1` and possibly before earlier
+    /// objects' `proc_2`).
     fn sim_type(&mut self, object: ObjectId) -> QueryType;
 
     /// `proc_1(Object, …)` — processing before the query.
@@ -163,6 +172,45 @@ where
         steps += 1;
     }
     steps
+}
+
+/// Answers one `qtype` query for each database object in `ids` and hands
+/// `each(id, answers)` the complete answers, in `ids` order. `None` issues
+/// single similarity queries (Fig. 1, the baseline); `Some(m)` issues one
+/// multiple similarity query per block of `m` ids, admitted by id, so a
+/// record that is itself a query of the block takes its distances from
+/// `QObjDists`. Answers are identical either way.
+///
+/// # Panics
+/// Panics if `batch` is `Some(0)`.
+pub fn query_blocks<O, M>(
+    engine: &QueryEngine<'_, O, M>,
+    ids: &[ObjectId],
+    qtype: QueryType,
+    batch: Option<usize>,
+    mut each: impl FnMut(ObjectId, &[Answer]),
+) where
+    O: StorageObject,
+    M: Metric<O>,
+{
+    let Some(m) = batch else {
+        for &id in ids {
+            let object = engine.disk().database().object(id).clone();
+            each(id, engine.similarity_query(&object, &qtype).as_slice());
+        }
+        return;
+    };
+    assert!(m > 0, "batch size must be positive");
+    for block in ids.chunks(m) {
+        let mut session = engine.new_session(Vec::new());
+        for &id in block {
+            engine.push_stored_query(&mut session, id, qtype);
+        }
+        engine.run_to_completion(&mut session);
+        for (&id, answers) in block.iter().zip(session.into_answers()) {
+            each(id, &answers);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! ([`replay_single`]) or multiple-query mode ([`replay_multiple`]) for an
 //! apples-to-apples cost comparison.
 
+use crate::explore::query_blocks;
 use mq_core::{QueryEngine, QueryType};
 use mq_datagen::ExplorationConfig;
 use mq_metric::{Metric, ObjectId};
@@ -56,14 +57,12 @@ where
         for user_answers in &current {
             let chosen = user_answers[rng.random_range(0..user_answers.len())];
             let mut chosen_neighbors = Vec::new();
-            for &q in user_answers {
-                let obj = engine.disk().database().object(q).clone();
-                let answers = engine.similarity_query(&obj, &qtype);
+            query_blocks(engine, user_answers, qtype, None, |q, answers| {
                 round_queries.push(q);
                 if q == chosen {
-                    chosen_neighbors = answers.ids().collect();
+                    chosen_neighbors = answers.iter().map(|a| a.id).collect();
                 }
-            }
+            });
             next_current.push(chosen_neighbors);
         }
         trace.push(round_queries);
@@ -83,16 +82,9 @@ where
     O: StorageObject,
     M: Metric<O>,
 {
-    let qtype = QueryType::knn(k);
-    let mut issued = 0;
-    for round in trace {
-        for &id in round {
-            let obj = engine.disk().database().object(id).clone();
-            let _ = engine.similarity_query(&obj, &qtype);
-            issued += 1;
-        }
-    }
-    issued
+    let ids = trace.concat();
+    query_blocks(engine, &ids, QueryType::knn(k), None, |_, _| {});
+    ids.len()
 }
 
 /// Replays a trace with one multiple similarity query per round (each
@@ -107,17 +99,16 @@ where
     O: StorageObject,
     M: Metric<O>,
 {
-    let qtype = QueryType::knn(k);
-    let mut issued = 0;
     for round in trace {
-        let queries: Vec<(O, QueryType)> = round
-            .iter()
-            .map(|&id| (engine.disk().database().object(id).clone(), qtype))
-            .collect();
-        issued += queries.len();
-        let _ = engine.multiple_similarity_query(queries);
+        query_blocks(
+            engine,
+            round,
+            QueryType::knn(k),
+            Some(round.len().max(1)),
+            |_, _| {},
+        );
     }
-    issued
+    trace.iter().map(Vec::len).sum()
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! shared index-page reads) with triangle-inequality avoidance across the
 //! block.
 
+use crate::explore::query_blocks;
 use mq_core::{QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId};
 use mq_storage::StorageObject;
@@ -39,30 +40,17 @@ where
     M: Metric<O>,
 {
     assert!(eps >= 0.0, "epsilon must be non-negative");
-    assert!(batch_size > 0, "batch size must be positive");
     let n = engine.disk().database().object_count();
     let qtype = QueryType::range(eps);
     let mut pairs = Vec::new();
     let ids: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
-    for block in ids.chunks(batch_size) {
-        let mut session = engine.new_session(Vec::new());
-        for &id in block {
-            engine.push_stored_query(&mut session, id, qtype);
-        }
-        engine.run_to_completion(&mut session);
-        let answers = session.into_answers();
-        for (&qid, list) in block.iter().zip(&answers) {
-            for a in list {
-                if a.id > qid {
-                    pairs.push(JoinPair {
-                        first: qid,
-                        second: a.id,
-                        distance: a.distance,
-                    });
-                }
-            }
-        }
-    }
+    query_blocks(engine, &ids, qtype, Some(batch_size), |qid, list| {
+        pairs.extend(list.iter().filter(|a| a.id > qid).map(|a| JoinPair {
+            first: qid,
+            second: a.id,
+            distance: a.distance,
+        }));
+    });
     pairs.sort_by(|x, y| x.first.cmp(&y.first).then(x.second.cmp(&y.second)));
     pairs
 }

@@ -11,6 +11,7 @@
 //! any member; the top-k such objects are found with one multiple k-NN
 //! query over all members.
 
+use crate::explore::query_blocks;
 use mq_core::{QueryEngine, QueryType};
 use mq_metric::{Metric, ObjectId, Vector};
 use mq_storage::StorageObject;
@@ -45,28 +46,18 @@ where
 {
     assert!(!cluster.is_empty(), "cluster must be non-empty");
     assert!(k > 0, "k must be positive");
-    assert!(batch_size > 0, "batch size must be positive");
     let member: std::collections::HashSet<ObjectId> = cluster.iter().copied().collect();
     let qtype = QueryType::knn(k + cluster.len());
 
     let mut best: HashMap<ObjectId, f64> = HashMap::new();
-    for block in cluster.chunks(batch_size) {
-        let queries: Vec<(O, QueryType)> = block
-            .iter()
-            .map(|&id| (engine.disk().database().object(id).clone(), qtype))
-            .collect();
-        for answers in engine.multiple_similarity_query(queries) {
-            for a in answers {
-                if member.contains(&a.id) {
-                    continue;
-                }
-                let entry = best.entry(a.id).or_insert(f64::INFINITY);
-                if a.distance < *entry {
-                    *entry = a.distance;
-                }
+    query_blocks(engine, cluster, qtype, Some(batch_size), |_, answers| {
+        for a in answers.iter().filter(|a| !member.contains(&a.id)) {
+            let entry = best.entry(a.id).or_insert(f64::INFINITY);
+            if a.distance < *entry {
+                *entry = a.distance;
             }
         }
-    }
+    });
     let mut out: Vec<ProximateObject> = best
         .into_iter()
         .map(|(id, distance)| ProximateObject { id, distance })

@@ -3,6 +3,7 @@
 
 use mq_store::FilePageStore;
 use mquery::core::{CandidatePrescreen, StatsProbe};
+use mquery::mining::query_blocks;
 use mquery::prelude::*;
 use mquery::storage::{PageStore, VectorCodec};
 
@@ -174,6 +175,61 @@ fn cpu_counters_obey_the_formula() {
     assert_eq!(
         runs[0], runs[1],
         "counters do not depend on the prefetch depth"
+    );
+}
+
+/// The block driver admits its ids by database id. On the same blocks it
+/// answers bit for bit like `multiple_similarity_query` on the cloned
+/// objects and like single queries, and it computes strictly fewer
+/// distances than the by-value blocks: each block's query records take
+/// their distances to the block's other queries from `QObjDists`.
+#[test]
+fn query_blocks_reuse_the_records_of_their_queries() {
+    let data = points(700, 4, 7);
+    let ds = Dataset::new(data.clone());
+    let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
+    let scan = LinearScan::new(db.page_count());
+    let disk = SimulatedDisk::with_buffer_pages(db, 1);
+    let metric = CountingMetric::new(Euclidean);
+    let counter = metric.counter().clone();
+    let engine = QueryEngine::new(&disk, &scan, &metric);
+
+    let ids: Vec<ObjectId> = (0..40).map(|i| ObjectId(i * 17)).collect();
+    let qtype = QueryType::range(5.0);
+    let m = 8;
+    let run = |batch| {
+        let mut order = Vec::new();
+        let mut answers = Vec::new();
+        query_blocks(&engine, &ids, qtype, batch, |id, list| {
+            order.push(id);
+            answers.push(list.to_vec());
+        });
+        assert_eq!(order, ids, "answers arrive in id order");
+        bits(&answers)
+    };
+
+    counter.reset();
+    let blocks = run(Some(m));
+    let block_calcs = counter.get();
+    counter.reset();
+    let by_value: Vec<Vec<Answer>> = ids
+        .chunks(m)
+        .flat_map(|block| {
+            engine.multiple_similarity_query(
+                block
+                    .iter()
+                    .map(|id| (data[id.index()].clone(), qtype))
+                    .collect(),
+            )
+        })
+        .collect();
+    let by_value_calcs = counter.get();
+
+    assert_eq!(blocks, bits(&by_value), "blocks by id vs by value");
+    assert_eq!(run(None), blocks, "single queries vs blocks");
+    assert!(
+        block_calcs < by_value_calcs,
+        "{block_calcs} distances by id vs {by_value_calcs} by value"
     );
 }
 
