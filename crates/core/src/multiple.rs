@@ -96,10 +96,12 @@
 //!   the final answers, the adapted query distance, and therefore the page
 //!   sequence and I/O counts are unchanged. (This also hoists the repeated
 //!   `query_dist` match out of the inner loop.)
-//! * **Merges are ordered.** A page's candidate answers are inserted per
-//!   active query, after the whole page has been evaluated: the evaluated
-//!   records in record order, then the reused ones in slot order. So the
-//!   insert sequence is a function of the page alone.
+//! * **Answers are inserted in place, in the same order.** Right after a
+//!   query's sweep and kernel on a page, its candidates go into its answer
+//!   list: the evaluated records in record order, then the reused ones in
+//!   slot order. Inserting them only after the whole page would give the
+//!   same bits, because no bound of any query on the page is read from an
+//!   answer list: each comes from the page's snapshot.
 //!
 //! # Pipelined prefetch
 //!
@@ -298,7 +300,7 @@ impl CandidateRestriction {
 pub struct MultiQuerySession<O> {
     /// Query objects, indexed like `states`. Kept apart from the mutable
     /// per-query state so that page evaluation can borrow the objects (and
-    /// `qq`) immutably while the merge mutates answer lists.
+    /// `qq`) immutably while it inserts into answer lists.
     pub(crate) objects: Vec<O>,
     /// The database id of each query object admitted by id, indexed like
     /// `objects` (`None` for an object admitted by value).
@@ -317,6 +319,7 @@ pub struct MultiQuerySession<O> {
     /// takes no restriction branch at all.
     pub(crate) restriction: Option<CandidateRestriction>,
     pub(crate) approx_stats: ApproxStats,
+    scratch: PageScratch,
 }
 
 impl<O> MultiQuerySession<O> {
@@ -332,6 +335,7 @@ impl<O> MultiQuerySession<O> {
             page_count,
             restriction: None,
             approx_stats: ApproxStats::default(),
+            scratch: PageScratch::default(),
         }
     }
 
@@ -547,13 +551,36 @@ pub(crate) fn admit<O: StorageObject, M: Metric<O>>(
     session.states.len() - 1
 }
 
-/// What one page evaluation produces: its avoidance counters and, per
-/// active query (indexed like `active`), the candidate answers found on
-/// the page, in record order.
-struct PageOutcome {
-    stats: AvoidanceStats,
-    approx: ApproxStats,
-    candidates: Vec<Vec<Answer>>,
+/// The buffers of page evaluation, owned by the session and reused from
+/// page to page and step to step: a warm session evaluates pages without
+/// allocating. (Record indices are `u32`: a page holds far fewer than 2³²
+/// records, and the sweep moves half the bytes.)
+#[derive(Default)]
+struct PageScratch {
+    /// The page's active queries, the head first, and the snapshot of their
+    /// query distances (see the module docs for why it changes nothing).
+    active: Vec<usize>,
+    qd: Vec<f64>,
+    /// The pending trailing queries of a page with their query distances,
+    /// and their lower bounds to the page.
+    trailing: Vec<(usize, f64)>,
+    trailing_lbs: Vec<f64>,
+    /// The page's `(slot, query)` pairs of admitted queries stored on it.
+    residents: Vec<(u32, usize)>,
+    /// The page's per-rank tally, added to the session's ledger after it.
+    ranks: RankLedger,
+    /// The lookahead window over the head's page plan: the page to demand
+    /// next, then the pages staged (and pinned) behind it, each with the
+    /// lower bound the plan reported (see "Pipelined prefetch" above).
+    window: VecDeque<(PageId, f64)>,
+    /// The records every active query starts from: all of the page's, or
+    /// the candidate restriction's, less the residents.
+    eligible: Vec<u32>,
+    /// The page's pivot columns (see `evaluate_page`).
+    dists: Vec<f64>,
+    /// One query's records left by the sweep, and its batch kernel's output.
+    survivors: Vec<u32>,
+    out: Vec<f64>,
 }
 
 /// Per pivot rank — a pivot's position in a page's active order — the
@@ -680,188 +707,154 @@ fn avoidance_sweep(
     }
 }
 
-/// The page-local indices of the records every active query starts from:
-/// all of them, or the `filter`'s candidates. (`u32`: a page holds far fewer
-/// than 2³² records, and the sweep moves half the bytes.)
-fn eligible_records(
-    ids: impl Iterator<Item = ObjectId>,
-    filter: Option<&CandidateRestriction>,
-) -> Vec<u32> {
-    ids.enumerate()
-        .filter(|&(_, id)| filter.is_none_or(|f| f.contains_object(id)))
-        .map(|(oi, _)| oi as u32)
-        .collect()
-}
+impl PageScratch {
+    /// Evaluates one page's records against the active queries and inserts
+    /// each query's candidates into its answer list.
+    ///
+    /// Query-major: for each active query the page's records are first
+    /// filtered by [`avoidance_sweep`] (using pivot distances of *earlier*
+    /// active queries, recorded in a page-local column-major matrix, over
+    /// the ranks the session's `ledger` says pay at the query's price), then
+    /// the surviving distances are computed with the batch kernel and land
+    /// in the query's own column. The last active query skips pivot
+    /// recording and uses the early-exit bounded kernel, since no later
+    /// query will consult its distances.
+    ///
+    /// `residents` are the `(slot, query)` pairs of admitted queries whose
+    /// records lie on the page and pass the `filter`, sorted (so two queries
+    /// admitted with the same id share one record, reused once). No query
+    /// sweeps or computes such a record: its distance to every active query
+    /// but its own is `qq`'s, taken as the kernel would have returned it
+    /// (metrics are bitwise symmetric) and counted as `reused`. Its own query
+    /// evaluates it like any other record, because `qq` has no diagonal (a
+    /// signed score such as `DotProduct` is not `0` at distance zero).
+    ///
+    /// With a candidate `filter` (the approximate tier), non-candidate
+    /// records are dropped before any avoidance or distance work — for
+    /// *every* active query. A `filter` that contains every record is a
+    /// no-op: the survivor lists, pivot columns and counters are
+    /// bit-identical to the unfiltered run.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_page<'r, O, M>(
+        &mut self,
+        records: &'r [(ObjectId, O)],
+        batch: &mut Vec<&'r O>,
+        queries: &[O],
+        prices: &[f64],
+        qq: &QueryDistanceMatrix,
+        ledger: &RankLedger,
+        states: &mut [QueryState],
+        stats: &mut AvoidanceStats,
+        approx: &mut ApproxStats,
+        metric: &M,
+        avoidance: bool,
+        filter: Option<&CandidateRestriction>,
+    ) where
+        O: StorageObject,
+        M: Metric<O>,
+    {
+        let n = records.len();
+        let m = self.active.len();
+        self.ranks.reset(m - 1);
+        self.eligible.clear();
+        self.eligible.extend(
+            (0..n as u32)
+                .filter(|&oi| filter.is_none_or(|f| f.contains_object(records[oi as usize].0))),
+        );
+        // Counted once per page evaluation, not once per active query.
+        approx.objects_skipped += (n - self.eligible.len()) as u64;
+        let residents = &self.residents;
+        let resident = |oi: &u32| residents.binary_search_by_key(oi, |&(s, _)| s).is_ok();
+        self.eligible.retain(|oi| !resident(oi));
+        // dists[qi * n + oi] = distance of records[oi] to query active[qi];
+        // NaN = avoided / not computed. This is the paper's per-object
+        // `AvoidingDists` for the whole page, one contiguous column per pivot.
+        // The last active query is nobody's pivot and has no column.
+        self.dists.clear();
+        self.dists.resize(n * (m - 1), f64::NAN);
+        // No query keeps more than the page's records.
+        batch.reserve(n);
+        let mut found = 0; // candidates within their query's bound
 
-/// Evaluates one page's records against the active queries.
-///
-/// Query-major: for each active query the page's records are first
-/// filtered by [`avoidance_sweep`] (using pivot distances of *earlier*
-/// active queries, recorded in a page-local column-major matrix, over the
-/// ranks the session's `ledger` says pay at the query's price), then the
-/// surviving distances are computed with the batch kernel and land in the
-/// query's own column. The last active query skips pivot recording
-/// entirely and uses the early-exit bounded kernel, since no later query
-/// will consult its distances.
-///
-/// `residents` are the `(slot, query)` pairs of admitted queries whose
-/// records lie on the page and pass the `filter`, sorted (so two queries
-/// admitted with the same id share one record, reused once). No query
-/// sweeps or computes such a record: its distance to every active query but
-/// its own is `qq`'s, taken as the kernel would have returned it (metrics
-/// are bitwise symmetric) and counted as `reused`. Its own query evaluates
-/// it like any other record, because `qq` has no diagonal (a signed score
-/// such as `DotProduct` is not `0` at distance zero).
-///
-/// With a candidate `filter` (the approximate tier), non-candidate records
-/// are dropped before any avoidance or distance work — for *every* active
-/// query. A `filter` that contains every record is a no-op: the survivor
-/// lists, pivot columns and counters are bit-identical to the unfiltered
-/// run.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_page<O, M>(
-    records: &[(ObjectId, O)],
-    residents: &[(u32, usize)],
-    queries: &[O],
-    prices: &[f64],
-    qq: &QueryDistanceMatrix,
-    ledger: &RankLedger,
-    ranks: &mut RankLedger,
-    metric: &M,
-    active: &[usize],
-    qd: &[f64],
-    avoidance: bool,
-    filter: Option<&CandidateRestriction>,
-) -> PageOutcome
-where
-    O: StorageObject,
-    M: Metric<O>,
-{
-    let n = records.len();
-    let m = active.len();
-    let mut stats = AvoidanceStats::default();
-    let mut approx = ApproxStats::default();
-    ranks.reset(m - 1);
-    let mut candidates: Vec<Vec<Answer>> = std::iter::repeat_with(Vec::new).take(m).collect();
-    let mut eligible = eligible_records(records.iter().map(|r| r.0), filter);
-    // Each skipped record counts once per page evaluation, not once per
-    // active query.
-    approx.objects_skipped = (n - eligible.len()) as u64;
-    eligible.retain(|oi| {
-        residents
-            .binary_search_by_key(oi, |&(slot, _)| slot)
-            .is_err()
-    });
-    // dists[qi * n + oi] = computed distance of records[oi] to query
-    // active[qi]; NaN = avoided / not computed. This is the paper's
-    // per-object `AvoidingDists` for the whole page, one contiguous column
-    // per pivot. The last active query is nobody's pivot and has no column.
-    let mut dists = vec![f64::NAN; n * (m - 1)];
-    let mut survivors: Vec<u32> = Vec::with_capacity(eligible.len() + 1);
-    let mut batch: Vec<&O> = Vec::new();
-    let mut out: Vec<f64> = Vec::new();
-
-    for (qi, (&i, &bound)) in active.iter().zip(qd).enumerate() {
-        let query = &queries[i];
-        survivors.clear();
-        survivors.extend_from_slice(&eligible);
-        let own = residents
-            .iter()
-            .find(|&&(_, j)| j == i)
-            .map(|&(slot, _)| slot);
-        if let Some(slot) = own {
-            survivors.insert(survivors.partition_point(|&oi| oi < slot), slot);
-        }
-        if avoidance {
-            // A record that leaves the list has dist(Qi, O) > QueryDist(Qi)
-            // proven — it cannot answer Qi now or later (the query distance
-            // only shrinks).
-            let price = prices[i];
-            avoidance_sweep(
-                qq,
-                i,
-                &active[..qi],
-                &dists,
-                n,
-                bound,
-                |rank| ledger.consults(rank, n, price),
-                &mut survivors,
-                &mut stats,
-                ranks,
-            );
-        }
-        stats.computed += survivors.len() as u64;
-        if qi + 1 == m {
-            // The payloads are cold only when this query is the page's
-            // first (m = 1, the open-loop serving case): any earlier query
-            // has no pivots, so its batch kernel read every eligible record
-            // and a hint would only cost instructions.
-            let cold = m == 1;
-            for (k, &oi) in survivors.iter().enumerate() {
-                if let Some(&ahead) = survivors.get(k + LOOK_AHEAD).filter(|_| cold) {
-                    records[ahead as usize].1.prefetch_payload();
+        for (qi, (&i, &bound)) in self.active.iter().zip(&self.qd).enumerate() {
+            let answers = &mut states[i].answers;
+            let survivors = &mut self.survivors;
+            survivors.clear();
+            survivors.extend_from_slice(&self.eligible);
+            let own = residents
+                .iter()
+                .find(|&&(_, j)| j == i)
+                .map(|&(slot, _)| slot);
+            if let Some(slot) = own {
+                survivors.insert(survivors.partition_point(|&oi| oi < slot), slot);
+            }
+            if avoidance {
+                // A record that leaves the list has dist(Qi, O) >
+                // QueryDist(Qi) proven — it cannot answer Qi now or later
+                // (the query distance only shrinks).
+                let price = prices[i];
+                avoidance_sweep(
+                    qq,
+                    i,
+                    &self.active[..qi],
+                    &self.dists,
+                    n,
+                    bound,
+                    |rank| ledger.consults(rank, n, price),
+                    survivors,
+                    stats,
+                    &mut self.ranks,
+                );
+            }
+            stats.computed += survivors.len() as u64;
+            if qi + 1 == m {
+                // The payloads are cold only when this query is the page's
+                // first (m = 1, the open-loop serving case): any earlier
+                // query has no pivots, so its batch kernel read every
+                // eligible record and a hint would only cost instructions.
+                let cold = m == 1;
+                for (k, &oi) in survivors.iter().enumerate() {
+                    if let Some(&ahead) = survivors.get(k + LOOK_AHEAD).filter(|_| cold) {
+                        records[ahead as usize].1.prefetch_payload();
+                    }
+                    let (id, object) = &records[oi as usize];
+                    if let Some(distance) = metric.distance_le(object, &queries[i], bound) {
+                        answers.insert(Answer { id: *id, distance });
+                        found += 1;
+                    }
                 }
-                let (id, object) = &records[oi as usize];
-                if let Some(distance) = metric.distance_le(object, query, bound) {
-                    candidates[qi].push(Answer { id: *id, distance });
+            } else {
+                batch.clear();
+                batch.extend(survivors.iter().map(|&oi| &records[oi as usize].1));
+                self.out.clear();
+                self.out.resize(survivors.len(), 0.0);
+                metric.distance_batch(&queries[i], batch, &mut self.out);
+                let column = &mut self.dists[qi * n..(qi + 1) * n];
+                for (&oi, &distance) in survivors.iter().zip(&self.out) {
+                    column[oi as usize] = distance;
+                    if distance <= bound {
+                        let id = records[oi as usize].0;
+                        answers.insert(Answer { id, distance });
+                        found += 1;
+                    }
                 }
             }
-        } else {
-            batch.clear();
-            batch.extend(survivors.iter().map(|&oi| &records[oi as usize].1));
-            out.clear();
-            out.resize(survivors.len(), 0.0);
-            metric.distance_batch(query, &batch, &mut out);
-            let column = &mut dists[qi * n..(qi + 1) * n];
-            for (&oi, &distance) in survivors.iter().zip(&out) {
-                column[oi as usize] = distance;
+            for (k, &(slot, j)) in residents.iter().enumerate() {
+                if Some(slot) == own || (k > 0 && residents[k - 1].0 == slot) {
+                    continue;
+                }
+                stats.reused += 1;
+                let distance = qq.get(i, j);
                 if distance <= bound {
-                    candidates[qi].push(Answer {
-                        id: records[oi as usize].0,
-                        distance,
-                    });
+                    let id = records[slot as usize].0;
+                    answers.insert(Answer { id, distance });
+                    found += 1;
                 }
             }
         }
-        for (k, &(slot, j)) in residents.iter().enumerate() {
-            if Some(slot) == own || (k > 0 && residents[k - 1].0 == slot) {
-                continue;
-            }
-            stats.reused += 1;
-            let distance = qq.get(i, j);
-            if distance <= bound {
-                candidates[qi].push(Answer {
-                    id: records[slot as usize].0,
-                    distance,
-                });
-            }
-        }
-    }
 
-    if filter.is_some() {
-        approx.rerank_survivors = candidates.iter().map(|c| c.len() as u64).sum();
-    }
-
-    PageOutcome {
-        stats,
-        approx,
-        candidates,
-    }
-}
-
-fn merge_outcome(
-    states: &mut [QueryState],
-    stats: &mut AvoidanceStats,
-    approx: &mut ApproxStats,
-    active: &[usize],
-    outcome: PageOutcome,
-) {
-    *stats += outcome.stats;
-    *approx += outcome.approx;
-    for (qi, candidates) in outcome.candidates.into_iter().enumerate() {
-        let answers = &mut states[active[qi]].answers;
-        for answer in candidates {
-            answers.insert(answer);
+        if filter.is_some() {
+            approx.rerank_survivors += found;
         }
     }
 }
@@ -901,10 +894,12 @@ impl<O: StorageObject> Drop for PrefetchPinsGuard<'_, O> {
 /// complete.
 ///
 /// A disk fault that outlives `options.fault_policy`'s retry budget
-/// surfaces as [`EngineError`] with the session intact: pages evaluated and
-/// merged before the error are recorded as processed, the erroring page is
-/// not, so partial answers stay valid and a retried step resumes without
-/// re-evaluating (or double-inserting from) any completed page.
+/// surfaces as [`EngineError`] with the session intact: pages evaluated
+/// before the error are recorded as processed, the erroring page is not,
+/// so partial answers stay valid and a retried step resumes without
+/// re-evaluating (or double-inserting from) any completed page. A metric
+/// that panics mid-page leaves that page's answers half inserted: drop
+/// such a session.
 pub(crate) fn step<O, M, I>(
     session: &mut MultiQuerySession<O>,
     disk: &dyn PageStore<O>,
@@ -945,8 +940,8 @@ where
     let approx_before = session.approx_stats;
 
     // Split the session so page evaluation can hold `objects`, `prices`,
-    // `qq` and the candidate restriction immutably while the merge below
-    // mutates `states` / `avoidance_stats` / `ledger` / `approx_stats`.
+    // `qq` and the candidate restriction immutably while it mutates
+    // `states` / `avoidance_stats` / `approx_stats` and its `scratch`.
     let MultiQuerySession {
         objects,
         ids,
@@ -957,39 +952,20 @@ where
         ledger,
         restriction,
         approx_stats,
+        scratch,
         ..
     } = &mut *session;
-    let objects: &[O] = objects.as_slice();
-    let prices: &[f64] = prices.as_slice();
-    let qq: &QueryDistanceMatrix = &*qq;
     let filter: Option<&CandidateRestriction> = restriction.as_ref();
 
     let head_object = objects[head].clone();
     let mut plan = index.plan(&head_object);
 
-    // Reusable scratch: the page's active queries and the page-level
-    // snapshot of their current query distances (hoisting the repeated
-    // `query_dist` match out of the object loop — see the module docs for
-    // why the snapshot changes nothing).
-    let mut active: Vec<usize> = Vec::new();
-    let mut qd_snapshot: Vec<f64> = Vec::new();
-    // The pending trailing queries of a page, their query distances and
-    // objects, and their lower bounds to the page.
-    let mut trailing: Vec<(usize, f64)> = Vec::new();
+    // The references a page gathers live for the step, not in the scratch:
+    // the trailing queries' objects and the records of a kernel batch.
     let mut trailing_objects: Vec<&O> = Vec::new();
-    let mut trailing_lbs: Vec<f64> = Vec::new();
-    // The page's `(slot, query)` pairs of admitted queries stored on it.
-    let mut residents: Vec<(u32, usize)> = Vec::new();
-    // The page's per-rank tally, added to the session's ledger at the merge.
-    let mut page_ranks = RankLedger::default();
-
-    // The lookahead window over the head's page plan: front = the page to
-    // demand next; everything behind it is staged on the disk
-    // (`prefetch`) so its physical I/O is already accounted and its frame
-    // is pinned. Entries carry the lower bound the plan reported, checked
-    // against the *current* query distance at pop time (see the module
-    // docs for the depth-invariance argument).
-    let mut window: VecDeque<(PageId, f64)> = VecDeque::new();
+    let mut batch: Vec<&O> = Vec::new();
+    // A step that ended before its plan did leaves staged entries behind.
+    scratch.window.clear();
 
     // Dropped on every exit path — return, error, or unwind.
     let _prefetch_pins = PrefetchPinsGuard { disk };
@@ -997,7 +973,7 @@ where
     loop {
         let head_state = &states[head];
         let head_dist = head_state.answers.query_dist(&head_state.qtype);
-        while window.len() < options.prefetch_depth + 1 {
+        while scratch.window.len() < options.prefetch_depth + 1 {
             let Some((page_id, lb)) = plan.next(plan_bound(head_dist)) else {
                 break;
             };
@@ -1014,15 +990,15 @@ where
                     continue;
                 }
             }
-            if !window.is_empty() {
+            if !scratch.window.is_empty() {
                 // A prefetch that faults past the budget is absorbed: the
                 // page enters the window unstaged and the demand read below
                 // performs (and re-rolls) the physical read itself.
                 fault::prefetch_absorbing(disk, page_id, options.fault_policy);
             }
-            window.push_back((page_id, lb));
+            scratch.window.push_back((page_id, lb));
         }
-        let Some((page_id, lb)) = window.pop_front() else {
+        let Some((page_id, lb)) = scratch.window.pop_front() else {
             break;
         };
         if lb > plan_bound(head_dist) {
@@ -1036,8 +1012,8 @@ where
         // Which pending queries is this page relevant for? (§5.1: "we
         // also collect answers for the Qi if the pages loaded for Q1
         // are also relevant for Qi".)
-        trailing.clear();
-        trailing.extend(
+        scratch.trailing.clear();
+        scratch.trailing.extend(
             states
                 .iter()
                 .enumerate()
@@ -1045,31 +1021,32 @@ where
                 .map(|(i, st)| (i, st.answers.query_dist(&st.qtype))),
         );
         trailing_objects.clear();
-        trailing_objects.extend(trailing.iter().map(|&(i, _)| &objects[i]));
-        trailing_lbs.clear();
-        trailing_lbs.resize(trailing.len(), 0.0);
-        index.page_mindists(&trailing_objects, page_id, &mut trailing_lbs);
-        active.clear();
-        qd_snapshot.clear();
-        active.push(head);
-        qd_snapshot.push(head_dist);
-        for (&(i, qd), &lb) in trailing.iter().zip(&trailing_lbs) {
+        trailing_objects.extend(scratch.trailing.iter().map(|&(i, _)| &objects[i]));
+        scratch.trailing_lbs.resize(scratch.trailing.len(), 0.0);
+        index.page_mindists(&trailing_objects, page_id, &mut scratch.trailing_lbs);
+        scratch.active.clear();
+        scratch.qd.clear();
+        scratch.active.push(head);
+        scratch.qd.push(head_dist);
+        for (&(i, qd), &lb) in scratch.trailing.iter().zip(&scratch.trailing_lbs) {
             if lb <= plan_bound(qd) {
-                active.push(i);
-                qd_snapshot.push(qd);
+                scratch.active.push(i);
+                scratch.qd.push(qd);
             }
         }
         // Which admitted queries are stored on this page? Looked up at every
         // read, so no online insert, delete or checkpoint can make it stale;
         // a record outside the candidate restriction is skipped like any.
         let db = disk.database();
-        residents.clear();
-        residents.extend(ids.iter().enumerate().filter_map(|(j, &id)| {
-            let id = id.filter(|&id| filter.is_none_or(|f| f.contains_object(id)))?;
-            let (page, slot) = db.try_locate(id)?;
-            (page == page_id).then_some((slot, j))
-        }));
-        residents.sort_unstable();
+        scratch.residents.clear();
+        scratch
+            .residents
+            .extend(ids.iter().enumerate().filter_map(|(j, &id)| {
+                let id = id.filter(|&id| filter.is_none_or(|f| f.contains_object(id)))?;
+                let (page, slot) = db.try_locate(id)?;
+                (page == page_id).then_some((slot, j))
+            }));
+        scratch.residents.sort_unstable();
 
         let fetch_span = obs.map(|o| o.fetch_seconds.start_timer());
         let records =
@@ -1082,28 +1059,27 @@ where
             page: page_id,
         };
         let eval_span = obs.map(|o| o.eval_seconds.start_timer());
-        let outcome = evaluate_page(
+        scratch.evaluate_page(
             records,
-            &residents,
+            &mut batch,
             objects,
             prices,
             qq,
             ledger,
-            &mut page_ranks,
+            states,
+            avoidance_stats,
+            approx_stats,
             metric,
-            &active,
-            &qd_snapshot,
             options.avoidance,
             filter,
         );
         drop(eval_span);
         let merge_span = obs.map(|o| o.merge_seconds.start_timer());
-        merge_outcome(states, avoidance_stats, approx_stats, &active, outcome);
-        ledger.add(&page_ranks);
-        drop(merge_span);
-        for &i in &active {
+        ledger.add(&scratch.ranks);
+        for &i in &scratch.active {
             states[i].processed.insert(page_id);
         }
+        drop(merge_span);
     }
 
     session.states[head].completed = true;
@@ -1342,6 +1318,26 @@ mod tests {
             }
         }
     }
+
+    /// Records at 0, …, 9, five to a page, restricted to the candidates 1, 3,
+    /// 4 and 8: each page is evaluated once, skipping 2 + 4 records, and the
+    /// query at 2 keeps 1 and 3 within its radius, the one at 7.5 keeps 8.
+    #[test]
+    fn a_restricted_page_counts_its_skips_and_survivors() {
+        let points: Vec<Vector> = (0..10u8).map(|x| Vector::new(vec![f32::from(x)])).collect();
+        let db = PagedDatabase::pack(&Dataset::new(points), PageLayout::new(60, 8));
+        let scan = LinearScan::new(db.page_count());
+        let disk = SimulatedDisk::new(db, 1.0);
+        let engine = QueryEngine::new(&disk, &scan, Euclidean);
+        let queries =
+            [(2.0f32, 1.5), (7.5, 1.0)].map(|(x, r)| (Vector::new(vec![x]), QueryType::range(r)));
+        let mut session = engine.new_session(queries);
+        session.restrict(&[1, 3, 4, 8].map(ObjectId), disk.database());
+        engine.run_to_completion(&mut session);
+        let approx = session.approx_stats();
+        assert_eq!(disk.database().page_count(), 2);
+        assert_eq!((approx.objects_skipped, approx.rerank_survivors), (6, 3));
+    }
 }
 #[cfg(test)]
 mod proptests {
@@ -1458,7 +1454,9 @@ mod proptests {
 
             for (qi, &i) in active.iter().enumerate() {
                 let pivots = &active[..qi];
-                let eligible = eligible_records(records.iter().copied(), filter.as_ref());
+                let eligible: Vec<u32> = (0..n as u32)
+                    .filter(|&oi| filter.as_ref().is_none_or(|f| f.contains_object(records[oi as usize])))
+                    .collect();
                 let mut survivors = eligible.clone();
                 let mut stats = AvoidanceStats::default();
                 let mut ranks = RankLedger::default();

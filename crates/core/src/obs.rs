@@ -42,10 +42,13 @@ pub struct EngineObs {
     pub(crate) step_seconds: Arc<Histogram>,
     /// `mq_core_stage_seconds{stage="page_fetch"}` — demand read latency.
     pub(crate) fetch_seconds: Arc<Histogram>,
-    /// `mq_core_stage_seconds{stage="kernel_eval"}` — page evaluation
-    /// (avoidance filter + distance kernels), parallel or sequential.
+    /// `mq_core_stage_seconds{stage="kernel_eval"}` — page evaluation:
+    /// avoidance filter, distance kernels and the answer inserts.
     pub(crate) eval_seconds: Arc<Histogram>,
-    /// `mq_core_stage_seconds{stage="merge"}` — ordered answer merging.
+    /// `mq_core_stage_seconds{stage="merge"}` — the bookkeeping after a
+    /// page's evaluation: ageing the avoidance ledger by the page and
+    /// marking the page processed for its active queries. The answers are
+    /// inserted during evaluation, under `kernel_eval`.
     pub(crate) merge_seconds: Arc<Histogram>,
     /// Approximate-tier counters (all stay zero for an exact engine).
     pub(crate) approx: ApproxObs,

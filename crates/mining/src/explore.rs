@@ -162,9 +162,9 @@ where
         engine.complete_query(&mut session, head_idx);
         control.pop_front();
 
-        let answers: Vec<Answer> = session.answers(head_idx).as_slice().to_vec();
-        task.proc_2(head, &answers);
-        for id in task.filter(head, &answers) {
+        let answers = session.answers(head_idx).as_slice();
+        task.proc_2(head, answers);
+        for id in task.filter(head, answers) {
             if enqueued.insert(id) {
                 control.push_back(id);
             }
