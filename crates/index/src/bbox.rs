@@ -4,6 +4,7 @@
 //! ordering (Roussopoulos et al. / Hjaltason–Samet), plus the margin, area
 //! and overlap measures the R\* split heuristics optimize.
 
+use mq_metric::kernel::axis_gap;
 use mq_metric::Vector;
 
 /// A d-dimensional axis-aligned minimum bounding rectangle.
@@ -154,10 +155,19 @@ impl Mbr {
     /// of the MBR (zero if `q` is inside). The exact lower bound used by
     /// the Hjaltason–Samet best-first traversal.
     ///
-    /// The squared gaps are summed in dimension order; the X-tree's batched
-    /// lower bounds sum in the same order and return the same bits.
+    /// The squared gaps ([`axis_gap`]) are summed in dimension order; the
+    /// X-tree's batched lower bounds sum in the same order and return the
+    /// same bits.
+    ///
+    /// # Panics
+    /// Panics if `q`'s dimensionality differs from the MBR's.
     pub fn mindist(&self, q: &Vector) -> f64 {
-        debug_assert_eq!(q.dim(), self.dim());
+        assert!(
+            q.dim() == self.dim(),
+            "query dimensionality mismatch: {} vs MBR {}",
+            q.dim(),
+            self.dim()
+        );
         let mut acc = 0.0f64;
         for ((&lo, &hi), &c) in self.lo.iter().zip(&*self.hi).zip(q.components()) {
             let d = axis_gap(lo, hi, f64::from(c));
@@ -194,14 +204,6 @@ impl Mbr {
             .map(|(l, h)| 0.5 * (l + h))
             .collect()
     }
-}
-
-/// The distance from coordinate `c` to the interval `[lo, hi]` (zero
-/// inside), without a branch: the two differences are never both positive,
-/// and both are non-positive exactly when `c` is inside.
-#[inline]
-pub(crate) fn axis_gap(lo: f64, hi: f64, c: f64) -> f64 {
-    (lo - c).max(c - hi).max(0.0)
 }
 
 #[cfg(test)]
@@ -276,6 +278,17 @@ mod tests {
             );
         }
         assert_eq!(mbr.mindist(&v(&[-1.5, 0.0, 2.25])).to_bits(), 0);
+    }
+
+    #[test]
+    fn mindist_refuses_a_query_of_another_dimensionality() {
+        // `assert!`, not `debug_assert!`: this holds in release builds too.
+        let mbr = unit_square();
+        for q in [v(&[0.5]), v(&[0.5, 0.5, 0.5])] {
+            let err = std::panic::catch_unwind(|| mbr.mindist(&q)).expect_err("refused");
+            let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(text.contains("query dimensionality mismatch"), "{text}");
+        }
     }
 
     #[test]

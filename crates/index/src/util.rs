@@ -55,8 +55,12 @@ impl<T> Ord for Entry<T> {
 
 impl<T> MinHeap<T> {
     pub(crate) fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(capacity),
         }
     }
 

@@ -2,9 +2,10 @@
 
 use super::build::Builder;
 use super::{bulk, XTreeConfig};
-use crate::bbox::{axis_gap, Mbr};
+use crate::bbox::Mbr;
 use crate::planner::{PagePlan, SimilarityIndex};
 use crate::util::MinHeap;
+use mq_metric::kernel::{self, SimdLevel, LANES};
 use mq_metric::{ObjectId, Vector};
 use mq_storage::{Dataset, PageId, PagedDatabase};
 
@@ -17,18 +18,18 @@ pub(super) enum Target {
     Page(PageId),
 }
 
-/// Lower bounds computed per pass: one independent accumulator per MBR (of
-/// a directory node's children) or per query (against one leaf), so the
-/// sums do not wait on each other and vectorize, while each keeps
-/// [`Mbr::mindist`]'s summation order and bits.
-const LANES: usize = 8;
+/// Queries per call of the leaf lower-bound kernel
+/// ([`kernel::row_mindists_at`]); its rows live in a stack array.
+const ROWS: usize = 8;
 
 /// A frozen directory node: its children's targets, and their MBRs stored
-/// column-major so that one pass computes every child's MINDIST.
+/// column-major so that one kernel call ([`kernel::box_mindists_at`])
+/// computes every child's MINDIST.
 #[derive(Debug)]
 struct DirNode {
     targets: Vec<Target>,
-    /// Children rounded up to a multiple of [`LANES`].
+    /// Children rounded up to a multiple of the kernels' [`LANES`], so every
+    /// box is in a full vector.
     stride: usize,
     /// `lo[d * stride + k]` and `hi[d * stride + k]` bound child `k` in
     /// dimension `d`; the padding children are the point `0`.
@@ -56,23 +57,13 @@ impl DirNode {
         }
     }
 
-    /// Every child's MINDIST to `query`, in child order, bit for bit
-    /// [`Mbr::mindist`]'s: replaces `out`.
-    fn mindists(&self, query: &[f32], out: &mut Vec<f64>) {
-        out.clear();
-        for k in (0..self.stride).step_by(LANES) {
-            let mut acc = [0.0f64; LANES];
-            for (d, &c) in query.iter().enumerate() {
-                let at = d * self.stride + k;
-                let (lo, hi) = (&self.lo[at..at + LANES], &self.hi[at..at + LANES]);
-                for l in 0..LANES {
-                    let gap = axis_gap(lo[l], hi[l], f64::from(c));
-                    acc[l] += gap * gap;
-                }
-            }
-            out.extend(acc.iter().map(|a| a.sqrt()));
-        }
-        out.truncate(self.targets.len());
+    /// Every child's MINDIST to `query`, bit for bit [`Mbr::mindist`]'s, in
+    /// child order followed by the padding's: writes `out[..stride]` and
+    /// returns the children's part.
+    fn mindists<'o>(&self, level: SimdLevel, query: &[f32], out: &'o mut [f64]) -> &'o [f64] {
+        let out = &mut out[..self.stride];
+        kernel::box_mindists_at(level, query, &self.lo, &self.hi, out);
+        &out[..self.targets.len()]
     }
 }
 
@@ -90,6 +81,12 @@ impl FrozenNodes {
 
     pub(super) fn dir_count(&self) -> usize {
         self.dirs.len()
+    }
+
+    /// The widest directory node's padded child count: the one buffer size
+    /// a plan's bounds need.
+    fn max_stride(&self) -> usize {
+        self.dirs.iter().map(|dir| dir.stride).max().unwrap_or(0)
     }
 }
 
@@ -135,6 +132,8 @@ pub struct XTreeStats {
 #[derive(Debug)]
 pub struct XTree {
     dim: usize,
+    /// [`FrozenNodes::max_stride`], kept so a plan sizes its buffers once.
+    max_stride: usize,
     nodes: FrozenNodes,
     root: Option<Target>,
     leaf_mbrs: Vec<Mbr>,
@@ -151,6 +150,7 @@ impl XTree {
     ) -> Self {
         Self {
             dim,
+            max_stride: nodes.max_stride(),
             nodes,
             root,
             leaf_mbrs,
@@ -206,6 +206,17 @@ impl XTree {
     pub fn leaf_mbr(&self, page: PageId) -> &Mbr {
         &self.leaf_mbrs[page.index()]
     }
+
+    /// Refuses a query of another dimensionality, before any kernel sees
+    /// its components.
+    fn check_query(&self, query: &Vector) {
+        assert!(
+            query.dim() == self.dim,
+            "query dimensionality mismatch: {} vs index {}",
+            query.dim(),
+            self.dim
+        );
+    }
 }
 
 fn check_dim(dataset: &Dataset<Vector>) -> usize {
@@ -221,9 +232,12 @@ fn check_dim(dataset: &Dataset<Vector>) -> usize {
 struct XTreePlan<'a> {
     tree: &'a XTree,
     query: &'a Vector,
+    /// The kernel tier, read once per plan.
+    level: SimdLevel,
     frontier: MinHeap<Target>,
-    /// The children's lower bounds of the node being expanded.
-    bounds: Vec<f64>,
+    /// The children's lower bounds of the node being expanded, sized for
+    /// the widest node.
+    bounds: Box<[f64]>,
 }
 
 impl PagePlan for XTreePlan<'_> {
@@ -241,8 +255,9 @@ impl PagePlan for XTreePlan<'_> {
                 Target::Page(page) => return Some((page, lb)),
                 Target::Dir(idx) => {
                     let node = &self.tree.nodes.dirs[idx as usize];
-                    node.mindists(self.query.components(), &mut self.bounds);
-                    for (&child_lb, &child) in self.bounds.iter().zip(&node.targets) {
+                    let bounds =
+                        node.mindists(self.level, self.query.components(), &mut self.bounds);
+                    for (&child_lb, &child) in bounds.iter().zip(&node.targets) {
                         if child_lb <= query_dist {
                             self.frontier.push(child_lb, child);
                         }
@@ -256,13 +271,12 @@ impl PagePlan for XTreePlan<'_> {
 
 impl SimilarityIndex<Vector> for XTree {
     fn plan<'a>(&'a self, query: &'a Vector) -> Box<dyn PagePlan + 'a> {
-        assert!(
-            self.root.is_none() || query.dim() == self.dim,
-            "query dimensionality mismatch: {} vs index {}",
-            query.dim(),
-            self.dim
-        );
-        let mut frontier = MinHeap::new();
+        if self.root.is_some() {
+            self.check_query(query);
+        }
+        // One descent pushes at most a node's children per level: reserved
+        // once, the frontier rarely grows after.
+        let mut frontier = MinHeap::with_capacity(self.max_stride * self.stats.height);
         match self.root {
             Some(Target::Page(page)) => {
                 frontier.push(
@@ -276,8 +290,9 @@ impl SimilarityIndex<Vector> for XTree {
         Box::new(XTreePlan {
             tree: self,
             query,
+            level: kernel::active(),
             frontier,
-            bounds: Vec::new(),
+            bounds: vec![0.0; self.max_stride].into(),
         })
     }
 
@@ -285,27 +300,23 @@ impl SimilarityIndex<Vector> for XTree {
         self.leaf_mbrs[page.index()].mindist(query)
     }
 
-    /// [`LANES`] queries per pass against the leaf MBR, each summed in
-    /// dimension order: the bits of `page_mindist`.
+    /// Eight queries (`ROWS`) per kernel call against the leaf MBR, each
+    /// summed in dimension order: the bits of `page_mindist`.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `out` differ in length, or if a query's
+    /// dimensionality is not the index's.
     fn page_mindists(&self, queries: &[&Vector], page: PageId, out: &mut [f64]) {
         assert_eq!(queries.len(), out.len(), "one lower bound per query");
+        for query in queries {
+            self.check_query(query);
+        }
         let mbr = &self.leaf_mbrs[page.index()];
-        let dim = mbr.dim();
-        for (batch, lbs) in queries.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            debug_assert!(batch.iter().all(|q| q.dim() == dim));
-            // A short batch repeats its last query; those lanes are dropped.
-            let rows: [&[f32]; LANES] =
-                std::array::from_fn(|l| &batch[l.min(batch.len() - 1)].components()[..dim]);
-            let mut acc = [0.0f64; LANES];
-            for (d, (&lo, &hi)) in mbr.lo().iter().zip(mbr.hi()).enumerate() {
-                for l in 0..LANES {
-                    let gap = axis_gap(lo, hi, f64::from(rows[l][d]));
-                    acc[l] += gap * gap;
-                }
-            }
-            for (lb, a) in lbs.iter_mut().zip(&acc) {
-                *lb = a.sqrt();
-            }
+        let level = kernel::active();
+        for (batch, lbs) in queries.chunks(ROWS).zip(out.chunks_mut(ROWS)) {
+            let rows: [&[f32]; ROWS] =
+                std::array::from_fn(|l| batch.get(l).map_or(&[][..], |q| q.components()));
+            kernel::row_mindists_at(level, &rows[..batch.len()], mbr.lo(), mbr.hi(), lbs);
         }
     }
 
@@ -470,6 +481,41 @@ mod tests {
         // Only pages whose MBR contains q (mindist 0) may still come.
         for (_, lb) in &visited_after {
             assert_eq!(*lb, 0.0);
+        }
+    }
+
+    #[test]
+    fn a_query_of_another_dimensionality_is_refused() {
+        // `assert!`, not `debug_assert!`: this holds in release builds too.
+        let ds = Dataset::new(random_points(300, 4, 23));
+        let (tree, db) = XTree::bulk_load(&ds, tiny_cfg());
+        let fit = Vector::new(vec![1.0; 4]);
+        let page = db.page_ids().next().expect("a page");
+        for dim in [1, 3, 5, 9] {
+            let query = Vector::new(vec![1.0; dim]);
+            let attempts: [&dyn Fn(); 4] = [
+                &|| drop(tree.plan(&query)),
+                &|| {
+                    let _ = tree.page_mindist(&query, page);
+                },
+                &|| tree.page_mindists(&[&query], page, &mut [0.0]),
+                // A bad query among good ones, past the first kernel call.
+                &|| {
+                    let queries: Vec<&Vector> = (0..10)
+                        .map(|k| if k == 9 { &query } else { &fit })
+                        .collect();
+                    tree.page_mindists(&queries, page, &mut [0.0; 10])
+                },
+            ];
+            for attempt in attempts {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
+                    .expect_err("refused");
+                let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    text.contains("query dimensionality mismatch"),
+                    "dim {dim}: {text}"
+                );
+            }
         }
     }
 

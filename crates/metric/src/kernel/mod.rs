@@ -11,6 +11,16 @@
 //! explicit multiply-then-add (never FMA): the scalar kernels round after
 //! the multiply, and a fused operation would change the bits.
 //!
+//! Two more entry points compute MBR lower bounds (an X-tree's MINDIST):
+//! [`box_mindists`] for one query against the boxes of a directory node,
+//! stored column-major, and [`row_mindists`] for many queries against one
+//! leaf box. Their vector lanes are independent boxes or queries, never
+//! dimensions: every bound is its own sum of squared [`axis_gap`]s in
+//! dimension order, then its square root, so every tier returns the bits of
+//! the plain sequential loop. `axis_gap`'s two comparison selects are
+//! exactly what `maxpd` computes, which is what lets the AVX2 tier keep
+//! those bits. The NEON tier runs the scalar code for these two.
+//!
 //! The tier is chosen once, on first use, from runtime CPU feature
 //! detection, and can be overridden with the `MQ_SIMD` environment
 //! variable (`off|avx2|neon|auto`). Requesting a tier the CPU cannot run
@@ -365,6 +375,97 @@ pub fn hamming_at(level: SimdLevel, xs: &[u64], ys: &[u64]) -> u32 {
         x86::hamming_avx2(xs, ys),
         neon::hamming_neon(xs, ys)
     )
+}
+
+/// The distance from coordinate `c` to the interval `[lo, hi]`, zero
+/// inside: one term of an MBR's MINDIST. Written as two comparison selects,
+/// each of which is one `maxpd` (`maxpd a, b` is `if a > b { a } else { b }`
+/// per lane), so the vector tiers below compute these bits exactly.
+///
+/// For an interval with `lo <= hi` the two differences are never both
+/// positive, and both are non-positive exactly when `c` is inside. This
+/// equals `(lo - c).max(c - hi).max(0.0)` bit for bit up to the sign of a
+/// zero gap, which squaring removes: a NaN difference is never a positive
+/// gap in either form, because `c - hi` is NaN with `lo - c` a number only
+/// when `c` and `hi` are the same infinity, and then `lo - c` is not
+/// positive.
+#[inline]
+pub fn axis_gap(lo: f64, hi: f64, c: f64) -> f64 {
+    let (below, above) = (lo - c, c - hi);
+    let outside = if below > above { below } else { above };
+    if outside > 0.0 {
+        outside
+    } else {
+        0.0
+    }
+}
+
+/// MINDIST from `query` to each of `out.len()` axis-aligned boxes, at the
+/// process-wide tier. The boxes are stored column-major: box `k`'s bounds
+/// in dimension `d` are `lo[d * out.len() + k]` and `hi[d * out.len() + k]`.
+/// Each box's squared [`axis_gap`]s are summed in dimension order, so
+/// `out[k]` has the bits of the sequential sum's square root. This is an
+/// X-tree directory node expanding its children.
+///
+/// # Panics
+/// Panics unless `lo` and `hi` each hold `query.len() * out.len()` values.
+#[inline]
+pub fn box_mindists(query: &[f32], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    box_mindists_at(active(), query, lo, hi, out)
+}
+
+/// [`box_mindists`] at an explicit tier.
+pub fn box_mindists_at(level: SimdLevel, query: &[f32], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    assert!(
+        lo.len() == hi.len() && query.len().checked_mul(out.len()) == Some(lo.len()),
+        "box bounds mismatch: {} lower and {} upper bounds for {} boxes of dimension {}",
+        lo.len(),
+        hi.len(),
+        out.len(),
+        query.len()
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 presence is verified at runtime, and the assert
+        // above is the kernel's length contract.
+        SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => unsafe {
+            x86::box_mindists_avx2(query, lo, hi, out)
+        },
+        // The NEON tier runs the scalar code.
+        _ => scalar::box_mindists(query, lo, hi, out),
+    }
+}
+
+/// MINDIST from each row to one axis-aligned box `[lo, hi]`, at the
+/// process-wide tier: `out[r]` is row `r`'s squared [`axis_gap`]s summed
+/// in dimension order, square-rooted. This is one X-tree leaf tested for
+/// many queries.
+///
+/// # Panics
+/// Panics unless `hi`, and every row, are as long as `lo`, and `out` is as
+/// long as `rows`.
+#[inline]
+pub fn row_mindists(rows: &[&[f32]], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    row_mindists_at(active(), rows, lo, hi, out)
+}
+
+/// [`row_mindists`] at an explicit tier.
+pub fn row_mindists_at(level: SimdLevel, rows: &[&[f32]], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    assert_eq!(lo.len(), hi.len(), "box bounds mismatch");
+    assert_eq!(rows.len(), out.len(), "one lower bound per row");
+    for row in rows {
+        assert_eq!(row.len(), lo.len(), "row dimensionality mismatch");
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 presence is verified at runtime, and the asserts
+        // above are the kernel's length contract.
+        SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => unsafe {
+            x86::row_mindists_avx2(rows, lo, hi, out)
+        },
+        // The NEON tier runs the scalar code.
+        _ => scalar::row_mindists(rows, lo, hi, out),
+    }
 }
 
 /// Hints the CPU to pull every cache line `xs` touches into L1, one hint

@@ -171,3 +171,74 @@ pub(crate) fn dot(xs: &[f32], ys: &[f32]) -> f64 {
     }
     combine(acc) + tail
 }
+
+/// Boxes (or rows) per pass of the lower-bound kernels: eight independent
+/// sums, so no sum waits on another's additions.
+const BOUND_BLOCK: usize = 8;
+
+/// One block of `W` boxes of [`super::box_mindists`]'s column-major layout,
+/// boxes `k0..k0 + W` of `n`: each box's squared gaps summed in dimension
+/// order, then its square root, into `out[k0..k0 + W]`.
+#[inline(always)]
+pub(crate) fn box_block<const W: usize>(
+    query: &[f32],
+    lo: &[f64],
+    hi: &[f64],
+    n: usize,
+    k0: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [0.0f64; W];
+    for (d, &c) in query.iter().enumerate() {
+        let at = d * n + k0;
+        let (lo, hi) = (&lo[at..at + W], &hi[at..at + W]);
+        for l in 0..W {
+            let gap = super::axis_gap(lo[l], hi[l], f64::from(c));
+            acc[l] += gap * gap;
+        }
+    }
+    for (o, a) in out[k0..k0 + W].iter_mut().zip(acc) {
+        *o = a.sqrt();
+    }
+}
+
+/// MINDIST from `query` to every box of a column-major layout, eight boxes
+/// per pass, then four, then one at a time.
+#[inline]
+pub(crate) fn box_mindists(query: &[f32], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let mut k0 = 0;
+    while k0 + BOUND_BLOCK <= n {
+        box_block::<BOUND_BLOCK>(query, lo, hi, n, k0, out);
+        k0 += BOUND_BLOCK;
+    }
+    if k0 + LANES <= n {
+        box_block::<LANES>(query, lo, hi, n, k0, out);
+        k0 += LANES;
+    }
+    for k in k0..n {
+        box_block::<1>(query, lo, hi, n, k, out);
+    }
+}
+
+/// MINDIST from each row to one box, eight rows per pass. A short last
+/// pass repeats its last row in the spare lanes and drops their sums.
+#[inline]
+pub(crate) fn row_mindists(rows: &[&[f32]], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    let dim = lo.len();
+    for (batch, lbs) in rows.chunks(BOUND_BLOCK).zip(out.chunks_mut(BOUND_BLOCK)) {
+        // Every row cut to exactly `dim`, so the loop below needs no checks.
+        let rows: [&[f32]; BOUND_BLOCK] =
+            std::array::from_fn(|l| &batch[l.min(batch.len() - 1)][..dim]);
+        let mut acc = [0.0f64; BOUND_BLOCK];
+        for (d, (&lo, &hi)) in lo.iter().zip(hi).enumerate() {
+            for l in 0..BOUND_BLOCK {
+                let gap = super::axis_gap(lo, hi, f64::from(rows[l][d]));
+                acc[l] += gap * gap;
+            }
+        }
+        for (lb, a) in lbs.iter_mut().zip(acc) {
+            *lb = a.sqrt();
+        }
+    }
+}

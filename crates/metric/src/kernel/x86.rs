@@ -17,7 +17,9 @@
 //! CPU supports AVX2, and `ys` is at least as long as `xs`. The `*_at`
 //! entry points in `mod.rs` are the only callers; they trim both slices to
 //! the shorter one and `dispatch!` checks the feature at runtime before
-//! each call. Value intrinsics are safe inside such a function; only the
+//! each call. The two MINDIST kernels take a box and rows or a query
+//! instead; each states the lengths it needs, and their `*_at` entry points
+//! assert those lengths before they dispatch. Value intrinsics are safe inside such a function; only the
 //! raw-pointer loads and stores need an `unsafe` block, and each says why
 //! its pointer is in bounds.
 
@@ -226,4 +228,154 @@ pub(crate) unsafe fn hamming_avx2(xs: &[u64], ys: &[u64]) -> u32 {
         sum += (xs[i] ^ ys[i]).count_ones();
     }
     sum
+}
+
+/// The squared MINDIST gap of four lanes: `_mm256_max_pd(a, b)` is
+/// `if a > b { a } else { b }` per lane, so this is `axis_gap`'s two
+/// selects, then the square.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn gap_sq(lo: __m256d, hi: __m256d, c: __m256d) -> __m256d {
+    let outside = _mm256_max_pd(_mm256_sub_pd(lo, c), _mm256_sub_pd(c, hi));
+    let gap = _mm256_max_pd(outside, _mm256_setzero_pd());
+    _mm256_mul_pd(gap, gap)
+}
+
+/// `box_mindists` (column-major boxes, one query): eight boxes per pass in
+/// two accumulators, then four in one, then the scalar tier's single boxes.
+/// Beyond the module contract, `lo` and `hi` hold `query.len() * out.len()`
+/// values each.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn box_mindists_avx2(query: &[f32], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let mut k0 = 0;
+    while k0 + 2 * LANES <= n {
+        let (mut acc0, mut acc1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for (d, &c) in query.iter().enumerate() {
+            let c = _mm256_set1_pd(f64::from(c));
+            let at = d * n + k0;
+            // SAFETY: `d < query.len()` and `k0 + 8 <= n`, so
+            // `at + 8 <= query.len() * n`, the length of `lo` and `hi`.
+            let (lo0, lo1, hi0, hi1) = unsafe {
+                (
+                    _mm256_loadu_pd(lo.as_ptr().add(at)),
+                    _mm256_loadu_pd(lo.as_ptr().add(at + LANES)),
+                    _mm256_loadu_pd(hi.as_ptr().add(at)),
+                    _mm256_loadu_pd(hi.as_ptr().add(at + LANES)),
+                )
+            };
+            acc0 = _mm256_add_pd(acc0, gap_sq(lo0, hi0, c));
+            acc1 = _mm256_add_pd(acc1, gap_sq(lo1, hi1, c));
+        }
+        // SAFETY: `k0 + 8 <= n == out.len()`.
+        unsafe {
+            _mm256_storeu_pd(out.as_mut_ptr().add(k0), _mm256_sqrt_pd(acc0));
+            _mm256_storeu_pd(out.as_mut_ptr().add(k0 + LANES), _mm256_sqrt_pd(acc1));
+        }
+        k0 += 2 * LANES;
+    }
+    if k0 + LANES <= n {
+        let mut acc = _mm256_setzero_pd();
+        for (d, &c) in query.iter().enumerate() {
+            let at = d * n + k0;
+            // SAFETY: as above, with `k0 + 4 <= n`.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_loadu_pd(lo.as_ptr().add(at)),
+                    _mm256_loadu_pd(hi.as_ptr().add(at)),
+                )
+            };
+            acc = _mm256_add_pd(acc, gap_sq(lo, hi, _mm256_set1_pd(f64::from(c))));
+        }
+        // SAFETY: `k0 + 4 <= n == out.len()`.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(k0), _mm256_sqrt_pd(acc)) };
+        k0 += LANES;
+    }
+    for k in k0..n {
+        super::scalar::box_block::<1>(query, lo, hi, n, k, out);
+    }
+}
+
+/// The squared-gap sums of `4 * G` rows against one box. Each group of four
+/// rows is read four dimensions at a time and transposed in registers, so a
+/// lane holds one row and a vector one dimension; the box's bounds are
+/// broadcast. Beyond the module contract, every row holds exactly
+/// `lo.len()` components and `hi` is as long as `lo`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_sums<const G: usize>(rows: &[&[f32]; 8], lo: &[f64], hi: &[f64]) -> [__m256d; G] {
+    let dim = lo.len();
+    let blocked = dim - dim % LANES;
+    let mut acc = [_mm256_setzero_pd(); G];
+    for d in (0..blocked).step_by(LANES) {
+        for (g, acc) in acc.iter_mut().enumerate() {
+            let r = &rows[g * LANES..g * LANES + LANES];
+            // SAFETY: `d + 4 <= blocked <= dim`, every row's length.
+            let (x0, x1, x2, x3) = unsafe {
+                (
+                    _mm_loadu_ps(r[0].as_ptr().add(d)),
+                    _mm_loadu_ps(r[1].as_ptr().add(d)),
+                    _mm_loadu_ps(r[2].as_ptr().add(d)),
+                    _mm_loadu_ps(r[3].as_ptr().add(d)),
+                )
+            };
+            let (t0, t1) = (_mm_unpacklo_ps(x0, x1), _mm_unpacklo_ps(x2, x3));
+            let (t2, t3) = (_mm_unpackhi_ps(x0, x1), _mm_unpackhi_ps(x2, x3));
+            // Dimensions d, d + 1, d + 2, d + 3 in that order: each lane's
+            // sum stays in dimension order.
+            let columns = [
+                _mm_movelh_ps(t0, t1),
+                _mm_movehl_ps(t1, t0),
+                _mm_movelh_ps(t2, t3),
+                _mm_movehl_ps(t3, t2),
+            ];
+            for (j, c) in columns.into_iter().enumerate() {
+                let (lo, hi) = (_mm256_set1_pd(lo[d + j]), _mm256_set1_pd(hi[d + j]));
+                *acc = _mm256_add_pd(*acc, gap_sq(lo, hi, _mm256_cvtps_pd(c)));
+            }
+        }
+    }
+    for d in blocked..dim {
+        let (lo, hi) = (_mm256_set1_pd(lo[d]), _mm256_set1_pd(hi[d]));
+        for (g, acc) in acc.iter_mut().enumerate() {
+            let r = &rows[g * LANES..g * LANES + LANES];
+            let c = _mm256_setr_pd(
+                f64::from(r[0][d]),
+                f64::from(r[1][d]),
+                f64::from(r[2][d]),
+                f64::from(r[3][d]),
+            );
+            *acc = _mm256_add_pd(*acc, gap_sq(lo, hi, c));
+        }
+    }
+    acc
+}
+
+/// `row_mindists` (rows against one box): eight rows per pass, or four for
+/// a last pass of four or fewer. A short pass repeats its last row in the
+/// spare lanes and drops their sums. Beyond the module contract, every row
+/// holds exactly `lo.len()` components, `hi` is as long as `lo`, and `out`
+/// as long as `rows`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn row_mindists_avx2(rows: &[&[f32]], lo: &[f64], hi: &[f64], out: &mut [f64]) {
+    for (batch, lbs) in rows.chunks(2 * LANES).zip(out.chunks_mut(2 * LANES)) {
+        let padded: [&[f32]; 8] = std::array::from_fn(|l| batch[l.min(batch.len() - 1)]);
+        let mut sums = [0.0f64; 2 * LANES];
+        if batch.len() > LANES {
+            // SAFETY: the rows and bounds are as this function's contract
+            // says, and `sums` holds the 8 f64s the two stores write.
+            unsafe {
+                let [a, b] = row_sums::<2>(&padded, lo, hi);
+                _mm256_storeu_pd(sums.as_mut_ptr(), _mm256_sqrt_pd(a));
+                _mm256_storeu_pd(sums.as_mut_ptr().add(LANES), _mm256_sqrt_pd(b));
+            }
+        } else {
+            // SAFETY: as above; the store writes the first 4 of `sums`.
+            unsafe {
+                let [a] = row_sums::<1>(&padded, lo, hi);
+                _mm256_storeu_pd(sums.as_mut_ptr(), _mm256_sqrt_pd(a));
+            }
+        }
+        lbs.copy_from_slice(&sums[..lbs.len()]);
+    }
 }
