@@ -1,7 +1,6 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
-use mq_approx::ApproxTier;
 use mq_core::{CostModel, EngineOptions, QueryEngine, QueryType, StatsProbe};
 use mq_datagen::{
     classification_query_ids, embeddings, image_histograms, tycho_like, uniform_vectors,
@@ -21,7 +20,7 @@ pub fn generate(args: &Args) -> CmdResult {
     let seed: u64 = args.parse_or("seed", 42)?;
     let out = args.required("out")?;
     // Writing into a live store would truncate its segment in place and
-    // leave its sidecars (approx sketch, cluster partitions) stale.
+    // leave its cluster partitions stale.
     if std::fs::read_dir(out).is_ok_and(|mut entries| entries.next().is_some()) {
         return Err(format!("--out {out} is not empty; generate writes a new database").into());
     }
@@ -126,27 +125,6 @@ fn resolve_index_for_metric(
     Ok(which)
 }
 
-/// Parses `--approx bq:<budget>` (absent → exact engine). The candidate
-/// tier ranks by Euclidean proximity, so any other metric is refused up
-/// front rather than silently mis-screened.
-fn parse_approx(
-    args: &Args,
-    metric: VectorMetric,
-) -> Result<Option<ApproxTier>, Box<dyn std::error::Error>> {
-    if !args.has("approx") {
-        return Ok(None);
-    }
-    let tier: ApproxTier = args.required("approx")?.parse()?;
-    if metric != VectorMetric::Euclidean {
-        return Err(format!(
-            "--approx requires --metric euclidean: the {tier} tier ranks candidates \
-             by Euclidean proximity",
-        )
-        .into());
-    }
-    Ok(Some(tier))
-}
-
 /// The one place the CLI turns engine flags into [`EngineOptions`]
 /// (`mq serve`), starting from the server's defaults.
 fn parse_engine_options(args: &Args) -> Result<EngineOptions, Box<dyn std::error::Error>> {
@@ -223,7 +201,7 @@ fn build_index(
 }
 
 pub fn query(args: &Args) -> CmdResult {
-    args.reject_unknown(&["object", "knn", "range", "index", "metric", "approx"])?;
+    args.reject_unknown(&["object", "knn", "range", "index", "metric"])?;
     let stored = load(args)?;
     let ds = stored.to_dataset()?;
     let qtype = parse_qtype(args)?;
@@ -234,14 +212,6 @@ pub fn query(args: &Args) -> CmdResult {
     let q = ds.object(ObjectId(object_id)).clone();
     let metric_choice = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric_choice, "xtree")?;
-    let tier = parse_approx(args, metric_choice)?;
-    if tier.is_some() && which == "vafile" {
-        return Err(
-            "--approx does not combine with the vafile filter-and-refine path; \
-             use --index scan, xtree, or mtree"
-                .into(),
-        );
-    }
     let dim = q.dim();
     let model = CostModel::paper_1999(dim);
     let metric = CountingMetric::new(metric_choice);
@@ -263,32 +233,10 @@ pub fn query(args: &Args) -> CmdResult {
         (answers, stats)
     } else {
         let (index, db) = build_index(&ds, stored.layout(), &which)?;
-        let prescreen = tier.map(|t| t.prescreen(&db, None));
         let disk = SimulatedDisk::new(db, 0.10);
-        let mut engine = QueryEngine::new(&disk, &*index, metric.clone());
-        if let Some(p) = &prescreen {
-            engine = engine.with_prescreen(&**p);
-        }
+        let engine = QueryEngine::new(&disk, &*index, metric.clone());
         let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
-        let answers = if prescreen.is_some() {
-            // The prescreen hooks into session admission, so an
-            // approximate single query runs as a one-query batch.
-            let mut session = engine.new_session(vec![(q.clone(), qtype)]);
-            engine.run_to_completion(&mut session);
-            let a = session.answers(0).clone();
-            let s = session.approx_stats();
-            println!(
-                "approx {}: {} candidates, {} pages + {} objects prefiltered, {} re-ranked",
-                tier.expect("prescreen implies tier"),
-                s.candidates_emitted,
-                s.pages_skipped,
-                s.objects_skipped,
-                s.rerank_survivors,
-            );
-            a
-        } else {
-            engine.similarity_query(&q, &qtype)
-        };
+        let answers = engine.similarity_query(&q, &qtype);
         (answers, probe.finish(&disk, Default::default()))
     };
 
@@ -318,7 +266,6 @@ pub fn batch(args: &Args) -> CmdResult {
         "metric",
         "seed",
         "no-avoidance",
-        "approx",
     ])?;
     let stored = load(args)?;
     let ds = stored.to_dataset()?;
@@ -329,25 +276,17 @@ pub fn batch(args: &Args) -> CmdResult {
     let n_queries: usize = args.parse_or("queries", 100)?;
     let m: usize = args.parse_or("m", 10)?;
     let seed: u64 = args.parse_or("seed", 1)?;
-    let tier = parse_approx(args, metric_choice)?;
     let avoidance = avoidance(args);
 
     let (index, db) = build_index(&ds, stored.layout(), &which)?;
-    let prescreen = tier.map(|t| t.prescreen(&db, None));
     let dim = db.object(ObjectId(0)).dim();
     let model = CostModel::paper_1999(dim);
     let disk = SimulatedDisk::new(db, 0.10);
     let metric = CountingMetric::new(metric_choice);
-    let mut engine = QueryEngine::new(&disk, &*index, metric.clone()).with_options(EngineOptions {
+    let engine = QueryEngine::new(&disk, &*index, metric.clone()).with_options(EngineOptions {
         avoidance,
         ..EngineOptions::default()
     });
-    // The tier only hooks into session admission: the singles loop below
-    // stays exact, so the printed comparison is the exact baseline against
-    // the approximate shared-batch run.
-    if let Some(p) = &prescreen {
-        engine = engine.with_prescreen(&**p);
-    }
 
     let ids = classification_query_ids(ds.len(), n_queries.min(ds.len()), seed);
     let queries: Vec<(Vector, QueryType)> = ids
@@ -367,20 +306,17 @@ pub fn batch(args: &Args) -> CmdResult {
     metric.counter().reset();
     let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
     let mut avoided = 0u64;
-    let mut approx_stats = mq_core::ApproxStats::default();
     for block in queries.chunks(m) {
         let mut session = engine.new_session(block.to_vec());
         engine.run_to_completion(&mut session);
         avoided += session.avoidance_stats().avoided;
-        approx_stats += session.approx_stats();
     }
     let multiple = probe.finish(&disk, Default::default());
 
     println!(
-        "{n_queries} x {qtype} via {which} ({} distance, avoidance {}, approx {}):",
+        "{n_queries} x {qtype} via {which} ({} distance, avoidance {}):",
         metric_choice.name(),
         if avoidance { "on" } else { "off" },
-        tier.map_or("off".to_string(), |t| t.to_string()),
     );
     println!(
         "  singles      : {:>9} page reads, {:>11} distance calcs, modeled {:>9.3} s",
@@ -399,16 +335,6 @@ pub fn batch(args: &Args) -> CmdResult {
         model.total_seconds(&singles) / model.total_seconds(&multiple),
         avoided
     );
-    if tier.is_some() {
-        println!(
-            "  approx: {} candidates emitted, {} pages + {} objects prefiltered, \
-             {} re-ranked exactly",
-            approx_stats.candidates_emitted,
-            approx_stats.pages_skipped,
-            approx_stats.objects_skipped,
-            approx_stats.rerank_survivors,
-        );
-    }
     Ok(())
 }
 
@@ -462,7 +388,6 @@ pub fn serve(args: &Args) -> CmdResult {
         "workers",
         "retry-budget",
         "no-avoidance",
-        "approx",
         "timeout-ms",
         "max-queue",
         "quota",
@@ -500,8 +425,7 @@ pub fn serve(args: &Args) -> CmdResult {
         .with_store(store.clone())
         .with_metric(metric)
         .with_max_queue(max_queue)
-        .with_quota(quota)
-        .with_approx(parse_approx(args, metric)?);
+        .with_quota(quota);
     // The file store serves its recovered page layout as-is, by a
     // sequential scan. The tree bulk-loaders would repack — an explicit
     // request for one is an error, while the implicit default (xtree)

@@ -39,22 +39,16 @@ USAGE:
   mq query <DIR> --object <ID> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree|vafile]
                 [--metric euclidean|manhattan|cosine|dot]
-                [--approx bq:<BUDGET>]
       Run one similarity query and print answers plus cost counters.
       --index vafile is the VA-file's object-level filter-and-refine
       scan and exists on this command only. Non-Euclidean metrics
       require --index scan (tree and VA-file bounds are Euclidean
-      geometry). --approx prescreens candidates
-      with a lossy tier (binary-quantized Hamming scan keeping BUDGET
-      ids) and re-ranks them exactly — recall may drop, reported
-      distances never lie.
+      geometry).
 
   mq batch <DIR> --queries <N> --m <M> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree] [--metric ...] [--seed <S>]
-                [--no-avoidance] [--approx bq:<BUDGET>]
+                [--no-avoidance]
       Run N random queries in blocks of M and compare against singles.
-      With --approx the blocks run through the approximate candidate
-      tier (the singles baseline stays exact).
 
   mq dbscan <DIR> --eps <EPS> --min-pts <P> [--batch <M>]
       Density-based clustering with single or multiple queries.
@@ -67,7 +61,7 @@ USAGE:
                 [--store sim|file:<DIR>] [--max-batch <M>]
                 [--cluster <S>] [--prefetch-depth <D>] [--workers <W>]
                 [--retry-budget <R>]
-                [--no-avoidance] [--approx bq:<BUDGET>] [--timeout-ms <MS>]
+                [--no-avoidance] [--timeout-ms <MS>]
                 [--max-queue <N>] [--quota <RATE:BURST>]
                 [--drain-timeout-s <S>] [--log-interval-s <S>]
       Serve the database over TCP, batching concurrent client queries
@@ -87,10 +81,7 @@ USAGE:
       receive distances under the server's configured metric — e.g.
       serve an embeddings database with --metric cosine --index scan.
       A file store serves its recovered layout by a sequential scan
-      (trees would repack it and are refused). --approx installs the lossy
-      candidate tier in front of the exact engine; bq sketches persist
-      as sketch.mqbq next to a file store's pages and are reloaded,
-      checksum-verified, on restart. One readiness-polled event-loop
+      (trees would repack it and are refused). One readiness-polled event-loop
       thread serves every connection; --timeout-ms closes connections
       idle for longer (0 = never). --max-queue bounds in-flight queries
       per collection and --quota installs a per-tenant token bucket;

@@ -326,15 +326,24 @@ fn switches_and_retired_options() {
         &["--simd", "off"],
         ["unknown option --simd", "mq query"],
     );
-    let hnsw = mq(&[
-        "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",
-    ]);
-    assert!(!hnsw.status.success());
-    assert!(
-        stderr(&hnsw).contains("unknown approx tier"),
-        "{}",
-        stderr(&hnsw)
-    );
+    // The approximate candidate tier is retired: every command that took
+    // `--approx` refuses it by name, whatever tier it names.
+    let batch_knn = [&batch[..], &["--knn", "3"]].concat();
+    for (base, tier) in [
+        (&query[..], "bq:300"),
+        (&query[..], "hnsw:64"),
+        (&batch_knn[..], "bq:300"),
+        (&serve[..], "bq:300"),
+    ] {
+        let out = mq(&[base, &["--approx", tier]].concat());
+        assert_eq!(out.status.code(), Some(1), "{base:?} --approx {tier}");
+        assert!(
+            stderr(&out).contains("unknown option --approx"),
+            "{}",
+            stderr(&out)
+        );
+        assert!(!stdout(&out).contains("listening"), "{base:?}");
+    }
     std::fs::remove_dir_all(&db).ok();
 }
 

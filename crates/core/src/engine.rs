@@ -4,7 +4,6 @@ use crate::answers::{Answer, AnswerList};
 use crate::fault::{EngineError, FaultPolicy};
 use crate::multiple::{self, MultiQuerySession};
 use crate::obs::EngineObs;
-use crate::prescreen::CandidatePrescreen;
 use crate::query::QueryType;
 use crate::single;
 use mq_index::SimilarityIndex;
@@ -87,10 +86,6 @@ pub struct QueryEngine<'a, O, M> {
     /// [`with_recorder`](Self::with_recorder) (`None` = observability off;
     /// the step loop then pays one discriminant check).
     obs: Option<Arc<EngineObs>>,
-    /// The approximate candidate tier, if any: queries admitted into a
-    /// session are prescreened and the session restricted to the candidate
-    /// union (see [`CandidatePrescreen`]). `None` = the exact engine.
-    prescreen: Option<&'a dyn CandidatePrescreen<O>>,
 }
 
 impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
@@ -103,21 +98,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
             metric,
             options: EngineOptions::default(),
             obs: None,
-            prescreen: None,
         }
-    }
-
-    /// Attaches an approximate candidate tier: every query admitted into a
-    /// session (at [`new_session`](Self::new_session) or
-    /// [`push_query`](Self::push_query)) is prescreened and the session is
-    /// restricted to the union of all candidate sets — candidate-free plan
-    /// pages are skipped, non-candidate records are dropped before any
-    /// distance work, and the survivors are re-ranked exactly. Answers
-    /// become approximate (recall < 1 is possible); a prescreen that emits
-    /// every object keeps them bit-identical to the exact engine.
-    pub fn with_prescreen(mut self, prescreen: &'a dyn CandidatePrescreen<O>) -> Self {
-        self.prescreen = Some(prescreen);
-        self
     }
 
     /// Wires an observability [`Recorder`] through the engine: step,
@@ -165,23 +146,6 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         self.options
     }
 
-    /// The attached approximate tier's name, if any.
-    pub fn prescreen_name(&self) -> Option<&str> {
-        self.prescreen.map(|p| p.name())
-    }
-
-    /// Prescreens one admitted query and folds its candidates into the
-    /// session's restriction.
-    fn apply_prescreen(&self, session: &mut MultiQuerySession<O>, qi: usize) {
-        if let Some(prescreen) = self.prescreen {
-            let ids = prescreen.candidates(session.query_object(qi));
-            if let Some(o) = &self.obs {
-                o.approx.candidates.add(ids.len() as u64);
-            }
-            session.restrict(&ids, self.disk.database());
-        }
-    }
-
     /// Answers one similarity query (Fig. 1).
     ///
     /// # Panics
@@ -218,8 +182,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     ) -> MultiQuerySession<O> {
         let mut session = MultiQuerySession::with_page_count(self.disk.database().page_count());
         for (object, qtype) in queries {
-            let qi = multiple::admit(&mut session, &self.metric, object, None, qtype);
-            self.apply_prescreen(&mut session, qi);
+            multiple::admit(&mut session, &self.metric, object, None, qtype);
         }
         session
     }
@@ -234,9 +197,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         object: O,
         qtype: QueryType,
     ) -> usize {
-        let qi = multiple::admit(session, &self.metric, object, None, qtype);
-        self.apply_prescreen(session, qi);
-        qi
+        multiple::admit(session, &self.metric, object, None, qtype)
     }
 
     /// [`push_query`](Self::push_query) for an object stored in the
@@ -255,9 +216,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         qtype: QueryType,
     ) -> usize {
         let object = self.disk.database().object(id).clone();
-        let qi = multiple::admit(session, &self.metric, object, Some(id), qtype);
-        self.apply_prescreen(session, qi);
-        qi
+        multiple::admit(session, &self.metric, object, Some(id), qtype)
     }
 
     /// One call of the paper's `multiple_similarity_query` (Fig. 4):

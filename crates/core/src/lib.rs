@@ -33,7 +33,6 @@ pub mod engine;
 pub mod fault;
 pub mod multiple;
 pub mod obs;
-pub mod prescreen;
 pub mod query;
 pub mod single;
 pub mod stats;
@@ -43,8 +42,7 @@ pub use avoidance::{AvoidanceStats, QueryDistanceMatrix};
 pub use browse::DistanceBrowser;
 pub use engine::{EngineOptions, QueryEngine};
 pub use fault::{EngineError, FaultPolicy};
-pub use multiple::{ApproxStats, MultiQuerySession};
+pub use multiple::MultiQuerySession;
 pub use obs::EngineObs;
-pub use prescreen::CandidatePrescreen;
 pub use query::{QueryKind, QueryType};
 pub use stats::{CostModel, ExecutionStats, StatsProbe};

@@ -138,7 +138,7 @@ use crate::query::QueryType;
 use crate::single::LOOK_AHEAD;
 use mq_index::SimilarityIndex;
 use mq_metric::{Metric, ObjectId};
-use mq_storage::{PageId, PageStore, PagedDatabase, StorageObject};
+use mq_storage::{PageId, PageStore, StorageObject};
 use std::collections::VecDeque;
 
 /// A compact bitset over page ids — the per-query `processed pages` set.
@@ -216,76 +216,6 @@ pub(crate) struct QueryState {
     pub(crate) completed: bool,
 }
 
-/// Recall-proxy counters of the approximate candidate tier. All zeros
-/// unless the session's engine has a
-/// [`CandidatePrescreen`](crate::CandidatePrescreen) attached.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ApproxStats {
-    /// Candidate ids emitted by the prescreen, summed over admitted
-    /// queries (before the union collapses duplicates).
-    pub candidates_emitted: u64,
-    /// Plan pages never read because no candidate lives on them.
-    pub pages_skipped: u64,
-    /// Page records skipped by the candidate filter before any avoidance
-    /// or distance work (counted once per page evaluation, not per query).
-    pub objects_skipped: u64,
-    /// Exact answers produced by the re-rank: candidate distances that
-    /// passed their query's bound at evaluation time.
-    pub rerank_survivors: u64,
-}
-
-impl std::ops::AddAssign for ApproxStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.candidates_emitted += rhs.candidates_emitted;
-        self.pages_skipped += rhs.pages_skipped;
-        self.objects_skipped += rhs.objects_skipped;
-        self.rerank_survivors += rhs.rerank_survivors;
-    }
-}
-
-/// The union of every admitted query's prescreen candidates: an object-id
-/// bitset plus the set of pages holding at least one candidate. The step
-/// loop skips plan pages outside `pages` and page records outside
-/// `objects`; everything that survives runs through the exact machinery.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CandidateRestriction {
-    /// Bit per object id (the candidate union).
-    objects: Vec<u64>,
-    /// Bit per page id (pages with at least one candidate).
-    pages: Vec<u64>,
-}
-
-impl CandidateRestriction {
-    /// Adds one candidate object and the page it lives on, growing both
-    /// universes as needed (online inserts can append fresh ids/pages).
-    pub(crate) fn admit(&mut self, id: ObjectId, page: PageId) {
-        let oi = id.index();
-        if oi / 64 >= self.objects.len() {
-            self.objects.resize(oi / 64 + 1, 0);
-        }
-        self.objects[oi / 64] |= 1 << (oi % 64);
-        let pi = page.index();
-        if pi / 64 >= self.pages.len() {
-            self.pages.resize(pi / 64 + 1, 0);
-        }
-        self.pages[pi / 64] |= 1 << (pi % 64);
-    }
-
-    /// Whether `id` is in the candidate union.
-    #[inline]
-    pub(crate) fn contains_object(&self, id: ObjectId) -> bool {
-        let i = id.index();
-        i / 64 < self.objects.len() && (self.objects[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Whether `page` holds at least one candidate.
-    #[inline]
-    pub(crate) fn covers_page(&self, page: PageId) -> bool {
-        let i = page.index();
-        i / 64 < self.pages.len() && (self.pages[i / 64] >> (i % 64)) & 1 == 1
-    }
-}
-
 /// The state of one multiple similarity query across incremental calls —
 /// partial answers, processed-page sets, the inter-query distance matrix,
 /// and the avoidance counters.
@@ -314,11 +244,6 @@ pub struct MultiQuerySession<O> {
     /// What each pivot rank has removed so far: the avoidance gate.
     pub(crate) ledger: RankLedger,
     pub(crate) page_count: usize,
-    /// The approximate tier's candidate union, when the engine has a
-    /// prescreen attached. `None` means the exact engine — the step loop
-    /// takes no restriction branch at all.
-    pub(crate) restriction: Option<CandidateRestriction>,
-    pub(crate) approx_stats: ApproxStats,
     scratch: PageScratch,
 }
 
@@ -333,8 +258,6 @@ impl<O> MultiQuerySession<O> {
             avoidance_stats: AvoidanceStats::default(),
             ledger: RankLedger::default(),
             page_count,
-            restriction: None,
-            approx_stats: ApproxStats::default(),
             scratch: PageScratch::default(),
         }
     }
@@ -395,19 +318,6 @@ impl<O> MultiQuerySession<O> {
         self.avoidance_stats
     }
 
-    /// The accumulated approximate-tier counters (all zeros for an exact
-    /// session).
-    pub fn approx_stats(&self) -> ApproxStats {
-        self.approx_stats
-    }
-
-    /// Whether this session runs under a candidate restriction (i.e. the
-    /// engine has a prescreen attached and at least one query was
-    /// admitted through it).
-    pub fn is_restricted(&self) -> bool {
-        self.restriction.is_some()
-    }
-
     /// Consumes the session into the final answer lists, one per query, in
     /// admission order.
     pub fn into_answers(self) -> Vec<Vec<Answer>> {
@@ -415,26 +325,6 @@ impl<O> MultiQuerySession<O> {
             .into_iter()
             .map(|s| s.answers.into_vec())
             .collect()
-    }
-
-    /// Folds one query's prescreen candidates into the session's
-    /// restriction, resolving each candidate id to its page so the step
-    /// loop can skip candidate-free plan pages wholesale. Ids unknown to
-    /// the database (a prescreen sketch can outlive a delete) are dropped
-    /// here — they could never be read anyway.
-    pub(crate) fn restrict(&mut self, ids: &[ObjectId], db: &PagedDatabase<O>)
-    where
-        O: StorageObject,
-    {
-        let restriction = self
-            .restriction
-            .get_or_insert_with(CandidateRestriction::default);
-        self.approx_stats.candidates_emitted += ids.len() as u64;
-        for &id in ids {
-            if let Some((page, _)) = db.try_locate(id) {
-                restriction.admit(id, page);
-            }
-        }
     }
 
     /// Grows the session's page universe (after an online insert appended
@@ -474,11 +364,6 @@ where
     M: Metric<O>,
 {
     session.grow(page_count);
-    if let Some(restriction) = &mut session.restriction {
-        // A fresh insert postdates every prescreen sketch, so no sketch
-        // can vouch for (or against) it: always admit it as a candidate.
-        restriction.admit(new_id, page);
-    }
     let MultiQuerySession {
         objects, states, ..
     } = &mut *session;
@@ -573,8 +458,8 @@ struct PageScratch {
     /// next, then the pages staged (and pinned) behind it, each with the
     /// lower bound the plan reported (see "Pipelined prefetch" above).
     window: VecDeque<(PageId, f64)>,
-    /// The records every active query starts from: all of the page's, or
-    /// the candidate restriction's, less the residents.
+    /// The records every active query starts from: all of the page's less
+    /// the residents.
     eligible: Vec<u32>,
     /// The page's pivot columns (see `evaluate_page`).
     dists: Vec<f64>,
@@ -721,19 +606,13 @@ impl PageScratch {
     /// query will consult its distances.
     ///
     /// `residents` are the `(slot, query)` pairs of admitted queries whose
-    /// records lie on the page and pass the `filter`, sorted (so two queries
-    /// admitted with the same id share one record, reused once). No query
+    /// records lie on the page, sorted (so two queries admitted with the
+    /// same id share one record, reused once). No query
     /// sweeps or computes such a record: its distance to every active query
     /// but its own is `qq`'s, taken as the kernel would have returned it
     /// (metrics are bitwise symmetric) and counted as `reused`. Its own query
     /// evaluates it like any other record, because `qq` has no diagonal (a
     /// signed score such as `DotProduct` is not `0` at distance zero).
-    ///
-    /// With a candidate `filter` (the approximate tier), non-candidate
-    /// records are dropped before any avoidance or distance work — for
-    /// *every* active query. A `filter` that contains every record is a
-    /// no-op: the survivor lists, pivot columns and counters are
-    /// bit-identical to the unfiltered run.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_page<'r, O, M>(
         &mut self,
@@ -745,10 +624,8 @@ impl PageScratch {
         ledger: &RankLedger,
         states: &mut [QueryState],
         stats: &mut AvoidanceStats,
-        approx: &mut ApproxStats,
         metric: &M,
         avoidance: bool,
-        filter: Option<&CandidateRestriction>,
     ) where
         O: StorageObject,
         M: Metric<O>,
@@ -756,16 +633,11 @@ impl PageScratch {
         let n = records.len();
         let m = self.active.len();
         self.ranks.reset(m - 1);
-        self.eligible.clear();
-        self.eligible.extend(
-            (0..n as u32)
-                .filter(|&oi| filter.is_none_or(|f| f.contains_object(records[oi as usize].0))),
-        );
-        // Counted once per page evaluation, not once per active query.
-        approx.objects_skipped += (n - self.eligible.len()) as u64;
         let residents = &self.residents;
         let resident = |oi: &u32| residents.binary_search_by_key(oi, |&(s, _)| s).is_ok();
-        self.eligible.retain(|oi| !resident(oi));
+        self.eligible.clear();
+        self.eligible
+            .extend((0..n as u32).filter(|oi| !resident(oi)));
         // dists[qi * n + oi] = distance of records[oi] to query active[qi];
         // NaN = avoided / not computed. This is the paper's per-object
         // `AvoidingDists` for the whole page, one contiguous column per pivot.
@@ -774,7 +646,6 @@ impl PageScratch {
         self.dists.resize(n * (m - 1), f64::NAN);
         // No query keeps more than the page's records.
         batch.reserve(n);
-        let mut found = 0; // candidates within their query's bound
 
         for (qi, (&i, &bound)) in self.active.iter().zip(&self.qd).enumerate() {
             let answers = &mut states[i].answers;
@@ -820,7 +691,6 @@ impl PageScratch {
                     let (id, object) = &records[oi as usize];
                     if let Some(distance) = metric.distance_le(object, &queries[i], bound) {
                         answers.insert(Answer { id: *id, distance });
-                        found += 1;
                     }
                 }
             } else {
@@ -835,7 +705,6 @@ impl PageScratch {
                     if distance <= bound {
                         let id = records[oi as usize].0;
                         answers.insert(Answer { id, distance });
-                        found += 1;
                     }
                 }
             }
@@ -848,13 +717,8 @@ impl PageScratch {
                 if distance <= bound {
                     let id = records[slot as usize].0;
                     answers.insert(Answer { id, distance });
-                    found += 1;
                 }
             }
-        }
-
-        if filter.is_some() {
-            approx.rerank_survivors += found;
         }
     }
 }
@@ -937,11 +801,10 @@ where
     // records on every exit — success, fault error, or unwind.
     let step_span = obs.map(|o| o.step_seconds.start_timer());
     let avoidance_before = session.avoidance_stats;
-    let approx_before = session.approx_stats;
 
-    // Split the session so page evaluation can hold `objects`, `prices`,
-    // `qq` and the candidate restriction immutably while it mutates
-    // `states` / `avoidance_stats` / `approx_stats` and its `scratch`.
+    // Split the session so page evaluation can hold `objects`, `prices` and
+    // `qq` immutably while it mutates `states` / `avoidance_stats` and its
+    // `scratch`.
     let MultiQuerySession {
         objects,
         ids,
@@ -950,12 +813,9 @@ where
         qq,
         avoidance_stats,
         ledger,
-        restriction,
-        approx_stats,
         scratch,
         ..
     } = &mut *session;
-    let filter: Option<&CandidateRestriction> = restriction.as_ref();
 
     let head_object = objects[head].clone();
     let mut plan = index.plan(&head_object);
@@ -981,14 +841,6 @@ where
                 // Already evaluated for the head while it was a trailing
                 // query of an earlier call — that page is free now.
                 continue;
-            }
-            if let Some(f) = filter {
-                if !f.covers_page(page_id) {
-                    // No candidate of any admitted query lives on this
-                    // page: the approximate tier never reads it.
-                    approx_stats.pages_skipped += 1;
-                    continue;
-                }
             }
             if !scratch.window.is_empty() {
                 // A prefetch that faults past the budget is absorbed: the
@@ -1035,15 +887,13 @@ where
             }
         }
         // Which admitted queries are stored on this page? Looked up at every
-        // read, so no online insert, delete or checkpoint can make it stale;
-        // a record outside the candidate restriction is skipped like any.
+        // read, so no online insert, delete or checkpoint can make it stale.
         let db = disk.database();
         scratch.residents.clear();
         scratch
             .residents
             .extend(ids.iter().enumerate().filter_map(|(j, &id)| {
-                let id = id.filter(|&id| filter.is_none_or(|f| f.contains_object(id)))?;
-                let (page, slot) = db.try_locate(id)?;
+                let (page, slot) = db.try_locate(id?)?;
                 (page == page_id).then_some((slot, j))
             }));
         scratch.residents.sort_unstable();
@@ -1068,10 +918,8 @@ where
             ledger,
             states,
             avoidance_stats,
-            approx_stats,
             metric,
             options.avoidance,
-            filter,
         );
         drop(eval_span);
         let merge_span = obs.map(|o| o.merge_seconds.start_timer());
@@ -1092,16 +940,6 @@ where
         o.dist_performed
             .add(after.computed - avoidance_before.computed);
         o.dist_reused.add(after.reused - avoidance_before.reused);
-        let approx_after = session.approx_stats;
-        o.approx
-            .pages_skipped
-            .add(approx_after.pages_skipped - approx_before.pages_skipped);
-        o.approx
-            .objects_skipped
-            .add(approx_after.objects_skipped - approx_before.objects_skipped);
-        o.approx
-            .rerank_survivors
-            .add(approx_after.rerank_survivors - approx_before.rerank_survivors);
         if let Some(span) = &step_span {
             o.completion_seconds.observe(span.elapsed_secs());
         }
@@ -1115,7 +953,7 @@ mod tests {
     use crate::QueryEngine;
     use mq_index::LinearScan;
     use mq_metric::{Euclidean, Vector};
-    use mq_storage::{Dataset, PageId, PageLayout, SimulatedDisk};
+    use mq_storage::{Dataset, PageId, PageLayout, PagedDatabase, SimulatedDisk};
 
     #[test]
     fn pageset_basics() {
@@ -1318,27 +1156,8 @@ mod tests {
             }
         }
     }
-
-    /// Records at 0, …, 9, five to a page, restricted to the candidates 1, 3,
-    /// 4 and 8: each page is evaluated once, skipping 2 + 4 records, and the
-    /// query at 2 keeps 1 and 3 within its radius, the one at 7.5 keeps 8.
-    #[test]
-    fn a_restricted_page_counts_its_skips_and_survivors() {
-        let points: Vec<Vector> = (0..10u8).map(|x| Vector::new(vec![f32::from(x)])).collect();
-        let db = PagedDatabase::pack(&Dataset::new(points), PageLayout::new(60, 8));
-        let scan = LinearScan::new(db.page_count());
-        let disk = SimulatedDisk::new(db, 1.0);
-        let engine = QueryEngine::new(&disk, &scan, Euclidean);
-        let queries =
-            [(2.0f32, 1.5), (7.5, 1.0)].map(|(x, r)| (Vector::new(vec![x]), QueryType::range(r)));
-        let mut session = engine.new_session(queries);
-        session.restrict(&[1, 3, 4, 8].map(ObjectId), disk.database());
-        engine.run_to_completion(&mut session);
-        let approx = session.approx_stats();
-        assert_eq!(disk.database().page_count(), 2);
-        assert_eq!((approx.objects_skipped, approx.rerank_survivors), (6, 3));
-    }
 }
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -1354,19 +1173,14 @@ mod proptests {
         i: usize,
         pivots: &[usize],
         columns: &[f64],
-        records: &[ObjectId],
+        n: usize,
         bound: f64,
-        filter: Option<&CandidateRestriction>,
         consult: impl Fn(usize) -> bool,
         stats: &mut AvoidanceStats,
     ) -> Vec<u32> {
-        let n = records.len();
         let mut survivors = Vec::new();
         let mut known = Vec::new();
-        for (oi, &id) in records.iter().enumerate() {
-            if filter.is_some_and(|f| !f.contains_object(id)) {
-                continue;
-            }
+        for oi in 0..n {
             known.clear();
             for (pj, &p) in pivots.iter().enumerate() {
                 let d = columns[pj * n + oi];
@@ -1405,7 +1219,7 @@ mod proptests {
 
         /// The gated sweep, for every later query of a page — over pivot
         /// columns with holes, bounds that include `0`, `∞` and exact ties,
-        /// with and without a candidate filter, under any ledger and price:
+        /// under any ledger and price:
         /// on the ranks it consulted it is Fig. 5 restricted to exactly those
         /// pivots; everything it removes Fig. 5 over all pivots removes too;
         /// and at an infinite price it consults every rank, so it is Fig. 5.
@@ -1419,8 +1233,6 @@ mod proptests {
             cells in prop::collection::vec(
                 prop_oneof![Just(f64::NAN), halves(), halves(), halves()], 8 * 24),
             n in 0usize..=24,
-            filtered in any::<bool>(),
-            admitted in prop::collection::vec(any::<bool>(), 24),
             ledger in ledgers(),
             price in prop_oneof![
                 Just(f64::INFINITY), Just(0.0), (1u32..=32).prop_map(f64::from)],
@@ -1438,14 +1250,6 @@ mod proptests {
             for (j, q) in queries.iter().enumerate() {
                 qq.admit(&Euclidean, &queries[..j], q);
             }
-            let records: Vec<ObjectId> = (0..n as u32).map(|oi| ObjectId(3 * oi + 1)).collect();
-            let filter = filtered.then(|| {
-                let mut restriction = CandidateRestriction::default();
-                for (&id, _) in records.iter().zip(&admitted).filter(|(_, &keep)| keep) {
-                    restriction.admit(id, PageId(0));
-                }
-                restriction
-            });
             let columns = &cells[..n * (m - 1)];
             let consult = |rank: usize| ledger.consults(rank, n, price);
             if price.is_infinite() {
@@ -1454,9 +1258,7 @@ mod proptests {
 
             for (qi, &i) in active.iter().enumerate() {
                 let pivots = &active[..qi];
-                let eligible: Vec<u32> = (0..n as u32)
-                    .filter(|&oi| filter.as_ref().is_none_or(|f| f.contains_object(records[oi as usize])))
-                    .collect();
+                let eligible: Vec<u32> = (0..n as u32).collect();
                 let mut survivors = eligible.clone();
                 let mut stats = AvoidanceStats::default();
                 let mut ranks = RankLedger::default();
@@ -1468,8 +1270,7 @@ mod proptests {
 
                 let mut expected_stats = AvoidanceStats::default();
                 let expected = object_major(
-                    &qq, i, pivots, columns, &records, bounds[qi], filter.as_ref(),
-                    consult, &mut expected_stats,
+                    &qq, i, pivots, columns, n, bounds[qi], consult, &mut expected_stats,
                 );
                 prop_assert_eq!(&survivors, &expected, "survivors of active[{}]", qi);
                 prop_assert_eq!(stats, expected_stats, "stats of active[{}]", qi);
@@ -1481,8 +1282,7 @@ mod proptests {
 
                 let mut all_stats = AvoidanceStats::default();
                 let kept_by_all = object_major(
-                    &qq, i, pivots, columns, &records, bounds[qi], filter.as_ref(),
-                    |_| true, &mut all_stats,
+                    &qq, i, pivots, columns, n, bounds[qi], |_| true, &mut all_stats,
                 );
                 for oi in eligible.iter().filter(|oi| !survivors.contains(oi)) {
                     prop_assert!(!kept_by_all.contains(oi), "record {} removed unsoundly", oi);

@@ -50,27 +50,6 @@ pub struct EngineObs {
     /// marking the page processed for its active queries. The answers are
     /// inserted during evaluation, under `kernel_eval`.
     pub(crate) merge_seconds: Arc<Histogram>,
-    /// Approximate-tier counters (all stay zero for an exact engine).
-    pub(crate) approx: ApproxObs,
-}
-
-/// Instruments of the approximate candidate tier — the live mirror of
-/// [`ApproxStats`](crate::ApproxStats), plus the candidate volume the
-/// prescreen emitted. Recall itself needs ground truth, but
-/// `rerank_survivors / candidates` is the scrape-time proxy for how much
-/// of the candidate budget turns into exact answers.
-#[derive(Debug)]
-pub struct ApproxObs {
-    /// `mq_core_approx_candidates_total` — candidate ids emitted by the
-    /// prescreen across all queries.
-    pub(crate) candidates: Arc<Counter>,
-    /// `mq_core_approx_prefilter_skips_total{kind="page"}`.
-    pub(crate) pages_skipped: Arc<Counter>,
-    /// `mq_core_approx_prefilter_skips_total{kind="object"}`.
-    pub(crate) objects_skipped: Arc<Counter>,
-    /// `mq_core_approx_rerank_survivors_total` — candidates whose exact
-    /// distance passed the query bound at evaluation time.
-    pub(crate) rerank_survivors: Arc<Counter>,
 }
 
 impl EngineObs {
@@ -106,14 +85,6 @@ impl EngineObs {
                 &DURATION_BOUNDS,
             )
         };
-        let skip = |kind: &str| {
-            registry.counter(
-                "mq_core_approx_prefilter_skips_total",
-                "Pages / page records skipped by the approximate tier's \
-                 candidate prefilter",
-                &[("kind", kind)],
-            )
-        };
         Some(Arc::new(Self {
             steps: registry.counter(
                 "mq_core_steps_total",
@@ -143,21 +114,43 @@ impl EngineObs {
             fetch_seconds: stage("page_fetch"),
             eval_seconds: stage("kernel_eval"),
             merge_seconds: stage("merge"),
-            approx: ApproxObs {
-                candidates: registry.counter(
-                    "mq_core_approx_candidates_total",
-                    "Candidate ids emitted by the approximate prescreen",
-                    &[],
-                ),
-                pages_skipped: skip("page"),
-                objects_skipped: skip("object"),
-                rerank_survivors: registry.counter(
-                    "mq_core_approx_rerank_survivors_total",
-                    "Prescreen candidates whose exact re-rank distance \
-                     passed the query bound",
-                    &[],
-                ),
-            },
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The series an engine registers are exactly the `mq-core` catalogue
+    /// of `docs/observability.md`, by name and type, in both directions.
+    #[test]
+    fn registered_series_equal_the_catalogue() {
+        let recorder = Recorder::enabled();
+        EngineObs::new(&recorder).expect("an enabled recorder registers");
+        let registered: BTreeSet<(String, String)> = recorder
+            .render()
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|line| line.split_once(' '))
+            .map(|(name, kind)| (name.to_string(), kind.to_string()))
+            .collect();
+        let doc = include_str!("../../../docs/observability.md");
+        let section = doc
+            .split("### `mq-core`")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("the catalogue has an mq-core section");
+        let catalogued: BTreeSet<(String, String)> = section
+            .lines()
+            .filter_map(|row| row.strip_prefix("| `"))
+            .filter_map(|row| {
+                let mut cells = row.split(" | ");
+                let name = cells.next()?.strip_suffix('`')?;
+                Some((name.to_string(), cells.next()?.trim().to_string()))
+            })
+            .collect();
+        assert_eq!(registered, catalogued);
     }
 }

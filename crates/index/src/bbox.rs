@@ -69,9 +69,24 @@ impl Mbr {
         &self.hi
     }
 
+    /// Panics unless `got`, the dimensionality of the `what` operand,
+    /// equals the MBR's. Checked once per call, in release builds too: a
+    /// loop over the shorter operand would answer on a prefix. The panic
+    /// is out of line, so the X-tree build's hot calls pay one compare.
+    #[inline]
+    #[track_caller]
+    fn check_dim(&self, what: &str, got: usize) {
+        if got != self.dim() {
+            dim_mismatch(what, got, self.dim());
+        }
+    }
+
     /// Grows the MBR to cover `p`.
+    ///
+    /// # Panics
+    /// Panics if `p`'s dimensionality differs from the MBR's.
     pub fn expand_point(&mut self, p: &Vector) {
-        debug_assert_eq!(p.dim(), self.dim());
+        self.check_dim("point", p.dim());
         for (i, &c) in p.components().iter().enumerate() {
             let c = c as f64;
             if c < self.lo[i] {
@@ -84,14 +99,19 @@ impl Mbr {
     }
 
     /// Grows the MBR to cover `other`.
+    ///
+    /// # Panics
+    /// Panics if `other`'s dimensionality differs from this MBR's.
     pub fn expand_mbr(&mut self, other: &Mbr) {
-        debug_assert_eq!(other.dim(), self.dim());
-        for i in 0..self.lo.len() {
-            if other.lo[i] < self.lo[i] {
-                self.lo[i] = other.lo[i];
+        self.check_dim("MBR", other.dim());
+        for (lo, &olo) in self.lo.iter_mut().zip(&*other.lo) {
+            if olo < *lo {
+                *lo = olo;
             }
-            if other.hi[i] > self.hi[i] {
-                self.hi[i] = other.hi[i];
+        }
+        for (hi, &ohi) in self.hi.iter_mut().zip(&*other.hi) {
+            if ohi > *hi {
+                *hi = ohi;
             }
         }
     }
@@ -118,12 +138,18 @@ impl Mbr {
     }
 
     /// Volume of the intersection with `other` (zero if disjoint).
+    ///
+    /// # Panics
+    /// Panics if `other`'s dimensionality differs from this MBR's.
     pub fn overlap(&self, other: &Mbr) -> f64 {
-        debug_assert_eq!(other.dim(), self.dim());
+        self.check_dim("MBR", other.dim());
         let mut v = 1.0;
-        for i in 0..self.lo.len() {
-            let lo = self.lo[i].max(other.lo[i]);
-            let hi = self.hi[i].min(other.hi[i]);
+        let (own, others) = (
+            self.lo.iter().zip(&*self.hi),
+            other.lo.iter().zip(&*other.hi),
+        );
+        for ((&slo, &shi), (&olo, &ohi)) in own.zip(others) {
+            let (lo, hi) = (slo.max(olo), shi.min(ohi));
             if hi <= lo {
                 return 0.0;
             }
@@ -133,8 +159,11 @@ impl Mbr {
     }
 
     /// Whether the MBRs share any point.
+    ///
+    /// # Panics
+    /// Panics if `other`'s dimensionality differs from this MBR's.
     pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(other.dim(), self.dim());
+        self.check_dim("MBR", other.dim());
         self.lo
             .iter()
             .zip(self.hi.iter())
@@ -143,8 +172,11 @@ impl Mbr {
     }
 
     /// Whether `p` lies inside (or on the boundary of) the MBR.
+    ///
+    /// # Panics
+    /// Panics if `p`'s dimensionality differs from the MBR's.
     pub fn contains_point(&self, p: &Vector) -> bool {
-        debug_assert_eq!(p.dim(), self.dim());
+        self.check_dim("point", p.dim());
         p.components()
             .iter()
             .enumerate()
@@ -162,12 +194,7 @@ impl Mbr {
     /// # Panics
     /// Panics if `q`'s dimensionality differs from the MBR's.
     pub fn mindist(&self, q: &Vector) -> f64 {
-        assert!(
-            q.dim() == self.dim(),
-            "query dimensionality mismatch: {} vs MBR {}",
-            q.dim(),
-            self.dim()
-        );
+        self.check_dim("query", q.dim());
         let mut acc = 0.0f64;
         for ((&lo, &hi), &c) in self.lo.iter().zip(&*self.hi).zip(q.components()) {
             let d = axis_gap(lo, hi, f64::from(c));
@@ -178,8 +205,11 @@ impl Mbr {
 
     /// MAXDIST: the maximum Euclidean distance from `q` to any point of the
     /// MBR — an upper bound used in diagnostics and tests.
+    ///
+    /// # Panics
+    /// Panics if `q`'s dimensionality differs from the MBR's.
     pub fn maxdist(&self, q: &Vector) -> f64 {
-        debug_assert_eq!(q.dim(), self.dim());
+        self.check_dim("query", q.dim());
         let mut acc = 0.0f64;
         for (i, &c) in q.components().iter().enumerate() {
             let c = c as f64;
@@ -204,6 +234,14 @@ impl Mbr {
             .map(|(l, h)| 0.5 * (l + h))
             .collect()
     }
+}
+
+/// The panic of [`Mbr::check_dim`], kept out of the callers' code.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn dim_mismatch(what: &str, got: usize, dim: usize) -> ! {
+    panic!("{what} dimensionality mismatch: {got} vs MBR {dim}")
 }
 
 #[cfg(test)]
@@ -288,6 +326,37 @@ mod tests {
             let err = std::panic::catch_unwind(|| mbr.mindist(&q)).expect_err("refused");
             let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(text.contains("query dimensionality mismatch"), "{text}");
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_text<R: std::fmt::Debug>(f: impl FnOnce() -> R) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("refused");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn every_operation_refuses_an_operand_of_another_dimensionality() {
+        // Checked in release builds too: a shorter operand would otherwise
+        // answer on the common prefix and a longer one panic with a bare
+        // index error.
+        let mbr = unit_square();
+        for dims in [1, 3] {
+            let p = v(&vec![0.5; dims]);
+            let other = Mbr::from_point(&p);
+            let refusals = [
+                ("point", panic_text(|| mbr.contains_point(&p))),
+                ("query", panic_text(|| mbr.maxdist(&p))),
+                ("point", panic_text(|| mbr.clone().expand_point(&p))),
+                ("MBR", panic_text(|| mbr.clone().expand_mbr(&other))),
+                ("MBR", panic_text(|| mbr.union(&other))),
+                ("MBR", panic_text(|| mbr.overlap(&other))),
+                ("MBR", panic_text(|| mbr.intersects(&other))),
+            ];
+            for (what, text) in refusals {
+                let expected = format!("{what} dimensionality mismatch: {dims} vs MBR 2");
+                assert!(text.contains(&expected), "{dims}-d: {text}");
+            }
         }
     }
 

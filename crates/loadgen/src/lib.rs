@@ -2,9 +2,9 @@
 #![warn(missing_docs)]
 //! # mq-loadgen — the end-to-end latency harness
 //!
-//! After eight PRs of kernels, batching, durability and an approximate
-//! tier, this crate is the instrument that measures what a client of
-//! `mq serve` actually experiences: it replays **seed-deterministic**
+//! Beside the kernels, batching and durability, this crate is the
+//! instrument that measures what a client of `mq serve` actually
+//! experiences: it replays **seed-deterministic**
 //! open-loop (Poisson arrivals, Zipf hot-key skew) and closed-loop
 //! (N sessions, think time) traffic against a live endpoint, records
 //! per-request latency from monotonic timestamps into HDR-style

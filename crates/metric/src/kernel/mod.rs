@@ -177,43 +177,6 @@ pub fn active() -> SimdLevel {
     level
 }
 
-/// A human-readable summary of the CPU's relevant vector features, for
-/// benchmark provenance (`BENCH_ann.json`) and diagnostics.
-pub fn cpu_features() -> String {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut feats = vec!["sse2"];
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            feats.push("sse4.2");
-        }
-        if std::arch::is_x86_feature_detected!("avx") {
-            feats.push("avx");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            feats.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("fma") {
-            feats.push("fma");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            feats.push("avx512f");
-        }
-        format!("x86_64: {}", feats.join(" "))
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        let mut feats = Vec::new();
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            feats.push("neon");
-        }
-        format!("aarch64: {}", feats.join(" "))
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        format!("{}: scalar only", std::env::consts::ARCH)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Dispatched entry points. The `*_at` variants take an explicit tier so
 // batch loops can hoist the dispatch decision and tests can compare tiers
@@ -351,29 +314,6 @@ pub fn dot_at(level: SimdLevel, xs: &[f32], ys: &[f32]) -> f64 {
         scalar::dot(xs, ys),
         x86::dot_avx2(xs, ys),
         neon::dot_neon(xs, ys)
-    )
-}
-
-/// Hamming distance between two packed bit codes (`u64` words, compared
-/// up to the shorter length) at the process-wide tier. This is the
-/// approximate tier's pre-screen hot loop: one XOR + popcount per word.
-#[inline]
-pub fn hamming(xs: &[u64], ys: &[u64]) -> u32 {
-    hamming_at(active(), xs, ys)
-}
-
-/// Hamming distance at an explicit tier. Pure integer arithmetic, so all
-/// tiers return the exact same count — dispatch exists because the AVX2
-/// (nibble-lookup) and NEON (`vcnt`) tiers count several words per
-/// instruction.
-#[inline]
-pub fn hamming_at(level: SimdLevel, xs: &[u64], ys: &[u64]) -> u32 {
-    let (xs, ys) = common_prefix(xs, ys);
-    dispatch!(
-        level,
-        scalar::hamming(xs, ys),
-        x86::hamming_avx2(xs, ys),
-        neon::hamming_neon(xs, ys)
     )
 }
 
@@ -623,56 +563,6 @@ mod tests {
                 assert_eq!(l2_sq_le_at(level, a, b, inf), Some(scalar::l2_sq(pa, pb)));
                 assert_eq!(l1_le_at(level, a, b, inf), Some(scalar::l1(pa, pb)));
             }
-        }
-    }
-
-    fn pseudo_words(n: usize, seed: u64) -> Vec<u64> {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            })
-            .collect()
-    }
-
-    #[test]
-    fn hamming_identical_across_tiers_and_word_counts() {
-        // Word counts around every block boundary: AVX2 blocks are 4
-        // words, NEON blocks 2, and the tail loop takes the rest.
-        for words in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 33] {
-            let xs = pseudo_words(words, 11);
-            let ys = pseudo_words(words, 97);
-            let reference: u32 = xs.iter().zip(&ys).map(|(x, y)| (x ^ y).count_ones()).sum();
-            for level in available_levels() {
-                assert_eq!(
-                    hamming_at(level, &xs, &ys),
-                    reference,
-                    "hamming {level:?} words={words}"
-                );
-            }
-            // Self-distance is zero, full complement is every bit.
-            let flipped: Vec<u64> = xs.iter().map(|x| !x).collect();
-            for level in available_levels() {
-                assert_eq!(hamming_at(level, &xs, &xs), 0, "{level:?}");
-                assert_eq!(
-                    hamming_at(level, &xs, &flipped),
-                    64 * words as u32,
-                    "{level:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hamming_compares_up_to_the_shorter_code() {
-        let xs = pseudo_words(6, 5);
-        let ys = pseudo_words(4, 31);
-        let expect = hamming_at(SimdLevel::Scalar, &xs[..4], &ys);
-        for level in available_levels() {
-            assert_eq!(hamming_at(level, &xs, &ys), expect, "{level:?}");
         }
     }
 }

@@ -179,23 +179,3 @@ pub(crate) unsafe fn dot_neon(xs: &[f32], ys: &[f32]) -> f64 {
     }
     combine_neon(acc01, acc23) + tail_dot(xs, ys, chunks * LANES)
 }
-
-/// Hamming distance over packed bit codes: XOR two words per 128-bit
-/// block, count bits per byte with `vcnt`, and horizontally add. Integer
-/// arithmetic — the count is exactly the scalar tier's.
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn hamming_neon(xs: &[u64], ys: &[u64]) -> u32 {
-    const WORDS: usize = 2; // u64 words per 128-bit block
-    let chunks = xs.len() / WORDS;
-    let mut total: u32 = 0;
-    for i in 0..chunks {
-        let x = vld1q_u64(xs.as_ptr().add(i * WORDS));
-        let y = vld1q_u64(ys.as_ptr().add(i * WORDS));
-        let counts = vcntq_u8(vreinterpretq_u8_u64(veorq_u64(x, y)));
-        total += vaddlvq_u8(counts) as u32;
-    }
-    for i in chunks * WORDS..xs.len() {
-        total += (xs[i] ^ ys[i]).count_ones();
-    }
-    total
-}

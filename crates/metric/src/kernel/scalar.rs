@@ -143,15 +143,6 @@ pub(crate) fn l1_le(xs: &[f32], ys: &[f32], limit: f64) -> Option<f64> {
     Some(combine(acc) + tail)
 }
 
-/// Hamming distance between two packed bit codes: popcount of the XOR,
-/// summed word by word. Pure integer arithmetic — every tier returns the
-/// exact same count, so bit-identity needs no operation-order discipline
-/// here; the wide tiers only count faster.
-#[inline]
-pub(crate) fn hamming(xs: &[u64], ys: &[u64]) -> u32 {
-    xs.iter().zip(ys).map(|(x, y)| (x ^ y).count_ones()).sum()
-}
-
 /// Blocked inner product: `Σ x_i · y_i` with each factor widened to f64
 /// before the multiply. No early-exit variant exists — partial inner
 /// products of signed terms bound nothing.

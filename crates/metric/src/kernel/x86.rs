@@ -193,43 +193,6 @@ pub(crate) unsafe fn dot_avx2(xs: &[f32], ys: &[f32]) -> f64 {
     combine256(acc) + tail_dot(xs, ys, chunks * LANES)
 }
 
-/// Hamming distance over packed bit codes: Muła's nibble-lookup popcount.
-/// Each 256-bit block XORs four code words, splits every byte into its two
-/// nibbles, maps them through an in-register popcount table with `vpshufb`,
-/// and accumulates byte sums into four u64 lanes via `vpsadbw`. Integer
-/// arithmetic — the count is exactly the scalar tier's.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn hamming_avx2(xs: &[u64], ys: &[u64]) -> u32 {
-    const WORDS: usize = 4; // u64 words per 256-bit block
-    #[rustfmt::skip]
-    let lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-    );
-    let low_mask = _mm256_set1_epi8(0x0f);
-    let chunks = xs.len() / WORDS;
-    let mut total = _mm256_setzero_si256();
-    for i in 0..chunks {
-        // SAFETY: `i < chunks` and `chunks * WORDS <= xs.len()`: in bounds.
-        let x = unsafe { _mm256_loadu_si256(xs.as_ptr().add(i * WORDS) as *const __m256i) };
-        // SAFETY: likewise, `ys` being at least as long (module contract).
-        let y = unsafe { _mm256_loadu_si256(ys.as_ptr().add(i * WORDS) as *const __m256i) };
-        let v = _mm256_xor_si256(x, y);
-        let lo = _mm256_and_si256(v, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-        let counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        total = _mm256_add_epi64(total, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
-    }
-    let mut lanes = [0u64; WORDS];
-    // SAFETY: `lanes` is four u64s, exactly the 32 bytes the store writes.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, total) };
-    let mut sum = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as u32;
-    for i in chunks * WORDS..xs.len() {
-        sum += (xs[i] ^ ys[i]).count_ones();
-    }
-    sum
-}
-
 /// The squared MINDIST gap of four lanes: `_mm256_max_pd(a, b)` is
 /// `if a > b { a } else { b }` per lane, so this is `axis_gap`'s two
 /// selects, then the square.

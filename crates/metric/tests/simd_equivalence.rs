@@ -12,7 +12,7 @@
 //! `*_at` entry points.
 
 use mq_metric::kernel::{
-    dot_at, hamming_at, l1_at, l1_le_at, l2_sq_at, l2_sq_le_at, weighted_l2_sq_at, SimdLevel,
+    dot_at, l1_at, l1_le_at, l2_sq_at, l2_sq_le_at, weighted_l2_sq_at, SimdLevel,
 };
 use mq_metric::{
     Chebyshev, Cosine, DotProduct, EditDistance, Euclidean, Hamming, Jaccard, Manhattan, Metric,
@@ -113,36 +113,6 @@ proptest! {
                 Some(l1.to_bits())
             );
         }
-    }
-
-    /// The popcount/Hamming kernel: every tier returns the identical
-    /// count for any word count (AVX2 blocks of 4, NEON blocks of 2,
-    /// ragged tails) — with XOR-symmetry and the triangle inequality as
-    /// sanity anchors.
-    #[test]
-    fn hamming_identical_across_tiers(
-        xs in prop::collection::vec(any::<u64>(), 0..=40),
-        ys in prop::collection::vec(any::<u64>(), 0..=40),
-        zs in prop::collection::vec(any::<u64>(), 0..=40),
-    ) {
-        let n = xs.len().min(ys.len());
-        let reference: u32 = xs[..n]
-            .iter()
-            .zip(&ys[..n])
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        for level in available_levels() {
-            prop_assert_eq!(hamming_at(level, &xs, &ys), reference);
-            prop_assert_eq!(hamming_at(level, &ys, &xs), reference);
-            prop_assert_eq!(hamming_at(level, &xs, &xs), 0);
-        }
-        let m = n.min(zs.len());
-        let native = *available_levels().last().unwrap();
-        prop_assert!(
-            hamming_at(native, &xs[..m], &ys[..m])
-                <= hamming_at(native, &xs[..m], &zs[..m])
-                    + hamming_at(native, &zs[..m], &ys[..m])
-        );
     }
 
     /// Metric level, under the process's dispatch decision (CI runs the

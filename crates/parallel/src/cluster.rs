@@ -5,8 +5,8 @@ use crate::merge::merge_answers;
 use crate::partition::round_robin;
 use crate::server::Server;
 use mq_core::{
-    Answer, CandidatePrescreen, EngineError, EngineObs, EngineOptions, ExecutionStats, QueryEngine,
-    QueryType, StatsProbe,
+    Answer, EngineError, EngineObs, EngineOptions, ExecutionStats, QueryEngine, QueryType,
+    StatsProbe,
 };
 use mq_index::SimilarityIndex;
 use mq_metric::{Metric, ObjectId};
@@ -140,9 +140,6 @@ pub struct SharedNothingCluster<O, M> {
     /// Per-partition instruments, present iff an enabled recorder is
     /// attached.
     obs: Option<ClusterObs>,
-    /// One approximate candidate tier per server (see
-    /// [`with_prescreens`](Self::with_prescreens)); empty = exact cluster.
-    prescreens: Vec<Arc<dyn CandidatePrescreen<O>>>,
 }
 
 impl<O, M> SharedNothingCluster<O, M>
@@ -191,34 +188,7 @@ where
             options,
             engine_obs: None,
             obs: None,
-            prescreens: Vec::new(),
         }
-    }
-
-    /// Attaches one approximate candidate tier per server (partition-local
-    /// id spaces, so every partition needs its own sketch/graph). Each
-    /// server's engines prescreen admitted queries and restrict evaluation
-    /// to the candidate union — answers may lose recall but surviving
-    /// distances stay exact, and a prescreen covering every object is
-    /// bit-identical to the exact cluster. An empty vector turns the tier
-    /// off.
-    ///
-    /// # Panics
-    /// Panics if a non-empty vector's length differs from the server count.
-    pub fn with_prescreens(mut self, prescreens: Vec<Arc<dyn CandidatePrescreen<O>>>) -> Self {
-        assert!(
-            prescreens.is_empty() || prescreens.len() == self.servers.len(),
-            "need one prescreen per server ({} servers, {} prescreens)",
-            self.servers.len(),
-            prescreens.len()
-        );
-        self.prescreens = prescreens;
-        self
-    }
-
-    /// The attached prescreens' names, in server order (empty = exact).
-    pub fn prescreen_names(&self) -> Vec<&str> {
-        self.prescreens.iter().map(|p| p.name()).collect()
     }
 
     /// Attaches an observability [`Recorder`] to the whole cluster: one
@@ -278,11 +248,8 @@ where
     /// servers only.
     pub fn multiple_query_degraded(&self, queries: &[(O, QueryType)]) -> DegradedAnswers {
         let started = Instant::now();
-        let run = |si: usize| {
-            let server = &self.servers[si];
-            let prescreen = self.prescreens.get(si).map(|p| &**p);
-            run_on_server(server, queries, self.options, &self.engine_obs, prescreen)
-        };
+        let run =
+            |si: usize| run_on_server(&self.servers[si], queries, self.options, &self.engine_obs);
         let per_server: Vec<ServerRun> = std::thread::scope(|scope| {
             let spawned: Vec<_> = (1..self.servers.len())
                 .map(|si| scope.spawn(move || run(si)))
@@ -362,18 +329,14 @@ fn run_on_server<O, M>(
     queries: &[(O, QueryType)],
     options: EngineOptions,
     obs: &Option<Arc<EngineObs>>,
-    prescreen: Option<&dyn CandidatePrescreen<O>>,
 ) -> Result<(Vec<Vec<Answer>>, ExecutionStats), EngineError>
 where
     O: StorageObject,
     M: Metric<O> + Clone,
 {
-    let mut engine = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
+    let engine = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
         .with_options(options)
         .with_obs(obs.clone());
-    if let Some(p) = prescreen {
-        engine = engine.with_prescreen(p);
-    }
     let probe = StatsProbe::start(server.disk(), server.counter(), Default::default());
     let mut session = engine.new_session(
         queries

@@ -9,9 +9,9 @@
 //! as the one [`ServerConfig::engine`] block.
 
 use crate::config::{ServerConfig, StoreChoice};
-use mq_core::{Answer, CandidatePrescreen, ExecutionStats, QueryType};
+use mq_core::{Answer, ExecutionStats, QueryType};
 use mq_index::{LinearScan, SimilarityIndex};
-use mq_metric::{Metric, ObjectId, Vector, VectorMetric};
+use mq_metric::{ObjectId, Vector, VectorMetric};
 use mq_obs::Recorder;
 use mq_parallel::{round_robin, Server, SharedNothingCluster};
 use mq_storage::{Dataset, PageStore, PagedDatabase, VectorCodec};
@@ -19,7 +19,6 @@ use mq_store::{
     FilePageStore, PartitionManifest, SegmentMeta, StoreError, SEGMENT_FILE, SEGMENT_HEADER_LEN,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Executes one flushed batch. Implementations own their storage and
 /// index; the scheduler's worker threads are their only callers, and with
@@ -106,18 +105,13 @@ impl QueryBackend for EngineBackend {
             .map(|s| s.disk().database().page_count())
             .sum();
         format!(
-            "{} engine(s), {pages} pages, avoidance {}, approx {}",
+            "{} engine(s), {pages} pages, avoidance {}",
             self.cluster.server_count(),
             if self.cluster.options().avoidance {
                 "on"
             } else {
                 "off"
             },
-            self.cluster
-                .prescreen_names()
-                .first()
-                .copied()
-                .unwrap_or("off"),
         )
     }
 }
@@ -167,16 +161,6 @@ pub fn build_backend_with_recorder<F>(
 where
     F: Fn(&Dataset<Vector>) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
 {
-    // The approximate tier ranks candidates by Euclidean proximity
-    // (Hamming over quantile planes); pairing it with another metric
-    // would silently mis-rank, so refuse up front.
-    if config.approx.is_some() && config.metric != VectorMetric::Euclidean {
-        return Err(StoreError::Format(format!(
-            "--approx requires the euclidean metric; the candidate tier ranks by \
-             Euclidean proximity and would mis-screen under '{}'",
-            config.metric.name()
-        )));
-    }
     let (cluster, store_dirs) = match &config.store {
         StoreChoice::Sim => (
             SharedNothingCluster::build(
@@ -198,20 +182,7 @@ where
             )
         }
     };
-    let mut cluster = cluster.with_recorder(recorder);
-    if let Some(tier) = config.approx {
-        // One prescreen per server, over its partition-local id space; a
-        // file store's binary sketch lives beside its page files.
-        let prescreens: Vec<Arc<dyn CandidatePrescreen<Vector>>> = cluster
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(p, s)| {
-                tier.prescreen(s.disk().database(), store_dirs.get(p).map(PathBuf::as_path))
-            })
-            .collect();
-        cluster = cluster.with_prescreens(prescreens);
-    }
+    let cluster = cluster.with_recorder(recorder);
     let dims = cluster
         .servers()
         .iter()
@@ -394,13 +365,12 @@ fn open_or_create_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_approx::ApproxTier;
     use mq_core::{EngineOptions, QueryEngine, StatsProbe};
     use mq_index::PagePlan;
     use mq_metric::CountingMetric;
     use mq_storage::{PageId, PageLayout, SimulatedDisk};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
 
     fn line_db(n: usize) -> PagedDatabase<Vector> {
@@ -716,117 +686,5 @@ mod tests {
         let (answers, _) = backend.execute(vec![(Vector::new(vec![5.0]), QueryType::knn(1))]);
         assert_eq!(answers[0][0].id.0, 59);
         assert_eq!(answers[0][0].distance, -(5.0 * 59.0));
-    }
-
-    #[test]
-    fn approx_tier_with_full_budget_agrees_with_exact_for_every_server_count() {
-        let dir = temp_dir("approx");
-        let db = line_db(120);
-        let build = |ds: &Dataset<Vector>| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        };
-        let queries: Vec<(Vector, QueryType)> = (0..6)
-            .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
-            .collect();
-        let exact = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("exact backend")
-            .execute(queries.clone());
-
-        // A budget covering the whole collection must reproduce the exact
-        // answers bit-for-bit for every server count × store combination.
-        let tier = ApproxTier::Bq { budget: 120 };
-        for (servers, store, label) in [
-            (1, StoreChoice::Sim, "single/sim"),
-            (3, StoreChoice::Sim, "cluster/sim"),
-            (
-                1,
-                StoreChoice::File(dir.join(format!("single-{tier}"))),
-                "single/file",
-            ),
-            (
-                3,
-                StoreChoice::File(dir.join(format!("cluster-{tier}"))),
-                "cluster/file",
-            ),
-        ] {
-            let config = ServerConfig::default()
-                .with_servers(servers)
-                .with_store(store)
-                .with_approx(Some(tier));
-            let backend = build_backend(&db, &config, 0.10, build).expect("approx backend builds");
-            assert!(
-                backend.describe().contains("approx"),
-                "{}",
-                backend.describe()
-            );
-            let (answers, _) = backend.execute(queries.clone());
-            for (qi, (a, b)) in exact.0.iter().zip(&answers).enumerate() {
-                let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
-                let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
-                assert_eq!(ia, ib, "{label} {tier}, query {qi}");
-            }
-        }
-        // The file-backed bq runs persisted their sketches next to the
-        // page files (single at the root, cluster per partition).
-        assert!(dir
-            .join("single-bq:120")
-            .join(mq_approx::SKETCH_FILE)
-            .exists());
-        assert!(dir
-            .join("cluster-bq:120")
-            .join("part-0")
-            .join(mq_approx::SKETCH_FILE)
-            .exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn narrow_budget_restricts_the_scan() {
-        // budget 1 admits ~1 candidate per query; the answers must be
-        // drawn from that candidate set and the distances stay exact.
-        let db = line_db(120);
-        let config = ServerConfig::default().with_approx(Some(ApproxTier::Bq { budget: 1 }));
-        let backend = build_backend(&db, &config, 0.10, |ds| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        })
-        .expect("approx backend");
-        let (answers, _) = backend.execute(vec![(Vector::new(vec![60.0]), QueryType::knn(5))]);
-        assert!(
-            answers[0].len() <= 1,
-            "budget 1 cannot yield {} answers",
-            answers[0].len()
-        );
-        for a in &answers[0] {
-            // Exact re-rank: the reported distance is the true metric
-            // distance, not a Hamming proxy.
-            assert_eq!(a.distance, (a.id.0 as f64 - 60.0).abs());
-        }
-    }
-
-    #[test]
-    fn approx_refuses_non_euclidean_metrics() {
-        let db = line_db(30);
-        let config = ServerConfig::default()
-            .with_metric(VectorMetric::Cosine)
-            .with_approx(Some(ApproxTier::Bq { budget: 10 }));
-        match build_backend(&db, &config, 0.10, |ds| {
-            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-            (
-                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                db,
-            )
-        }) {
-            Err(StoreError::Format(msg)) => assert!(msg.contains("euclidean"), "{msg}"),
-            Err(e) => panic!("unexpected error: {e}"),
-            Ok(_) => panic!("approx + cosine must be refused"),
-        }
     }
 }

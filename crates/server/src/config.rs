@@ -1,7 +1,6 @@
 //! Server configuration: batching knobs, server count, storage, and
 //! admission limits.
 
-use mq_approx::ApproxTier;
 use mq_core::{EngineOptions, FaultPolicy};
 use mq_metric::{Metric, VectorMetric};
 use std::path::PathBuf;
@@ -73,12 +72,6 @@ pub struct ServerConfig {
     /// served through a sequential-scan index: tree page bounds are
     /// Euclidean geometry and would prune wrongly.
     pub metric: VectorMetric,
-    /// Optional approximate candidate tier in front of the exact engine
-    /// (`bq:<budget>`; see [`ApproxTier`]). `None` — the
-    /// default — serves exact answers; a tier trades recall for speed
-    /// while keeping every reported distance exact. Only supported with
-    /// the Euclidean metric.
-    pub approx: Option<ApproxTier>,
     /// Bound on each collection's scheduler queue depth. A query arriving
     /// while the target collection already has this many in flight gets a
     /// typed `Overloaded` reply instead of queueing — backpressure, not
@@ -102,7 +95,6 @@ impl Default for ServerConfig {
             read_timeout: None,
             store: StoreChoice::Sim,
             metric: VectorMetric::default(),
-            approx: None,
             max_queue: 0,
             quota: None,
         }
@@ -161,12 +153,6 @@ impl ServerConfig {
         self
     }
 
-    /// Installs (or clears) the approximate candidate tier.
-    pub fn with_approx(mut self, approx: Option<ApproxTier>) -> Self {
-        self.approx = approx;
-        self
-    }
-
     /// Bounds each collection's scheduler queue depth (0 = unbounded).
     pub fn with_max_queue(mut self, max_queue: usize) -> Self {
         self.max_queue = max_queue;
@@ -202,10 +188,6 @@ impl ServerConfig {
             StoreChoice::Sim => "sim".to_string(),
             StoreChoice::File(dir) => format!("file:{}", dir.display()),
         };
-        let approx = match &self.approx {
-            Some(tier) => tier.to_string(),
-            None => "off".to_string(),
-        };
         let max_queue = if self.max_queue == 0 {
             "unbounded".to_string()
         } else {
@@ -216,7 +198,7 @@ impl ServerConfig {
             None => "off".to_string(),
         };
         format!(
-            "servers={} store={store} metric={} approx={approx} max_batch={} \
+            "servers={} store={store} metric={} max_batch={} \
              workers={} prefetch_depth={} avoidance={} retry_budget={} \
              read_timeout={read_timeout} max_queue={max_queue} quota={quota}",
             self.servers,
@@ -247,7 +229,6 @@ mod tests {
             .with_read_timeout(Some(Duration::from_secs(3)))
             .with_store(StoreChoice::File(PathBuf::from("/tmp/mq-store")))
             .with_metric(VectorMetric::Cosine)
-            .with_approx(Some(ApproxTier::Bq { budget: 500 }))
             .with_max_queue(64)
             .with_quota(Some(QuotaConfig {
                 rate: 100.0,
@@ -260,7 +241,6 @@ mod tests {
         assert_eq!(c.read_timeout, Some(Duration::from_secs(3)));
         assert_eq!(c.store, StoreChoice::File(PathBuf::from("/tmp/mq-store")));
         assert_eq!(c.metric, VectorMetric::Cosine);
-        assert_eq!(c.approx, Some(ApproxTier::Bq { budget: 500 }));
         assert_eq!(c.max_queue, 64);
         assert_eq!(
             c.quota,
@@ -273,7 +253,7 @@ mod tests {
 
     #[test]
     fn defaults_describe_the_measured_server() {
-        // Exhaustive on purpose: an eleventh field stops this compiling.
+        // Exhaustive on purpose: a tenth field stops this compiling.
         let ServerConfig {
             max_batch,
             servers,
@@ -282,7 +262,6 @@ mod tests {
             read_timeout,
             store,
             metric,
-            approx,
             max_queue,
             quota,
         } = ServerConfig::default();
@@ -302,7 +281,6 @@ mod tests {
         assert_eq!(read_timeout, None);
         assert_eq!(store, StoreChoice::Sim);
         assert_eq!(metric, VectorMetric::Euclidean);
-        assert_eq!(approx, None);
         assert_eq!(max_queue, 0);
         assert_eq!(quota, None);
     }
@@ -349,7 +327,6 @@ mod tests {
             "servers=3",
             "store=sim",
             "metric=euclidean",
-            "approx=off",
             "max_batch=16",
             "workers=2",
             "prefetch_depth=2",
@@ -366,7 +343,7 @@ mod tests {
         for option in ["prefetch_depth=", "avoidance=", "retry_budget="] {
             assert_eq!(line.matches(option).count(), 1, "{option} in {line}");
         }
-        for retired in ["threads=", "leader=", "max_wait=", "mode="] {
+        for retired in ["threads=", "leader=", "max_wait=", "mode=", "approx="] {
             assert!(!line.contains(retired), "{retired} in {line}");
         }
         let admission_line = ServerConfig::default()
@@ -387,9 +364,5 @@ mod tests {
             file_line.contains("store=file:/data/mq metric=euclidean"),
             "{file_line}"
         );
-        let approx_line = ServerConfig::default()
-            .with_approx(Some(ApproxTier::Bq { budget: 64 }))
-            .describe();
-        assert!(approx_line.contains("approx=bq:64"), "{approx_line}");
     }
 }

@@ -160,7 +160,7 @@ fn validate_name(name: &str) -> Result<(), String> {
 pub struct CollectionRegistry {
     collections: RwLock<HashMap<String, Arc<Collection>>>,
     /// Template config for wire-created collections (batching knobs,
-    /// store root); metric/approx are overridden per collection.
+    /// store root); the metric is overridden per collection.
     template: ServerConfig,
     recorder: Recorder,
 }
@@ -274,12 +274,9 @@ impl CollectionRegistry {
                 )
             })?
         };
-        // Wire-created collections always serve exact answers through a
-        // scan; an approx tier stays a boot-time choice of the default
-        // collection.
+        // Wire-created collections serve through a scan.
         let mut config = self.template.clone();
         config.metric = metric;
-        config.approx = None;
 
         let collection = if source.is_empty() {
             if dim == 0 {

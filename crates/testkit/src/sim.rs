@@ -5,12 +5,10 @@
 //! dataset, disk and engine from the seed, so runs are independent and a
 //! faulty run and its oracle see byte-identical inputs.
 
-use mq_core::{
-    Answer, AvoidanceStats, CandidatePrescreen, EngineOptions, FaultPolicy, QueryEngine, QueryType,
-};
+use mq_core::{Answer, AvoidanceStats, EngineOptions, FaultPolicy, QueryEngine, QueryType};
 use mq_datagen::sessions::{web_sessions, SessionConfig};
 use mq_index::LinearScan;
-use mq_metric::{EditDistance, ObjectId, Symbols};
+use mq_metric::{EditDistance, Symbols};
 use mq_storage::{
     Dataset, FaultPlan, FaultStats, IoStats, PageLayout, PageStore, PagedDatabase, SimulatedDisk,
     SymbolsCodec,
@@ -55,59 +53,15 @@ pub struct SimReport {
     pub gave_up: Option<String>,
 }
 
-/// A deterministic lossy prescreen for the testkit's symbol workload: it
-/// admits the `budget` stored sessions whose *length* is closest to the
-/// query's (ties broken by id). `|len(q) − len(s)|` lower-bounds unit-cost
-/// edit distance, so this is a genuine metric prescreen — cheap,
-/// query-dependent, and lossy once `budget < N` — driving the engine's
-/// candidate-restriction machinery exactly as the vector tiers in
-/// `mq-approx` do, but over the edit-distance workload the fault plans
-/// target.
-pub struct LengthBudgetPrescreen {
-    lengths: Vec<(ObjectId, usize)>,
-    budget: usize,
-}
-
-impl LengthBudgetPrescreen {
-    /// Builds the prescreen over every live record of `db`.
-    pub fn new(db: &PagedDatabase<Symbols>, budget: usize) -> Self {
-        let mut lengths: Vec<(ObjectId, usize)> = db
-            .page_ids()
-            .flat_map(|pid| db.page(pid).records().iter().map(|(id, s)| (*id, s.len())))
-            .collect();
-        lengths.sort_unstable_by_key(|&(id, _)| id);
-        Self { lengths, budget }
-    }
-}
-
-impl CandidatePrescreen<Symbols> for LengthBudgetPrescreen {
-    fn candidates(&self, query: &Symbols) -> Vec<ObjectId> {
-        let target = query.len();
-        let mut ranked: Vec<(usize, ObjectId)> = self
-            .lengths
-            .iter()
-            .map(|&(id, len)| (len.abs_diff(target), id))
-            .collect();
-        ranked.sort_unstable();
-        ranked.truncate(self.budget);
-        ranked.into_iter().map(|(_, id)| id).collect()
-    }
-
-    fn name(&self) -> &str {
-        "len-budget"
-    }
-}
-
-/// A deterministic simulation: seed-derived workload, optional fault
-/// plan, optional approximate candidate tier. The engine's retry budget
-/// arrives with the [`EngineOptions`] of each run.
+/// A deterministic simulation: seed-derived workload and optional fault
+/// plan. The engine's retry budget arrives with the [`EngineOptions`] of
+/// each run.
 #[derive(Clone, Copy, Debug)]
 pub struct Sim {
     seed: u64,
     objects: usize,
     queries: usize,
     plan: Option<FaultPlan>,
-    prescreen_budget: Option<usize>,
 }
 
 impl Sim {
@@ -119,26 +73,12 @@ impl Sim {
             objects: 160,
             queries: 8,
             plan: None,
-            prescreen_budget: None,
         }
     }
 
     /// Installs a fault plan (see [`crate::scenario`] for presets).
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Attaches the approximate candidate tier: a
-    /// [`LengthBudgetPrescreen`] admitting `budget` candidates per query.
-    /// The oracle of a prescreened sim carries the same prescreen, so
-    /// [`assert_oracle_equivalence`](Self::assert_oracle_equivalence)
-    /// checks that fault injection and the tier compose: a faulty
-    /// prescreened run that succeeds is bit-identical to the fault-free
-    /// prescreened run. A budget of `usize::MAX` (or ≥ the object count)
-    /// admits everything and must be bit-identical to no tier at all.
-    pub fn with_prescreen_budget(mut self, budget: usize) -> Self {
-        self.prescreen_budget = Some(budget);
         self
     }
 
@@ -222,14 +162,8 @@ impl Sim {
     fn run_on(&self, options: EngineOptions, disk: &dyn PageStore<Symbols>) -> SimReport {
         let (_, queries) = self.workload();
         let scan = LinearScan::new(disk.database().page_count());
-        let prescreen = self
-            .prescreen_budget
-            .map(|budget| LengthBudgetPrescreen::new(disk.database(), budget));
         disk.set_fault_plan(self.plan);
-        let mut engine = QueryEngine::new(disk, &scan, EditDistance).with_options(options);
-        if let Some(prescreen) = &prescreen {
-            engine = engine.with_prescreen(prescreen);
-        }
+        let engine = QueryEngine::new(disk, &scan, EditDistance).with_options(options);
         let mut session = engine.new_session(queries);
         let gave_up = engine
             .try_run_to_completion(&mut session)

@@ -2,7 +2,7 @@
 //! harness reports must obey the paper's formulas exactly.
 
 use mq_store::FilePageStore;
-use mquery::core::{CandidatePrescreen, StatsProbe};
+use mquery::core::StatsProbe;
 use mquery::mining::query_blocks;
 use mquery::prelude::*;
 use mquery::storage::{PageStore, VectorCodec};
@@ -340,47 +340,6 @@ fn id_admission_survives_an_online_insert() {
     assert!(answers[6]
         .iter()
         .any(|a| a.id == new_id && a.distance == 0.0));
-    std::fs::remove_dir_all(store.dir()).ok();
-}
-
-/// Every object but one: a prescreen that never emits `excluded`.
-struct AllBut {
-    objects: u32,
-    excluded: ObjectId,
-}
-
-impl CandidatePrescreen<Vector> for AllBut {
-    fn candidates(&self, _query: &Vector) -> Vec<ObjectId> {
-        (0..self.objects)
-            .map(ObjectId)
-            .filter(|&id| id != self.excluded)
-            .collect()
-    }
-
-    fn name(&self) -> &str {
-        "all-but-one"
-    }
-}
-
-/// An approximate-tier restriction that excludes a query's record: no
-/// query answers with it, in either session, and both answer alike.
-#[test]
-fn id_admission_respects_the_candidate_restriction() {
-    let store = grid_store("restrict");
-    let excluded = ObjectId(42);
-    let prescreen = AllBut {
-        objects: store.database().object_count() as u32,
-        excluded,
-    };
-    let scan = LinearScan::new(store.database().page_count());
-    let engine = QueryEngine::new(&store, &scan, Euclidean).with_prescreen(&prescreen);
-    let (ids, by_id, by_value) = twin_sessions(&engine);
-    assert!(ids.contains(&excluded) && by_id.is_restricted());
-    drop(engine);
-    // The restriction lives in the sessions, whatever engine steps them.
-    let answers = finish_alike(&store, by_id, by_value);
-    assert!(answers.iter().flatten().all(|a| a.id != excluded));
-    assert!(!answers[0].is_empty());
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
