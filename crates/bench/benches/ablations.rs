@@ -103,21 +103,6 @@ fn bench_cluster_servers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bulk_load_strategies(c: &mut Criterion) {
-    // VAMSplit vs. Z-order physical clustering.
-    use mq_index::xtree::zorder::bulk_load_zorder;
-    let mut group = c.benchmark_group("ablation-bulk-load");
-    group.sample_size(10);
-    let ds = clustered(8_000);
-    group.bench_function("vamsplit", |b| {
-        b.iter(|| black_box(XTree::bulk_load(&ds, XTreeConfig::default())))
-    });
-    group.bench_function("z-order", |b| {
-        b.iter(|| black_box(bulk_load_zorder(&ds, XTreeConfig::default())))
-    });
-    group.finish();
-}
-
 fn bench_avoidance_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("avoidance-ablation");
     group.sample_size(10);
@@ -149,7 +134,6 @@ criterion_group!(
     benches,
     bench_avoidance_ablation,
     bench_buffer_fraction,
-    bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,
     bench_cluster_servers
 );

@@ -102,10 +102,7 @@ impl Rig {
                 (Box::new(LinearScan::new(db.page_count())), db)
             }
             Method::XTree => {
-                let cfg = XTreeConfig {
-                    layout,
-                    ..Default::default()
-                };
+                let cfg = XTreeConfig { layout };
                 let (tree, db) = XTree::bulk_load(dataset, cfg);
                 (Box::new(tree), db)
             }

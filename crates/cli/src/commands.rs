@@ -176,13 +176,7 @@ fn build_index(
             Ok((Box::new(LinearScan::new(db.page_count())), db))
         }
         "xtree" => {
-            let (tree, db) = XTree::bulk_load(
-                ds,
-                XTreeConfig {
-                    layout,
-                    ..Default::default()
-                },
-            );
+            let (tree, db) = XTree::bulk_load(ds, XTreeConfig { layout });
             Ok((Box::new(tree), db))
         }
         "mtree" => {
@@ -822,7 +816,6 @@ pub fn dbscan(args: &Args) -> CmdResult {
         &ds,
         XTreeConfig {
             layout: stored.layout(),
-            ..Default::default()
         },
     );
     let dim = db.object(ObjectId(0)).dim();

@@ -192,7 +192,6 @@ mod tests {
         let ds = Dataset::new(data.clone());
         let cfg = XTreeConfig {
             layout: PageLayout::new(256, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.2);
@@ -230,7 +229,6 @@ mod tests {
         let ds = Dataset::new(data.clone());
         let cfg = XTreeConfig {
             layout: PageLayout::new(256, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let pages = db.page_count() as u64;
@@ -254,7 +252,6 @@ mod tests {
         let ds = Dataset::new(data.clone());
         let cfg = XTreeConfig {
             layout: PageLayout::new(256, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.2);
@@ -276,7 +273,6 @@ mod tests {
         let ds = Dataset::new(Vec::<Vector>::new());
         let cfg = XTreeConfig {
             layout: PageLayout::new(256, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.2);

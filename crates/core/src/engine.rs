@@ -413,10 +413,7 @@ mod tests {
     #[test]
     fn definition4_partial_answers_are_subsets() {
         let ds = Dataset::new(random_points(300, 4, 103));
-        let cfg = XTreeConfig {
-            layout: layout(),
-            ..Default::default()
-        };
+        let cfg = XTreeConfig { layout: layout() };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::with_buffer_pages(db, 4);
         let engine = QueryEngine::new(&disk, &tree, Euclidean);
@@ -545,10 +542,7 @@ mod tests {
     #[test]
     fn multiple_on_xtree_shares_pages() {
         let ds = Dataset::new(random_points(800, 4, 127));
-        let cfg = XTreeConfig {
-            layout: layout(),
-            ..Default::default()
-        };
+        let cfg = XTreeConfig { layout: layout() };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::with_buffer_pages(db, 1);
         let engine = QueryEngine::new(&disk, &tree, Euclidean);

@@ -169,7 +169,6 @@ mod tests {
         let ds = grid_dataset();
         let cfg = XTreeConfig {
             layout: PageLayout::new(128, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::with_buffer_pages(db, 2);
@@ -199,7 +198,6 @@ mod tests {
 
         let cfg = XTreeConfig {
             layout: PageLayout::new(128, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::with_buffer_pages(db, 2);
@@ -224,7 +222,6 @@ mod tests {
 
         let cfg = XTreeConfig {
             layout: PageLayout::new(128, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let tree_disk = SimulatedDisk::with_buffer_pages(db, 1);

@@ -24,10 +24,7 @@ fn run_batch(
     buffer_pages: usize,
     queries: &[(Vector, QueryType)],
 ) -> RunOutcome {
-    let cfg = XTreeConfig {
-        layout,
-        ..Default::default()
-    };
+    let cfg = XTreeConfig { layout };
     let (tree, db) = XTree::bulk_load(ds, cfg);
     let disk = SimulatedDisk::with_buffer_pages(db, buffer_pages);
     let metric = CountingMetric::new(Euclidean);

@@ -38,10 +38,7 @@ fn run_batch(
     options: EngineOptions,
 ) -> RunOutcome {
     let (index, db): (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>) = if use_xtree {
-        let cfg = XTreeConfig {
-            layout,
-            ..Default::default()
-        };
+        let cfg = XTreeConfig { layout };
         let (tree, db) = XTree::bulk_load(ds, cfg);
         (Box::new(tree), db)
     } else {
@@ -244,10 +241,7 @@ fn run_batch_observed(
     options: EngineOptions,
 ) -> (RunOutcome, mq_obs::Snapshot) {
     let (index, db): (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>) = if use_xtree {
-        let cfg = XTreeConfig {
-            layout,
-            ..Default::default()
-        };
+        let cfg = XTreeConfig { layout };
         let (tree, db) = XTree::bulk_load(ds, cfg);
         (Box::new(tree), db)
     } else {

@@ -1,8 +1,8 @@
 //! Minimum bounding rectangles (MBRs) in d-dimensional space.
 //!
-//! The geometry kernel of the R\*-/X-tree: MINDIST for best-first k-NN
-//! ordering (Roussopoulos et al. / Hjaltason–Samet), plus the margin, area
-//! and overlap measures the R\* split heuristics optimize.
+//! The geometry kernel of the X-tree: the covering boxes its bulk loader
+//! builds, and MINDIST for best-first k-NN ordering (Roussopoulos et al. /
+//! Hjaltason–Samet).
 
 use mq_metric::kernel::axis_gap;
 use mq_metric::Vector;
@@ -116,61 +116,6 @@ impl Mbr {
         }
     }
 
-    /// The union of two MBRs.
-    pub fn union(&self, other: &Mbr) -> Mbr {
-        let mut u = self.clone();
-        u.expand_mbr(other);
-        u
-    }
-
-    /// Volume (product of extents). Zero for degenerate MBRs.
-    pub fn area(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| h - l)
-            .product()
-    }
-
-    /// Margin (sum of extents) — the R\* split axis criterion.
-    pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
-    }
-
-    /// Volume of the intersection with `other` (zero if disjoint).
-    ///
-    /// # Panics
-    /// Panics if `other`'s dimensionality differs from this MBR's.
-    pub fn overlap(&self, other: &Mbr) -> f64 {
-        self.check_dim("MBR", other.dim());
-        let mut v = 1.0;
-        let (own, others) = (
-            self.lo.iter().zip(&*self.hi),
-            other.lo.iter().zip(&*other.hi),
-        );
-        for ((&slo, &shi), (&olo, &ohi)) in own.zip(others) {
-            let (lo, hi) = (slo.max(olo), shi.min(ohi));
-            if hi <= lo {
-                return 0.0;
-            }
-            v *= hi - lo;
-        }
-        v
-    }
-
-    /// Whether the MBRs share any point.
-    ///
-    /// # Panics
-    /// Panics if `other`'s dimensionality differs from this MBR's.
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        self.check_dim("MBR", other.dim());
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(other.lo.iter().zip(other.hi.iter()))
-            .all(|((slo, shi), (olo, ohi))| slo <= ohi && olo <= shi)
-    }
-
     /// Whether `p` lies inside (or on the boundary of) the MBR.
     ///
     /// # Panics
@@ -201,38 +146,6 @@ impl Mbr {
             acc += d * d;
         }
         acc.sqrt()
-    }
-
-    /// MAXDIST: the maximum Euclidean distance from `q` to any point of the
-    /// MBR — an upper bound used in diagnostics and tests.
-    ///
-    /// # Panics
-    /// Panics if `q`'s dimensionality differs from the MBR's.
-    pub fn maxdist(&self, q: &Vector) -> f64 {
-        self.check_dim("query", q.dim());
-        let mut acc = 0.0f64;
-        for (i, &c) in q.components().iter().enumerate() {
-            let c = c as f64;
-            let d = (c - self.lo[i]).abs().max((c - self.hi[i]).abs());
-            acc += d * d;
-        }
-        acc.sqrt()
-    }
-
-    /// Whether the MBR intersects the closed ball `{x : |x - q| ≤ r}` —
-    /// the range-query relevance test of §2.
-    #[inline]
-    pub fn intersects_ball(&self, q: &Vector, r: f64) -> bool {
-        self.mindist(q) <= r
-    }
-
-    /// Center of the MBR.
-    pub fn center(&self) -> Vec<f64> {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| 0.5 * (l + h))
-            .collect()
     }
 }
 
@@ -346,12 +259,8 @@ mod tests {
             let other = Mbr::from_point(&p);
             let refusals = [
                 ("point", panic_text(|| mbr.contains_point(&p))),
-                ("query", panic_text(|| mbr.maxdist(&p))),
                 ("point", panic_text(|| mbr.clone().expand_point(&p))),
                 ("MBR", panic_text(|| mbr.clone().expand_mbr(&other))),
-                ("MBR", panic_text(|| mbr.union(&other))),
-                ("MBR", panic_text(|| mbr.overlap(&other))),
-                ("MBR", panic_text(|| mbr.intersects(&other))),
             ];
             for (what, text) in refusals {
                 let expected = format!("{what} dimensionality mismatch: {dims} vs MBR 2");
@@ -361,56 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn maxdist_bounds_mindist() {
-        let mbr = unit_square();
-        let q = v(&[3.0, -1.0]);
-        assert!(mbr.maxdist(&q) >= mbr.mindist(&q));
-        // Farthest corner from (3,-1) is (0,1): dist = sqrt(9+4).
-        assert!((mbr.maxdist(&q) - 13f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn area_margin_overlap() {
-        let a = unit_square();
-        let b = Mbr::from_bounds(vec![0.5, 0.5], vec![2.0, 1.5]);
-        assert!((a.area() - 1.0).abs() < 1e-12);
-        assert!((a.margin() - 2.0).abs() < 1e-12);
-        assert!((a.overlap(&b) - 0.25).abs() < 1e-12);
-        assert!(a.intersects(&b));
-        let c = Mbr::from_bounds(vec![5.0, 5.0], vec![6.0, 6.0]);
-        assert_eq!(a.overlap(&c), 0.0);
-        assert!(!a.intersects(&c));
-    }
-
-    #[test]
     fn union_and_expand() {
-        let a = unit_square();
-        let b = Mbr::from_bounds(vec![2.0, -1.0], vec![3.0, 0.5]);
-        let u = a.union(&b);
+        let mut u = unit_square();
+        u.expand_mbr(&Mbr::from_bounds(vec![2.0, -1.0], vec![3.0, 0.5]));
         assert_eq!(u.lo(), &[0.0, -1.0]);
         assert_eq!(u.hi(), &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn ball_intersection() {
-        let mbr = unit_square();
-        assert!(mbr.intersects_ball(&v(&[2.0, 0.5]), 1.0));
-        assert!(!mbr.intersects_ball(&v(&[2.0, 0.5]), 0.9));
-        assert!(mbr.intersects_ball(&v(&[0.5, 0.5]), 0.0));
-    }
-
-    #[test]
-    fn touching_boxes_intersect_with_zero_overlap() {
-        let a = unit_square();
-        let b = Mbr::from_bounds(vec![1.0, 0.0], vec![2.0, 1.0]);
-        assert!(a.intersects(&b));
-        assert_eq!(a.overlap(&b), 0.0);
-    }
-
-    #[test]
-    fn center() {
-        let mbr = Mbr::from_bounds(vec![0.0, 2.0], vec![4.0, 6.0]);
-        assert_eq!(mbr.center(), vec![2.0, 4.0]);
     }
 
     #[test]

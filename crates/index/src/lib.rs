@@ -4,18 +4,18 @@
 //!
 //! The paper evaluates its multiple-similarity-query technique on top of two
 //! access methods (§5.1, §6): the **linear scan** and the **X-tree**
-//! (Berchtold/Keim/Kriegel, VLDB'96 — an R\*-tree variant with *supernodes*
-//! for high-dimensional data). It further motivates metric indexes via the
+//! (Berchtold/Keim/Kriegel, VLDB'96 — an R\*-tree variant for
+//! high-dimensional data). It further motivates metric indexes via the
 //! **M-tree** (Ciaccia/Patella/Zezula, VLDB'97) for databases that are
 //! metric but not vector spaces. This crate implements all three from
 //! scratch:
 //!
 //! * [`scan::LinearScan`] — every data page is relevant; pages are served in
 //!   physical order (maximizing sequential I/O).
-//! * [`xtree::XTree`] — R\*-style insertion (ChooseSubtree + topological
-//!   margin/overlap split) with X-tree supernodes, plus a VAMSplit-style
-//!   bulk loader; k-NN page ordering follows Hjaltason–Samet \[13\], which is
-//!   proven I/O-optimal for nearest-neighbor search \[3\].
+//! * [`xtree::XTree`] — built by VAMSplit bulk loading into overlap-free
+//!   leaves, so it has no supernodes; k-NN page ordering follows
+//!   Hjaltason–Samet \[13\], which is proven I/O-optimal for
+//!   nearest-neighbor search \[3\].
 //! * [`mtree::MTree`] — a dynamic metric tree with routing objects and
 //!   covering radii; search prunes with the triangle inequality and the
 //!   classic parent-distance optimization.
@@ -36,7 +36,6 @@
 pub mod bbox;
 pub mod mtree;
 pub mod planner;
-pub mod rstar;
 pub mod scan;
 pub(crate) mod util;
 pub mod xtree;

@@ -57,11 +57,7 @@ pub(super) fn bulk_load(
     let stats = XTreeStats {
         height,
         dir_nodes: frozen.dir_count(),
-        supernodes: 0,
-        max_supernode_blocks: 1,
         data_pages: groups.len(),
-        supernode_events: 0,
-        reinsert_events: 0,
     };
     (
         XTree::from_parts(dim, frozen, root, leaf_mbrs, stats),

@@ -1,6 +1,5 @@
 //! The frozen (query-time) X-tree and its Hjaltason–Samet page plan.
 
-use super::build::Builder;
 use super::{bulk, XTreeConfig};
 use crate::bbox::Mbr;
 use crate::planner::{PagePlan, SimilarityIndex};
@@ -95,18 +94,10 @@ impl FrozenNodes {
 pub struct XTreeStats {
     /// Tree height including the leaf level (a single-leaf tree has height 1).
     pub height: usize,
-    /// Number of directory nodes.
+    /// Number of directory nodes, each one block.
     pub dir_nodes: usize,
-    /// Number of supernodes (directory nodes spanning > 1 block).
-    pub supernodes: usize,
-    /// Largest supernode size in blocks.
-    pub max_supernode_blocks: u32,
     /// Number of data pages (leaves).
     pub data_pages: usize,
-    /// How many times an overflow was absorbed by extending a supernode.
-    pub supernode_events: u64,
-    /// How many forced reinsertions occurred during dynamic construction.
-    pub reinsert_events: u64,
 }
 
 /// The frozen X-tree: an in-memory directory over the data pages of one
@@ -158,9 +149,8 @@ impl XTree {
         }
     }
 
-    /// Builds an X-tree by VAMSplit bulk loading (the default for large
-    /// datasets) and lays the leaves out as the data pages of the returned
-    /// database.
+    /// Builds an X-tree by VAMSplit bulk loading and lays the leaves out as
+    /// the data pages of the returned database.
     ///
     /// # Panics
     /// Panics if the dataset's vectors do not share one dimensionality.
@@ -169,25 +159,6 @@ impl XTree {
         let objects: Vec<(ObjectId, Vector)> =
             dataset.iter().map(|(id, v)| (id, v.clone())).collect();
         let (tree, groups) = bulk::bulk_load(&cfg, dim, objects);
-        let db = PagedDatabase::from_groups(groups, cfg.layout);
-        (tree, db)
-    }
-
-    /// Builds an X-tree by dynamic R\* insertion with supernodes, then
-    /// freezes it into a database layout.
-    ///
-    /// # Panics
-    /// Panics if the dataset's vectors do not share one dimensionality.
-    pub fn insert_load(
-        dataset: &Dataset<Vector>,
-        cfg: XTreeConfig,
-    ) -> (Self, PagedDatabase<Vector>) {
-        let dim = check_dim(dataset);
-        let mut builder = Builder::new(cfg, dim);
-        for (id, v) in dataset.iter() {
-            builder.insert(id, v.clone());
-        }
-        let (tree, groups) = builder.freeze();
         let db = PagedDatabase::from_groups(groups, cfg.layout);
         (tree, db)
     }
@@ -360,7 +331,6 @@ mod tests {
         // 4-d f32 point = 16 bytes payload + 16 header = 32; 160/32 = 5/leaf.
         XTreeConfig {
             layout: PageLayout::new(160, 16),
-            ..XTreeConfig::default()
         }
     }
 
@@ -391,36 +361,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_load_covers_all_objects() {
-        let pts = random_points(300, 4, 13);
-        let ds = Dataset::new(pts);
-        let (tree, db) = XTree::insert_load(&ds, tiny_cfg());
-        assert_eq!(db.object_count(), 300);
-        assert_eq!(tree.page_count(), db.page_count());
-        // The plan visits every page exactly once with infinite query dist.
-        let q = Vector::new(vec![50.0, 50.0, 50.0, 50.0]);
-        let mut pages = drain_all(&tree, &q);
-        pages.sort_unstable();
-        pages.dedup();
-        assert_eq!(pages.len(), db.page_count());
-    }
-
-    #[test]
     fn leaf_mbrs_contain_their_points() {
         let ds = Dataset::new(random_points(400, 3, 29));
-        for (tree, db) in [
-            XTree::bulk_load(&ds, tiny_cfg()),
-            XTree::insert_load(&ds, tiny_cfg()),
-        ] {
-            for pid in db.page_ids() {
-                let mbr = tree.leaf_mbr(pid);
-                for (_, v) in db.page(pid).records() {
-                    assert!(
-                        mbr.contains_point(v),
-                        "{} not in leaf MBR of {pid}",
-                        v.components()[0]
-                    );
-                }
+        let (tree, db) = XTree::bulk_load(&ds, tiny_cfg());
+        for pid in db.page_ids() {
+            let mbr = tree.leaf_mbr(pid);
+            for (_, v) in db.page(pid).records() {
+                assert!(
+                    mbr.contains_point(v),
+                    "{} not in leaf MBR of {pid}",
+                    v.components()[0]
+                );
             }
         }
     }
@@ -532,7 +483,7 @@ mod tests {
     #[test]
     fn single_object_dataset() {
         let ds = Dataset::new(vec![Vector::new(vec![1.0, 2.0, 3.0, 4.0])]);
-        let (tree, db) = XTree::insert_load(&ds, tiny_cfg());
+        let (tree, db) = XTree::bulk_load(&ds, tiny_cfg());
         assert_eq!(db.page_count(), 1);
         let q = Vector::new(vec![0.0; 4]);
         let mut plan = tree.plan(&q);
@@ -567,107 +518,49 @@ mod tests {
     }
 
     #[test]
-    fn forced_reinsertion_improves_or_matches_io_selectivity() {
-        // With reinsertion the tree should be at least as selective as
-        // without (R*'s motivation); in any case both must answer exactly.
-        let pts = random_points(600, 4, 71);
-        let ds = Dataset::new(pts);
-        let with_cfg = tiny_cfg();
-        let without_cfg = XTreeConfig {
-            reinsert_fraction: 0.0,
-            ..tiny_cfg()
-        };
-        let (with_tree, _) = XTree::insert_load(&ds, with_cfg);
-        let (without_tree, _) = XTree::insert_load(&ds, without_cfg);
-        assert!(
-            with_tree.stats().reinsert_events > 0,
-            "reinsertion never triggered"
-        );
-        assert_eq!(without_tree.stats().reinsert_events, 0);
-
-        // Count pages visited for a batch of small range queries.
-        let visited = |tree: &XTree| -> usize {
-            let mut total = 0;
-            for i in 0..20 {
-                let q = ds.object(ObjectId(i * 29)).clone();
-                let mut plan = tree.plan(&q);
-                while plan.next(8.0).is_some() {
-                    total += 1;
-                }
-            }
-            total
-        };
-        let v_with = visited(&with_tree);
-        let v_without = visited(&without_tree);
-        // Reinsertion typically tightens MBRs; allow equality plus slack
-        // for unlucky data, but catch gross regressions.
-        assert!(
-            v_with as f64 <= v_without as f64 * 1.25,
-            "reinsertion degraded selectivity: {v_with} vs {v_without}"
-        );
-    }
-
-    #[test]
-    fn heavily_overlapping_data_creates_supernodes() {
-        // Points jittered around one location: every leaf MBR overlaps
-        // every other, so no directory split can stay below max_overlap
-        // and the builder must extend supernodes instead.
-        let mut pts = Vec::new();
-        let mut x = 1u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            ((x >> 11) as f64 / (1u64 << 53) as f64) as f32
-        };
-        for _ in 0..400 {
-            pts.push(Vector::new(vec![
-                5.0 + 0.01 * next(),
-                5.0 + 0.01 * next(),
-                5.0 + 0.01 * next(),
-                5.0 + 0.01 * next(),
-            ]));
-        }
-        let ds = Dataset::new(pts);
-        let (tree, db) = XTree::insert_load(&ds, tiny_cfg());
-        assert!(
-            tree.stats().supernodes > 0,
-            "expected supernodes on fully-overlapping data: {:?}",
-            tree.stats()
-        );
-        assert!(tree.stats().max_supernode_blocks > 1);
-        // Queries remain exact despite supernodes.
-        let q = Vector::new(vec![5.0, 5.0, 5.0, 5.0]);
+    fn identical_points_build_a_valid_tree() {
+        // No dimension has any spread: every split is an arbitrary cut
+        // through one point, and every page's MBR is that point.
+        let ds = Dataset::new(vec![Vector::new(vec![1.0, 1.0, 1.0, 1.0]); 40]);
+        let (tree, db) = XTree::bulk_load(&ds, tiny_cfg());
+        assert_eq!(db.object_count(), 40);
+        assert!(tree.stats().height >= 2);
+        let q = Vector::new(vec![1.0; 4]);
         let mut plan = tree.plan(&q);
-        let mut pages = Vec::new();
-        while let Some((pid, _)) = plan.next(f64::INFINITY) {
-            pages.push(pid);
+        let mut count = 0;
+        while let Some((_, lb)) = plan.next(0.0) {
+            assert_eq!(lb, 0.0);
+            count += 1;
         }
-        pages.sort_unstable();
-        pages.dedup();
-        assert_eq!(pages.len(), db.page_count());
+        assert_eq!(count, db.page_count(), "all pages contain exact matches");
     }
 
     #[test]
-    fn insert_load_on_correlated_data_may_create_supernodes() {
-        // Heavily duplicated coordinates force high-overlap directory splits
-        // in a thin config; we only assert the structure remains consistent.
-        let mut pts = Vec::new();
-        for i in 0..300 {
-            let base = (i % 5) as f32;
-            pts.push(Vector::new(vec![base, base, base, (i as f32) * 1e-3]));
-        }
+    fn a_constant_dimension_is_never_split() {
+        // Dimension 2 is constant: its extent is zero in every leaf, and the
+        // other three still separate the pages.
+        let pts: Vec<Vector> = random_points(300, 4, 37)
+            .into_iter()
+            .map(|p| {
+                let mut c = p.components().to_vec();
+                c[2] = 7.0;
+                Vector::new(c)
+            })
+            .collect();
         let ds = Dataset::new(pts);
-        let (tree, db) = XTree::insert_load(&ds, tiny_cfg());
+        let (tree, db) = XTree::bulk_load(&ds, tiny_cfg());
         assert_eq!(db.object_count(), 300);
-        let q = Vector::new(vec![2.0, 2.0, 2.0, 0.1]);
+        for pid in db.page_ids() {
+            let mbr = tree.leaf_mbr(pid);
+            assert_eq!((mbr.lo()[2], mbr.hi()[2]), (7.0, 7.0));
+            for (_, v) in db.page(pid).records() {
+                assert!(mbr.contains_point(v));
+            }
+        }
+        let q = Vector::new(vec![50.0, 50.0, 7.0, 50.0]);
         let mut pages = drain_all(&tree, &q);
         pages.sort_unstable();
         pages.dedup();
-        assert_eq!(
-            pages.len(),
-            tree.page_count(),
-            "every page reachable exactly once"
-        );
+        assert_eq!(pages.len(), db.page_count(), "every page reachable once");
     }
 }

@@ -1,63 +1,34 @@
-//! The X-tree: an R\*-tree variant for high-dimensional point data
-//! (Berchtold, Keim, Kriegel — VLDB'96; paper ref. \[2\]).
+//! The X-tree (Berchtold, Keim, Kriegel — VLDB'96; paper ref. \[2\]),
+//! built by VAMSplit bulk loading.
 //!
-//! The X-tree avoids the performance collapse of R-trees in high dimensions
-//! by refusing to perform *high-overlap* directory splits: when the best
-//! R\* split of an overflowing directory node would produce groups whose
-//! MBRs overlap more than a threshold, the node becomes a **supernode** —
-//! a directory node of variable size (multiple disk blocks) that is scanned
-//! linearly instead of being split into useless overlapping halves.
-//!
-//! Construction paths:
-//! * [`XTree::insert_load`] — dynamic R\* insertion (ChooseSubtree +
-//!   topological split, forced reinsertion at the leaf level per \[4\])
-//!   with the supernode mechanism, faithful to \[2\].
-//! * [`XTree::bulk_load`] — a VAMSplit-style bulk loader (recursive
-//!   max-spread median splits) that produces overlap-free leaves; used for
-//!   large experiment datasets where building by insertion would dominate
-//!   runtime.
+//! [`XTree::bulk_load`] partitions the points recursively at a page-aligned
+//! median of the dimension with maximum spread until each part fits one data
+//! page, then packs the directory bottom-up over consecutive runs of
+//! children. The leaves do not overlap, so no directory split ever has to
+//! choose between overlap and a supernode: the tree is the X-tree's
+//! overlap-free case, an R-tree directory of one-block nodes. On the
+//! benchmark databases R\* insertion with supernodes builds a tree that reads
+//! more pages per query (docs/performance.md).
 //!
 //! After construction the tree is *frozen*: leaves become the data pages of
-//! a [`mq_storage::PagedDatabase`] (leaf = page, numbered in DFS order so
-//! that spatially close pages get adjacent physical addresses), and the
+//! a [`mq_storage::PagedDatabase`] (leaf = page, numbered in DFS order
+//! so that spatially close pages get adjacent physical addresses), and the
 //! directory is retained in memory — matching the paper's I/O accounting,
 //! which counts data-page reads.
 
-mod build;
 mod bulk;
 mod frozen;
-pub mod zorder;
 
 pub use frozen::{XTree, XTreeStats};
 
 use mq_storage::PageLayout;
 
-/// X-tree construction parameters.
-#[derive(Clone, Copy, Debug)]
+/// X-tree construction parameters. The default lays pages out as
+/// [`PageLayout::PAPER`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct XTreeConfig {
     /// Page layout shared with the storage layer (block size, record header).
     pub layout: PageLayout,
-    /// Maximum tolerated overlap fraction of a directory split before the
-    /// node becomes a supernode (\[2\] uses 20 %).
-    pub max_overlap: f64,
-    /// Minimum fill fraction per split group (R\*: 40 %).
-    pub min_fill: f64,
-    /// R\* forced reinsertion: on the first leaf overflow of an insert,
-    /// this fraction of the entries farthest from the leaf's center are
-    /// reinserted instead of splitting (R\* recommends 30 %; `0` disables).
-    /// Only affects [`XTree::insert_load`]; bulk loading never overflows.
-    pub reinsert_fraction: f64,
-}
-
-impl Default for XTreeConfig {
-    fn default() -> Self {
-        Self {
-            layout: PageLayout::PAPER,
-            max_overlap: 0.2,
-            min_fill: 0.4,
-            reinsert_fraction: 0.3,
-        }
-    }
 }
 
 impl XTreeConfig {

@@ -4,7 +4,7 @@
 //!
 //! Every tier computes the *same* IEEE-754 operation sequence — widen each
 //! `f32` lane to `f64`, subtract/multiply/add per lane, reduce through the
-//! fixed [`combine`] tree, then add an identically-ordered scalar tail — so
+//! fixed `combine` tree, then add an identically-ordered scalar tail — so
 //! the results are **bit-identical** across tiers. That keeps the
 //! equivalence suites meaningful: a test run with `MQ_SIMD=off` pins the
 //! exact bits a production AVX2 run must reproduce. The SIMD paths use

@@ -113,7 +113,6 @@ mod tests {
         let ds = Dataset::new(data.clone());
         let cfg = XTreeConfig {
             layout: PageLayout::new(256, 16),
-            ..Default::default()
         };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.1);

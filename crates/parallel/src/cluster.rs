@@ -406,10 +406,7 @@ mod tests {
     ) -> impl Fn(&Dataset<Vector>) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>)
     {
         |ds: &Dataset<Vector>| {
-            let cfg = XTreeConfig {
-                layout: layout(),
-                ..Default::default()
-            };
+            let cfg = XTreeConfig { layout: layout() };
             let (tree, db) = XTree::bulk_load(ds, cfg);
             (Box::new(tree) as Box<dyn SimilarityIndex<Vector>>, db)
         }

@@ -46,7 +46,7 @@
 //! |---|---|
 //! | [`mq_metric`] | `Metric` trait, Euclidean / weighted / quadratic-form / edit distances, counting, axiom validation |
 //! | [`mq_storage`] | pages, paged database, LRU buffer, simulated disk with I/O accounting |
-//! | [`mq_index`] | linear scan, X-tree (R\* + supernodes), M-tree, Hjaltason–Samet page planning |
+//! | [`mq_index`] | linear scan, X-tree (VAMSplit bulk loading), M-tree, Hjaltason–Samet page planning |
 //! | [`mq_core`] | query types, single + **multiple** similarity queries, avoidance, cost models |
 //! | [`mq_mining`] | ExploreNeighborhoods scheme, DBSCAN, k-NN classification, exploration, proximity, trends, association rules |
 //! | [`mq_parallel`] | shared-nothing cluster: declustering, per-server engines, answer merging |

@@ -50,7 +50,6 @@ fn xtree_io_equals_union_of_relevant_pages() {
     let ds = Dataset::new(data.clone());
     let cfg = XTreeConfig {
         layout: PageLayout::new(256, 16),
-        ..Default::default()
     };
     let (tree, db) = XTree::bulk_load(&ds, cfg);
     let disk = SimulatedDisk::with_buffer_pages(db, 1);

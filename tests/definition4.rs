@@ -81,32 +81,12 @@ fn definition4_holds_on_scan() {
 fn definition4_holds_on_xtree() {
     let data = points(700, 4, 3);
     let ds = Dataset::new(data.clone());
-    let cfg = XTreeConfig {
-        layout: layout(),
-        ..Default::default()
-    };
+    let cfg = XTreeConfig { layout: layout() };
     let (tree, db) = XTree::bulk_load(&ds, cfg);
     let disk = SimulatedDisk::new(db, 0.1);
     let engine = QueryEngine::new(&disk, &tree, Euclidean);
     let queries: Vec<(Vector, QueryType)> = (0..6)
         .map(|i| (data[i * 111].clone(), QueryType::knn(4 + i)))
-        .collect();
-    check_definition4(&engine, &queries);
-}
-
-#[test]
-fn definition4_holds_on_xtree_insert_build() {
-    let data = points(400, 3, 5);
-    let ds = Dataset::new(data.clone());
-    let cfg = XTreeConfig {
-        layout: layout(),
-        ..Default::default()
-    };
-    let (tree, db) = XTree::insert_load(&ds, cfg);
-    let disk = SimulatedDisk::new(db, 0.1);
-    let engine = QueryEngine::new(&disk, &tree, Euclidean);
-    let queries: Vec<(Vector, QueryType)> = (0..5)
-        .map(|i| (data[i * 79].clone(), QueryType::range(6.0)))
         .collect();
     check_definition4(&engine, &queries);
 }
@@ -221,10 +201,7 @@ fn duplicate_query_objects_in_one_batch() {
 fn mixed_query_types_share_pages_correctly() {
     let data = points(500, 4, 13);
     let ds = Dataset::new(data.clone());
-    let cfg = XTreeConfig {
-        layout: layout(),
-        ..Default::default()
-    };
+    let cfg = XTreeConfig { layout: layout() };
     let (tree, db) = XTree::bulk_load(&ds, cfg);
     let disk = SimulatedDisk::new(db, 0.1);
     let engine = QueryEngine::new(&disk, &tree, Euclidean);

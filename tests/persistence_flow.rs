@@ -32,7 +32,6 @@ fn answers_on(db: &PagedDatabase<Vector>, queries: &[(Vector, QueryType)]) -> Ve
         &ds,
         XTreeConfig {
             layout: db.layout(),
-            ..Default::default()
         },
     );
     let disk = SimulatedDisk::new(fresh, 0.1);

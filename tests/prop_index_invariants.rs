@@ -20,17 +20,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Every object ends up on exactly one page, the page's MBR contains
-    /// it, and the plan enumerates every page exactly once — for both
-    /// X-tree construction paths.
+    /// it, and the plan enumerates every page exactly once.
     #[test]
-    fn xtree_structure_invariants(data in arb_points(200, 3), bulk in any::<bool>()) {
+    fn xtree_structure_invariants(data in arb_points(200, 3)) {
         let ds = Dataset::new(data.clone());
-        let cfg = XTreeConfig { layout: layout(), ..Default::default() };
-        let (tree, db) = if bulk {
-            XTree::bulk_load(&ds, cfg)
-        } else {
-            XTree::insert_load(&ds, cfg)
-        };
+        let cfg = XTreeConfig { layout: layout() };
+        let (tree, db) = XTree::bulk_load(&ds, cfg);
         prop_assert_eq!(db.object_count(), data.len());
         prop_assert_eq!(tree.page_count(), db.page_count());
 
@@ -59,14 +54,12 @@ proptest! {
 
     /// The X-tree's batched `page_mindists` and its plans' lower bounds have
     /// `page_mindist`'s bits, for every batch size around its 8-query passes
-    /// and for dimensions below, within and above one block of 8, on both
-    /// construction paths. Half the queries are stored points, which sit on
-    /// their leaf's faces.
+    /// and for dimensions below, within and above one block of 8. Half the
+    /// queries are stored points, which sit on their leaf's faces.
     #[test]
     fn batched_lower_bounds_equal_page_mindist_bitwise(
         dim_pick in 0usize..5,
         seed in any::<u64>(),
-        bulk in any::<bool>(),
     ) {
         let dim = [1, 7, 20, 64, 65][dim_pick];
         let mut x = seed | 1;
@@ -87,12 +80,8 @@ proptest! {
             })
             .collect();
         let ds = Dataset::new(data);
-        let cfg = XTreeConfig { layout: PageLayout::new(512, 16), ..Default::default() };
-        let (tree, db) = if bulk {
-            XTree::bulk_load(&ds, cfg)
-        } else {
-            XTree::insert_load(&ds, cfg)
-        };
+        let cfg = XTreeConfig { layout: PageLayout::new(512, 16) };
+        let (tree, db) = XTree::bulk_load(&ds, cfg);
         let refs: Vec<&Vector> = queries.iter().collect();
         for pid in db.page_ids() {
             let want: Vec<u64> = queries.iter().map(|q| tree.page_mindist(q, pid).to_bits()).collect();
@@ -146,7 +135,7 @@ proptest! {
     ) {
         let q = data[pick % data.len()].clone();
         let ds = Dataset::new(data.clone());
-        let cfg = XTreeConfig { layout: layout(), ..Default::default() };
+        let cfg = XTreeConfig { layout: layout() };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
 
         let mut visited = std::collections::HashSet::new();
@@ -181,7 +170,7 @@ proptest! {
     ) {
         let q = data[pick % data.len()].clone();
         let ds = Dataset::new(data.clone());
-        let cfg = XTreeConfig { layout: layout(), ..Default::default() };
+        let cfg = XTreeConfig { layout: layout() };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let mcfg = MTreeConfig { layout: layout(), ..Default::default() };
         let (mtree, mdb) = MTree::insert_load(&ds, Euclidean, mcfg);

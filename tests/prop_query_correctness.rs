@@ -58,7 +58,7 @@ proptest! {
         prop_assert_eq!(&got, &expected, "scan");
 
         // X-tree (bulk).
-        let cfg = XTreeConfig { layout, ..Default::default() };
+        let cfg = XTreeConfig { layout };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.2);
         let engine = QueryEngine::new(&disk, &tree, Euclidean);
@@ -81,7 +81,7 @@ proptest! {
     ) {
         let ds = Dataset::new(data.clone());
         let layout = PageLayout::new(128, 16);
-        let cfg = XTreeConfig { layout, ..Default::default() };
+        let cfg = XTreeConfig { layout };
         let (tree, db) = XTree::bulk_load(&ds, cfg);
         let disk = SimulatedDisk::new(db, 0.2);
         let engine = QueryEngine::new(&disk, &tree, Euclidean);

@@ -20,7 +20,6 @@ fn setup(data: &[Vector]) -> (PagedDatabase<Vector>, XTree) {
         &ds,
         XTreeConfig {
             layout: PageLayout::new(512, 16),
-            ..Default::default()
         },
     );
     (db, tree)
