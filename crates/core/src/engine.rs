@@ -279,28 +279,19 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
     /// first-admitted pending one) is answered completely when the caller
     /// needs it. Returns `true` once complete (`false` only if `i` is out
     /// of range).
+    ///
+    /// # Panics
+    /// Panics if the disk faults past the retry budget.
     pub fn complete_query(&self, session: &mut MultiQuerySession<O>, i: usize) -> bool {
-        self.try_complete_query(session, i)
-            .unwrap_or_else(|e| panic!("unrecoverable engine error: {e}"))
-    }
-
-    /// Fallible [`complete_query`](Self::complete_query); see
-    /// [`try_multiple_query_step`](Self::try_multiple_query_step) for the
-    /// error contract.
-    pub fn try_complete_query(
-        &self,
-        session: &mut MultiQuerySession<O>,
-        i: usize,
-    ) -> Result<bool, EngineError> {
         if i >= session.query_count() {
-            return Ok(false);
+            return false;
         }
         while !session.is_complete(i) {
-            if self.try_multiple_query_step(session)?.is_none() {
+            if self.multiple_query_step(session).is_none() {
                 break;
             }
         }
-        Ok(session.is_complete(i))
+        session.is_complete(i)
     }
 
     /// Reconciles an in-flight session with an object newly inserted into
@@ -359,7 +350,7 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_index::{LinearScan, XTree, XTreeConfig};
+    use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
     use mq_metric::{CountingMetric, Euclidean, ObjectId, Vector};
     use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
 
@@ -647,5 +638,27 @@ mod tests {
         let mut session = engine.new_session(Vec::new());
         assert_eq!(engine.multiple_query_step(&mut session), None);
         assert!(session.into_answers().is_empty());
+    }
+
+    #[test]
+    fn empty_database_answers_nothing_and_reads_no_page() {
+        let ds = Dataset::new(Vec::<Vector>::new());
+        let (tree, tree_db) = XTree::bulk_load(&ds, XTreeConfig { layout: layout() });
+        let scan_db = PagedDatabase::pack(&ds, layout());
+        let scan = LinearScan::new(scan_db.page_count());
+        let tree_disk = SimulatedDisk::new(tree_db, 0.2);
+        let scan_disk = SimulatedDisk::new(scan_db, 0.2);
+        let indexes: [(&SimulatedDisk<Vector>, &dyn SimilarityIndex<Vector>); 2] =
+            [(&tree_disk, &tree), (&scan_disk, &scan)];
+        let q = Vector::new(vec![0.0, 0.0]);
+        for (disk, index) in indexes {
+            let engine = QueryEngine::new(disk, index, Euclidean);
+            for qtype in [QueryType::knn(3), QueryType::range(1000.0)] {
+                assert!(engine.similarity_query(&q, &qtype).is_empty());
+                let answers = engine.multiple_similarity_query(vec![(q.clone(), qtype); 2]);
+                assert!(answers.iter().all(Vec::is_empty), "{answers:?}");
+            }
+            assert_eq!(disk.stats().logical_reads, 0);
+        }
     }
 }

@@ -28,7 +28,6 @@
 
 pub mod answers;
 pub mod avoidance;
-pub mod browse;
 pub mod engine;
 pub mod fault;
 pub mod multiple;
@@ -39,7 +38,6 @@ pub mod stats;
 
 pub use answers::{Answer, AnswerList};
 pub use avoidance::{AvoidanceStats, QueryDistanceMatrix};
-pub use browse::DistanceBrowser;
 pub use engine::{EngineOptions, QueryEngine};
 pub use fault::{EngineError, FaultPolicy};
 pub use multiple::MultiQuerySession;

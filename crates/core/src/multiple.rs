@@ -107,7 +107,7 @@
 //!
 //! With `EngineOptions::prefetch_depth = d > 0`, the step keeps a window
 //! of up to `d` pages staged ahead of the one being evaluated
-//! ([`PageStore::prefetch`]); staged pages are pinned so buffer
+//! ([`PageStore::try_prefetch`]); staged pages are pinned so buffer
 //! pressure cannot evict them before their demand read. Determinism
 //! argument: the page plan is best-first (non-decreasing lower bounds)
 //! and `plan.next(qd)` prunes exactly the entries with `lb > qd`, so the

@@ -246,7 +246,7 @@ impl<O: StorageObject> PagedDatabase<O> {
     }
 
     /// Direct (un-metered) access to a page. Query processing must go
-    /// through [`crate::SimulatedDisk::read_page`] instead; this accessor is
+    /// through [`crate::PageStore::try_read_page`] instead; this accessor is
     /// for index construction and tests.
     pub fn page(&self, id: PageId) -> &Page<O> {
         &self.pages[id.index()]

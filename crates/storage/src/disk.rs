@@ -53,7 +53,7 @@ struct DiskState {
     /// `Some` once a [`Recorder`] is attached; `None` costs one branch.
     obs: Option<DiskObs>,
     last_physical: Option<PageId>,
-    /// Pages staged by [`SimulatedDisk::prefetch`] whose pin is still held
+    /// Pages staged by [`SimulatedDisk::try_prefetch`] whose pin is still held
     /// by the disk (released by the demand read or by
     /// [`SimulatedDisk::drop_prefetch_pins`]). A `BTreeSet` so leftover
     /// pins are released in deterministic (ascending page id) order.
@@ -312,21 +312,6 @@ impl<O: StorageObject> SimulatedDisk<O> {
             .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
     }
 
-    /// Reads a page like [`read_page`](Self::read_page) and additionally
-    /// **pins** it in the buffer so it cannot be evicted while in use. The
-    /// caller must release the pin with [`unpin_page`](Self::unpin_page).
-    ///
-    /// If the page was staged by a [`prefetch`](Self::prefetch), the demand
-    /// read counts a `prefetched_hit` and the prefetch pin is handed over
-    /// (released) before the caller's pin is taken.
-    ///
-    /// # Panics
-    /// Panics if a [`FaultPlan`] is installed and this read attempt faults.
-    pub fn read_page_pinned(&self, id: PageId) -> &Page<O> {
-        self.try_read_page_pinned(id)
-            .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
-    }
-
     /// Fallible [`read_page`](Self::read_page): under an installed
     /// [`FaultPlan`], a buffer miss may fail instead of performing the
     /// physical read. A failed attempt touches **only** [`FaultStats`] —
@@ -338,8 +323,14 @@ impl<O: StorageObject> SimulatedDisk<O> {
         self.try_read_page_impl(id, false)
     }
 
-    /// Fallible [`read_page_pinned`](Self::read_page_pinned); see
-    /// [`try_read_page`](Self::try_read_page) for the fault semantics.
+    /// Reads a page like [`try_read_page`](Self::try_read_page) and
+    /// additionally **pins** it in the buffer so it cannot be evicted while
+    /// in use. The caller must release the pin with
+    /// [`unpin_page`](Self::unpin_page). Faults as `try_read_page` does.
+    ///
+    /// If the page was staged by a [`try_prefetch`](Self::try_prefetch),
+    /// the demand read counts a `prefetched_hit` and the prefetch pin is
+    /// handed over (released) before the caller's pin is taken.
     pub fn try_read_page_pinned(&self, id: PageId) -> Result<&Page<O>, DiskError> {
         self.try_read_page_impl(id, true)
     }
@@ -400,19 +391,10 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// [`drop_prefetch_pins`](Self::drop_prefetch_pins). A prefetch is
     /// *not* a logical read: issuing it never changes `logical_reads`.
     ///
-    /// Prefetching an already-staged page is a no-op.
-    ///
-    /// # Panics
-    /// Panics if a [`FaultPlan`] is installed and this prefetch faults.
-    pub fn prefetch(&self, id: PageId) {
-        self.try_prefetch(id)
-            .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
-    }
-
-    /// Fallible [`prefetch`](Self::prefetch); see
-    /// [`try_read_page`](Self::try_read_page) for the fault semantics. On
-    /// failure the page is simply not staged — a later demand read performs
-    /// (and re-rolls) its own physical read.
+    /// Prefetching an already-staged page is a no-op. Faults as
+    /// [`try_read_page`](Self::try_read_page) does; on failure the page is
+    /// simply not staged — a later demand read performs (and re-rolls) its
+    /// own physical read.
     pub fn try_prefetch(&self, id: PageId) -> Result<(), DiskError> {
         let mut st = self.state();
         if st.killed {
@@ -485,7 +467,8 @@ impl<O: StorageObject> SimulatedDisk<O> {
         }
     }
 
-    /// Releases one pin taken by [`read_page_pinned`](Self::read_page_pinned).
+    /// Releases one pin taken by
+    /// [`try_read_page_pinned`](Self::try_read_page_pinned).
     pub fn unpin_page(&self, id: PageId) {
         self.state().buffer.unpin(id);
     }
@@ -664,14 +647,14 @@ mod tests {
     #[test]
     fn prefetch_accounts_io_at_schedule_time() {
         let d = disk(30, 4); // 10 pages
-        d.prefetch(PageId(3));
+        d.try_prefetch(PageId(3)).unwrap();
         let s = d.stats();
         assert_eq!(s.logical_reads, 0, "a prefetch is not a logical read");
         assert_eq!(s.physical_reads, 1);
         assert_eq!(s.prefetch_reads, 1);
         assert_eq!(s.random_reads, 1);
         // The demand read is a pure buffer hit credited to the prefetcher.
-        d.read_page_pinned(PageId(3));
+        d.try_read_page_pinned(PageId(3)).unwrap();
         let s = d.stats();
         assert_eq!(s.logical_reads, 1);
         assert_eq!(s.buffer_hits, 1);
@@ -684,7 +667,7 @@ mod tests {
     fn prefetch_sequential_classification_at_schedule_time() {
         let d = disk(30, 4);
         d.read_page(PageId(0));
-        d.prefetch(PageId(1)); // adjacent to the last physical read
+        d.try_prefetch(PageId(1)).unwrap(); // adjacent to the last physical read
         let s = d.stats();
         assert_eq!(s.sequential_reads, 1);
         assert_eq!(s.prefetch_reads, 1);
@@ -693,12 +676,12 @@ mod tests {
     #[test]
     fn prefetched_page_survives_eviction_until_demanded() {
         let d = disk(30, 1); // 1-page buffer: everything thrashes
-        d.prefetch(PageId(5));
+        d.try_prefetch(PageId(5)).unwrap();
         // These demand reads would normally evict page 5 from a 1-page
         // buffer; the prefetch pin forces a temporary overflow instead.
         d.read_page(PageId(0));
         d.read_page(PageId(1));
-        d.read_page_pinned(PageId(5));
+        d.try_read_page_pinned(PageId(5)).unwrap();
         assert_eq!(d.stats().prefetched_hits, 1);
         d.unpin_page(PageId(5));
     }
@@ -706,8 +689,8 @@ mod tests {
     #[test]
     fn undemanded_prefetch_pins_are_dropped() {
         let d = disk(30, 1);
-        d.prefetch(PageId(5));
-        d.prefetch(PageId(5)); // idempotent: no second physical read
+        d.try_prefetch(PageId(5)).unwrap();
+        d.try_prefetch(PageId(5)).unwrap(); // idempotent: no second physical read
         assert_eq!(d.stats().prefetch_reads, 1);
         d.drop_prefetch_pins();
         // Page 5 is evictable again: a cold page replaces it, and a later
@@ -725,7 +708,7 @@ mod tests {
         let b = disk(30, 4);
         for &i in &[0u32, 3, 1, 3, 9] {
             a.read_page(PageId(i));
-            b.read_page_pinned(PageId(i));
+            b.try_read_page_pinned(PageId(i)).unwrap();
             b.unpin_page(PageId(i));
         }
         assert_eq!(a.stats(), b.stats());
@@ -874,10 +857,10 @@ mod tests {
             observed.read_page(PageId(i));
             plain.read_page(PageId(i));
         }
-        observed.prefetch(PageId(5));
-        plain.prefetch(PageId(5));
-        observed.read_page_pinned(PageId(5));
-        plain.read_page_pinned(PageId(5));
+        observed.try_prefetch(PageId(5)).unwrap();
+        plain.try_prefetch(PageId(5)).unwrap();
+        observed.try_read_page_pinned(PageId(5)).unwrap();
+        plain.try_read_page_pinned(PageId(5)).unwrap();
         observed.unpin_page(PageId(5));
         plain.unpin_page(PageId(5));
         assert_eq!(

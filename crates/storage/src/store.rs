@@ -82,33 +82,6 @@ pub trait PageStore<O: StorageObject>: Send + Sync + std::fmt::Debug {
 
     /// The checksum the store holds for a page.
     fn checksum(&self, id: PageId) -> u64;
-
-    /// Infallible [`try_read_page`](Self::try_read_page).
-    ///
-    /// # Panics
-    /// Panics if the read attempt faults.
-    fn read_page(&self, id: PageId) -> &Page<O> {
-        self.try_read_page(id)
-            .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
-    }
-
-    /// Infallible [`try_read_page_pinned`](Self::try_read_page_pinned).
-    ///
-    /// # Panics
-    /// Panics if the read attempt faults.
-    fn read_page_pinned(&self, id: PageId) -> &Page<O> {
-        self.try_read_page_pinned(id)
-            .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
-    }
-
-    /// Infallible [`try_prefetch`](Self::try_prefetch).
-    ///
-    /// # Panics
-    /// Panics if the prefetch faults.
-    fn prefetch(&self, id: PageId) {
-        self.try_prefetch(id)
-            .unwrap_or_else(|e| panic!("unhandled disk fault: {e}"))
-    }
 }
 
 impl<O: StorageObject> PageStore<O> for SimulatedDisk<O> {
@@ -203,8 +176,8 @@ mod tests {
         let concrete = disk(30);
         let boxed: Box<dyn PageStore<Vector>> = Box::new(disk(30));
         for &i in &[0u32, 3, 1, 3, 9] {
-            concrete.read_page(PageId(i));
-            boxed.read_page(PageId(i));
+            concrete.try_read_page(PageId(i)).unwrap();
+            boxed.try_read_page(PageId(i)).unwrap();
         }
         assert_eq!(concrete.stats(), boxed.stats());
         assert_eq!(boxed.buffer_capacity(), 4);

@@ -53,44 +53,30 @@ pub struct SimReport {
     pub gave_up: Option<String>,
 }
 
+/// Stored session objects of every simulation.
+const OBJECTS: usize = 160;
+/// Queries in every simulation's batch.
+const QUERIES: usize = 8;
+
 /// A deterministic simulation: seed-derived workload and optional fault
 /// plan. The engine's retry budget arrives with the [`EngineOptions`] of
 /// each run.
 #[derive(Clone, Copy, Debug)]
 pub struct Sim {
     seed: u64,
-    objects: usize,
-    queries: usize,
     plan: Option<FaultPlan>,
 }
 
 impl Sim {
-    /// A simulation of `seed` with the default workload size (160
-    /// sessions, 8 queries) and no faults.
+    /// A simulation of `seed` with the fixed workload size (160 sessions,
+    /// 8 queries) and no faults.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            objects: 160,
-            queries: 8,
-            plan: None,
-        }
+        Self { seed, plan: None }
     }
 
     /// Installs a fault plan (see [`crate::scenario`] for presets).
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Sets the number of stored session objects.
-    pub fn with_objects(mut self, objects: usize) -> Self {
-        self.objects = objects;
-        self
-    }
-
-    /// Sets the number of queries in the batch.
-    pub fn with_queries(mut self, queries: usize) -> Self {
-        self.queries = queries;
         self
     }
 
@@ -102,12 +88,12 @@ impl Sim {
     /// The seed-derived workload: the stored sessions and a mixed
     /// k-NN/range query batch drawn from them.
     pub fn workload(&self) -> (Vec<Symbols>, Vec<(Symbols, QueryType)>) {
-        let (sessions, _trails) = web_sessions(self.objects, SessionConfig::default(), self.seed);
-        let stride = (self.objects / self.queries.max(1)).max(1);
+        let (sessions, _trails) = web_sessions(OBJECTS, SessionConfig::default(), self.seed);
+        let stride = OBJECTS / QUERIES;
         let queries = sessions
             .iter()
             .step_by(stride)
-            .take(self.queries)
+            .take(QUERIES)
             .enumerate()
             .map(|(i, s)| {
                 // Alternate query types so every run exercises both the
